@@ -17,12 +17,7 @@
    explored across the three reduction engines (--reduction
    none/sleep/source; writes BENCH_dpor.json, which the CI bench gate
    reads: source must never explore more than sleep, with identical
-   fingerprint multisets on completed rows).
-
-   `dune exec bench/main.exe -- --parallel-only` only measures wall-clock
-   scaling of domain-parallel exploration across (--jobs 1/2/4 x --batch
-   1/64/1024), POR on and off (writes BENCH_parallel.json, including the
-   jobs-4 speedup gate record CI reads). *)
+   fingerprint multisets on completed rows). *)
 
 open Bechamel
 open Toolkit
@@ -528,169 +523,13 @@ let dpor_report () =
   Printf.printf "wrote BENCH_dpor.json (* = capped)\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* Parallel exploration: (jobs x batch) wall-clock scaling             *)
-(* ------------------------------------------------------------------ *)
-
-(* Each workload is explored across (jobs in {2,4}) x (batch in
-   {1,64,1024}), with POR on and off, against a jobs=1 baseline, and
-   the scaling lands in BENCH_parallel.json. Besides wall time and
-   speedup over the sequential run, every leg records whether the
-   parallel run produced the exact same computation-fingerprint multiset
-   as jobs=1 — the determinism contract, checked on real workloads, not
-   just the test programs. The "cores" field records how many hardware
-   threads the host actually offers: speedups are only physically
-   possible up to that number, so a single-core container honestly
-   reports ~1.0x.
-
-   The report also carries a "gate" record for CI: jobs=4 (best batch)
-   must be at least 2x over jobs=1 on rw-monitor-2r1w with POR off. On
-   hosts with fewer than 4 hardware threads the gate cannot physically
-   pass, so it is skipped with a logged reason rather than reporting a
-   meaningless failure. *)
-(* Only workloads whose exploration terminates without a budget cut:
-   the fingerprint-identity contract applies to complete exploration (a
-   truncated sample is inherently traversal-order-dependent), so capped
-   workloads like the plain-DFS distributed ADA servers belong in
-   por_report, not here. *)
-let parallel_workloads =
-  [
-    ( "rw-monitor-2r1w",
-      fun por jobs batch ->
-        let o = Monitor.explore ~por ~jobs ~batch (rw_program 2 1) in
-        (o.Monitor.explored, o.Monitor.exhausted = None,
-         List.map Explore.fingerprint o.Monitor.computations) );
-    ( "buffer-monitor-1p1c2i",
-      fun por jobs batch ->
-        let o = Monitor.explore ~por ~jobs ~batch buffer_monitor_program in
-        (o.Monitor.explored, o.Monitor.exhausted = None,
-         List.map Explore.fingerprint o.Monitor.computations) );
-    ( "buffer-ada-1p1c2i",
-      fun por jobs batch ->
-        let o = Ada.explore ~por ~jobs ~batch buffer_ada_program in
-        (o.Ada.explored, o.Ada.exhausted = None,
-         List.map Explore.fingerprint o.Ada.computations) );
-    ( "rwd-csp-1r1w",
-      fun por jobs batch ->
-        let o = Csp.explore ~por ~jobs ~batch rwd_csp in
-        (o.Csp.explored, o.Csp.exhausted = None,
-         List.map Explore.fingerprint o.Csp.computations) );
-    ( "db-update-3-sites",
-      fun por jobs batch ->
-        let o = Csp.explore ~por ~jobs ~batch (Db_update.program ~sites:3) in
-        (o.Csp.explored, o.Csp.exhausted = None,
-         List.map Explore.fingerprint o.Csp.computations) );
-  ]
-
-let parallel_gate_workload = "rw-monitor-2r1w"
-let parallel_gate_jobs = 4
-let parallel_gate_target = 2.0
-
-let parallel_report () =
-  let cores = Domain.recommended_domain_count () in
-  let batches = [ 1; 64; 1024 ] in
-  let time_run f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  (* (jobs=4, POR-off, best batch) speedup on the gate workload,
-     collected while sweeping. *)
-  let gate_best = ref None in
-  let rows =
-    List.concat_map
-      (fun (name, run) ->
-        List.map
-          (fun por ->
-            let base_s, (base_explored, base_complete, base_fps) =
-              time_run (fun () -> run por 1 1)
-            in
-            let legs =
-              List.concat_map
-                (fun jobs ->
-                  List.map
-                    (fun batch ->
-                      let s, (explored, complete, fps) =
-                        time_run (fun () -> run por jobs batch)
-                      in
-                      let speedup = base_s /. Float.max 1e-9 s in
-                      let identical =
-                        List.sort compare fps = List.sort compare base_fps
-                      in
-                      if
-                        name = parallel_gate_workload && (not por)
-                        && jobs = parallel_gate_jobs
-                      then
-                        gate_best :=
-                          Some
-                            (match !gate_best with
-                            | Some (best, b) when best >= speedup -> (best, b)
-                            | _ -> (speedup, batch));
-                      Printf.printf
-                        "%-22s por=%-5b jobs=%d batch=%-4d  %8.3fs  %5.2fx vs jobs=1  explored=%-7d %s\n%!"
-                        name por jobs batch s speedup explored
-                        (if identical then "verdict-identical"
-                         else if complete && base_complete then "VERDICT-MISMATCH"
-                         else "sample-differs [exhausted]");
-                      Printf.sprintf
-                        {|{"jobs":%d,"batch":%d,"wall_s":%.4f,"speedup_vs_1":%.3f,"explored":%d,"complete":%b,"fingerprints_identical":%b}|}
-                        jobs batch s speedup explored complete identical)
-                    batches)
-                [ 2; 4 ]
-            in
-            Printf.printf "%-22s por=%-5b jobs=1  %8.3fs  (baseline, explored=%d)\n%!"
-              name por base_s base_explored;
-            Printf.sprintf
-              {|{"workload":"%s","por":%b,"computations":%d,"baseline":{"jobs":1,"batch":1,"wall_s":%.4f,"explored":%d,"complete":%b},"parallel":[%s]}|}
-              name por (List.length base_fps) base_s base_explored base_complete
-              (String.concat "," legs))
-          [ true; false ])
-      parallel_workloads
-  in
-  let gate_speedup, gate_batch =
-    match !gate_best with Some (s, b) -> (s, b) | None -> (0.0, 0)
-  in
-  let skipped_reason =
-    if cores < parallel_gate_jobs then
-      Some
-        (Printf.sprintf
-           "host offers %d hardware thread(s); a %.1fx speedup at jobs=%d needs >= %d"
-           cores parallel_gate_target parallel_gate_jobs parallel_gate_jobs)
-    else None
-  in
-  let gate_passed = gate_speedup >= parallel_gate_target in
-  let gate_json =
-    Printf.sprintf
-      {|{"workload":"%s","por":false,"jobs":%d,"best_batch":%d,"speedup":%.3f,"target":%.1f,"passed":%b,"skipped_reason":%s}|}
-      parallel_gate_workload parallel_gate_jobs gate_batch gate_speedup
-      parallel_gate_target gate_passed
-      (match skipped_reason with
-      | Some r -> Printf.sprintf "%S" r
-      | None -> "null")
-  in
-  (match skipped_reason with
-  | Some r ->
-      Printf.printf "speedup gate SKIPPED: %s (measured %.2fx at best batch %d)\n%!"
-        r gate_speedup gate_batch
-  | None ->
-      Printf.printf "speedup gate %s: %.2fx at jobs=%d batch=%d (target %.1fx)\n%!"
-        (if gate_passed then "passed" else "FAILED")
-        gate_speedup parallel_gate_jobs gate_batch parallel_gate_target);
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc
-    (Printf.sprintf {|{%s,"cores":%d,"gate":%s,"rows":[%s  %s%s]}%s|}
-       provenance_fields cores gate_json "\n"
-       (String.concat ",\n  " rows) "\n" "\n");
-  close_out oc;
-  Printf.printf "wrote BENCH_parallel.json (host offers %d hardware thread(s))\n%!" cores
-
-(* ------------------------------------------------------------------ *)
 (* Search keys: exact canonical strings vs incremental fingerprints    *)
 (* ------------------------------------------------------------------ *)
 
 (* Each workload is explored twice per measurement — once keyed on exact
    marshal-string canonical keys (--exact-keys), once on incremental
-   126-bit fingerprints (the default) — POR on, jobs=1, so the only
-   difference is key construction. Besides wall time and speedup, every
+   126-bit fingerprints (the default) — POR on, so the only difference
+   is key construction. Besides wall time and speedup, every
    row records whether the two key modes produced the same
    computation-fingerprint multiset (the byte-identical-verdict
    contract) and, from a separate untimed audited leg, the number of
@@ -705,7 +544,7 @@ let keys_workloads =
     ( "rw-monitor-2r1w",
       fun ~exact ~audit ->
         let o =
-          Monitor.explore ~por:true ~jobs:1 ~exact_keys:exact ~audit_keys:audit
+          Monitor.explore ~por:true ~exact_keys:exact ~audit_keys:audit
             (rw_program 2 1)
         in
         (o.Monitor.explored, o.Monitor.exhausted = None,
@@ -714,7 +553,7 @@ let keys_workloads =
     ( "buffer-ada-1p1c2i",
       fun ~exact ~audit ->
         let o =
-          Ada.explore ~por:true ~jobs:1 ~exact_keys:exact ~audit_keys:audit
+          Ada.explore ~por:true ~exact_keys:exact ~audit_keys:audit
             buffer_ada_program
         in
         (o.Ada.explored, o.Ada.exhausted = None,
@@ -723,7 +562,7 @@ let keys_workloads =
     ( "rwd-ada-1r1w",
       fun ~exact ~audit ->
         let o =
-          Ada.explore ~por:true ~jobs:1 ~exact_keys:exact ~audit_keys:audit
+          Ada.explore ~por:true ~exact_keys:exact ~audit_keys:audit
             rwd_ada
         in
         (o.Ada.explored, o.Ada.exhausted = None,
@@ -732,7 +571,7 @@ let keys_workloads =
     ( "buffer-csp-1p1c2i",
       fun ~exact ~audit ->
         let o =
-          Csp.explore ~por:true ~jobs:1 ~exact_keys:exact ~audit_keys:audit
+          Csp.explore ~por:true ~exact_keys:exact ~audit_keys:audit
             buffer_csp_program
         in
         (o.Csp.explored, o.Csp.exhausted = None,
@@ -817,9 +656,9 @@ let keys_report () =
 (* Telemetry counters: deterministic golden values                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Four workloads explored at an explicit jobs=1 with POR on — the one
-   engine configuration where every counter is deterministic (sequential
-   DFS, fixed visit order) — then checked with a fixed run cap. The
+(* Four workloads explored with POR on (every counter is deterministic:
+   the walk is sequential, with a fixed visit order), then checked at an
+   explicit jobs=1 with a fixed run cap. The
    counters land in two files: BENCH_stats.json (with provenance) and
    BENCH_stats_golden.json (schema_version + workloads only, no
    git_rev), which CI diffs byte-for-byte against bench/golden/stats.json
@@ -829,7 +668,7 @@ let stats_workloads =
   [
     ( "rw-monitor-2r1w",
       fun () ->
-        let o = Monitor.explore ~por:true ~jobs:1 (rw_program 2 1) in
+        let o = Monitor.explore ~por:true (rw_program 2 1) in
         let problem =
           Readers_writers.spec Readers_writers.Free_for_all
             ~users:(Readers_writers.user_names ~readers:2 ~writers:1)
@@ -841,7 +680,7 @@ let stats_workloads =
         (List.length o.Monitor.computations, List.length o.Monitor.deadlocks) );
     ( "buffer-monitor-1p1c2i",
       fun () ->
-        let o = Monitor.explore ~por:true ~jobs:1 buffer_monitor_program in
+        let o = Monitor.explore ~por:true buffer_monitor_program in
         ignore
           (Refine.sat_ok ~strategy:(Strategy.Linearizations (Some 200)) ~jobs:1
              ~problem:(Buffer_problem.spec ~capacity:1)
@@ -849,7 +688,7 @@ let stats_workloads =
         (List.length o.Monitor.computations, List.length o.Monitor.deadlocks) );
     ( "buffer-csp-1p1c2i",
       fun () ->
-        let o = Csp.explore ~por:true ~jobs:1 buffer_csp_program in
+        let o = Csp.explore ~por:true buffer_csp_program in
         ignore
           (Refine.sat_ok ~strategy:(Strategy.Linearizations (Some 200)) ~jobs:1
              ~problem:(Buffer_problem.spec ~capacity:1)
@@ -857,7 +696,7 @@ let stats_workloads =
         (List.length o.Csp.computations, List.length o.Csp.deadlocks) );
     ( "buffer-ada-1p1c2i",
       fun () ->
-        let o = Ada.explore ~por:true ~jobs:1 buffer_ada_program in
+        let o = Ada.explore ~por:true buffer_ada_program in
         ignore
           (Refine.sat_ok ~strategy:(Strategy.Linearizations (Some 200)) ~jobs:1
              ~problem:(Buffer_problem.spec ~capacity:1)
@@ -913,8 +752,8 @@ let telemetry_counters =
   T.
     [
       Configs_explored; Configs_reduced; Memo_hits; Memo_misses; Sleep_prunes;
-      Deque_steals; Shard_collisions; Fingerprint_collisions; Footprint_checks;
-      Runs_enumerated; Formula_evals; Vhs_histories;
+      Fingerprint_collisions; Footprint_checks; Runs_enumerated; Formula_evals;
+      Vhs_histories;
     ]
 
 let telemetry_phases =
@@ -1037,7 +876,7 @@ let bitstate_row ~name ~bits ~max_configs ~max_steps ~key ~moves ~terminated ini
   let res = { Explore.no_resilience with bitstate = Some table } in
   let t0 = Unix.gettimeofday () in
   let r =
-    Explore.run ~jobs:1 ~max_configs ~max_steps ~resilience:res ~key ~moves
+    Explore.run ~max_configs ~max_steps ~resilience:res ~key ~moves
       ~terminated init
   in
   let wall_s = Unix.gettimeofday () -. t0 in
@@ -1273,7 +1112,6 @@ let () =
   if has "--telemetry-only" then telemetry_overhead_report ()
   else if has "--stats-only" || (has "--quick" && has "--stats") then
     stats_report ()
-  else if has "--parallel-only" then parallel_report ()
   else if has "--por-only" then por_report ()
   else if has "--dpor-only" then dpor_report ()
   else if has "--keys-only" then keys_report ()
@@ -1286,7 +1124,6 @@ let () =
     budget_overhead_report ();
     por_report ();
     dpor_report ();
-    parallel_report ();
     keys_report ();
     stats_report ();
     telemetry_overhead_report ();

@@ -80,36 +80,10 @@ let jobs_term =
        & info [ "jobs" ] ~docv:"N"
            ~env:(Cmd.Env.info "GEM_JOBS"
                    ~doc:"Default job count when $(b,--jobs) is absent.")
-           ~doc:"Explore schedules and check computations on $(docv) \
-                 domains. Results and exit codes are identical for every \
-                 value; only wall-clock time (and, under partial-order \
-                 reduction, the configuration counters) may differ.")
-
-(* --batch gets the same strict treatment as --jobs: chunk size 0 would
-   park the parallel engine, negatives are meaningless — exit 3. The
-   lenient GEM_BATCH fallback for library users lives in
-   Gem_check.Par.batch_default; the CLI env alias goes through this
-   strict parser instead. *)
-let batch_term =
-  let batch_conv =
-    let parse s =
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Ok n
-      | Some n -> Error (`Msg (Printf.sprintf "%d is not a valid batch size (must be at least 1)" n))
-      | None -> Error (`Msg (Printf.sprintf "%S is not a valid batch size (expected a positive integer)" s))
-    in
-    Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt batch_conv 64
-       & info [ "batch" ] ~docv:"N"
-           ~env:(Cmd.Env.info "GEM_BATCH"
-                   ~doc:"Default batch size when $(b,--batch) is absent.")
-           ~doc:"Move work between parallel domains in chunks of up to \
-                 $(docv) frontier configurations, batching seen-table \
-                 probes per shard (default 64). Verdicts are \
-                 byte-identical for every (jobs, batch) pair; the knob \
-                 only moves coordination cost. Ignored when \
-                 $(b,--jobs) is 1.")
+           ~doc:"Check computations on $(docv) domains. Exploration \
+                 is sequential; results, counters and exit codes are \
+                 identical for every value, only wall-clock time \
+                 differs.")
 
 (* ------------------------------------------------------------------ *)
 (* Resilience flags, shared by the exploration subcommands             *)
@@ -191,9 +165,9 @@ let resilience_term =
    (the environment defaults matter — a resumed run must resolve to the
    same engine) plus each command's workload parameters. *)
 let resilience_of ~command ~params ~reduction ~exact_keys ro =
-  (* The stamp keeps its historical por=%b field (old checkpoints must
-     keep resuming); it stays accurate because checkpoint/resume runs
-     degrade source to sleep sets — both are por=true engines. *)
+  (* The stamp names the engine by its por=%b field; that is exact
+     because checkpoint/resume runs degrade source to sleep sets — both
+     are por=true engines. *)
   let por = Explore.resolve_reduction ?reduction () <> Explore.No_reduction in
   let exact =
     match exact_keys with Some b -> b | None -> Explore.exact_keys_default ()
@@ -213,9 +187,6 @@ let resilience_of ~command ~params ~reduction ~exact_keys ro =
       Option.map (fun f -> Checkpoint.ctl ~every:ro.ro_ckpt_every f) ro.ro_ckpt;
     resume = ro.ro_resume;
     stamp;
-    degrade_crashes =
-      ro.ro_bitstate || ro.ro_spill_mb <> None || ro.ro_ckpt <> None
-      || ro.ro_resume <> None;
   }
 
 (* SIGINT/SIGTERM stop the run through the budget's first-reason-wins
@@ -332,8 +303,8 @@ let por_term =
                    $(i,sleep) (persistent/sleep sets, the default) or \
                    $(i,source) (source-DPOR with race-driven wakeups; \
                    explores no more configurations than sleep and \
-                   asymptotically fewer on rendezvous-heavy workloads, \
-                   but runs sequentially even under $(b,--jobs)). The \
+                   asymptotically fewer on rendezvous-heavy workloads). \
+                   The \
                    $(b,GEM_REDUCTION) variable supplies the default \
                    when the flag is absent. The verdict is \
                    byte-identical across engines.")
@@ -418,8 +389,8 @@ let restrict_term =
            ~doc:"Check an extra restriction (GEM formula syntax) alongside \
                  the problem specification's own.")
 
-let runner_opts ~reduction ~exact_keys ~audit_keys ~jobs ~batch ~resilience =
-  { Runner.reduction; por = None; exact_keys; audit_keys; jobs; batch; resilience }
+let runner_opts ~reduction ~exact_keys ~audit_keys ~jobs ~resilience =
+  { Runner.reduction; por = None; exact_keys; audit_keys; jobs; resilience }
 
 (* ------------------------------------------------------------------ *)
 (* experiments                                                         *)
@@ -487,7 +458,7 @@ let rw_cmd =
   in
   let readers = Arg.(value & opt int 2 & info [ "readers" ] ~docv:"N") in
   let writers = Arg.(value & opt int 1 & info [ "writers" ] ~docv:"N") in
-  let run monitor version readers writers restrict reduction (exact_keys, audit_keys) jobs batch budget resil json obs =
+  let run monitor version readers writers restrict reduction (exact_keys, audit_keys) jobs budget resil json obs =
     obs_init obs;
     install_signals budget;
     let load = Runner.Rw { monitor; version; readers; writers } in
@@ -497,7 +468,7 @@ let rw_cmd =
     in
     let r =
       Runner.run load
-        (runner_opts ~reduction ~exact_keys ~audit_keys ~jobs ~batch ~resilience)
+        (runner_opts ~reduction ~exact_keys ~audit_keys ~jobs ~resilience)
         ~budget ~restrict
     in
     (if not json then
@@ -508,7 +479,7 @@ let rw_cmd =
   in
   Cmd.v
     (Cmd.info "rw" ~doc:"Verify a Readers/Writers monitor against a problem version.")
-    Term.(const run $ monitor $ version $ readers $ writers $ restrict_term $ por_term $ keys_term $ jobs_term $ batch_term $ budget_term $ resilience_term $ json_flag $ obs_term)
+    Term.(const run $ monitor $ version $ readers $ writers $ restrict_term $ por_term $ keys_term $ jobs_term $ budget_term $ resilience_term $ json_flag $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* buffer                                                              *)
@@ -523,7 +494,7 @@ let buffer_cmd =
   let producers = Arg.(value & opt int 1 & info [ "producers" ] ~docv:"N") in
   let consumers = Arg.(value & opt int 1 & info [ "consumers" ] ~docv:"N") in
   let items = Arg.(value & opt int 2 & info [ "items" ] ~docv:"N" ~doc:"Items per producer.") in
-  let run lang capacity producers consumers items restrict reduction (exact_keys, audit_keys) jobs batch budget resil json obs =
+  let run lang capacity producers consumers items restrict reduction (exact_keys, audit_keys) jobs budget resil json obs =
     obs_init obs;
     install_signals budget;
     let load = Runner.Buffer { lang; capacity; producers; consumers; items } in
@@ -533,14 +504,14 @@ let buffer_cmd =
     in
     let r =
       Runner.run load
-        (runner_opts ~reduction ~exact_keys ~audit_keys ~jobs ~batch ~resilience)
+        (runner_opts ~reduction ~exact_keys ~audit_keys ~jobs ~resilience)
         ~budget ~restrict
     in
     obs_finish ~json obs (Runner.print_report ~json ~command:"buffer" r)
   in
   Cmd.v
     (Cmd.info "buffer" ~doc:"Verify a bounded-buffer solution.")
-    Term.(const run $ lang $ capacity $ producers $ consumers $ items $ restrict_term $ por_term $ keys_term $ jobs_term $ batch_term $ budget_term $ resilience_term $ json_flag $ obs_term)
+    Term.(const run $ lang $ capacity $ producers $ consumers $ items $ restrict_term $ por_term $ keys_term $ jobs_term $ budget_term $ resilience_term $ json_flag $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* rwd: distributed Readers/Writers                                    *)
@@ -556,7 +527,7 @@ let rwd_cmd =
   let broken =
     Arg.(value & flag & info [ "no-priority" ] ~doc:"Use the priority-less mutant.")
   in
-  let run lang readers writers broken restrict reduction (exact_keys, audit_keys) jobs batch budget resil json obs =
+  let run lang readers writers broken restrict reduction (exact_keys, audit_keys) jobs budget resil json obs =
     obs_init obs;
     install_signals budget;
     let load = Runner.Rwd { lang; readers; writers; broken } in
@@ -566,7 +537,7 @@ let rwd_cmd =
     in
     let r =
       Runner.run load
-        (runner_opts ~reduction ~exact_keys ~audit_keys ~jobs ~batch ~resilience)
+        (runner_opts ~reduction ~exact_keys ~audit_keys ~jobs ~resilience)
         ~budget ~restrict
     in
     obs_finish ~json obs (Runner.print_report ~json ~command:"rwd" r)
@@ -574,7 +545,7 @@ let rwd_cmd =
   Cmd.v
     (Cmd.info "rwd"
        ~doc:"Verify the distributed (CSP/ADA) Readers/Writers solutions.")
-    Term.(const run $ lang $ readers $ writers $ broken $ restrict_term $ por_term $ keys_term $ jobs_term $ batch_term $ budget_term $ resilience_term $ json_flag $ obs_term)
+    Term.(const run $ lang $ readers $ writers $ broken $ restrict_term $ por_term $ keys_term $ jobs_term $ budget_term $ resilience_term $ json_flag $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz: differential fuzzing across the engine lattice                *)
@@ -672,11 +643,10 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:"Differentially fuzz the exploration engines: random \
              Monitor/CSP/ADA programs and restrictions, cross-checked \
-             over {POR on,off} x {jobs 1,2,8} x {fp,exact keys} x \
-             {unbounded,bitstate} plus two batched-scheduler cells \
-             (jobs 8, batch 64) and two source-DPOR cells (--reduction \
-             source); disagreements are shrunk and written to the \
-             reproducer corpus.")
+             over {POR on,off} x {fp,exact keys} x \
+             {unbounded,bitstate} plus a source-DPOR cell (--reduction \
+             source) and a spilling-frontier cell; disagreements are \
+             shrunk and written to the reproducer corpus.")
     Term.(const run $ seed $ iters $ time_budget $ corpus $ max_configs)
 
 (* ------------------------------------------------------------------ *)
@@ -800,7 +770,7 @@ let parse_cmd =
 
 let db_cmd =
   let sites = Arg.(value & opt int 3 & info [ "sites" ] ~docv:"N") in
-  let run sites reduction (exact_keys, audit_keys) jobs batch budget resil json obs =
+  let run sites reduction (exact_keys, audit_keys) jobs budget resil json obs =
     obs_init obs;
     install_signals budget;
     let load = Runner.Db { sites } in
@@ -810,13 +780,13 @@ let db_cmd =
     in
     let r =
       Runner.run load
-        (runner_opts ~reduction ~exact_keys ~audit_keys ~jobs ~batch ~resilience)
+        (runner_opts ~reduction ~exact_keys ~audit_keys ~jobs ~resilience)
         ~budget ~restrict:None
     in
     obs_finish ~json obs (Runner.print_report ~json ~command:"db" r)
   in
   Cmd.v (Cmd.info "db" ~doc:"Explore the distributed database update.")
-    Term.(const run $ sites $ por_term $ keys_term $ jobs_term $ batch_term $ budget_term $ resilience_term $ json_flag $ obs_term)
+    Term.(const run $ sites $ por_term $ keys_term $ jobs_term $ budget_term $ resilience_term $ json_flag $ obs_term)
 
 let life_cmd =
   let width = Arg.(value & opt int 4 & info [ "width" ] ~docv:"N") in
@@ -828,7 +798,7 @@ let life_cmd =
     let r =
       Runner.run load
         (runner_opts ~reduction:None ~exact_keys:None ~audit_keys:None ~jobs:1
-           ~batch:64 ~resilience:Explore.no_resilience)
+           ~resilience:Explore.no_resilience)
         ~budget ~restrict:None
     in
     obs_finish ~json obs (Runner.print_report ~json ~command:"life" r)

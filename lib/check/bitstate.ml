@@ -5,10 +5,10 @@
    Bitstate_collision_risk verdict downgrade) instead of the process
    dying when the state space outgrows RAM.
 
-   Sharding mirrors the parallel explorer's seen table: the shard index
-   comes from the fingerprint's low lane, the probe sequence from the
-   high lane, so the two never correlate. Per-shard mutexes are plenty —
-   the critical section is a handful of array reads. *)
+   The shard index comes from the fingerprint's low lane, the probe
+   sequence from the high lane, so the two never correlate. Per-shard
+   mutexes are plenty — the critical section is a handful of array
+   reads. *)
 
 module Fp = Gem_order.Fingerprint
 
@@ -63,8 +63,7 @@ let capacity t = Array.length t.shards * (t.mask + 1)
 let occupancy t = Array.fold_left (fun n s -> n + s.used) 0 t.shards
 let saturated t = Atomic.get t.saturated
 
-(* Probe/insert with the shard lock already held — shared by the
-   single-fingerprint [add] and the batched [add_batch]. *)
+(* Probe/insert with the shard lock already held. *)
 let add_locked t s fp =
   let i0 = (fp.Fp.hi land max_int) land t.mask in
   let rec probe i n =
@@ -94,32 +93,6 @@ let add t fp =
   let fp = norm fp in
   let s = t.shards.(Fp.to_int fp land t.shard_mask) in
   Mutex.protect s.lock (fun () -> add_locked t s fp)
-
-(* Batched probe: group the fingerprints by shard, take each shard lock
-   once, and answer every query against that shard under the single
-   acquisition. Results land at the query's original index, and within a
-   shard queries are answered in submission order, so a duplicate pair
-   inside one batch behaves exactly like two sequential [add]s ([`New]
-   then [`Seen]). *)
-let add_batch t fps =
-  let n = Array.length fps in
-  let out = Array.make n `Full in
-  let buckets = Array.make (Array.length t.shards) [] in
-  for i = n - 1 downto 0 do
-    let fp = norm fps.(i) in
-    buckets.(Fp.to_int fp land t.shard_mask) <-
-      (i, fp) :: buckets.(Fp.to_int fp land t.shard_mask)
-  done;
-  Array.iteri
-    (fun si bucket ->
-      match bucket with
-      | [] -> ()
-      | bucket ->
-          let s = t.shards.(si) in
-          Mutex.protect s.lock (fun () ->
-              List.iter (fun (i, fp) -> out.(i) <- add_locked t s fp) bucket))
-    buckets;
-  out
 
 (* Checkpoint form: plain arrays only (Mutex.t does not marshal). *)
 type snapshot = {

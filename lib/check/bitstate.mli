@@ -14,9 +14,9 @@
     [--audit-keys] oracle composes with bitstate mode to {e measure} the
     realized collision rate on workloads that still fit exactly.
 
-    Domain-safe: sharded with per-shard mutexes (shard from the low
-    fingerprint lane, probe sequence from the high lane), shared by all
-    domains of a parallel exploration. *)
+    Sharded (shard from the low fingerprint lane, probe sequence from
+    the high lane), each shard with its own 7/8 load cap and its own
+    mutex, so one table may be shared across domains. *)
 
 type t
 
@@ -33,15 +33,6 @@ val add : t -> Gem_order.Fingerprint.t -> [ `New | `Seen | `Full ]
     as "seen" (prune) and count it ([Bitstate_saturated_prunes]) —
     admitting inserts past the cap would degenerate probe chains and
     effectively hang the exploration. *)
-
-val add_batch :
-  t -> Gem_order.Fingerprint.t array -> [ `New | `Seen | `Full ] array
-(** Batched {!add}: [add_batch t fps] answers [fps.(i)] at result index
-    [i], grouping queries by shard and taking each shard lock exactly
-    once for the whole batch — the lock-amortization primitive behind
-    the batched parallel explorer. Within a shard, queries are answered
-    in submission order, so duplicates inside one batch read [`New] then
-    [`Seen], exactly as sequential [add]s would. *)
 
 val bits : t -> int
 val capacity : t -> int

@@ -6,7 +6,6 @@ type reason =
   | Interrupted
   | Bitstate_collision_risk
   | Spill_io_error
-  | Worker_crashed of string
 
 type coverage = {
   configs_explored : int;
@@ -17,7 +16,7 @@ type coverage = {
 }
 
 (* All mutable cells are atomics: one budget is shared by every domain of
-   a parallel exploration, so charges race. Counters tolerate the benign
+   a parallel check, so charges race. Counters tolerate the benign
    interleaving (fetch-and-add); [stopped] is first-reason-wins via
    compare-and-set, so the merged result carries exactly one reason no
    matter how many domains observe exhaustion simultaneously. *)
@@ -74,8 +73,7 @@ let stop_counter = function
   | Memory_watermark -> Some Gem_obs.Telemetry.Budget_stop_memory
   (* Resilience reasons are counted at their own injection/degradation
      sites (spill, bitstate, fault counters) — no budget-stop counter. *)
-  | Interrupted | Bitstate_collision_risk | Spill_io_error | Worker_crashed _ ->
-      None
+  | Interrupted | Bitstate_collision_risk | Spill_io_error -> None
 
 let note t reason =
   if Atomic.compare_and_set t.stopped None (Some reason) then
@@ -96,20 +94,25 @@ let exhausted t =
   if Atomic.get t.stopped = None then poll t;
   Atomic.get t.stopped
 
+(* A charge is granted on its own count, not on a re-read of [stopped]:
+   when domains race past the cap, a charge that landed within it stays
+   granted, so concurrent charges grant exactly the cap in total. *)
 let charge t counter limit_reason =
-  (match Atomic.get t.stopped with
-  | Some _ -> ()
-  | None ->
-      let remaining = Atomic.fetch_and_add t.until_poll (-1) - 1 in
-      if remaining <= 0 then begin
-        Atomic.set t.until_poll poll_interval;
-        poll t
-      end;
-      if Atomic.get t.stopped = None then
-        match counter () with
-        | used, Some cap when used > cap -> note t limit_reason
-        | _ -> ());
   Atomic.get t.stopped = None
+  && begin
+       let remaining = Atomic.fetch_and_add t.until_poll (-1) - 1 in
+       if remaining <= 0 then begin
+         Atomic.set t.until_poll poll_interval;
+         poll t
+       end;
+       Atomic.get t.stopped = None
+       &&
+       match counter () with
+       | used, Some cap when used > cap ->
+           note t limit_reason;
+           false
+       | _ -> true
+     end
 
 let charge_config t =
   charge t
@@ -142,7 +145,6 @@ let reason_keyword = function
   | Interrupted -> "interrupted"
   | Bitstate_collision_risk -> "bitstate-collision-risk"
   | Spill_io_error -> "spill-io-error"
-  | Worker_crashed _ -> "worker-crashed"
 
 let pp_reason ppf = function
   | Deadline_exceeded -> Format.fprintf ppf "wall-clock deadline exceeded"
@@ -154,32 +156,10 @@ let pp_reason ppf = function
       Format.fprintf ppf
         "bitstate mode: unseen states may have hashed onto seen ones"
   | Spill_io_error -> Format.fprintf ppf "frontier spill I/O failed"
-  | Worker_crashed exn ->
-      Format.fprintf ppf "worker domain crashed: %s" exn
-
-(* Worker_crashed carries an arbitrary exception rendering; escape the
-   few JSON metacharacters so the verdict line stays parseable. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let reason_json r =
   match r with
   | Run_cap n -> Printf.sprintf {|{"kind":"%s","cap":%d}|} (reason_keyword r) n
-  | Worker_crashed exn ->
-      Printf.sprintf {|{"kind":"%s","exn":"%s"}|} (reason_keyword r)
-        (json_escape exn)
   | _ -> Printf.sprintf {|{"kind":"%s"}|} (reason_keyword r)
 
 let pp_coverage ppf c =

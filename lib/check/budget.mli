@@ -30,11 +30,6 @@ type reason =
   | Spill_io_error
       (** The disk-spilled frontier hit an I/O error; spilled tasks may
           be unreachable, so coverage is partial. *)
-  | Worker_crashed of string
-      (** An exception escaped a worker domain (printed form carried);
-          its in-flight subtree was abandoned. Only reported when the
-          caller opted into degradation — the default contract still
-          re-raises. *)
 
 type coverage = {
   configs_explored : int;  (** Interpreter configurations visited. *)
@@ -52,8 +47,8 @@ type t
     threaded through, so one budget bounds an entire pipeline.
 
     Domain-safe: all mutable cells are atomics, so one budget may be
-    shared by every domain of a parallel exploration
-    ({!Gem_lang.Explore} with [jobs > 1]). Counters use fetch-and-add;
+    shared by every domain of a parallel check ({!Check.check_all} or
+    {!Refine.sat} with [jobs > 1]). Counters use fetch-and-add;
     the exhaustion verdict is set with a first-reason-wins
     compare-and-set, so concurrent observers agree on a single
     {!reason} and cancellation propagates to all domains through the
@@ -110,8 +105,7 @@ val pp_reason : Format.formatter -> reason -> unit
 val reason_keyword : reason -> string
 (** Stable machine-readable keyword: ["deadline-exceeded"],
     ["config-budget"], ["run-cap"], ["memory-watermark"],
-    ["interrupted"], ["bitstate-collision-risk"], ["spill-io-error"],
-    ["worker-crashed"]. *)
+    ["interrupted"], ["bitstate-collision-risk"], ["spill-io-error"]. *)
 
 val reason_json : reason -> string
 val pp_coverage : Format.formatter -> coverage -> unit

@@ -17,8 +17,13 @@ let check_restrictions ?budget ~strategy ~spec_name comp restrictions =
   if temporal <> [] then begin
     let enum = Strategy.enumerate ?budget strategy comp in
     complete := enum.Strategy.complete;
+    (* The cap is per enumeration, so it is counted here, once per
+       capped enumeration, and not noted on the shared budget: a sticky
+       stop there would halt every remaining computation. *)
     (match enum.Strategy.truncated_at with
-    | Some cap -> exhaustion := Some (Budget.Run_cap cap)
+    | Some cap ->
+        exhaustion := Some (Budget.Run_cap cap);
+        Gem_obs.Telemetry.(hit Budget_stop_runs)
     | None -> ());
     let pending = ref temporal in
     (try

@@ -1,12 +1,15 @@
 (* Crash-safe periodic snapshots. The format is deliberately dumb:
-     "GEMCKPT1" | Marshal(stamp : string) | Marshal(payload)
-   written to FILE.tmp and atomically renamed over FILE, so a crash
-   mid-write leaves either the previous complete checkpoint or none —
-   never a torn one. The stamp is the caller's full run identity
-   (command, workload parameters, engine configuration, binary
-   revision); [read] refuses a stamp mismatch because resuming a
-   frontier into a different exploration would corrupt the verdict
-   silently. *)
+     "GEMCKPT2" | stamp length (8 bytes, big-endian) | stamp
+     | payload length (8 bytes, big-endian) | MD5 of the payload | payload
+   where the payload is the marshalled walk state. It is written to
+   FILE.tmp and atomically renamed over FILE, so a crash mid-write leaves
+   either the previous complete checkpoint or none — never a torn one.
+   The stamp is the caller's full run identity (command, workload
+   parameters, engine configuration); [read] refuses a stamp mismatch
+   because resuming a frontier into a different exploration would
+   corrupt the verdict silently. The lengths and the digest are checked
+   before anything is unmarshalled, so a truncated or bit-flipped file
+   is an [Error], never a crash inside [Marshal]. *)
 
 module T = Gem_obs.Telemetry
 
@@ -19,7 +22,7 @@ let ctl ?(every = 50_000) file =
 let file t = t.file
 let every t = t.every
 
-let magic = "GEMCKPT1"
+let magic = "GEMCKPT2"
 
 let write t ~stamp payload =
   let tmp = t.file ^ ".tmp" in
@@ -27,11 +30,17 @@ let write t ~stamp payload =
     if Faults.fire Faults.Checkpoint_io then
       raise (Faults.Injected Faults.Checkpoint_io);
     Spool.register_temp tmp;
+    let body = Marshal.to_string payload [] in
+    let len n =
+      let b = Bytes.create 8 in
+      Bytes.set_int64_be b 0 (Int64.of_int n);
+      Bytes.to_string b
+    in
     let oc = open_out_bin tmp in
     (try
-       output_string oc magic;
-       Marshal.to_channel oc (stamp : string) [];
-       Marshal.to_channel oc payload [];
+       List.iter (output_string oc)
+         [ magic; len (String.length stamp); stamp; len (String.length body);
+           Digest.string body; body ];
        close_out oc
      with e ->
        close_out_noerr oc;
@@ -49,23 +58,44 @@ let write t ~stamp payload =
       Spool.release_temp tmp;
       Error msg
 
+exception Corrupt of string
+
 let read ~stamp path =
   try
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
+        let corrupt what = raise (Corrupt (path ^ ": " ^ what)) in
+        let remaining () = in_channel_length ic - pos_in ic in
+        (* A length field is trusted only if the file still holds that
+           many bytes, so a flipped length cannot trigger a huge read. *)
+        let field () =
+          let n = Int64.to_int (String.get_int64_be (really_input_string ic 8) 0) in
+          if n < 0 || n > remaining () then corrupt "truncated or corrupt checkpoint"
+          else n
+        in
         let m = really_input_string ic (String.length magic) in
-        if m <> magic then Error (path ^ ": not a gemcheck checkpoint")
-        else
-          let written : string = Marshal.from_channel ic in
-          if written <> stamp then
-            Error
-              (Printf.sprintf
-                 "%s: checkpoint stamp mismatch (written for %S, resuming \
-                  %S) — refusing to resume a different run"
-                 path written stamp)
-          else Ok (Marshal.from_channel ic))
+        if m = "GEMCKPT1" then
+          corrupt "checkpoint written in the old GEMCKPT1 format; rerun to write a new one"
+        else if m <> magic then corrupt "not a gemcheck checkpoint";
+        let written = really_input_string ic (field ()) in
+        if written <> stamp then
+          Error
+            (Printf.sprintf
+               "%s: checkpoint stamp mismatch (written for %S, resuming %S) — \
+                refusing to resume a different run"
+               path written stamp)
+        else begin
+          let n = field () in
+          let digest = really_input_string ic 16 in
+          if remaining () <> n then corrupt "truncated or corrupt checkpoint";
+          let body = really_input_string ic n in
+          if not (Digest.equal (Digest.string body) digest) then
+            corrupt "checkpoint payload fails its digest";
+          Ok (Marshal.from_string body 0)
+        end)
   with
+  | Corrupt msg -> Error msg
   | Sys_error msg -> Error msg
   | End_of_file | Failure _ -> Error (path ^ ": truncated or corrupt checkpoint")

@@ -10,12 +10,16 @@
     the resilient engine is sequential-deterministic and the canonical
     merge anchors the output.
 
-    {b Format}: ["GEMCKPT1"] magic, then the marshalled [stamp] string,
-    then the marshalled payload. The stamp encodes the full run identity
-    (command, workload parameters, engine configuration); {!read}
-    refuses a mismatch — resuming into a different run would silently
-    corrupt the verdict, the one thing this subsystem exists to
-    protect.
+    {b Format}: ["GEMCKPT2"] magic, the [stamp] (8-byte big-endian
+    length, then its bytes), the payload length (8 bytes, big-endian),
+    an MD5 {!Digest} of the payload, then the payload (the marshalled
+    walk state). The stamp encodes the full run identity (command,
+    workload parameters, engine configuration); {!read} refuses a
+    mismatch — resuming into a different run would silently corrupt the
+    verdict, the one thing this subsystem exists to protect. {!read}
+    checks both lengths and the digest before it unmarshals anything,
+    so a truncated or bit-flipped file, or one in the older
+    ["GEMCKPT1"] format, is an [Error] and never a crash.
 
     Write failures (real, or injected at {!Faults.Checkpoint_io})
     return [Error] and the run continues without that snapshot; a
@@ -36,6 +40,7 @@ val write : ctl -> stamp:string -> 'a -> (unit, string) result
     data — no closures, no custom blocks). *)
 
 val read : stamp:string -> string -> ('a, string) result
-(** Load and validate a snapshot. [Error] on missing/corrupt file or
-    stamp mismatch. The caller asserts the payload type — safe only
-    because the stamp pins the producing run configuration. *)
+(** Load and validate a snapshot. [Error] on a missing, truncated or
+    corrupt file, an old-format file, or a stamp mismatch. The caller
+    asserts the payload type — safe only because the stamp pins the
+    producing run configuration and the magic pins the format. *)

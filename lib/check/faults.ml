@@ -5,7 +5,7 @@
    is atomic so concurrent domains consume distinct draws; determinism
    is per-seed across the whole process, not per call site. *)
 
-type point = Alloc | Spill_io | Checkpoint_io | Domain_start
+type point = Alloc | Spill_io | Checkpoint_io
 
 exception Injected of point
 
@@ -13,9 +13,8 @@ let point_name = function
   | Alloc -> "alloc"
   | Spill_io -> "spill-io"
   | Checkpoint_io -> "checkpoint-io"
-  | Domain_start -> "domain-start"
 
-let all_points = [ Alloc; Spill_io; Checkpoint_io; Domain_start ]
+let all_points = [ Alloc; Spill_io; Checkpoint_io ]
 
 type armed = { seed : int64; period : int; points : point list }
 
@@ -38,7 +37,6 @@ let parse_points s =
     | "alloc" -> Some Alloc
     | "spill-io" | "spill" -> Some Spill_io
     | "checkpoint-io" | "checkpoint" -> Some Checkpoint_io
-    | "domain-start" | "domain" -> Some Domain_start
     | _ -> None
   in
   let names = String.split_on_char ',' s in

@@ -1,9 +1,9 @@
 (** Deterministic fault injection for the resilience ladder.
 
     The degradation machinery (bitstate seen sets, frontier spilling,
-    checkpointing, parallel teardown) exists precisely for the paths
-    that are hardest to reach in tests: allocation pressure, failing
-    disks, interrupted writes, domains that refuse to start. This
+    checkpointing) exists precisely for the paths that are hardest to
+    reach in tests: allocation pressure, failing disks, interrupted
+    writes. This
     harness makes those paths reachable {e deterministically}: armed
     from the [GEM_FAULT] environment variable (or {!arm} in tests), a
     seeded splitmix64 stream decides at each registered injection point
@@ -25,7 +25,6 @@ type point =
   | Alloc  (** Frontier-growth allocation (simulated [Out_of_memory]). *)
   | Spill_io  (** Spool chunk write/read. *)
   | Checkpoint_io  (** Checkpoint snapshot write. *)
-  | Domain_start  (** Worker domain spawn. *)
 
 exception Injected of point
 (** Raised {e by call sites} (never by {!fire} itself) when simulating a

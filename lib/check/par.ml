@@ -1,22 +1,12 @@
-(* Small domain-parallelism substrate shared by the exploration and
-   checking layers. Kept deliberately tiny: the stdlib's [Domain] and
-   [Atomic] are the only primitives, so the library builds with no
-   dependencies beyond the OCaml 5 runtime. *)
+(* Small domain-parallelism substrate for the checking layer. Kept
+   deliberately tiny: the stdlib's [Domain] and [Atomic] are the only
+   primitives, so the library builds with no dependencies beyond the
+   OCaml 5 runtime. *)
 
 let jobs_default () =
   match Sys.getenv_opt "GEM_JOBS" with
   | None | Some "" -> 1
   | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 1)
-
-(* Chunk size for the batched parallel explorer. 64 tasks per chunk is
-   the measured sweet spot: large enough to amortize deque locking and
-   per-shard probe batching, small enough that tiny frontiers still
-   spread across domains (partial chunks are flushed eagerly, so the
-   value is a ceiling, not a quantum of latency). *)
-let batch_default () =
-  match Sys.getenv_opt "GEM_BATCH" with
-  | None | Some "" -> 64
-  | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 64)
 
 (* Re-raise a worker exception in the spawning domain. The first failure
    wins; the others are dropped — by then the pipeline is aborting. *)

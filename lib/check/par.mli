@@ -1,4 +1,4 @@
-(** Domain-parallelism substrate for the exploration and checking layers.
+(** Domain-parallelism substrate for the checking layer.
 
     Built on the stdlib's [Domain] and [Atomic] only. Parallelism is
     always opt-in: every entry point that accepts a [jobs] count defaults
@@ -14,13 +14,6 @@ val jobs_default : unit -> int
     the CLI flag and the environment variable compose. Invalid values are
     ignored (the strict rejection lives in the CLI, which refuses them
     with a usage error). *)
-
-val batch_default : unit -> int
-(** The work-distribution chunk size default: the [GEM_BATCH] environment
-    variable when it parses as an integer [>= 1], else [64]. The batched
-    parallel explorer moves frontier tasks between domains in chunks of
-    at most this many; [1] degrades to per-task stealing. Same lenient
-    treatment as {!jobs_default} — strict rejection lives in the CLI. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map over [jobs] domains (the caller's domain

@@ -324,8 +324,8 @@ let engine_string (e : R.engine) =
   in
   let opt_int = function Some n -> string_of_int n | None -> "none" in
   Printf.sprintf
-    "por=%b exact=%b jobs=%d batch=%d bitstate=%s maxc=%s maxr=%s reduction=%s"
-    por exact e.R.jobs e.R.batch
+    "por=%b exact=%b jobs=%d bitstate=%s maxc=%s maxr=%s reduction=%s"
+    por exact e.R.jobs
     (match e.R.bitstate_bits with Some b -> string_of_int b | None -> "off")
     (opt_int e.R.max_configs) (opt_int e.R.max_runs)
     (Explore.reduction_name reduction)
@@ -353,7 +353,6 @@ type opts = {
   exact_keys : bool option;
   audit_keys : bool option;
   jobs : int;
-  batch : int;
   resilience : Explore.resilience;
 }
 
@@ -376,14 +375,12 @@ let opts_of_engine load (e : R.engine) =
     exact_keys = e.R.exact_keys;
     audit_keys = None;
     jobs = e.R.jobs;
-    batch = e.R.batch;
     resilience =
       {
         Explore.no_resilience with
         Explore.bitstate =
           Option.map (fun bits -> Bitstate.create ~bits ()) e.R.bitstate_bits;
         stamp;
-        degrade_crashes = e.R.bitstate_bits <> None;
       };
   }
 
@@ -398,7 +395,7 @@ type exploration = {
 }
 
 let explore load o ~budget =
-  let { reduction; por; exact_keys; audit_keys; jobs; batch; resilience } = o in
+  let { reduction; por; exact_keys; audit_keys; resilience; _ } = o in
   let of_monitor (x : Monitor.outcome) =
     {
       x_computations = x.Monitor.computations;
@@ -436,8 +433,7 @@ let explore load o ~budget =
   | Rw { monitor; readers; writers; _ } ->
       Some
         (of_monitor
-           (Monitor.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~jobs ~batch
-              ~resilience
+           (Monitor.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~resilience
               (Readers_writers.program ~monitor:(rw_monitor monitor) ~readers
                  ~writers)))
   | Buffer { lang; capacity; producers; consumers; items } ->
@@ -445,20 +441,17 @@ let explore load o ~budget =
         (match lang with
         | `Monitor ->
             of_monitor
-              (Monitor.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~jobs
-                 ~batch ~resilience
+              (Monitor.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~resilience
                  (Buffer_problem.monitor_solution ~capacity ~producers
                     ~consumers ~items_each:items))
         | `Csp ->
             of_csp
-              (Csp.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~jobs ~batch
-                 ~resilience
+              (Csp.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~resilience
                  (Buffer_problem.csp_solution ~capacity ~producers ~consumers
                     ~items_each:items))
         | `Ada ->
             of_ada
-              (Ada.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~jobs ~batch
-                 ~resilience
+              (Ada.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~resilience
                  (Buffer_problem.ada_solution ~capacity ~producers ~consumers
                     ~items_each:items)))
   | Rwd { lang; readers; writers; broken } ->
@@ -472,8 +465,7 @@ let explore load o ~budget =
             in
             of_csp
               (Csp.explore ?reduction ?por ?exact_keys ?audit_keys
-                 ~max_configs:20_000_000 ~budget ~jobs ~batch ~resilience
-                 program)
+                 ~max_configs:20_000_000 ~budget ~resilience program)
         | `Ada ->
             let program =
               if broken then
@@ -482,8 +474,7 @@ let explore load o ~budget =
             in
             of_ada
               (Ada.explore ?reduction ?por ?exact_keys ?audit_keys
-                 ~max_configs:20_000_000 ~budget ~jobs ~batch ~resilience
-                 program))
+                 ~max_configs:20_000_000 ~budget ~resilience program))
   | Db _ | Life _ -> None
 
 (* --- verdict combination (hoisted verbatim from the CLI) ------------ *)
@@ -645,12 +636,9 @@ let conclude load o ~budget ~restrict exploration =
            ~truncated:x.x_truncated verdicts)
         (List.filter (fun (_, v) -> not (Verdict.ok v)) results)
   | Db { sites }, None ->
-      let { reduction; por; exact_keys; audit_keys; jobs; batch; resilience } =
-        o
-      in
+      let { reduction; por; exact_keys; audit_keys; jobs; resilience } = o in
       let r =
         Db_update.check ?reduction ?por ?exact_keys ?audit_keys ~budget ~jobs
-          ~batch
           ~resilience ~sites ()
       in
       let status =

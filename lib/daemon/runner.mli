@@ -92,8 +92,7 @@ type opts = {
   por : bool option;
   exact_keys : bool option;
   audit_keys : bool option;
-  jobs : int;
-  batch : int;
+  jobs : int;  (** Checking domains ([Refine.sat], [Db_update.check]). *)
   resilience : Gem_lang.Explore.resilience;
 }
 

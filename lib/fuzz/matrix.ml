@@ -130,7 +130,7 @@ let run_cell ?(jobs = 1) ?(max_configs = 2_000_000) ?timeout ?(timings = true) c
   | "rw" ->
       let readers = param c "readers" and writers = param c "writers" in
       let program = Rw.program ~monitor:Rw.paper_monitor ~readers ~writers in
-      let o = Monitor.explore ~max_configs ~budget ~jobs program in
+      let o = Monitor.explore ~max_configs ~budget program in
       let problem = Rw.spec Rw.Readers_priority ~users:(Rw.user_names ~readers ~writers) in
       refined ~deadlocks_falsify:false
         (o.Monitor.computations, o.Monitor.deadlocks, o.Monitor.explored,
@@ -146,7 +146,7 @@ let run_cell ?(jobs = 1) ?(max_configs = 2_000_000) ?timeout ?(timings = true) c
         match c.family with
         | "buffer-monitor" ->
             let o =
-              Monitor.explore ~max_configs ~budget ~jobs
+              Monitor.explore ~max_configs ~budget
                 (Buffer_problem.monitor_solution ~capacity ~producers ~consumers
                    ~items_each)
             in
@@ -155,7 +155,7 @@ let run_cell ?(jobs = 1) ?(max_configs = 2_000_000) ?timeout ?(timings = true) c
               Buffer_problem.monitor_correspondence )
         | "buffer-csp" ->
             let o =
-              Csp.explore ~max_configs ~budget ~jobs
+              Csp.explore ~max_configs ~budget
                 (Buffer_problem.csp_solution ~capacity ~producers ~consumers ~items_each)
             in
             ( (o.Csp.computations, o.Csp.deadlocks, o.Csp.explored, o.Csp.reduced,
@@ -163,7 +163,7 @@ let run_cell ?(jobs = 1) ?(max_configs = 2_000_000) ?timeout ?(timings = true) c
               Buffer_problem.csp_correspondence )
         | _ ->
             let o =
-              Ada.explore ~max_configs ~budget ~jobs
+              Ada.explore ~max_configs ~budget
                 (Buffer_problem.ada_solution ~capacity ~producers ~consumers ~items_each)
             in
             ( (o.Ada.computations, o.Ada.deadlocks, o.Ada.explored, o.Ada.reduced,
@@ -178,14 +178,14 @@ let run_cell ?(jobs = 1) ?(max_configs = 2_000_000) ?timeout ?(timings = true) c
       let outcome, map =
         if c.family = "rwd-csp" then (
           let o =
-            Csp.explore ~max_configs ~budget ~jobs (Rwd.csp_program ~readers ~writers)
+            Csp.explore ~max_configs ~budget (Rwd.csp_program ~readers ~writers)
           in
           ( (o.Csp.computations, o.Csp.deadlocks, o.Csp.explored, o.Csp.reduced,
              o.Csp.exhausted),
             Rwd.csp_correspondence ))
         else
           let o =
-            Ada.explore ~max_configs ~budget ~jobs (Rwd.ada_program ~readers ~writers)
+            Ada.explore ~max_configs ~budget (Rwd.ada_program ~readers ~writers)
           in
           ( (o.Ada.computations, o.Ada.deadlocks, o.Ada.explored, o.Ada.reduced,
              o.Ada.exhausted),

@@ -6,26 +6,24 @@ module Ada = Gem_lang.Ada
 module Explore = Gem_lang.Explore
 module Budget = Gem_check.Budget
 module Bitstate = Gem_check.Bitstate
+module Spool = Gem_check.Spool
 module Check = Gem_check.Check
 
 type cell = {
   por : bool;
-  jobs : int;
   exact : bool;
   bitstate : bool;
-  batch : int;
   source : bool;
+  spool : bool;
 }
 
 let baseline =
-  { por = true; jobs = 1; exact = true; bitstate = false; batch = 1; source = false }
+  { por = true; exact = true; bitstate = false; source = false; spool = false }
 
-(* The core 24-cell grid runs with batch 1 (per-task chunks, the
-   degenerate scheduler the engine grew out of); the two appended cells
-   exercise the batched scheduler proper at its default chunk size, in
-   both search modes, so every fuzz run differentially tests the chunked
-   deques, per-shard probe batching and domain-local caches against the
-   sequential baseline. *)
+(* The core grid is {plain, sleep} x {fp, exact} x {unbounded, bitstate};
+   the source-DPOR cell and the spool cell (sleep, fp keys, a frontier
+   that spills from the first check on) ride along, so every fuzz run
+   differentially tests both against the baseline. *)
 let lattice =
   (baseline
   :: List.filter
@@ -33,61 +31,24 @@ let lattice =
        (List.concat_map
           (fun por ->
             List.concat_map
-              (fun jobs ->
-                List.concat_map
-                  (fun exact ->
-                    List.map
-                      (fun bitstate ->
-                        { por; jobs; exact; bitstate; batch = 1; source = false })
-                      [ false; true ])
-                  [ true; false ])
-              [ 1; 2; 8 ])
+              (fun exact ->
+                List.map
+                  (fun bitstate ->
+                    { por; exact; bitstate; source = false; spool = false })
+                  [ false; true ])
+              [ true; false ])
           [ true; false ]))
   @ [
-      {
-        por = false;
-        jobs = 8;
-        exact = false;
-        bitstate = false;
-        batch = 64;
-        source = false;
-      };
-      {
-        por = true;
-        jobs = 8;
-        exact = false;
-        bitstate = false;
-        batch = 64;
-        source = false;
-      };
-      (* Source-DPOR cells: one sequential, one riding the parallel and
-         batch flags (the engine deliberately ignores them and runs
-         sequentially — the cell checks those knobs cannot corrupt it). *)
-      {
-        por = true;
-        jobs = 1;
-        exact = false;
-        bitstate = false;
-        batch = 1;
-        source = true;
-      };
-      {
-        por = true;
-        jobs = 8;
-        exact = false;
-        bitstate = false;
-        batch = 64;
-        source = true;
-      };
+      { por = true; exact = false; bitstate = false; source = true; spool = false };
+      { por = true; exact = false; bitstate = false; source = false; spool = true };
     ]
 
 let cell_name c =
-  Printf.sprintf "reduction=%s jobs=%d keys=%s seen=%s batch=%d"
+  Printf.sprintf "reduction=%s keys=%s seen=%s frontier=%s"
     (if c.source then "source" else if c.por then "sleep" else "none")
-    c.jobs
     (if c.exact then "exact" else "fp")
     (if c.bitstate then "bitstate" else "unbounded")
-    c.batch
+    (if c.spool then "spool" else "memory")
 
 type run = {
   r_completed : string list;  (* canonical fps, sorted: a multiset *)
@@ -112,9 +73,13 @@ let pp_disagreement ppf d =
    programs, so in practice the subset comparisons are equalities; the
    contract the oracle enforces is only the subset. *)
 let resilience_of c =
-  if c.bitstate then
-    { Explore.no_resilience with Explore.bitstate = Some (Bitstate.create ~bits:16 ()) }
-  else Explore.no_resilience
+  {
+    Explore.no_resilience with
+    Explore.bitstate =
+      (if c.bitstate then Some (Bitstate.create ~bits:16 ()) else None);
+    spool =
+      (if c.spool then Some (Spool.policy ~chunk:2 ~watermark_mb:0 ()) else None);
+  }
 
 let explore_cell ~max_configs c prog =
   let resilience = resilience_of c in
@@ -122,20 +87,20 @@ let explore_cell ~max_configs c prog =
   match prog with
   | Case.P_csp p ->
       let o =
-        Csp.explore ?reduction ~por:c.por ~exact_keys:c.exact ~audit_keys:false ~max_configs
-          ~jobs:c.jobs ~batch:c.batch ~resilience p
+        Csp.explore ?reduction ~por:c.por ~exact_keys:c.exact ~audit_keys:false
+          ~max_configs ~resilience p
       in
       (o.Csp.computations, o.Csp.deadlocks, o.Csp.exhausted, o.Csp.explored)
   | Case.P_monitor p ->
       let o =
         Monitor.explore ?reduction ~por:c.por ~exact_keys:c.exact ~audit_keys:false
-          ~max_configs ~jobs:c.jobs ~batch:c.batch ~resilience p
+          ~max_configs ~resilience p
       in
       (o.Monitor.computations, o.Monitor.deadlocks, o.Monitor.exhausted, o.Monitor.explored)
   | Case.P_ada p ->
       let o =
-        Ada.explore ?reduction ~por:c.por ~exact_keys:c.exact ~audit_keys:false ~max_configs
-          ~jobs:c.jobs ~batch:c.batch ~resilience p
+        Ada.explore ?reduction ~por:c.por ~exact_keys:c.exact ~audit_keys:false
+          ~max_configs ~resilience p
       in
       (o.Ada.computations, o.Ada.deadlocks, o.Ada.exhausted, o.Ada.explored)
 
@@ -177,7 +142,7 @@ let show_verdicts vs =
 
 let subset xs ys = List.for_all (fun x -> List.mem x ys) xs
 
-let compare_runs ~base c r : disagreement option =
+let compare_runs ~base ~twin c r : disagreement option =
   let fail kind expected actual =
     Some { d_cell = c; d_kind = kind; d_expected = expected; d_actual = actual }
   in
@@ -190,7 +155,13 @@ let compare_runs ~base c r : disagreement option =
       fail "exhausted" (show_exhausted base.r_exhausted) (show_exhausted r.r_exhausted)
     else if r.r_verdicts <> base.r_verdicts then
       fail "verdicts" (show_verdicts base.r_verdicts) (show_verdicts r.r_verdicts)
-    else None
+    else
+      (* A spooled frontier only moves where pending tasks live: its walk
+         must match its in-memory twin configuration by configuration. *)
+      (match twin with
+      | Some t when t.r_explored <> r.r_explored ->
+          fail "explored" (string_of_int t.r_explored) (string_of_int r.r_explored)
+      | Some _ | None -> None)
   else
     (* Lossy mode: a clean sweep is unconditionally downgraded, and
        whatever it did find must be a subset of the clean baseline. *)
@@ -225,17 +196,21 @@ let check ?(max_configs = 1_000_000) ?formula prog =
   | Error d -> Error d
   | Ok base when base.r_exhausted <> None -> Ok 0
   | Ok base ->
-      let rec go explored = function
+      let rec go done_ explored = function
         | [] -> Ok explored
         | c :: rest -> (
             match guarded c (fun () -> run_cell ~max_configs ~spec ~formula c prog) with
             | Error d -> Error d
             | Ok r -> (
-                match compare_runs ~base c r with
+                let twin =
+                  if c.spool then List.assoc_opt { c with spool = false } done_
+                  else None
+                in
+                match compare_runs ~base ~twin c r with
                 | Some d -> Error d
-                | None -> go (explored + r.r_explored) rest))
+                | None -> go ((c, r) :: done_) (explored + r.r_explored) rest))
       in
-      go base.r_explored (List.tl lattice)
+      go [ (baseline, base) ] base.r_explored (List.tl lattice)
 
 let skeys prog c =
   let comps, deads, _, _ = explore_cell ~max_configs:1_000_000 c prog in

@@ -1,34 +1,33 @@
 (** The differential oracle: run one case across the engine-configuration
     lattice and assert agreement.
 
-    The lattice is {plain, sleep-set POR} x {jobs 1, 2, 8} x {fp, exact
-    keys} x {unbounded, bitstate} at batch 1 — 24 cells — plus two
-    batched-scheduler cells (jobs 8, batch 64, fp keys, unbounded seen,
-    POR off and on) and two source-DPOR cells (sequential, and jobs 8 x
-    batch 64 — the source engine ignores both knobs and must stay
-    correct under them), 28 in total. The exact (non-bitstate) cells must
+    The lattice is {plain, sleep-set POR} x {fp, exact keys} x
+    {unbounded, bitstate} — 8 cells — plus a source-DPOR cell and a
+    spool cell (sleep sets, fp keys, a frontier that spills to disk from
+    the first check on), 10 in total. The exact (non-bitstate) cells must
     produce identical completed/deadlocked computation {e multisets}
     (canonical fingerprints), identical exhaustion, and identical
-    per-computation verdicts for the case's random restriction. Bitstate
-    cells are lossy by design: they must report exactly
-    [bitstate-collision-risk] (the unconditional clean-sweep downgrade)
-    and their computation/deadlock {e sets} must be a subset of the
-    baseline's — the subset-of-clean soundness contract of PR 6. *)
+    per-computation verdicts for the case's random restriction; the
+    spool cell must also explore exactly as many configurations as its
+    in-memory twin. Bitstate cells are lossy by design: they must report
+    exactly [bitstate-collision-risk] (the unconditional clean-sweep
+    downgrade) and their computation/deadlock {e sets} must be a subset
+    of the baseline's — the subset-of-clean soundness contract of the
+    resilience layer. *)
 
 type cell = {
   por : bool;
-  jobs : int;
   exact : bool;
   bitstate : bool;
-  batch : int;  (** Work-distribution chunk size; 1 = per-task stealing. *)
   source : bool;  (** Use the source-DPOR engine ([--reduction source]). *)
+  spool : bool;  (** Keep the frontier on an always-spilling spool. *)
 }
 
 val lattice : cell list
-(** All 28 cells; the head is {!baseline}. *)
+(** All 10 cells; the head is {!baseline}. *)
 
 val baseline : cell
-(** POR on, jobs 1, exact keys, no bitstate, batch 1 — the truth
+(** POR on, exact keys, no bitstate, in-memory frontier — the truth
     anchor. *)
 
 val cell_name : cell -> string
@@ -37,8 +36,8 @@ type disagreement = {
   d_cell : cell;
   d_kind : string;
       (** [completed] | [deadlocks] | [exhausted] | [verdicts] |
-          [completed-subset] | [deadlocks-subset] | [verdicts-subset] |
-          [exception]. *)
+          [explored] | [completed-subset] | [deadlocks-subset] |
+          [verdicts-subset] | [exception]. *)
   d_expected : string;
   d_actual : string;
 }

@@ -63,8 +63,6 @@ val explore :
   ?max_steps:int ->
   ?max_configs:int ->
   ?budget:Gem_check.Budget.t ->
-  ?jobs:int ->
-  ?batch:int ->
   ?resilience:Explore.resilience ->
   program ->
   outcome
@@ -74,10 +72,9 @@ val explore :
     [exact_keys] (default {!Explore.exact_keys_default}) keys the reduced
     search on exact canonical strings instead of incremental
     fingerprints; [audit_keys] (default {!Explore.audit_keys_default})
-    runs fingerprint keys with the exact key as a collision oracle. [jobs]
-    (default {!Gem_check.Par.jobs_default}) spreads the walk over that
-    many domains; the canonically ordered [computations]/[deadlocks] are
-    identical for every job count and either key mode. *)
+    runs fingerprint keys with the exact key as a collision oracle. The
+    canonically ordered [computations]/[deadlocks] are identical for
+    every engine and either key mode. *)
 
 val run_one : ?seed:int -> program -> Gem_model.Computation.t
 

@@ -376,16 +376,13 @@ let fp_key cfg =
   !acc
 
 let explore ?reduction ?por ?exact_keys ?audit_keys ?max_steps ?max_configs
-    ?budget ?jobs ?batch ?(resilience = Explore.no_resilience) program =
+    ?budget ?(resilience = Explore.no_resilience) program =
   let reduction = Explore.resolve_reduction ?reduction ?por () in
   let exact =
     match exact_keys with Some b -> b | None -> Explore.exact_keys_default ()
   in
   let auditing =
     match audit_keys with Some b -> b | None -> Explore.audit_keys_default ()
-  in
-  let jobs =
-    match jobs with Some j -> j | None -> Gem_check.Par.jobs_default ()
   in
   let result =
     let key c =
@@ -395,14 +392,13 @@ let explore ?reduction ?por ?exact_keys ?audit_keys ?max_steps ?max_configs
     let audit = if auditing && not exact then Some (state_key program) else None in
     if reduction <> Explore.No_reduction then
       Explore.run ?max_steps ?max_configs ?budget ~key ?audit ~footprint:moves_fp
-        ~reduction ~jobs ?batch ~resilience ~moves ~terminated (initial program)
+        ~reduction ~resilience ~moves ~terminated (initial program)
     else
       (* Keyless plain walk, except bitstate mode needs a state key to
          memoize on (see {!Monitor.explore}). *)
       let key = if resilience.Explore.bitstate = None then None else Some key in
       let audit = if key = None then None else audit in
-      Explore.run ?max_steps ?max_configs ?budget ?key ?audit ~jobs ?batch
-        ~resilience
+      Explore.run ?max_steps ?max_configs ?budget ?key ?audit ~resilience
         ~moves ~terminated (initial program)
   in
   {

@@ -86,18 +86,10 @@ type resilience = {
   checkpoint : Checkpoint.ctl option;
   resume : string option;
   stamp : string;
-  degrade_crashes : bool;
 }
 
 let no_resilience =
-  {
-    bitstate = None;
-    spool = None;
-    checkpoint = None;
-    resume = None;
-    stamp = "";
-    degrade_crashes = false;
-  }
+  { bitstate = None; spool = None; checkpoint = None; resume = None; stamp = "" }
 
 exception Resume_error of string
 
@@ -109,7 +101,7 @@ exception Resume_error of string
    commutative sum of per-label hashes, so the key is independent of
    Smap iteration internals; with an empty sleep set the key is the bare
    state fingerprint, which makes plain-mode bitstate exactly a
-   fixed-RAM version of the [run_plain] memo. *)
+   fixed-RAM version of the plain walk's memo. *)
 let bitstate_key k sleep =
   let base = match k with Fp f -> f | Exact s -> Fp.of_string s in
   if Smap.is_empty sleep then base
@@ -157,7 +149,7 @@ let resolve_reduction ?reduction ?por () =
       | Some false -> No_reduction
       | None -> reduction_default ())
 
-(* Mutable walk state shared by both search strategies. Leaves are kept
+(* Mutable walk state shared by both walks. Leaves are kept
    decorated with the search key computed when the configuration was
    admitted, so the canonical sort never recomputes a key. *)
 type 'c walk = {
@@ -208,11 +200,10 @@ let audit_mismatch prior exact =
   | _ -> ()
 
 (* Canonical leaf order: sort by the (already computed) search key so the
-   result never depends on traversal order — sequential DFS, re-runs, and
-   parallel schedules all assemble the same list. Without a key function
-   the discovery order is kept (sequential runs are deterministic;
-   parallel plain runs are canonicalized downstream by
-   {!dedup_computations}). *)
+   result never depends on traversal order — every engine, re-run and
+   resumed run assembles the same list. Without a key function the
+   discovery order is kept (the walks are deterministic, and
+   {!dedup_computations} canonicalizes downstream anyway). *)
 let canonical_leaves ~keyed leaves =
   if not keyed then List.map snd leaves
   else begin
@@ -240,76 +231,7 @@ let finish ~keyed w =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Plain bounded DFS (no reduction beyond optional key memoization)     *)
-(* ------------------------------------------------------------------ *)
-
-let run_plain ~max_steps ~max_configs ~budget ~key ~audit ~moves ~terminated init =
-  let w = new_walk () in
-  let seen : string option Ktbl.t = Ktbl.create 1024 in
-  let exact_of c = match audit with None -> None | Some a -> Some (a c) in
-  (* Returns the admitted configuration's key so the visit (and a leaf
-     classification) can reuse it instead of keying again. *)
-  let fresh d exact =
-    let t = T.span_begin T.Seen_table in
-    let novel =
-      match Ktbl.find_opt seen d with
-      | Some prior ->
-          audit_mismatch prior exact;
-          T.hit T.Memo_hits;
-          false
-      | None ->
-          Ktbl.add seen d exact;
-          T.hit T.Memo_misses;
-          true
-    in
-    T.span_end T.Seen_table t;
-    novel
-  in
-  let stop = stop w ~max_configs ~budget in
-  let rec dfs depth kc config =
-    if not (stop ()) then begin
-      w.w_explored <- w.w_explored + 1;
-      T.hit T.Configs_explored;
-      if depth > max_steps then w.w_truncated <- w.w_truncated + 1
-      else begin
-        let t = T.span_begin T.Interp_step in
-        let ms = moves config in
-        T.span_end T.Interp_step t;
-        match ms with
-        | [] ->
-            if terminated config then w.w_completed <- (kc, config) :: w.w_completed
-            else w.w_deadlocked <- (kc, config) :: w.w_deadlocked
-        | ms ->
-            List.iter
-              (fun c ->
-                match key with
-                | None -> dfs (depth + 1) None c
-                | Some k ->
-                    let d = k c in
-                    if fresh d (exact_of c) then dfs (depth + 1) (Some d) c
-                    else begin
-                      w.w_reduced <- w.w_reduced + 1;
-                      T.hit T.Configs_reduced
-                    end)
-              ms
-      end
-    end
-  in
-  (* The initial configuration belongs in the seen table too: a cycle back
-     to the root must not re-explore it. *)
-  let k0 =
-    match key with
-    | None -> None
-    | Some k ->
-        let d = k init in
-        ignore (fresh d (exact_of init));
-        Some d
-  in
-  dfs 0 k0 init;
-  finish ~keyed:(key <> None) w
-
-(* ------------------------------------------------------------------ *)
-(* Sleep-set DFS over footprinted moves                                 *)
+(* Sleep sets and the exact seen table                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* A sleeping move is kept with the footprint it had when put to sleep;
@@ -347,70 +269,6 @@ let covered seen k exact sleep =
   in
   T.span_end T.Seen_table t;
   hit
-
-let run_sleep ~max_steps ~max_configs ~budget ~key ~audit ~footprint ~terminated
-    init =
-  let w = new_walk () in
-  let seen : (string option * move Smap.t list) Ktbl.t = Ktbl.create 1024 in
-  let exact_of c = match audit with None -> None | Some a -> Some (a c) in
-  let stop = stop w ~max_configs ~budget in
-  let rec dfs depth kc config sleep =
-    if not (stop ()) then begin
-      w.w_explored <- w.w_explored + 1;
-      T.hit T.Configs_explored;
-      if depth > max_steps then w.w_truncated <- w.w_truncated + 1
-      else begin
-        let t = T.span_begin T.Interp_step in
-        let succs = footprint config in
-        T.span_end T.Interp_step t;
-        match succs with
-        | [] ->
-            if terminated config then w.w_completed <- (kc, config) :: w.w_completed
-            else w.w_deadlocked <- (kc, config) :: w.w_deadlocked
-        | succs ->
-            let awake, asleep =
-              List.partition (fun (m, _) -> not (Smap.mem m.label sleep)) succs
-            in
-            (* Sleeping successors are covered by an earlier sibling branch
-               that fired the same move before this configuration's
-               distinguishing step. *)
-            w.w_reduced <- w.w_reduced + List.length asleep;
-            T.add T.Sleep_prunes (List.length asleep);
-            T.add T.Configs_reduced (List.length asleep);
-            ignore
-              (List.fold_left
-                 (fun sleep (m, c') ->
-                   (* The child may keep sleeping only the moves that
-                      commute with [m]; a dependent move wakes up. *)
-                   let child_sleep =
-                     Smap.filter (fun _ z -> independent z m) sleep
-                   in
-                   visit depth c' child_sleep;
-                   Smap.add m.label m sleep)
-                 sleep awake)
-      end
-    end
-  and visit depth c' child_sleep =
-    match key with
-    | None -> dfs (depth + 1) None c' child_sleep
-    | Some k ->
-        let d = k c' in
-        if covered seen d (exact_of c') child_sleep then begin
-          w.w_reduced <- w.w_reduced + 1;
-          T.hit T.Configs_reduced
-        end
-        else dfs (depth + 1) (Some d) c' child_sleep
-  in
-  let k0 =
-    match key with
-    | None -> None
-    | Some k ->
-        let d = k init in
-        ignore (covered seen d (exact_of init) Smap.empty);
-        Some d
-  in
-  dfs 0 k0 init Smap.empty;
-  finish ~keyed:(key <> None) w
 
 (* ------------------------------------------------------------------ *)
 (* Source-DPOR DFS (race-driven wakeups, no wakeup trees)              *)
@@ -807,109 +665,44 @@ let run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
   finish ~keyed:(key <> None) w
 
 (* ------------------------------------------------------------------ *)
-(* Domain-parallel work-stealing exploration                            *)
+(* Task-stack walk: plain and sleep-set DFS over every seen store and   *)
+(* frontier                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The parallel walk reuses the sequential semantics wholesale: a task is
-   a (depth, configuration, key, sleep set) tuple, expanding a task
-   applies exactly the sequential successor/sleep-set computation, and
-   the seen-table discipline is the same subset rule — only behind a
-   sharded lock, since domains race to record coverage. The subset rule's
-   soundness argument is order-free (a pruned visit is covered by
-   whichever visit recorded the smaller sleep set, and every recorded
-   visit is fully expanded), so racing traversals can change how much is
-   explored but never which computations exist; downstream deduplication
-   and the canonical leaf order make the rendered results byte-identical
-   to a sequential run's. *)
-
-type 'c ptask = {
-  pt_depth : int;
-  pt_config : 'c;
-  pt_key : skey option;
-  pt_sleep : move Smap.t;
+(* One pending visit. [t_key] is [None] until the seen store admits the
+   task at pop time; the root and tasks restored from a checkpoint may
+   already carry theirs. *)
+type 'c task = {
+  t_depth : int;
+  t_config : 'c;
+  t_key : skey option;
+  t_sleep : move Smap.t;
 }
 
-type 'c par_mode =
-  | Par_plain of ('c -> 'c list)
-  | Par_sleep of ('c -> (move * 'c) list)
+type 'c expansion =
+  | Plain of ('c -> 'c list)
+  | Sleep of ('c -> (move * 'c) list)
 
-(* One deque per domain, carrying *chunks* of tasks (at most [batch]
-   each): the owner pushes and pops at the head (keeping the walk
-   depth-first-ish, which bounds frontier memory); an idle domain steals
-   a whole chunk from the head of a victim's deque. Moving dozens of
-   tasks per lock acquisition is what makes the queue traffic negligible
-   — the old per-task discipline spent more time on deque mutexes than
-   on interpreter steps for small-state workloads. *)
-type 'c deque = { mutable dq_chunks : 'c ptask list list; dq_lock : Mutex.t }
-
-let deque_push dq chunk =
-  Mutex.protect dq.dq_lock (fun () -> dq.dq_chunks <- chunk :: dq.dq_chunks)
-
-let deque_pop dq =
-  Mutex.protect dq.dq_lock (fun () ->
-      match dq.dq_chunks with
-      | [] -> None
-      | c :: rest ->
-          dq.dq_chunks <- rest;
-          Some c)
-
-(* Sharded seen table. Both search modes use the sleep-set [covered]
-   subset rule: the plain search passes empty sleep sets, for which the
-   rule degenerates to exactly the add-if-absent memoization of
-   [run_plain]. Shard count is a power of two well above any sane domain
-   count, so two domains rarely contend on one lock. *)
-let n_shards = 64
-
-type shards = {
-  sh_tables : ((string option * move Smap.t list) Ktbl.t * Mutex.t) array;
-}
-
-let make_shards () =
-  { sh_tables = Array.init n_shards (fun _ -> (Ktbl.create 256, Mutex.create ())) }
-
-(* Shard index straight from the fingerprint's (already well-mixed) low
-   bits — no rehash of the key on this path. *)
-let shard_index = function
-  | Fp f -> Fp.to_int f land (n_shards - 1)
-  | Exact s -> Hashtbl.hash s land (n_shards - 1)
-
-(* [try_lock]-then-[lock] rather than [Mutex.protect]: a failed try is a
-   real contention event worth counting (two domains racing for one
-   shard), and [covered] cannot raise, so manual unlock is safe. *)
-let shard_covered sh k exact sleep =
-  let table, lock = sh.sh_tables.(shard_index k) in
-  if not (Mutex.try_lock lock) then begin
-    T.hit T.Shard_collisions;
-    Mutex.lock lock
-  end;
-  let hit = covered table k exact sleep in
-  Mutex.unlock lock;
-  hit
-
-(* Seen-table lookup shared by the bitstate-capable engines: [`Full]
-   (table at its load cap) is treated as a hit — the arrival is pruned,
-   coverage is lost, and the dedicated counter records it; counting it
-   as a memo hit too preserves the conservation invariant
-   [Configs_reduced = Sleep_prunes + Memo_hits]. The optional audit
-   table rides along exactly like the exact-key oracle of the table
-   engines: exact key recorded at first insert, compared on every hit. *)
+(* Bitstate lookup: [`Full] (table at its load cap) is treated as a hit —
+   the arrival is pruned, coverage is lost, and the dedicated counter
+   records it; counting it as a memo hit too preserves the conservation
+   invariant [Configs_reduced = Sleep_prunes + Memo_hits +
+   Source_prunes]. The optional audit table rides along exactly like the
+   exact-key oracle of the exact table: exact key recorded at first
+   insert, compared on every hit. *)
 let bitstate_covered b audit_tbl k exact sleep =
   let t = T.span_begin T.Seen_table in
   let f = bitstate_key k sleep in
   let hit =
     match Bitstate.add b f with
     | `New ->
-        (match audit_tbl with
-        | Some (tbl, m) -> Mutex.protect m (fun () -> Ktbl.replace tbl (Fp f) exact)
-        | None -> ());
+        Option.iter (fun tbl -> Ktbl.replace tbl (Fp f) exact) audit_tbl;
         T.hit T.Memo_misses;
         false
     | `Seen ->
-        (match audit_tbl with
-        | Some (tbl, m) ->
-            Mutex.protect m (fun () ->
-                audit_mismatch (Option.join (Ktbl.find_opt tbl (Fp f))) exact)
-        | None -> ());
+        Option.iter
+          (fun tbl -> audit_mismatch (Option.join (Ktbl.find_opt tbl (Fp f))) exact)
+          audit_tbl;
         T.hit T.Memo_hits;
         true
     | `Full ->
@@ -920,575 +713,114 @@ let bitstate_covered b audit_tbl k exact sleep =
   T.span_end T.Seen_table t;
   hit
 
-(* Domain-local seen cache: a direct-mapped fingerprint table (two int
-   lanes per slot, no locks, no sharing) consulted before the shared
-   shards. Soundness rests on what is allowed in: a fingerprint enters
-   the cache only after a *shared* probe made with the empty sleep set,
-   which guarantees the shared table holds (or the frontier holds, for a
-   fresh miss) a record of that state explored under sleep = {}. An
-   empty-sleep record covers any later arrival under the subset rule
-   ({} is a subset of every sleep set), so a cache hit may prune
-   unconditionally. Eviction (a new fingerprint landing on the same
-   slot) merely loses the shortcut — the arrival falls through to the
-   shared probe — so a stale or clobbered cache can only cause
-   re-probing, never a missed state. Exact-key runs and audit runs skip
-   the cache entirely: exact keys have no compact fingerprint form, and
-   the audit oracle must observe every arrival. *)
-let lc_bits = 13
-
-let lc_size = 1 lsl lc_bits
-
-type local_cache = { lc_hi : int array; lc_lo : int array }
-
-let make_local_cache () =
-  { lc_hi = Array.make lc_size 0; lc_lo = Array.make lc_size 0 }
-
-let lc_slot f = Fp.to_int f land (lc_size - 1)
-
-let lc_mem lc (f : Fp.t) =
-  let i = lc_slot f in
-  lc.lc_hi.(i) = f.Fp.hi && lc.lc_lo.(i) = f.Fp.lo
-
-let lc_add lc (f : Fp.t) =
-  if not (f.Fp.hi = 0 && f.Fp.lo = 0) then begin
-    let i = lc_slot f in
-    lc.lc_hi.(i) <- f.Fp.hi;
-    lc.lc_lo.(i) <- f.Fp.lo
-  end
-
-(* Per-worker mutable state: the local cache plus the pending buffer
-   where surviving children accumulate until they form a full chunk.
-   Both are owned by exactly one domain — no locks. *)
-type 'c wstate = {
-  ws_lc : local_cache;
-  mutable ws_pending : 'c ptask list;
-  mutable ws_pending_n : int;
-}
-
-let run_par ~jobs ~batch ~max_steps ~max_configs ~budget ~key ~audit ~mode ~bits
-    ~crash ~terminated init =
-  let explored = Atomic.make 0
-  and truncated = Atomic.make 0
-  and reduced = Atomic.make 0
-  and exhausted = Atomic.make None
-  and in_flight = Atomic.make 0
-  and failure = Atomic.make None in
-  let add counter n = ignore (Atomic.fetch_and_add counter n) in
-  let stop reason = ignore (Atomic.compare_and_set exhausted None (Some reason)) in
-  let seen_shards, bit_audit =
-    match bits with
-    | Some _ ->
-        ( None,
-          if audit = None then None else Some (Ktbl.create 1024, Mutex.create ())
-        )
-    | None -> (Some (make_shards ()), None)
-  in
-  let probe_one k exact sleep =
-    match (bits, seen_shards) with
-    | Some b, _ -> bitstate_covered b bit_audit k exact sleep
-    | None, Some sh -> shard_covered sh k exact sleep
-    | None, None -> assert false
-  in
-  let exact_of c = match audit with None -> None | Some a -> Some (a c) in
-  (* Audit runs must present every arrival to the exact-key oracle, so
-     the domain-local cache (which short-circuits arrivals) is off. *)
-  let use_cache = audit = None in
-  let deques =
-    Array.init jobs (fun _ -> { dq_chunks = []; dq_lock = Mutex.create () })
-  in
-  (* The root frontier is dealt round-robin across the per-domain queues
-     until every domain has had a few chunks; after that each domain
-     feeds itself and imbalance is corrected by chunk stealing.
-     [in_flight] counts *chunks* (queued or being processed), one
-     amortized increment/decrement per [batch] tasks instead of one per
-     task; a worker flushes its partial pending chunk before
-     decrementing the chunk it processed, so [in_flight = 0] still
-     implies global quiescence. *)
-  let rr = Atomic.make 0 in
-  let push_chunk owner chunk =
-    Atomic.incr in_flight;
-    let target =
-      let n = Atomic.get rr in
-      if n < 4 * jobs then Atomic.fetch_and_add rr 1 mod jobs else owner
-    in
-    deque_push deques.(target) chunk
-  in
-  (* Survivors buffer into the worker's pending list; full chunks are
-     handed off immediately, and the partial remainder is flushed at the
-     end of every chunk — so a tiny frontier (fewer configurations than
-     [batch]) still reaches the deques instead of parking in a buffer
-     that never fills. *)
-  let flush owner st =
-    if st.ws_pending_n > 0 then begin
-      let chunk = List.rev st.ws_pending in
-      st.ws_pending <- [];
-      st.ws_pending_n <- 0;
-      push_chunk owner chunk
-    end
-  in
-  let enqueue owner st task =
-    st.ws_pending <- task :: st.ws_pending;
-    st.ws_pending_n <- st.ws_pending_n + 1;
-    if st.ws_pending_n >= batch then flush owner st
-  in
-  (* Mirrors the sequential [stop]: claim the visit before doing it, and
-     surrender the claim (so [explored <= max_configs] holds in the final
-     tally) when a cap or the budget refuses it. *)
-  let claim_visit () =
-    Atomic.get exhausted = None
-    &&
-    let n = Atomic.fetch_and_add explored 1 in
-    if n >= max_configs then begin
-      Atomic.decr explored;
-      stop Budget.Config_budget;
-      false
-    end
-    else
-      match budget with
-      | None ->
-          T.hit T.Configs_explored;
-          true
-      | Some b ->
-          if Budget.charge_config b then begin
-            T.hit T.Configs_explored;
-            true
-          end
-          else begin
-            Atomic.decr explored;
-            (match Budget.exhausted b with
-            | Some r -> stop r
-            | None -> stop Budget.Config_budget);
-            false
-          end
-  in
-  let completed = Array.init jobs (fun _ -> ref [])
-  and deadlocked = Array.init jobs (fun _ -> ref []) in
-  let classify owner task =
-    if terminated task.pt_config then
-      completed.(owner) := (task.pt_key, task.pt_config) :: !(completed.(owner))
-    else deadlocked.(owner) := (task.pt_key, task.pt_config) :: !(deadlocked.(owner))
-  in
-  (* Phase 1 of a chunk: expand one task, prepending its raw children
-     (depth, configuration, child sleep set) to the accumulator in
-     reverse — the chunk processor reverses once at the end, so children
-     keep the deterministic task-order-then-successor-order sequence the
-     sequential engines produce. *)
-  let expand owner task acc =
-    if not (claim_visit ()) then acc
-    else if task.pt_depth > max_steps then begin
-      Atomic.incr truncated;
-      acc
-    end
-    else
-      match mode with
-      | Par_plain moves -> (
-          let t = T.span_begin T.Interp_step in
-          let cs = moves task.pt_config in
-          T.span_end T.Interp_step t;
-          match cs with
-          | [] ->
-              classify owner task;
-              acc
-          | cs ->
-              List.fold_left
-                (fun acc c -> (task.pt_depth + 1, c, Smap.empty) :: acc)
-                acc cs)
-      | Par_sleep footprint -> (
-          let t = T.span_begin T.Interp_step in
-          let succs = footprint task.pt_config in
-          T.span_end T.Interp_step t;
-          match succs with
-          | [] ->
-              classify owner task;
-              acc
-          | succs ->
-              let awake, asleep =
-                List.partition
-                  (fun (m, _) -> not (Smap.mem m.label task.pt_sleep))
-                  succs
-              in
-              add reduced (List.length asleep);
-              T.add T.Sleep_prunes (List.length asleep);
-              T.add T.Configs_reduced (List.length asleep);
-              let _, acc =
-                List.fold_left
-                  (fun (sleep, acc) (m, c') ->
-                    let child_sleep =
-                      Smap.filter (fun _ z -> independent z m) sleep
-                    in
-                    ( Smap.add m.label m sleep,
-                      (task.pt_depth + 1, c', child_sleep) :: acc ))
-                  (task.pt_sleep, acc) awake
-              in
-              acc)
-  in
-  (* Phase 2 of a chunk: seen-filter the whole chunk's children at once.
-     Keys are computed up front; the domain-local cache is consulted
-     first (no synchronization); the remaining probes are grouped by
-     shard and issued under one lock acquisition per shard per chunk.
-     Like the old per-task push filter, a child's key is recorded before
-     the task is queued, so a racing domain that arrives at the same
-     state prunes and relies on this task being processed. Survivors are
-     enqueued in their original deterministic order, with their keys
-     attached for the canonical leaf sort. *)
-  let probe_chunk owner st children =
-    match key with
-    | None ->
-        List.iter
-          (fun (depth, c, sleep) ->
-            enqueue owner st
-              { pt_depth = depth; pt_config = c; pt_key = None; pt_sleep = sleep })
-          children
-    | Some k ->
-        let arr = Array.of_list children in
-        let n = Array.length arr in
-        if n > 0 then begin
-          let keys = Array.map (fun (_, c, _) -> k c) arr in
-          let exacts =
-            match audit with
-            | None -> None
-            | Some _ -> Some (Array.map (fun (_, c, _) -> exact_of c) arr)
-          in
-          let ex i = match exacts with None -> None | Some a -> a.(i) in
-          (* 0 = live, 1 = pruned by local cache, 2 = pruned by shared *)
-          let pruned = Array.make n 0 in
-          if use_cache then
-            Array.iteri
-              (fun i ks ->
-                match ks with
-                | Fp f when lc_mem st.ws_lc f -> pruned.(i) <- 1
-                | Fp _ | Exact _ -> ())
-              keys;
-          let cacheable i sleep =
-            if use_cache && Smap.is_empty sleep then
-              match keys.(i) with Fp f -> lc_add st.ws_lc f | Exact _ -> ()
-          in
-          (match (bits, seen_shards) with
-          | Some b, _ ->
-              let idxs = ref [] in
-              for i = n - 1 downto 0 do
-                if pruned.(i) = 0 then idxs := i :: !idxs
-              done;
-              let idxs = Array.of_list !idxs in
-              let fps =
-                Array.map
-                  (fun i ->
-                    let _, _, sleep = arr.(i) in
-                    bitstate_key keys.(i) sleep)
-                  idxs
-              in
-              let t = T.span_begin T.Seen_table in
-              let res = Bitstate.add_batch b fps in
-              Array.iteri
-                (fun j i ->
-                  let _, _, sleep = arr.(i) in
-                  match res.(j) with
-                  | `New ->
-                      (match bit_audit with
-                      | Some (tbl, m) ->
-                          Mutex.protect m (fun () ->
-                              Ktbl.replace tbl (Fp fps.(j)) (ex i))
-                      | None -> ());
-                      T.hit T.Memo_misses;
-                      cacheable i sleep
-                  | `Seen ->
-                      (match bit_audit with
-                      | Some (tbl, m) ->
-                          Mutex.protect m (fun () ->
-                              audit_mismatch
-                                (Option.join (Ktbl.find_opt tbl (Fp fps.(j))))
-                                (ex i))
-                      | None -> ());
-                      T.hit T.Memo_hits;
-                      T.hit T.Batch_probe_hits;
-                      cacheable i sleep;
-                      pruned.(i) <- 2
-                  | `Full ->
-                      T.hit T.Bitstate_saturated_prunes;
-                      T.hit T.Memo_hits;
-                      T.hit T.Batch_probe_hits;
-                      pruned.(i) <- 2)
-                idxs;
-              T.span_end T.Seen_table t
-          | None, Some sh ->
-              let buckets = Array.make n_shards [] in
-              for i = n - 1 downto 0 do
-                if pruned.(i) = 0 then begin
-                  let si = shard_index keys.(i) in
-                  buckets.(si) <- i :: buckets.(si)
-                end
-              done;
-              Array.iteri
-                (fun si bucket ->
-                  match bucket with
-                  | [] -> ()
-                  | bucket ->
-                      let table, lock = sh.sh_tables.(si) in
-                      if not (Mutex.try_lock lock) then begin
-                        T.hit T.Shard_collisions;
-                        Mutex.lock lock
-                      end;
-                      List.iter
-                        (fun i ->
-                          let _, _, sleep = arr.(i) in
-                          if covered table keys.(i) (ex i) sleep then begin
-                            T.hit T.Batch_probe_hits;
-                            pruned.(i) <- 2
-                          end;
-                          cacheable i sleep)
-                        bucket;
-                      Mutex.unlock lock)
-                buckets
-          | None, None -> assert false);
-          for i = 0 to n - 1 do
-            match pruned.(i) with
-            | 1 ->
-                Atomic.incr reduced;
-                T.hit T.Configs_reduced;
-                T.hit T.Local_cache_hits
-            | 2 ->
-                Atomic.incr reduced;
-                T.hit T.Configs_reduced
-            | _ ->
-                let depth, c, sleep = arr.(i) in
-                enqueue owner st
-                  {
-                    pt_depth = depth;
-                    pt_config = c;
-                    pt_key = Some keys.(i);
-                    pt_sleep = sleep;
-                  }
-          done
-        end
-  in
-  let take i =
-    match deque_pop deques.(i) with
-    | Some _ as c -> c
-    | None ->
-        let rec steal d =
-          if d >= jobs then None
-          else
-            match deque_pop deques.((i + d) mod jobs) with
-            | Some chunk ->
-                T.hit T.Batches_stolen;
-                T.add T.Deque_steals (List.length chunk);
-                Some chunk
-            | None -> steal (d + 1)
-        in
-        steal 1
-  in
-  let worker i =
-    let st =
-      { ws_lc = make_local_cache (); ws_pending = []; ws_pending_n = 0 }
-    in
-    let rec loop () =
-      if Atomic.get exhausted = None && Atomic.get failure = None then
-        match take i with
-        | Some chunk ->
-            (try
-               let children =
-                 List.fold_left (fun acc t -> expand i t acc) [] chunk
-               in
-               probe_chunk i st (List.rev children);
-               (* Flush the partial pending chunk *before* giving up this
-                  chunk's in-flight unit: [in_flight = 0] must imply no
-                  task exists anywhere, queued or buffered. *)
-               flush i st
-             with e ->
-               let bt = Printexc.get_raw_backtrace () in
-               ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-            Atomic.decr in_flight;
-            loop ()
-        | None ->
-            if Atomic.get in_flight > 0 then begin
-              Domain.cpu_relax ();
-              loop ()
-            end
-    in
-    loop ()
-  in
-  let k0 =
-    match key with
-    | None -> None
-    | Some k ->
-        let d = k init in
-        ignore (probe_one d (exact_of init) Smap.empty);
-        Some d
-  in
-  push_chunk 0
-    [ { pt_depth = 0; pt_config = init; pt_key = k0; pt_sleep = Smap.empty } ];
-  (* Satellite fix (domain teardown): nothing may escape a worker domain
-     un-recorded. [process] exceptions are caught per task, but an
-     exception anywhere else in the loop (the deques, telemetry, a stack
-     overflow) used to kill the domain silently — its claimed task never
-     left [in_flight], and every other domain spun forever on
-     [in_flight > 0]. The blanket wrap records such a failure in the
-     same first-failure-wins cell, which every worker polls, so the
-     protocol terminates cleanly instead of wedging. *)
-  let safe_worker i () =
-    try worker i
-    with e ->
-      let bt = Printexc.get_raw_backtrace () in
-      ignore (Atomic.compare_and_set failure None (Some (e, bt)))
-  in
-  (* A domain that fails to start (injected [Domain_start] fault, or a
-     real resource limit) degrades to fewer workers: work-stealing makes
-     any worker count correct, just slower. *)
-  let domains =
-    List.filter_map
-      (fun d ->
-        if Faults.fire Faults.Domain_start then begin
-          Faults.survived ();
-          None
-        end
-        else
-          match Domain.spawn (safe_worker d) with
-          | dom -> Some dom
-          | exception _ -> None)
-      (List.init (jobs - 1) (fun d -> d + 1))
-  in
-  safe_worker 0 ();
-  List.iter Domain.join domains;
-  (match Atomic.get failure with
-  | Some (e, bt) -> (
-      match crash with
-      | `Raise -> Printexc.raise_with_backtrace e bt
-      | `Degrade -> stop (Budget.Worker_crashed (Printexc.to_string e)))
-  | None -> ());
-  (* Bitstate downgrade: a clean sweep through a lossy seen set is not a
-     proof — any would-be Verified becomes reasoned Inconclusive, while
-     Falsified stays sound (counterexamples were executed). *)
-  let exhausted =
-    match Atomic.get exhausted with
-    | Some _ as r -> r
-    | None -> if bits <> None then Some Budget.Bitstate_collision_risk else None
-  in
-  let merged arr = List.concat_map (fun r -> List.rev !r) (Array.to_list arr) in
-  {
-    completed = canonical_leaves ~keyed:(key <> None) (merged completed);
-    deadlocked = canonical_leaves ~keyed:(key <> None) (merged deadlocked);
-    truncated = Atomic.get truncated;
-    explored = Atomic.get explored;
-    reduced = Atomic.get reduced;
-    exhausted;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Resilient sequential engine (spool / checkpoint / resume / bitstate) *)
-(* ------------------------------------------------------------------ *)
-
 (* Complete resumable state. Everything in it is pure data (interpreter
    configurations are closure-free records, [skey]/[move]/[Smap] are
    plain structures, [Ktbl] marshals as an ordinary hashtable), so one
    [Marshal] round trip through {!Checkpoint} reconstructs the walk
    exactly. *)
-type 'c rsnapshot = {
+type 'c snapshot = {
   sn_completed : (skey option * 'c) list;
   sn_deadlocked : (skey option * 'c) list;
   sn_truncated : int;
   sn_explored : int;
   sn_reduced : int;
-  sn_frontier : 'c ptask list;  (* pop order (newest first) *)
+  sn_frontier : 'c task list;  (* pop order (newest first) *)
   sn_seen : (string option * move Smap.t list) Ktbl.t option;
   sn_bits : Bitstate.snapshot option;
   sn_budget : int * int;  (* configs_used, runs_used *)
   sn_counters : (string * int) list;
 }
 
-(* One engine serves every resilience combination: the frontier is
-   always a {!Spool} (a plain in-memory stack under [no_spill]) so
-   spilling and checkpointing see a single code path, and the seen set
-   is either the exact subset-rule table or a bounded {!Bitstate}. The
-   walk is the same push-time-filtered task expansion as [run_par]'s,
-   run on one domain — sequential determinism is what makes a resumed
-   run byte-identical to an uninterrupted one. *)
-let run_resilient ~max_steps ~max_configs ~budget ~key ~audit ~mode ~terminated
-    ~res init =
+(* The frontier is always a {!Spool} (a plain in-memory stack under
+   [no_spill]), so spilling and checkpointing share the one code path,
+   and the seen store is either the exact subset-rule table (with empty
+   sleep sets the rule is plain add-if-absent memoization) or a bounded
+   {!Bitstate}. The seen store is probed when a task is popped, and
+   children are pushed last-first so the first child pops first: the
+   walk then visits, charges and counts exactly as a recursive DFS
+   would. After a stop the loop still drains the frontier through the
+   seen store — the recursive walk probed the pending siblings of every
+   open frame while unwinding, and the counters must agree with it. *)
+let run_tasks ~max_steps ~max_configs ~budget ~key ~audit ~expansion
+    ~terminated ~res init =
   let w = new_walk () in
   let exact_of c = match audit with None -> None | Some a -> Some (a c) in
-  let bits = ref (if key = None then None else res.bitstate) in
-  let table = ref (if !bits = None then Some (Ktbl.create 1024) else None) in
+  let seen =
+    ref
+      (match res.bitstate with
+      | Some b -> `Bits b
+      | None -> `Table (Ktbl.create 1024))
+  in
   let bit_audit =
-    if !bits <> None && audit <> None then Some (Ktbl.create 1024, Mutex.create ())
-    else None
+    if res.bitstate <> None && audit <> None then Some (Ktbl.create 1024) else None
   in
-  let covered_check k exact sleep =
-    match (!bits, !table) with
-    | Some b, _ -> bitstate_covered b bit_audit k exact sleep
-    | None, Some tbl -> covered tbl k exact sleep
-    | None, None -> false
+  let probe k c sleep =
+    match !seen with
+    | `Bits b -> bitstate_covered b bit_audit k (exact_of c) sleep
+    | `Table tbl -> covered tbl k (exact_of c) sleep
   in
-  let pol = match res.spool with Some p -> p | None -> Spool.no_spill in
-  let frontier = Spool.create pol in
+  let frontier = Spool.create (Option.value res.spool ~default:Spool.no_spill) in
   (* An injected allocation fault is a simulated [Out_of_memory] at
      frontier growth: the task is dropped and the walk stops with the
-     memory reason — coverage lost, verdict degraded, process alive. *)
-  let push_task task =
-    if Faults.fire Faults.Alloc then begin
+     memory reason — coverage lost, verdict degraded, process alive.
+     Only runs that asked for a resilience option are eligible. *)
+  let faultable =
+    res.bitstate <> None || res.spool <> None || res.checkpoint <> None
+    || res.resume <> None
+  in
+  let push task =
+    if faultable && Faults.fire Faults.Alloc then begin
       Faults.survived ();
       if w.w_exhausted = None then w.w_exhausted <- Some Budget.Memory_watermark
     end
     else Spool.push frontier task
   in
-  let push_child depth (config, sleep) =
-    match key with
-    | Some k ->
-        let d = k config in
-        if covered_check d (exact_of config) sleep then begin
-          w.w_reduced <- w.w_reduced + 1;
-          T.hit T.Configs_reduced
-        end
-        else
-          push_task
-            { pt_depth = depth; pt_config = config; pt_key = Some d; pt_sleep = sleep }
-    | None ->
-        push_task
-          { pt_depth = depth; pt_config = config; pt_key = None; pt_sleep = sleep }
+  let child depth config sleep =
+    { t_depth = depth; t_config = config; t_key = None; t_sleep = sleep }
   in
-  let classify task =
-    if terminated task.pt_config then
-      w.w_completed <- (task.pt_key, task.pt_config) :: w.w_completed
-    else w.w_deadlocked <- (task.pt_key, task.pt_config) :: w.w_deadlocked
+  let leaf kc task =
+    let l = (kc, task.t_config) in
+    if terminated task.t_config then w.w_completed <- l :: w.w_completed
+    else w.w_deadlocked <- l :: w.w_deadlocked
   in
-  let process task =
-    if task.pt_depth > max_steps then w.w_truncated <- w.w_truncated + 1
-    else
-      match mode with
-      | Par_plain moves -> (
-          let t = T.span_begin T.Interp_step in
-          let cs = moves task.pt_config in
-          T.span_end T.Interp_step t;
-          match cs with
-          | [] -> classify task
-          | cs ->
-              List.iter
-                (fun c -> push_child (task.pt_depth + 1) (c, Smap.empty))
-                cs)
-      | Par_sleep footprint -> (
-          let t = T.span_begin T.Interp_step in
-          let succs = footprint task.pt_config in
-          T.span_end T.Interp_step t;
-          match succs with
-          | [] -> classify task
-          | succs ->
-              let awake, asleep =
-                List.partition
-                  (fun (m, _) -> not (Smap.mem m.label task.pt_sleep))
-                  succs
-              in
-              w.w_reduced <- w.w_reduced + List.length asleep;
-              T.add T.Sleep_prunes (List.length asleep);
-              T.add T.Configs_reduced (List.length asleep);
-              let _, rev_children =
-                List.fold_left
-                  (fun (sleep, acc) (m, c') ->
-                    let child_sleep =
-                      Smap.filter (fun _ z -> independent z m) sleep
-                    in
-                    (Smap.add m.label m sleep, (c', child_sleep) :: acc))
-                  (task.pt_sleep, []) awake
-              in
-              List.iter (push_child (task.pt_depth + 1)) (List.rev rev_children))
+  let expand kc task =
+    let depth = task.t_depth + 1 in
+    match expansion with
+    | Plain moves -> (
+        let t = T.span_begin T.Interp_step in
+        let cs = moves task.t_config in
+        T.span_end T.Interp_step t;
+        match cs with
+        | [] -> leaf kc task
+        | cs -> List.iter (fun c -> push (child depth c Smap.empty)) (List.rev cs))
+    | Sleep footprint -> (
+        let t = T.span_begin T.Interp_step in
+        let succs = footprint task.t_config in
+        T.span_end T.Interp_step t;
+        match succs with
+        | [] -> leaf kc task
+        | succs ->
+            let awake, asleep =
+              List.partition (fun (m, _) -> not (Smap.mem m.label task.t_sleep)) succs
+            in
+            (* Sleeping successors are covered by an earlier sibling
+               branch that fired the same move before this
+               configuration's distinguishing step. *)
+            w.w_reduced <- w.w_reduced + List.length asleep;
+            T.add T.Sleep_prunes (List.length asleep);
+            T.add T.Configs_reduced (List.length asleep);
+            (* A child keeps sleeping only the moves that commute with
+               the one it fires; the fold yields the children last
+               first, the push order. *)
+            let _, children =
+              List.fold_left
+                (fun (sleep, acc) (m, c') ->
+                  ( Smap.add m.label m sleep,
+                    child depth c' (Smap.filter (fun _ z -> independent z m) sleep)
+                    :: acc ))
+                (task.t_sleep, []) awake
+            in
+            List.iter push children)
   in
   let since_ckpt = ref 0 in
   let snapshot () =
@@ -1499,8 +831,8 @@ let run_resilient ~max_steps ~max_configs ~budget ~key ~audit ~mode ~terminated
       sn_explored = w.w_explored;
       sn_reduced = w.w_reduced;
       sn_frontier = Spool.elements frontier;
-      sn_seen = !table;
-      sn_bits = Option.map Bitstate.snapshot !bits;
+      sn_seen = (match !seen with `Table tbl -> Some tbl | `Bits _ -> None);
+      sn_bits = (match !seen with `Bits b -> Some (Bitstate.snapshot b) | `Table _ -> None);
       sn_budget =
         (match budget with
         | Some b -> (Budget.configs_used b, Budget.runs_used b)
@@ -1526,45 +858,56 @@ let run_resilient ~max_steps ~max_configs ~budget ~key ~audit ~mode ~terminated
   | Some path -> (
       match Checkpoint.read ~stamp:res.stamp path with
       | Error msg -> raise (Resume_error msg)
-      | Ok (s : 'c rsnapshot) ->
+      | Ok (s : 'c snapshot) ->
           w.w_completed <- s.sn_completed;
           w.w_deadlocked <- s.sn_deadlocked;
           w.w_truncated <- s.sn_truncated;
           w.w_explored <- s.sn_explored;
           w.w_reduced <- s.sn_reduced;
-          (match s.sn_seen with
-          | Some tbl -> table := Some tbl
-          | None -> ());
-          (match s.sn_bits with
-          | Some bsnap -> bits := Some (Bitstate.restore bsnap)
-          | None -> ());
+          Option.iter (fun tbl -> seen := `Table tbl) s.sn_seen;
+          Option.iter (fun b -> seen := `Bits (Bitstate.restore b)) s.sn_bits;
           List.iter (Spool.push frontier) (List.rev s.sn_frontier);
-          (match budget with
-          | Some b ->
-              Budget.restore b ~configs:(fst s.sn_budget) ~runs:(snd s.sn_budget)
-          | None -> ());
+          Option.iter
+            (fun b ->
+              Budget.restore b ~configs:(fst s.sn_budget) ~runs:(snd s.sn_budget))
+            budget;
           T.restore_counters s.sn_counters)
   | None ->
+      (* The root is keyed and recorded up front: a cycle back to it must
+         not re-explore it. *)
       let k0 =
-        match key with
-        | None -> None
-        | Some k ->
+        Option.map
+          (fun k ->
             let d = k init in
-            ignore (covered_check d (exact_of init) Smap.empty);
-            Some d
+            ignore (probe d init Smap.empty);
+            d)
+          key
       in
-      push_task { pt_depth = 0; pt_config = init; pt_key = k0; pt_sleep = Smap.empty });
+      push { t_depth = 0; t_config = init; t_key = k0; t_sleep = Smap.empty });
   let stop = stop w ~max_configs ~budget in
+  let visit kc task =
+    if not (stop ()) then begin
+      w.w_explored <- w.w_explored + 1;
+      T.hit T.Configs_explored;
+      if task.t_depth > max_steps then w.w_truncated <- w.w_truncated + 1
+      else expand kc task;
+      maybe_checkpoint ()
+    end
+  in
   let rec loop () =
-    if not (stop ()) then
-      match Spool.pop frontier with
-      | None -> ()
-      | Some task ->
-          w.w_explored <- w.w_explored + 1;
-          T.hit T.Configs_explored;
-          process task;
-          maybe_checkpoint ();
-          loop ()
+    match Spool.pop frontier with
+    | None -> ()
+    | Some task ->
+        (match (key, task.t_key) with
+        | Some k, None ->
+            let d = k task.t_config in
+            if probe d task.t_config task.t_sleep then begin
+              w.w_reduced <- w.w_reduced + 1;
+              T.hit T.Configs_reduced
+            end
+            else visit (Some d) task
+        | _ -> visit task.t_key task);
+        loop ()
   in
   loop ();
   (* Degradation ladder, most severe first: a recorded stop reason keeps
@@ -1572,68 +915,39 @@ let run_resilient ~max_steps ~max_configs ~budget ~key ~audit ~mode ~terminated
      downgrade — never Verified through a lossy seen set. *)
   if Spool.error frontier && w.w_exhausted = None then
     w.w_exhausted <- Some Budget.Spill_io_error;
-  if !bits <> None && w.w_exhausted = None then
-    w.w_exhausted <- Some Budget.Bitstate_collision_risk;
+  (match !seen with
+  | `Bits _ when w.w_exhausted = None ->
+      w.w_exhausted <- Some Budget.Bitstate_collision_risk
+  | `Bits _ | `Table _ -> ());
   Spool.close frontier;
   finish ~keyed:(key <> None) w
 
 let run ?(max_steps = 10_000) ?(max_configs = 1_000_000) ?budget ?key ?audit
-    ?footprint ?reduction ?(jobs = 1) ?(batch = Gem_check.Par.batch_default ())
-    ?(resilience = no_resilience) ~moves ~terminated init =
-  let jobs = max 1 jobs in
-  let batch = max 1 batch in
+    ?footprint ?reduction ?(resilience = no_resilience) ~moves ~terminated init =
+  (* A bitstate table needs keys to store; without one it is ignored. *)
+  let res =
+    { resilience with bitstate = (if key = None then None else resilience.bitstate) }
+  in
+  let run_tasks expansion =
+    run_tasks ~max_steps ~max_configs ~budget ~key ~audit ~expansion ~terminated
+      ~res init
+  in
   (* Reduction is meaningful only when the caller supplies footprints;
-     without them every engine degenerates to the plain walk. An explicit
-     [No_reduction] with a footprint ignores the footprint entirely. *)
-  let reduction =
-    match (footprint, reduction) with
-    | None, _ -> No_reduction
-    | Some _, Some r -> r
-    | Some _, None -> Sleep_sets
-  in
-  let mode =
-    match footprint with
-    | Some footprint when reduction <> No_reduction -> Par_sleep footprint
-    | Some _ | None -> Par_plain moves
-  in
-  let bits = if key = None then None else resilience.bitstate in
-  let needs_resilient =
-    resilience.spool <> None
-    || resilience.checkpoint <> None
-    || resilience.resume <> None
-  in
-  if needs_resilient || (bits <> None && jobs = 1) then
-    (* Spool/checkpoint/resume force the deterministic sequential engine
-       even under [jobs > 1]: resumability and spill ordering need one
-       totally ordered walk. Bitstate alone stays parallel. Source-DPOR
-       needs the in-order DFS stack and a faithful seen table, neither of
-       which the spooled frontier or a lossy bitstate provides, so it
-       degrades to sleep sets here (documented in DESIGN.md). *)
-    run_resilient ~max_steps ~max_configs ~budget ~key ~audit ~mode ~terminated
-      ~res:{ resilience with bitstate = bits }
-      init
-  else if reduction = Source_sets && bits = None then
-    (* Race detection reads the DFS stack in execution order, so the
-       source engine is sequential even under [--jobs]: verdict-side
-       refinement still parallelizes, and [run_par] keeps sleep sets as
-       its default reduction. *)
-    (match footprint with
-    | Some footprint ->
-        run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
-          ~terminated init
-    | None -> assert false)
-  else if jobs > 1 then
-    run_par ~jobs ~batch ~max_steps ~max_configs ~budget ~key ~audit ~mode ~bits
-      ~crash:(if resilience.degrade_crashes then `Degrade else `Raise)
-      ~terminated init
-  else
-    match mode with
-    | Par_sleep footprint ->
-        run_sleep ~max_steps ~max_configs ~budget ~key ~audit ~footprint
-          ~terminated init
-    | Par_plain _ ->
-        run_plain ~max_steps ~max_configs ~budget ~key ~audit ~moves ~terminated
-          init
+     without them, or under an explicit [No_reduction], the walk is
+     plain. Source-DPOR needs the in-order DFS stack and a faithful seen
+     table, which neither a spooled or checkpointed frontier nor a lossy
+     bitstate table provides, so it degrades to sleep sets under any of
+     them (documented in DESIGN.md). *)
+  match (footprint, reduction) with
+  | None, _ | Some _, Some No_reduction -> run_tasks (Plain moves)
+  | Some footprint, Some Source_sets
+    when res.bitstate = None && res.spool = None && res.checkpoint = None
+         && res.resume = None ->
+      run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
+        ~terminated init
+  | Some footprint, (None | Some (Sleep_sets | Source_sets)) ->
+      run_tasks (Sleep footprint)
+
 
 (* ------------------------------------------------------------------ *)
 (* Canonical computation fingerprints                                   *)

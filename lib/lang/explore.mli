@@ -131,12 +131,10 @@ type resilience = {
           refinement of the subset rule — more exploration, never an
           unsound prune. *)
   spool : Gem_check.Spool.policy option;
-      (** Page the frontier to disk under a heap watermark. Forces the
-          sequential resilient engine. I/O failure degrades to
-          [Spill_io_error]. *)
+      (** Page the frontier to disk under a heap watermark. I/O failure
+          degrades to [Spill_io_error]. *)
   checkpoint : Gem_check.Checkpoint.ctl option;
-      (** Periodically snapshot the complete walk state. Forces the
-          sequential resilient engine. *)
+      (** Periodically snapshot the complete walk state. *)
   resume : string option;
       (** Start from this checkpoint file instead of the initial
           configuration; the resumed run finishes with a verdict
@@ -147,11 +145,6 @@ type resilience = {
       (** Run identity written into (and checked against) checkpoints —
           callers encode the command, workload parameters and engine
           configuration. *)
-  degrade_crashes : bool;
-      (** Parallel runs: record an exception escaping a worker domain
-          as a first-wins [Worker_crashed] Inconclusive instead of
-          re-raising after join (the default, which preserves the
-          historical contract). *)
 }
 
 val no_resilience : resilience
@@ -167,8 +160,6 @@ val run :
   ?audit:('c -> string) ->
   ?footprint:('c -> (move * 'c) list) ->
   ?reduction:reduction ->
-  ?jobs:int ->
-  ?batch:int ->
   ?resilience:resilience ->
   moves:('c -> 'c list) ->
   terminated:('c -> bool) ->
@@ -212,48 +203,25 @@ val run :
     [reduction] picks the reduction engine used over [footprint]
     (default [Sleep_sets]; ignored without a [footprint], where every
     walk is plain). [No_reduction] ignores the footprint and runs the
-    plain walk. [Source_sets] runs the sequential source-DPOR engine:
-    per-execution happens-before is derived from footprints, reversible
-    races on the DFS stack schedule backtrack points, and successors no
-    race demands are never visited ([Source_prunes] telemetry) — the
+    plain walk. [Source_sets] runs the source-DPOR engine: per-execution
+    happens-before is derived from footprints, reversible races on the
+    DFS stack schedule backtrack points, and successors no race demands
+    are never visited ([Source_prunes] telemetry) — the
     computation/deadlock sets still cover one representative per
     Mazurkiewicz trace, so verdicts are byte-identical to the other
-    engines. Because race detection needs the in-order execution stack,
-    [Source_sets] forces a sequential walk even under [jobs > 1] and
-    degrades to sleep sets under [bitstate] or the resilient engine
-    (spool/checkpoint/resume); see DESIGN.md for the decision record.
+    engines. Because race detection needs the recursive execution
+    stack, [Source_sets] degrades to sleep sets under [bitstate],
+    [spool], [checkpoint] or [resume]; see DESIGN.md for the decision
+    record.
 
-    [jobs], when [> 1], runs the walk across that many domains with
-    per-domain work-stealing deques, a sharded seen table and the same
-    sleep-set/memoization discipline; [moves], [footprint], [key] and
-    [terminated] must then be safe to call from multiple domains (the
-    interpreters' are: configurations are immutable and flow to exactly
-    one domain at a time). Counters ([explored]/[reduced]) may differ
-    from a sequential walk's — racing traversals prune differently — but
-    the completed/deadlocked leaves cover the same computations, and with
-    [key] given they are returned sorted by key, so results are
-    deterministic. A shared [budget] cancels all domains: its cells are
-    atomic, the first exhaustion reason wins, and the merged result
-    carries exactly that reason. Defaults to [1] (the sequential walks,
-    byte-for-byte unchanged).
-
-    [batch] (default {!Gem_check.Par.batch_default}, i.e. [GEM_BATCH] or
-    64) sets the parallel engine's work-distribution chunk size: deques
-    move chunks of up to [batch] tasks per lock acquisition, seen-table
-    probes for a chunk's children are grouped per shard and issued under
-    one lock each, each domain keeps a bounded local fingerprint cache
-    in front of the shared shards, and termination bookkeeping is
-    amortized per chunk. Partial chunks are flushed at the end of every
-    chunk, so a frontier smaller than [batch] (even a single
-    configuration at [jobs 8]) still spreads across domains. Verdicts
-    are byte-identical for every (jobs, batch) pair; [batch] only moves
-    coordination cost. Ignored when [jobs <= 1].
+    The walk is sequential: the plain and sleep-set engines share one
+    task-stack walk over every seen store and frontier, so a [spool]
+    or a [checkpoint] never changes the explored, reduced or truncated
+    counts — only where the frontier lives. Parallelism lives in the
+    checking layer ({!Gem_check.Par}).
 
     [resilience] (default {!no_resilience}) selects the degradation
-    ladder. [spool]/[checkpoint]/[resume] force the deterministic
-    sequential resilient engine even when [jobs > 1]; [bitstate] alone
-    composes with parallel runs (the table is sharded). Any run through
-    a bitstate seen set finishes Inconclusive
+    ladder. Any run through a bitstate seen set finishes Inconclusive
     ([Bitstate_collision_risk]) unless a counterexample or an earlier
     stop reason takes priority. *)
 
@@ -278,4 +246,4 @@ val dedup_computations :
     canonical fingerprint. The survivors are returned sorted by
     fingerprint, so the list is identical however the leaves were
     discovered — the anchor for byte-identical verdicts across POR
-    on/off, re-runs, and parallel schedules. *)
+    on/off, re-runs, and resumed runs. *)

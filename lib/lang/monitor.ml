@@ -687,17 +687,14 @@ let fp_key cfg =
   !acc
 
 let explore ?(emit_getvals = false) ?reduction ?por ?exact_keys ?audit_keys
-    ?max_steps ?max_configs ?budget ?jobs ?batch
-    ?(resilience = Explore.no_resilience) program =
+    ?max_steps ?max_configs ?budget ?(resilience = Explore.no_resilience)
+    program =
   let reduction = Explore.resolve_reduction ?reduction ?por () in
   let exact =
     match exact_keys with Some b -> b | None -> Explore.exact_keys_default ()
   in
   let auditing =
     match audit_keys with Some b -> b | None -> Explore.audit_keys_default ()
-  in
-  let jobs =
-    match jobs with Some j -> j | None -> Gem_check.Par.jobs_default ()
   in
   let ctx = { program; emit_getvals } in
   let result =
@@ -708,7 +705,7 @@ let explore ?(emit_getvals = false) ?reduction ?por ?exact_keys ?audit_keys
     let audit = if auditing && not exact then Some (state_key program) else None in
     if reduction <> Explore.No_reduction then
       Explore.run ?max_steps ?max_configs ?budget ~key ?audit
-        ~footprint:(moves_fp ctx) ~reduction ~jobs ?batch ~resilience
+        ~footprint:(moves_fp ctx) ~reduction ~resilience
         ~moves:(moves ctx) ~terminated (initial ctx)
     else
       (* Without POR the plain walk is keyless — except in bitstate mode,
@@ -717,8 +714,7 @@ let explore ?(emit_getvals = false) ?reduction ?por ?exact_keys ?audit_keys
          sound; dedup collapses the interleavings either way). *)
       let key = if resilience.Explore.bitstate = None then None else Some key in
       let audit = if key = None then None else audit in
-      Explore.run ?max_steps ?max_configs ?budget ?key ?audit ~jobs ?batch
-        ~resilience
+      Explore.run ?max_steps ?max_configs ?budget ?key ?audit ~resilience
         ~moves:(moves ctx) ~terminated (initial ctx)
   in
   {

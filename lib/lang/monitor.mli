@@ -106,8 +106,6 @@ val explore :
   ?max_steps:int ->
   ?max_configs:int ->
   ?budget:Gem_check.Budget.t ->
-  ?jobs:int ->
-  ?batch:int ->
   ?resilience:Explore.resilience ->
   program ->
   outcome
@@ -122,11 +120,10 @@ val explore :
     fingerprints; [audit_keys] (default {!Explore.audit_keys_default})
     keeps fingerprint keys but computes the exact key alongside as a
     collision oracle, counting mismatches under the
-    [Fingerprint_collisions] telemetry counter. [jobs] (default
-    {!Gem_check.Par.jobs_default}) spreads the walk over that many
-    domains; [computations]/[deadlocks] are canonically ordered, so the
-    outcome's verdict-relevant content is identical for every job count
-    and either key mode. *)
+    [Fingerprint_collisions] telemetry counter. [computations] and
+    [deadlocks] are canonically ordered, so the outcome's
+    verdict-relevant content is identical for every engine and either
+    key mode. *)
 
 val run_one : ?emit_getvals:bool -> ?seed:int -> program -> Gem_model.Computation.t
 (** One (pseudo-randomly scheduled) complete or stuck run — handy for

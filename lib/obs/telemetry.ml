@@ -11,8 +11,6 @@ type counter =
   | Memo_hits
   | Memo_misses
   | Sleep_prunes
-  | Deque_steals
-  | Shard_collisions
   | Runs_enumerated
   | Formula_evals
   | Vhs_histories
@@ -28,9 +26,6 @@ type counter =
   | Faults_injected
   | Faults_survived
   | Bitstate_saturated_prunes
-  | Batches_stolen
-  | Batch_probe_hits
-  | Local_cache_hits
   | Cache_hits
   | Cache_misses
   | Requests_coalesced
@@ -45,35 +40,30 @@ let counter_idx = function
   | Memo_hits -> 2
   | Memo_misses -> 3
   | Sleep_prunes -> 4
-  | Deque_steals -> 5
-  | Shard_collisions -> 6
-  | Runs_enumerated -> 7
-  | Formula_evals -> 8
-  | Vhs_histories -> 9
-  | Budget_stop_deadline -> 10
-  | Budget_stop_configs -> 11
-  | Budget_stop_runs -> 12
-  | Budget_stop_memory -> 13
-  | Fingerprint_collisions -> 14
-  | Footprint_checks -> 15
-  | Spill_bytes -> 16
-  | Spill_chunks -> 17
-  | Checkpoint_writes -> 18
-  | Faults_injected -> 19
-  | Faults_survived -> 20
-  | Bitstate_saturated_prunes -> 21
-  | Batches_stolen -> 22
-  | Batch_probe_hits -> 23
-  | Local_cache_hits -> 24
-  | Cache_hits -> 25
-  | Cache_misses -> 26
-  | Requests_coalesced -> 27
-  | Explorations_shared -> 28
-  | Races_detected -> 29
-  | Backtrack_points -> 30
-  | Source_prunes -> 31
+  | Runs_enumerated -> 5
+  | Formula_evals -> 6
+  | Vhs_histories -> 7
+  | Budget_stop_deadline -> 8
+  | Budget_stop_configs -> 9
+  | Budget_stop_runs -> 10
+  | Budget_stop_memory -> 11
+  | Fingerprint_collisions -> 12
+  | Footprint_checks -> 13
+  | Spill_bytes -> 14
+  | Spill_chunks -> 15
+  | Checkpoint_writes -> 16
+  | Faults_injected -> 17
+  | Faults_survived -> 18
+  | Bitstate_saturated_prunes -> 19
+  | Cache_hits -> 20
+  | Cache_misses -> 21
+  | Requests_coalesced -> 22
+  | Explorations_shared -> 23
+  | Races_detected -> 24
+  | Backtrack_points -> 25
+  | Source_prunes -> 26
 
-let n_counters = 32
+let n_counters = 27
 
 let counter_name = function
   | Configs_explored -> "configs_explored"
@@ -81,8 +71,6 @@ let counter_name = function
   | Memo_hits -> "memo_hits"
   | Memo_misses -> "memo_misses"
   | Sleep_prunes -> "sleep_prunes"
-  | Deque_steals -> "deque_steals"
-  | Shard_collisions -> "shard_collisions"
   | Runs_enumerated -> "runs_enumerated"
   | Formula_evals -> "formula_evals"
   | Vhs_histories -> "vhs_histories"
@@ -98,9 +86,6 @@ let counter_name = function
   | Faults_injected -> "faults_injected"
   | Faults_survived -> "faults_survived"
   | Bitstate_saturated_prunes -> "bitstate_saturated_prunes"
-  | Batches_stolen -> "batches_stolen"
-  | Batch_probe_hits -> "batch_probe_hits"
-  | Local_cache_hits -> "local_cache_hits"
   | Cache_hits -> "cache_hits"
   | Cache_misses -> "cache_misses"
   | Requests_coalesced -> "requests_coalesced"
@@ -241,12 +226,11 @@ let time p f =
 let all_counters =
   [
     Configs_explored; Configs_reduced; Memo_hits; Memo_misses; Sleep_prunes;
-    Deque_steals; Shard_collisions; Runs_enumerated; Formula_evals;
-    Vhs_histories; Budget_stop_deadline; Budget_stop_configs; Budget_stop_runs;
-    Budget_stop_memory; Fingerprint_collisions; Footprint_checks; Spill_bytes;
-    Spill_chunks; Checkpoint_writes; Faults_injected; Faults_survived;
-    Bitstate_saturated_prunes; Batches_stolen; Batch_probe_hits;
-    Local_cache_hits; Cache_hits; Cache_misses; Requests_coalesced;
+    Runs_enumerated; Formula_evals; Vhs_histories; Budget_stop_deadline;
+    Budget_stop_configs; Budget_stop_runs; Budget_stop_memory;
+    Fingerprint_collisions; Footprint_checks; Spill_bytes; Spill_chunks;
+    Checkpoint_writes; Faults_injected; Faults_survived;
+    Bitstate_saturated_prunes; Cache_hits; Cache_misses; Requests_coalesced;
     Explorations_shared; Races_detected; Backtrack_points; Source_prunes;
   ]
 
@@ -286,12 +270,10 @@ let stats_json ?(deterministic = false) () =
   else begin
     let schedule =
       Printf.sprintf
-        {|"schedule":{%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,"budget_stops":{%s,%s,%s,%s},"resilience":{%s,%s,%s,%s,%s,%s},"serve":{%s,%s,%s,%s}}|}
+        {|"schedule":{%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,"budget_stops":{%s,%s,%s,%s},"resilience":{%s,%s,%s,%s,%s,%s},"serve":{%s,%s,%s,%s}}|}
         (c Configs_explored) (c Configs_reduced) (c Memo_hits) (c Memo_misses)
-        (c Sleep_prunes) (c Deque_steals) (c Shard_collisions)
-        (c Fingerprint_collisions) (c Footprint_checks) (c Batches_stolen)
-        (c Batch_probe_hits) (c Local_cache_hits) (c Races_detected)
-        (c Backtrack_points) (c Source_prunes)
+        (c Sleep_prunes) (c Fingerprint_collisions) (c Footprint_checks)
+        (c Races_detected) (c Backtrack_points) (c Source_prunes)
         (c Budget_stop_deadline) (c Budget_stop_configs) (c Budget_stop_runs)
         (c Budget_stop_memory) (c Spill_bytes) (c Spill_chunks)
         (c Checkpoint_writes) (c Faults_injected) (c Faults_survived)

@@ -2,7 +2,7 @@
     and an optional Chrome-trace-event exporter.
 
     The checker's performance story (sleep-set effectiveness, memo-table
-    hit rates, work-stealing balance) is invisible from verdicts alone;
+    hit rates, where the time goes) is invisible from verdicts alone;
     this module gives every layer a place to record what it did without
     changing any result. Instrumentation sites live in
     {!Gem_lang.Explore}, the three language interpreters,
@@ -20,20 +20,17 @@
     number of domains may record concurrently.
 
     {b Conservation invariants} (asserted in [test/test_telemetry.ml]
-    across jobs 1/2/8, POR on and off):
+    for every reduction engine):
     - [Configs_explored] = the [explored] field of the exploration
       result, and [Configs_reduced] = its [reduced] field;
     - [Configs_reduced] = [Sleep_prunes] + [Memo_hits] +
-      [Local_cache_hits] + [Source_prunes] — every pruned arrival is
-      asleep, memo-covered by the shared seen table, covered by a
-      domain-local cache entry, or skipped by a source set that never
-      scheduled it, never more than one;
-    - [Batch_probe_hits] <= [Memo_hits] — batched shard probes are a
-      subset of all shared seen-table hits;
+      [Source_prunes] — every pruned arrival is asleep, memo-covered by
+      the seen table, or skipped by a source set that never scheduled
+      it, never more than one;
     - the {e invariant} section of {!stats_json} ([Runs_enumerated],
       [Formula_evals], [Vhs_histories]) is byte-stable across job
-      counts, because it is derived from the canonical (schedule
-      independent) computation list. *)
+      counts, because it is derived from the canonical computation
+      list. *)
 
 type counter =
   | Configs_explored  (** Interpreter configurations claimed and visited. *)
@@ -41,8 +38,6 @@ type counter =
   | Memo_hits  (** Seen-table lookups answered "already covered". *)
   | Memo_misses  (** Seen-table lookups that recorded a new entry. *)
   | Sleep_prunes  (** Successors skipped because their move slept. *)
-  | Deque_steals  (** Tasks stolen from another domain's deque. *)
-  | Shard_collisions  (** Seen-table shard locks found contended. *)
   | Runs_enumerated  (** Runs consumed by temporal checks. *)
   | Formula_evals  (** Formula evaluations (per run or computation). *)
   | Vhs_histories  (** Valid history sequences materialized. *)
@@ -65,17 +60,6 @@ type counter =
       (** Arrivals pruned because the bitstate table refused an insert at
           its load cap — coverage silently lost, hence the mandatory
           [Bitstate_collision_risk] downgrade. *)
-  | Batches_stolen
-      (** Chunks of frontier tasks stolen from another domain's deque by
-          the batched parallel engine. *)
-  | Batch_probe_hits
-      (** Shared seen-table hits answered inside a batched per-shard
-          probe (one lock acquisition per shard per chunk). Always a
-          subset of [Memo_hits]. *)
-  | Local_cache_hits
-      (** Arrivals pruned by a domain-local fingerprint cache without
-          touching the shared shards. Counted into [Configs_reduced]
-          alongside [Sleep_prunes] and [Memo_hits]. *)
   | Cache_hits
       (** Serve mode: requests answered from the verdict cache without
           recomputing anything ({!Gem_check.Cache}). *)
@@ -102,8 +86,8 @@ type counter =
   | Source_prunes
       (** Source-DPOR: awake successors never scheduled into a frame's
           backtrack set by any race — the engine's saving over sleep
-          sets. Counted into [Configs_reduced] alongside [Sleep_prunes],
-          [Memo_hits] and [Local_cache_hits]. *)
+          sets. Counted into [Configs_reduced] alongside [Sleep_prunes]
+          and [Memo_hits]. *)
 
 type phase =
   | Interp_step  (** One interpreter successor computation. *)
@@ -175,8 +159,8 @@ val stats_json : ?deterministic:bool -> unit -> string
     [{"schema_version":1,"invariant":{...},"schedule":{...},"timings":{...}}].
 
     The [invariant] counters are schedule-independent (byte-stable
-    across [--jobs] for a given workload); [schedule] counters are exact
-    but legitimately vary with domain interleaving under partial-order
-    reduction; [timings] are per-phase [{"count","total_ns"}].
+    across [--jobs] and reduction engines for a given workload);
+    [schedule] counters are exact but depend on the reduction engine and
+    key mode; [timings] are per-phase [{"count","total_ns"}].
     [~deterministic:true] keeps only [schema_version] + [invariant], so
     the output is byte-identical across job counts. *)

@@ -44,7 +44,7 @@ val hash : t -> int
 (** Already-mixed low lane, non-negative — suitable for [Hashtbl]. *)
 
 val to_int : t -> int
-(** Raw low lane; the parallel explorer takes shard indices from its low
+(** Raw low lane; the bitstate table takes shard indices from its low
     bits. *)
 
 val to_hex : t -> string

@@ -72,10 +72,10 @@ type report = {
 }
 
 let check ?reduction ?por ?exact_keys ?audit_keys ?max_configs ?budget ?jobs
-    ?batch ?resilience ~sites () =
+    ?resilience ~sites () =
   let o =
     Csp.explore ?reduction ?por ?exact_keys ?audit_keys ?max_configs ?budget
-      ?jobs ?batch ?resilience (program ~sites)
+      ?resilience (program ~sites)
   in
   let spec = Csp.language_spec ~name:"db-update" (program ~sites) in
   let prop = F.conj [ convergence; converges_to ~sites ] in

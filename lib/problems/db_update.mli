@@ -46,7 +46,6 @@ val check :
   ?max_configs:int ->
   ?budget:Gem_check.Budget.t ->
   ?jobs:int ->
-  ?batch:int ->
   ?resilience:Gem_lang.Explore.resilience ->
   sites:int ->
   unit ->
@@ -57,8 +56,7 @@ val check :
     the reduced search (default {!Gem_lang.Explore.por_default});
     [exact_keys]/[audit_keys] select the search-key mode (defaults
     {!Gem_lang.Explore.exact_keys_default} /
-    {!Gem_lang.Explore.audit_keys_default}). [jobs]
-    parallelizes both exploration and per-computation checking over that
-    many domains (default {!Gem_check.Par.jobs_default} for exploration);
-    the report is identical for every job count unless the budget bites,
-    in which case only the counters may differ. *)
+    {!Gem_lang.Explore.audit_keys_default}). [jobs] spreads the
+    per-computation checking over that many domains (default
+    {!Gem_check.Par.jobs_default}); the report is identical for every job
+    count. *)

@@ -16,7 +16,6 @@ type engine = {
   por : bool option;
   exact_keys : bool option;
   jobs : int;
-  batch : int;
   bitstate_bits : int option;
   timeout : float option;
   max_configs : int option;
@@ -29,7 +28,6 @@ let default_engine =
     por = None;
     exact_keys = None;
     jobs = 1;
-    batch = 64;
     bitstate_bits = None;
     timeout = None;
     max_configs = None;
@@ -149,7 +147,6 @@ let parse_engine_key eng key v =
       | "exact" -> Ok (Some { eng with exact_keys = Some true })
       | _ -> Error (Printf.sprintf "keys expects fp|exact, got %S" v))
   | "jobs" -> map (fun n -> Some { eng with jobs = n }) (pos_int ~key v)
-  | "batch" -> map (fun n -> Some { eng with batch = n }) (pos_int ~key v)
   | "bitstate" -> (
       match v with
       | "off" -> Ok (Some { eng with bitstate_bits = None })
@@ -267,7 +264,6 @@ let engine_pairs eng =
   (match eng.bitstate_bits with
   | Some n -> add "bitstate" (string_of_int n)
   | None -> ());
-  if eng.batch <> d.batch then add "batch" (string_of_int eng.batch);
   if eng.jobs <> d.jobs then add "jobs" (string_of_int eng.jobs);
   (match eng.exact_keys with
   | Some true -> add "keys" "exact"

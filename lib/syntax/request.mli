@@ -16,8 +16,8 @@
 
     - {e engine} keys, parsed and validated here because every check
       command shares them: [reduction=none|sleep|source], [por=on|off],
-      [keys=fp|exact], [jobs=N], [batch=N], [bitstate=off|BITS],
-      [timeout=SECS], [max-configs=N], [max-runs=N];
+      [keys=fp|exact], [jobs=N], [bitstate=off|BITS], [timeout=SECS],
+      [max-configs=N], [max-runs=N] ([jobs] sets the checking domains);
     - {e workload} keys (e.g. [readers=2], [version=readers-priority]),
       kept as an association list for the command runner to interpret.
 
@@ -51,8 +51,7 @@ type engine = {
   por : bool option;  (** [None] defers to [Explore.por_default]. *)
   exact_keys : bool option;
       (** [None] defers to [Explore.exact_keys_default]. *)
-  jobs : int;  (** Default 1. *)
-  batch : int;  (** Default 64. *)
+  jobs : int;  (** Checking domains. Default 1. *)
   bitstate_bits : int option;
       (** [Some bits] = bitstate mode with a [2^bits]-slot table. *)
   timeout : float option;

@@ -1,11 +1,11 @@
-(* Differential harness for the source-DPOR reduction engine (PR 10).
+(* Differential harness for the source-DPOR reduction engine.
    Every lib/problems workload is explored under all three --reduction
    engines (none / sleep / source) and must produce identical
    completed/deadlocked computation multisets (equal partial-order
    fingerprints) and the same exhaustion status; source-DPOR must also
    visit no more configurations than the sleep-set engine on any
    workload. qcheck properties extend the evidence to random
-   Monitor/CSP/ADA programs across the jobs x batch x {fp,exact} grid.
+   Monitor/CSP/ADA programs in both key modes ({fp,exact}).
 
    As in test_por.ml, rwd-ada is excluded from the engine triple: its
    cyclic state space is intractable without memoized reduction, so it
@@ -226,25 +226,18 @@ let test_source_beats_sleep () =
     (mon_outcome (RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1))
 
 (* ------------------------------------------------------------------ *)
-(* Random programs across the jobs x batch x {fp,exact} grid (qcheck)  *)
+(* Random programs across the {fp,exact} key grid (qcheck)             *)
 (* ------------------------------------------------------------------ *)
 
-(* Whatever scheduling/keying knobs ride along, --reduction source must
-   reproduce the plain engine's computation and deadlock multisets.
-   (Under jobs > 1 the source engine deliberately runs sequentially —
-   the grid checks the knobs cannot corrupt it.) *)
-let grid = [ (1, 1, false); (2, 7, true); (8, 64, false) ]
+(* Whatever the key mode, --reduction source must reproduce the plain
+   engine's computation and deadlock multisets. *)
+let grid = [ false; true ]
 
 let source_matches_plain ~explore_fn prog =
-  let base = explore_fn ~reduction:Explore.No_reduction ~jobs:1 ~batch:1
-      ~exact_keys:false prog
-  in
+  let base = explore_fn ~reduction:Explore.No_reduction ~exact_keys:false prog in
   List.for_all
-    (fun (jobs, batch, exact) ->
-      let src =
-        explore_fn ~reduction:Explore.Source_sets ~jobs ~batch
-          ~exact_keys:exact prog
-      in
+    (fun exact ->
+      let src = explore_fn ~reduction:Explore.Source_sets ~exact_keys:exact prog in
       src.o_comps = base.o_comps
       && src.o_deads = base.o_deads
       && src.o_exh = None && base.o_exh = None)
@@ -254,8 +247,8 @@ let prop_csp_random =
   QCheck.Test.make ~name:"random CSP: source matches plain on the grid"
     ~count:40 Gen.csp_arb (fun prog ->
       source_matches_plain
-        ~explore_fn:(fun ~reduction ~jobs ~batch ~exact_keys prog ->
-          let o = Csp.explore ~reduction ~jobs ~batch ~exact_keys prog in
+        ~explore_fn:(fun ~reduction ~exact_keys prog ->
+          let o = Csp.explore ~reduction ~exact_keys prog in
           {
             o_comps = fps o.Csp.computations;
             o_deads = fps o.Csp.deadlocks;
@@ -268,8 +261,8 @@ let prop_monitor_random =
   QCheck.Test.make ~name:"random Monitor: source matches plain on the grid"
     ~count:30 Gen.monitor_arb (fun prog ->
       source_matches_plain
-        ~explore_fn:(fun ~reduction ~jobs ~batch ~exact_keys prog ->
-          let o = Monitor.explore ~reduction ~jobs ~batch ~exact_keys prog in
+        ~explore_fn:(fun ~reduction ~exact_keys prog ->
+          let o = Monitor.explore ~reduction ~exact_keys prog in
           {
             o_comps = fps o.Monitor.computations;
             o_deads = fps o.Monitor.deadlocks;
@@ -282,8 +275,8 @@ let prop_ada_random =
   QCheck.Test.make ~name:"random ADA: source matches plain on the grid"
     ~count:30 Gen.ada_arb (fun prog ->
       source_matches_plain
-        ~explore_fn:(fun ~reduction ~jobs ~batch ~exact_keys prog ->
-          let o = Ada.explore ~reduction ~jobs ~batch ~exact_keys prog in
+        ~explore_fn:(fun ~reduction ~exact_keys prog ->
+          let o = Ada.explore ~reduction ~exact_keys prog in
           {
             o_comps = fps o.Ada.computations;
             o_deads = fps o.Ada.deadlocks;

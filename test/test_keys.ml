@@ -15,7 +15,7 @@
    audited explorations assert [Fingerprint_collisions = 0], a
    deliberately degenerate constant key proves the audit oracle actually
    fires, and a parity matrix checks byte-identical computation
-   fingerprints across key mode x jobs x POR. *)
+   fingerprints and verdicts across key mode x checking jobs x POR. *)
 
 module Explore = Gem_lang.Explore
 module Monitor = Gem_lang.Monitor
@@ -107,51 +107,65 @@ let prop_csp_random_partition =
 (* Parity matrix: key mode x jobs x POR, byte-identical outcomes       *)
 (* ------------------------------------------------------------------ *)
 
+(* Each leg explores in one key mode and POR setting, then checks the
+   computations against the language spec on [jobs] checking domains:
+   the computation/deadlock fingerprints and the rendered verdicts must
+   match the exact-key, POR-on, jobs-1 leg byte for byte. *)
 let test_parity_matrix () =
   let matrix name run =
-    let bc, bd = run ~exact_keys:true ~jobs:1 ~por:true in
+    let outcome ~exact_keys ~por ~jobs =
+      let spec, comps, deads = run ~exact_keys ~por in
+      let verdicts =
+        List.map
+          (fun v -> Format.asprintf "%a" (Gem_check.Verdict.pp None) v)
+          (Gem_check.Check.check_all ~jobs spec comps)
+      in
+      (fps comps, fps deads, verdicts)
+    in
+    let bc, bd, bv = outcome ~exact_keys:true ~por:true ~jobs:1 in
     List.iter
       (fun por ->
         List.iter
           (fun jobs ->
             List.iter
               (fun exact_keys ->
-                let c, d = run ~exact_keys ~jobs ~por in
+                let c, d, v = outcome ~exact_keys ~por ~jobs in
                 let leg what =
                   Printf.sprintf "%s %s (exact=%b jobs=%d por=%b)" name what
                     exact_keys jobs por
                 in
                 check Alcotest.(list string) (leg "computations") bc c;
-                check Alcotest.(list string) (leg "deadlocks") bd d)
+                check Alcotest.(list string) (leg "deadlocks") bd d;
+                check Alcotest.(list string) (leg "verdicts") bv v)
               [ true; false ])
           [ 1; 2; 8 ])
       [ true; false ]
   in
   let rw = RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1 in
-  matrix "rw-monitor-1r1w" (fun ~exact_keys ~jobs ~por ->
-      let o = Monitor.explore ~por ~exact_keys ~jobs rw in
-      (fps o.Monitor.computations, fps o.Monitor.deadlocks));
+  matrix "rw-monitor-1r1w" (fun ~exact_keys ~por ->
+      let o = Monitor.explore ~por ~exact_keys rw in
+      (Monitor.language_spec rw, o.Monitor.computations, o.Monitor.deadlocks));
   let csp = Buffer_p.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
-  matrix "buffer-csp-1p1c2i" (fun ~exact_keys ~jobs ~por ->
-      let o = Csp.explore ~por ~exact_keys ~jobs csp in
-      (fps o.Csp.computations, fps o.Csp.deadlocks));
+  matrix "buffer-csp-1p1c2i" (fun ~exact_keys ~por ->
+      let o = Csp.explore ~por ~exact_keys csp in
+      (Csp.language_spec csp, o.Csp.computations, o.Csp.deadlocks));
   let ada = Buffer_p.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
-  matrix "buffer-ada-1p1c2i" (fun ~exact_keys ~jobs ~por ->
-      let o = Ada.explore ~por ~exact_keys ~jobs ada in
-      (fps o.Ada.computations, fps o.Ada.deadlocks))
+  matrix "buffer-ada-1p1c2i" (fun ~exact_keys ~por ->
+      let o = Ada.explore ~por ~exact_keys ada in
+      (Ada.language_spec ada, o.Ada.computations, o.Ada.deadlocks))
 
 (* Fingerprint and exact keys induce the same partition, so the reduced
    search must also visit exactly the same number of configurations. *)
 let test_explored_counts_agree () =
   let rw = RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1 in
   let me e =
-    let o = Monitor.explore ~por:true ~exact_keys:e ~jobs:1 rw in
+    let o = Monitor.explore ~por:true ~exact_keys:e rw in
     (o.Monitor.explored, o.Monitor.reduced)
   in
   check Alcotest.(pair int int) "rw-2r1w: counters" (me true) (me false);
   let csp = Buffer_p.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
   let ce e =
-    let o = Csp.explore ~por:true ~exact_keys:e ~jobs:1 csp in
+    let o = Csp.explore ~por:true ~exact_keys:e csp in
     (o.Csp.explored, o.Csp.reduced)
   in
   check Alcotest.(pair int int) "buffer-csp: counters" (ce true) (ce false)
@@ -174,15 +188,15 @@ let with_telemetry f =
 let test_audited_runs_collision_free () =
   with_telemetry (fun () ->
       let rw = RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1 in
-      ignore (Monitor.explore ~por:true ~exact_keys:false ~audit_keys:true ~jobs:1 rw);
+      ignore (Monitor.explore ~por:true ~exact_keys:false ~audit_keys:true rw);
       let ada =
         Buffer_p.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2
       in
-      ignore (Ada.explore ~por:true ~exact_keys:false ~audit_keys:true ~jobs:1 ada);
+      ignore (Ada.explore ~por:true ~exact_keys:false ~audit_keys:true ada);
       let csp =
         Buffer_p.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2
       in
-      ignore (Csp.explore ~por:true ~exact_keys:false ~audit_keys:true ~jobs:4 csp);
+      ignore (Csp.explore ~por:true ~exact_keys:false ~audit_keys:true csp);
       check Alcotest.int "audited workloads: fingerprint_collisions"
         0
         (T.read T.Fingerprint_collisions))

@@ -1,20 +1,15 @@
-(* Differential parity suite for domain-parallel exploration: every
-   lib/problems workload explored at jobs in {1, 2, 8} must produce
-   identical completed/deadlocked fingerprint multisets, the same
-   exhaustion status, and byte-identical rendered verdicts as the
-   sequential walk — with POR on and with it off. Parallel traversal
-   order is scheduler-dependent, so these assertions are exactly the
-   determinism contract of Explore.run's canonical merge: sorted leaves
-   (canonical key) and fingerprint-sorted deduplication make the
-   verdict-relevant outcome independent of who explored what.
+(* Differential parity suite for checking-layer parallelism. Exploration
+   is one sequential walk; --jobs spreads the per-computation checks
+   (Check.check_all, Refine.sat, Db_update.check) over domains with
+   Par.map. Every lib/problems workload, checked at jobs in {2, 8}, must
+   render byte-identical verdicts to jobs 1 — with POR on and off — which
+   pins Par.map's order preservation and shows that one budget shared by
+   the checking domains changes nothing when it does not bite — and,
+   when it does, stops every domain with the first reason observed.
 
-   qcheck extends the evidence to random loop-free CSP programs, reusing
-   the generators of the fuzzing library (Gem_fuzz.Gen).
-
-   The explored/reduced counters are NOT compared across job counts:
-   domains race to claim states, so duplicate claims (counted in
-   explored) and prune opportunities (counted in reduced) legitimately
-   differ from run to run. Only the verdict-relevant content is stable. *)
+   qcheck extends the evidence to random loop-free CSP programs under
+   random restrictions, reusing the generators of the fuzzing library
+   (Gem_fuzz.Gen). *)
 
 module Explore = Gem_lang.Explore
 module Monitor = Gem_lang.Monitor
@@ -26,55 +21,61 @@ module Rwd = Gem_problems.Rw_distributed
 module Db = Gem_problems.Db_update
 module Budget = Gem_check.Budget
 module Par = Gem_check.Par
+module Check = Gem_check.Check
 module Refine = Gem_check.Refine
 module Verdict = Gem_check.Verdict
 module Strategy = Gem_check.Strategy
+module Spec = Gem_spec.Spec
+module Etype = Gem_spec.Etype
+module Build = Gem_model.Build
+module F = Gem_logic.Formula
 module Gen_csp = Gem_fuzz.Gen
 
 let check = Alcotest.check
 let strategy = Strategy.Linearizations (Some 200)
 let job_counts = [ 2; 8 ]
-
-(* Sorted fingerprint multiset of a list of computations. *)
-let fps comps = List.sort compare (List.map Explore.fingerprint comps)
 let reason_opt = Option.map Budget.reason_keyword
+
+(* Render verdicts in the order the checker returned them: nothing is
+   re-sorted, so a permutation by the parallel map would show. *)
+let render verdicts =
+  String.concat "\n"
+    (List.mapi
+       (fun i v ->
+         Printf.sprintf "%d %s %s" i
+           (Verdict.status_keyword (Verdict.status v))
+           (Format.asprintf "%a" (Verdict.pp None) v))
+       verdicts)
 
 (* ------------------------------------------------------------------ *)
 (* Workload parity: jobs in {2, 8} vs sequential, POR on and off       *)
 (* ------------------------------------------------------------------ *)
 
-let assert_parity name run =
+let assert_parity name explore =
   List.iter
     (fun por ->
-      let c1, d1, x1 = run ~por ~jobs:1 in
+      let spec, comps = explore ~por in
+      let rendered jobs = render (Check.check_all ~strategy ~jobs spec comps) in
+      let base = rendered 1 in
       List.iter
         (fun jobs ->
-          let cn, dn, xn = run ~por ~jobs in
-          let tag =
-            Printf.sprintf "%s por=%b jobs=%d" name por jobs
-          in
-          check Alcotest.(list string) (tag ^ ": completed multiset") (fps c1) (fps cn);
-          check Alcotest.(list string) (tag ^ ": deadlock multiset") (fps d1) (fps dn);
-          check
-            Alcotest.(option string)
-            (tag ^ ": exhaustion") (reason_opt x1) (reason_opt xn))
+          check Alcotest.string
+            (Printf.sprintf "%s por=%b jobs=%d: verdicts" name por jobs)
+            base (rendered jobs))
         job_counts)
     [ true; false ]
 
 let mon_parity name prog =
-  assert_parity name (fun ~por ~jobs ->
-      let o = Monitor.explore ~por ~jobs prog in
-      (o.Monitor.computations, o.Monitor.deadlocks, o.Monitor.exhausted))
+  assert_parity name (fun ~por ->
+      (Monitor.language_spec prog, (Monitor.explore ~por prog).Monitor.computations))
 
 let csp_parity name prog =
-  assert_parity name (fun ~por ~jobs ->
-      let o = Csp.explore ~por ~jobs prog in
-      (o.Csp.computations, o.Csp.deadlocks, o.Csp.exhausted))
+  assert_parity name (fun ~por ->
+      (Csp.language_spec prog, (Csp.explore ~por prog).Csp.computations))
 
 let ada_parity name prog =
-  assert_parity name (fun ~por ~jobs ->
-      let o = Ada.explore ~por ~jobs prog in
-      (o.Ada.computations, o.Ada.deadlocks, o.Ada.exhausted))
+  assert_parity name (fun ~por ->
+      (Ada.language_spec prog, (Ada.explore ~por prog).Ada.computations))
 
 let test_rw_monitor_workloads () =
   mon_parity "rw-paper-1r1w" (RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1);
@@ -98,8 +99,9 @@ let test_distributed_workloads () =
     (Rwd.csp_program_no_priority ~readers:1 ~writers:1);
   csp_parity "db-update-2-sites" (Db.program ~sites:2)
 
-(* The Db_update report aggregates exploration and parallel per-computation
-   checking; the whole record must be jobs-independent. *)
+(* The Db_update report aggregates exploration and parallel
+   per-computation checking; the whole record must be jobs-independent,
+   counters included (exploration is sequential). *)
 let test_db_report_parity () =
   let base = Db.check ~jobs:1 ~sites:2 () in
   List.iter
@@ -109,38 +111,26 @@ let test_db_report_parity () =
       check Alcotest.int (tag ^ ": computations") base.Db.computations r.Db.computations;
       check Alcotest.int (tag ^ ": deadlocks") base.Db.deadlocks r.Db.deadlocks;
       check Alcotest.bool (tag ^ ": converges") base.Db.converges r.Db.converges;
+      check Alcotest.int (tag ^ ": explored") base.Db.explored r.Db.explored;
+      check Alcotest.int (tag ^ ": reduced") base.Db.reduced r.Db.reduced;
       check
         Alcotest.(option string)
         (tag ^ ": exhaustion") (reason_opt base.Db.exhausted) (reason_opt r.Db.exhausted))
     job_counts
 
 (* ------------------------------------------------------------------ *)
-(* Byte-identical rendered verdicts                                    *)
+(* Byte-identical rendered verdicts against the problem specs          *)
 (* ------------------------------------------------------------------ *)
 
-(* Render verdicts in the order the interpreter returned the computations:
-   unlike test_por's harness this does NOT re-sort, so it checks the
-   canonical-ordering guarantee of the outcome itself, and it also runs
-   the checking stage parallel (Refine.sat ~jobs) to cover Par.map's
-   order preservation. *)
-let render ~jobs ~problem ~map ?edges comps =
-  let verdicts = Refine.sat ~strategy ~jobs ?edges ~problem ~map comps in
-  String.concat "\n"
-    (List.map
-       (fun (i, v) ->
-         Printf.sprintf "%d %s %s" i
-           (Verdict.status_keyword (Verdict.status v))
-           (Format.asprintf "%a" (Verdict.pp None) v))
-       verdicts)
+let refined ~jobs ~problem ~map ?edges comps =
+  render (List.map snd (Refine.sat ~strategy ~jobs ?edges ~problem ~map comps))
 
 let test_verdicts_byte_identical () =
   let rw_case name monitor version ~readers ~writers =
-    let prog = RW.program ~monitor ~readers ~writers in
+    let comps = (Monitor.explore (RW.program ~monitor ~readers ~writers)).Monitor.computations in
     let problem = RW.spec version ~users:(RW.user_names ~readers ~writers) in
     let rendered jobs =
-      let o = Monitor.explore ~jobs prog in
-      render ~jobs ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
-        o.Monitor.computations
+      refined ~jobs ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence comps
     in
     let base = rendered 1 in
     List.iter
@@ -154,43 +144,166 @@ let test_verdicts_byte_identical () =
     ~writers:1;
   rw_case "rw-no-exclusion-falsified" RW.no_exclusion_monitor RW.Free_for_all
     ~readers:2 ~writers:1;
-  let buffer_rendered jobs =
-    let o =
-      Csp.explore ~jobs
-        (Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2)
-    in
-    render ~jobs ~problem:(Buffer.spec ~capacity:1) ~map:Buffer.csp_correspondence
-      o.Csp.computations
+  let comps =
+    (Csp.explore
+       (Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2))
+      .Csp.computations
   in
-  let base = buffer_rendered 1 in
+  let rendered jobs =
+    refined ~jobs ~problem:(Buffer.spec ~capacity:1) ~map:Buffer.csp_correspondence
+      comps
+  in
+  let base = rendered 1 in
   List.iter
     (fun jobs ->
       check Alcotest.string
         (Printf.sprintf "buffer-csp: verdicts byte-identical at jobs=%d" jobs)
-        base (buffer_rendered jobs))
+        base (rendered jobs))
     job_counts
 
-(* Regression for the latent nondeterminism the canonical merge fixed:
-   two runs of the SAME configuration (sequential included) must render
-   the same bytes — completed/deadlocked leaves are sorted by canonical
-   key and deduplication is fingerprint-sorted, so nothing about
-   traversal order can leak into reports. *)
+(* The acceptance grid: rendered verdicts are byte-identical across
+   checking jobs and the three reduction engines. Each engine runs at
+   two job counts, against the sleep engine at jobs 1. *)
+let test_acceptance_grid () =
+  let rw_prog = RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1 in
+  let rw_problem =
+    RW.spec RW.Readers_priority ~users:(RW.user_names ~readers:2 ~writers:1)
+  in
+  let buf_prog =
+    Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2
+  in
+  let rendered reduction jobs =
+    ( refined ~jobs ~edges:Refine.Actor_paths ~problem:rw_problem
+        ~map:RW.correspondence
+        (Monitor.explore ~reduction rw_prog).Monitor.computations,
+      refined ~jobs ~problem:(Buffer.spec ~capacity:1)
+        ~map:Buffer.csp_correspondence
+        (Csp.explore ~reduction buf_prog).Csp.computations )
+  in
+  let base = rendered Explore.Sleep_sets 1 in
+  List.iter
+    (fun (reduction, jobs) ->
+      let rw, buf = rendered reduction jobs in
+      let tag =
+        Printf.sprintf "%s jobs=%d" (Explore.reduction_name reduction) jobs
+      in
+      check Alcotest.string ("rw-monitor-2r1w verdicts " ^ tag) (fst base) rw;
+      check Alcotest.string ("buffer-csp verdicts " ^ tag) (snd base) buf)
+    Explore.
+      [
+        (No_reduction, 1); (No_reduction, 8); (Sleep_sets, 2); (Source_sets, 2);
+        (Source_sets, 8);
+      ]
+
+(* Two runs of the same configuration must render the same bytes:
+   completed/deadlocked leaves are sorted by canonical key and
+   deduplication is fingerprint-sorted, so nothing about traversal order
+   can leak into reports. *)
 let test_sequential_runs_identical () =
   let prog = RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1 in
   let problem = RW.spec RW.Readers_priority ~users:(RW.user_names ~readers:2 ~writers:1) in
-  let rendered () =
-    let o = Monitor.explore ~jobs:1 prog in
-    render ~jobs:1 ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
-      o.Monitor.computations
+  let rendered jobs =
+    refined ~jobs ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
+      (Monitor.explore prog).Monitor.computations
   in
-  check Alcotest.string "two sequential runs render identically" (rendered ())
-    (rendered ());
-  let par () =
-    let o = Monitor.explore ~jobs:8 prog in
-    render ~jobs:1 ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
-      o.Monitor.computations
-  in
-  check Alcotest.string "two jobs=8 runs render identically" (par ()) (par ())
+  check Alcotest.string "two sequential runs render identically" (rendered 1)
+    (rendered 1);
+  check Alcotest.string "two jobs=8 runs render identically" (rendered 8)
+    (rendered 8)
+
+(* ------------------------------------------------------------------ *)
+(* One budget shared by the checking domains                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Sixteen wide diamonds — a root enabling seven concurrent events on
+   distinct elements, 7! runs each — under a restriction that holds on
+   every run, so nothing but the budget ends the enumeration early. *)
+let diamond_spec =
+  let e = Etype.make "E" ~events:[ { Etype.klass = "E"; schema = [] } ] () in
+  Spec.make "budget-diamonds"
+    ~elements:(List.init 8 (fun i -> (Printf.sprintf "el%d" i, e)))
+    ~restrictions:
+      [ ("eventually-all", F.(eventually (forall [ ("e", Cls "E") ] (occurred "e")))) ]
+    ()
+
+let diamonds () =
+  List.init 16 (fun _ ->
+      let b = Build.create () in
+      let root = Build.emit b ~element:"el0" ~klass:"E" () in
+      for i = 1 to 7 do
+        Build.enable b root (Build.emit b ~element:(Printf.sprintf "el%d" i) ~klass:"E" ())
+      done;
+      Build.finish b)
+
+let inconclusive_reasons verdicts =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun v ->
+         match Verdict.status v with
+         | Verdict.Inconclusive r -> Some (Budget.reason_keyword r)
+         | Verdict.Verified | Verdict.Falsified -> None)
+       verdicts)
+
+(* An expiring deadline must stop every domain promptly: the budget's
+   cells are shared atomics, so the first domain to observe the deadline
+   publishes the reason and the others drain. Every cut verdict carries
+   exactly that one reason, and the check returns well within the 5s
+   bound. *)
+let test_parallel_deadline_stops_all_domains () =
+  List.iter
+    (fun jobs ->
+      let budget = Budget.make ~timeout:0.05 () in
+      let comps = diamonds () in
+      let t0 = Unix.gettimeofday () in
+      let verdicts =
+        Check.check_all ~strategy:(Strategy.Linearizations None) ~budget ~jobs
+          diamond_spec comps
+      in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Alcotest.check Alcotest.bool
+        (Printf.sprintf "jobs=%d returns promptly (%.2fs)" jobs elapsed)
+        true (elapsed < 5.0);
+      Alcotest.check Alcotest.(list string)
+        (Printf.sprintf "jobs=%d cut verdicts report the deadline" jobs)
+        [ "deadline-exceeded" ] (inconclusive_reasons verdicts);
+      Alcotest.check Alcotest.(option string)
+        (Printf.sprintf "jobs=%d budget agrees" jobs)
+        (Some "deadline-exceeded")
+        (Option.map Budget.reason_keyword (Budget.exhausted budget)))
+    [ 1; 2; 8 ]
+
+(* First reason wins under cancellation: eight domains race to observe a
+   poisoned deadline, and exactly one decision is recorded; a budget
+   whose configuration cap fired before checking began keeps that
+   reason even though its deadline has also passed by the time the
+   domains poll it. *)
+let test_budget_first_reason_wins () =
+  let module T = Gem_obs.Telemetry in
+  T.reset ();
+  T.enable ();
+  Fun.protect ~finally:T.disable (fun () ->
+      let budget = Budget.make ~timeout:0.0 () in
+      let verdicts =
+        Check.check_all ~strategy:(Strategy.Linearizations None) ~budget ~jobs:8
+          diamond_spec (diamonds ())
+      in
+      Alcotest.check Alcotest.(list string) "deadline wins at jobs=8"
+        [ "deadline-exceeded" ] (inconclusive_reasons verdicts);
+      Alcotest.check Alcotest.int "one deadline decision recorded" 1
+        (T.read T.Budget_stop_deadline);
+      let budget = Budget.make ~timeout:0.0 ~max_configs:1 () in
+      ignore (Budget.charge_config budget);
+      ignore (Budget.charge_config budget);
+      let verdicts =
+        Check.check_all ~strategy:(Strategy.Linearizations None) ~budget ~jobs:8
+          diamond_spec (diamonds ())
+      in
+      Alcotest.check Alcotest.(list string) "config-budget keeps priority at jobs=8"
+        [ "config-budget" ] (inconclusive_reasons verdicts);
+      Alcotest.check Alcotest.(option string) "budget agrees" (Some "config-budget")
+        (Option.map Budget.reason_keyword (Budget.exhausted budget));
+      Alcotest.check Alcotest.int "still one deadline decision" 1
+        (T.read T.Budget_stop_deadline))
 
 (* ------------------------------------------------------------------ *)
 (* Par.map: ordering, failure propagation, job-count defaulting        *)
@@ -245,17 +358,19 @@ let test_jobs_default_env () =
 
 let prop_csp_random_parallel_parity =
   QCheck.Test.make ~name:"random CSP: jobs in {2,8} agree with sequential"
-    ~count:40 Gen_csp.prog_arb (fun prog ->
+    ~count:40
+    QCheck.(pair Gen_csp.prog_arb (make Gen_csp.formula_gen))
+    (fun (prog, f) ->
+      let spec =
+        Spec.merge "random"
+          [ Csp.language_spec prog; Spec.make "restriction" ~restrictions:[ ("r", f) ] () ]
+      in
       List.for_all
         (fun por ->
-          let base = Csp.explore ~por ~jobs:1 prog in
+          let comps = (Csp.explore ~por prog).Csp.computations in
+          let base = render (Check.check_all ~strategy ~jobs:1 spec comps) in
           List.for_all
-            (fun jobs ->
-              let o = Csp.explore ~por ~jobs prog in
-              fps o.Csp.computations = fps base.Csp.computations
-              && fps o.Csp.deadlocks = fps base.Csp.deadlocks
-              && o.Csp.exhausted = None
-              && base.Csp.exhausted = None)
+            (fun jobs -> render (Check.check_all ~strategy ~jobs spec comps) = base)
             job_counts)
         [ true; false ])
 
@@ -274,6 +389,21 @@ let () =
         [
           Alcotest.test_case "verdicts byte-identical" `Quick test_verdicts_byte_identical;
           Alcotest.test_case "repeated runs identical" `Quick test_sequential_runs_identical;
+        ] );
+      ( "acceptance",
+        [
+          Alcotest.test_case "verdicts byte-identical on (jobs x engine) grid"
+            `Quick test_acceptance_grid;
+        ] );
+      ( "parallel",
+        [
+          Alcotest.test_case "deadline stops all domains" `Quick
+            test_parallel_deadline_stops_all_domains;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "first reason wins under cancellation" `Quick
+            test_budget_first_reason_wins;
         ] );
       ( "par-map",
         [

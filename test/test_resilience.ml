@@ -5,8 +5,8 @@
    may lose coverage, none may fabricate it:
 
    - bitstate runs must find exactly the computations of an exact run
-     on workloads that fit exactly (parity matrix: jobs in {1,2,8},
-     POR on and off), and must always finish Inconclusive
+     on workloads that fit exactly (parity matrix: POR on and off), and
+     must always finish Inconclusive
      (Bitstate_collision_risk) rather than Verified;
    - spilling must be invisible to the exploration order (LIFO parity),
      and a spill I/O failure must degrade to Spill_io_error, never a
@@ -18,9 +18,13 @@
      computations found are always a subset of the clean run's, any
      strict loss is reported as exhaustion, and every injected fault is
      survived;
-   - a worker domain crash under [degrade_crashes] cancels the run with
-     Worker_crashed instead of wedging the termination protocol, and a
-     domain that fails to start is absorbed by the remaining workers. *)
+   - a spool that always spills and a run that checkpoints as it goes
+     explore exactly what the default run explores: same explored,
+     reduced and truncated counts and the same leaf fingerprints, on
+     every lib/problems workload and on random Monitor and CSP programs;
+   - a truncated, bit-flipped or old-format checkpoint is refused with
+     an error, never a crash;
+   - an exception in one checking domain reaches the caller. *)
 
 module Explore = Gem_lang.Explore
 module Csp = Gem_lang.Csp
@@ -310,6 +314,81 @@ let test_checkpoint_fault_preserves_previous () =
       | Ok p -> check Alcotest.(list int) "previous snapshot intact" [ 1 ] p
       | Error e -> Alcotest.failf "read after faulted write: %s" e)
 
+(* Corruption: every damaged file must be refused with an [Error] before
+   anything is unmarshalled. The file under attack is a real engine
+   snapshot (db-update, 3 sites, cut at 1000 configurations). *)
+let with_engine_snapshot f =
+  let file = temp_ckpt () in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+    (fun () ->
+      ignore
+        (Csp.explore ~max_configs:1000
+           ~resilience:
+             { Explore.no_resilience with
+               checkpoint = Some (Checkpoint.ctl ~every:500 file);
+               stamp = "run/db3"
+             }
+           (Db.program ~sites:3));
+      let ic = open_in_bin file in
+      let bytes = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      f file bytes)
+
+let refused file =
+  match (Checkpoint.read ~stamp:"run/db3" file : (unit, string) result) with
+  | Error _ -> true
+  | Ok () -> false
+
+let rewrite file bytes =
+  let oc = open_out_bin file in
+  output_string oc bytes;
+  close_out oc
+
+let test_checkpoint_truncated () =
+  with_engine_snapshot (fun file bytes ->
+      let n = String.length bytes in
+      check Alcotest.bool "snapshot reads back intact" false (refused file);
+      List.iter
+        (fun len ->
+          rewrite file (String.sub bytes 0 len);
+          check Alcotest.bool
+            (Printf.sprintf "truncated to %d of %d bytes: refused" len n)
+            true (refused file))
+        [ 0; 4; 8; 12; 16; 23; 40; n / 3; n / 2; n - 17; n - 1 ])
+
+let test_checkpoint_flipped_byte () =
+  with_engine_snapshot (fun file bytes ->
+      let n = String.length bytes in
+      List.iter
+        (fun at ->
+          let b = Bytes.of_string bytes in
+          Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x40));
+          rewrite file (Bytes.to_string b);
+          check Alcotest.bool
+            (Printf.sprintf "byte %d of %d flipped: refused" at n)
+            true (refused file))
+        [ n - 1; n / 2; n - 100 ])
+
+let test_checkpoint_old_format () =
+  with_engine_snapshot (fun file bytes ->
+      (* The GEMCKPT1 layout: magic, marshalled stamp, marshalled
+         payload. *)
+      let payload = String.sub bytes 8 (String.length bytes - 8) in
+      rewrite file
+        ("GEMCKPT1" ^ Marshal.to_string "run/db3" [] ^ Marshal.to_string payload []);
+      check Alcotest.bool "GEMCKPT1 file refused" true (refused file);
+      check Alcotest.bool "the error names the old format" true
+        (match (Checkpoint.read ~stamp:"run/db3" file : (unit, string) result) with
+        | Error e ->
+            let sub = "GEMCKPT1" in
+            let rec has i =
+              i + String.length sub <= String.length e
+              && (String.sub e i (String.length sub) = sub || has (i + 1))
+            in
+            has 0
+        | Ok () -> false))
+
 (* ------------------------------------------------------------------ *)
 (* Bitstate engine parity matrix                                       *)
 (* ------------------------------------------------------------------ *)
@@ -320,30 +399,27 @@ let bitstate_res () =
 let bitstate_parity name prog =
   List.iter
     (fun por ->
-      let base = Csp.explore ~por ~jobs:1 prog in
+      let base = Csp.explore ~por prog in
       check Alcotest.(option string)
         (Printf.sprintf "%s por=%b: exact baseline is clean" name por)
         None (reason_opt base.Csp.exhausted);
-      List.iter
-        (fun jobs ->
-          let o = Csp.explore ~por ~jobs ~resilience:(bitstate_res ()) prog in
-          let tag = Printf.sprintf "%s por=%b jobs=%d bitstate" name por jobs in
-          check
-            Alcotest.(list string)
-            (tag ^ ": computation set")
-            (fpset base.Csp.computations)
-            (fpset o.Csp.computations);
-          check
-            Alcotest.(list string)
-            (tag ^ ": deadlock set")
-            (fpset base.Csp.deadlocks)
-            (fpset o.Csp.deadlocks);
-          check
-            Alcotest.(option string)
-            (tag ^ ": Verified downgraded")
-            (Some "bitstate-collision-risk")
-            (reason_opt o.Csp.exhausted))
-        [ 1; 2; 8 ])
+      let o = Csp.explore ~por ~resilience:(bitstate_res ()) prog in
+      let tag = Printf.sprintf "%s por=%b bitstate" name por in
+      check
+        Alcotest.(list string)
+        (tag ^ ": computation set")
+        (fpset base.Csp.computations)
+        (fpset o.Csp.computations);
+      check
+        Alcotest.(list string)
+        (tag ^ ": deadlock set")
+        (fpset base.Csp.deadlocks)
+        (fpset o.Csp.deadlocks);
+      check
+        Alcotest.(option string)
+        (tag ^ ": Verified downgraded")
+        (Some "bitstate-collision-risk")
+        (reason_opt o.Csp.exhausted))
     [ true; false ]
 
 let test_bitstate_parity_matrix () =
@@ -359,7 +435,7 @@ let test_bitstate_saturated_run_is_inconclusive () =
       bitstate = Some (Bitstate.create ~shards:1 ~bits:8 ())
     }
   in
-  let o = Csp.explore ~jobs:1 ~resilience:res (Db.program ~sites:3) in
+  let o = Csp.explore ~resilience:res (Db.program ~sites:3) in
   check Alcotest.(option string) "inconclusive"
     (Some "bitstate-collision-risk")
     (reason_opt o.Csp.exhausted);
@@ -376,9 +452,9 @@ let test_spool_engine_parity () =
      design, so under GEM_REDUCTION=source an unpinned baseline would
      count source configurations against a sleep spool run. *)
   let prog = Db.program ~sites:3 in
-  let base = Csp.explore ~reduction:Explore.Sleep_sets ~jobs:1 prog in
+  let base = Csp.explore ~reduction:Explore.Sleep_sets prog in
   let res = { Explore.no_resilience with spool = Some aggressive } in
-  let o = Csp.explore ~reduction:Explore.Sleep_sets ~jobs:1 ~resilience:res prog in
+  let o = Csp.explore ~reduction:Explore.Sleep_sets ~resilience:res prog in
   check Alcotest.(list string) "computations" (fpset base.Csp.computations)
     (fpset o.Csp.computations);
   check Alcotest.(list string) "deadlocks" (fpset base.Csp.deadlocks)
@@ -394,12 +470,12 @@ let test_spool_engine_fault_is_inconclusive () =
       T.reset ();
       arm_exn "3:1:spill-io";
       let res = { Explore.no_resilience with spool = Some aggressive } in
-      let o = Csp.explore ~jobs:1 ~resilience:res (Db.program ~sites:3) in
+      let o = Csp.explore ~resilience:res (Db.program ~sites:3) in
       check Alcotest.(option string) "degrades to spill-io-error"
         (Some "spill-io-error")
         (reason_opt o.Csp.exhausted);
       check Alcotest.bool "found only real computations" true
-        (let clean = fpset (Csp.explore ~jobs:1 (Db.program ~sites:3)).Csp.computations in
+        (let clean = fpset (Csp.explore (Db.program ~sites:3)).Csp.computations in
          List.for_all (fun fp -> List.mem fp clean) (fpset o.Csp.computations));
       check Alcotest.int "every injected fault survived" (T.read T.Faults_injected)
         (T.read T.Faults_survived);
@@ -420,12 +496,12 @@ let test_resume_reaches_identical_verdict () =
       List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ ck_a; ck_b ])
     (fun () ->
       (* Uninterrupted run through the same (checkpointing) engine. *)
-      let full = Csp.explore ~jobs:1 ~resilience:(stamp_res ck_a) prog in
+      let full = Csp.explore ~resilience:(stamp_res ck_a) prog in
       check Alcotest.(option string) "uninterrupted run is clean" None
         (reason_opt full.Csp.exhausted);
       (* Interrupted: stop on a config budget aligned with [every]. *)
       let cut =
-        Csp.explore ~jobs:1 ~max_configs:2000 ~resilience:(stamp_res ck_b) prog
+        Csp.explore ~max_configs:2000 ~resilience:(stamp_res ck_b) prog
       in
       check Alcotest.(option string) "interrupted run reports the budget"
         (Some "config-budget")
@@ -433,7 +509,7 @@ let test_resume_reaches_identical_verdict () =
       check Alcotest.bool "checkpoint file exists" true (Sys.file_exists ck_b);
       (* Resumed: must reproduce the uninterrupted run exactly. *)
       let resumed =
-        Csp.explore ~jobs:1
+        Csp.explore
           ~resilience:{ (stamp_res ck_b) with resume = Some ck_b }
           prog
       in
@@ -471,17 +547,147 @@ let test_resume_refuses_foreign_stamp () =
         }
       in
       ignore
-        (Csp.explore ~jobs:1 ~max_configs:2000 ~resilience:(res "run/db3")
+        (Csp.explore ~max_configs:2000 ~resilience:(res "run/db3")
            (Db.program ~sites:3));
       check Alcotest.bool "checkpoint written" true (Sys.file_exists ck);
       check Alcotest.bool "foreign stamp refused" true
         (try
            ignore
-             (Csp.explore ~jobs:1
+             (Csp.explore
                 ~resilience:{ (res "run/db4") with resume = Some ck }
                 (Db.program ~sites:4));
            false
          with Explore.Resume_error _ -> true))
+
+(* ------------------------------------------------------------------ *)
+(* Resilience options do not change counts                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The default walk, a spool that spills from its first check on, and a
+   walk that checkpoints as it goes must agree configuration by
+   configuration: equal explored, reduced and truncated counts and
+   equal leaf fingerprint multisets. The engine is pinned to sleep sets,
+   the default — under a spool or a checkpoint the source engine would
+   degrade to them. *)
+type counts = {
+  c_explored : int;
+  c_reduced : int;
+  c_truncated : int;
+  c_comps : string list;
+  c_deads : string list;
+}
+
+let fps comps = List.sort compare (List.map Explore.fingerprint comps)
+
+let always_spill () = Some (Spool.policy ~chunk:2 ~watermark_mb:0 ())
+
+(* [run resilience] explores one program; the result is compared across
+   the default, spilling and checkpointing resilience settings.
+   Returns the number of spill chunks written, so callers can check the
+   spool was really used. *)
+let assert_same_counts ?(every = 500) name run =
+  let ck = temp_ckpt () in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists ck then Sys.remove ck)
+    (fun () ->
+      let base = run Explore.no_resilience in
+      let spills0 = T.read T.Spill_chunks in
+      let spooled = run { Explore.no_resilience with spool = always_spill () } in
+      let spills = T.read T.Spill_chunks - spills0 in
+      let ckpt =
+        run
+          { Explore.no_resilience with
+            checkpoint = Some (Checkpoint.ctl ~every ck)
+          }
+      in
+      List.iter
+        (fun (mode, o) ->
+          let tag what = Printf.sprintf "%s %s: %s" name mode what in
+          check Alcotest.int (tag "explored") base.c_explored o.c_explored;
+          check Alcotest.int (tag "reduced") base.c_reduced o.c_reduced;
+          check Alcotest.int (tag "truncated") base.c_truncated o.c_truncated;
+          check Alcotest.(list string) (tag "computations") base.c_comps o.c_comps;
+          check Alcotest.(list string) (tag "deadlocks") base.c_deads o.c_deads)
+        [ ("spool", spooled); ("checkpoint", ckpt) ];
+      spills)
+
+let mon prog resilience =
+  let o = Gem_lang.Monitor.explore ~reduction:Explore.Sleep_sets ~resilience prog in
+  Gem_lang.Monitor.
+    {
+      c_explored = o.explored;
+      c_reduced = o.reduced;
+      c_truncated = o.truncated;
+      c_comps = fps o.computations;
+      c_deads = fps o.deadlocks;
+    }
+
+let csp prog resilience =
+  let o = Csp.explore ~reduction:Explore.Sleep_sets ~resilience prog in
+  Csp.
+    {
+      c_explored = o.explored;
+      c_reduced = o.reduced;
+      c_truncated = o.truncated;
+      c_comps = fps o.computations;
+      c_deads = fps o.deadlocks;
+    }
+
+let ada prog resilience =
+  let o = Gem_lang.Ada.explore ~reduction:Explore.Sleep_sets ~resilience prog in
+  Gem_lang.Ada.
+    {
+      c_explored = o.explored;
+      c_reduced = o.reduced;
+      c_truncated = o.truncated;
+      c_comps = fps o.computations;
+      c_deads = fps o.deadlocks;
+    }
+
+let test_workload_counts_unchanged () =
+  let module RW = Gem_problems.Readers_writers in
+  let module Buf = Gem_problems.Buffer in
+  let spills =
+    List.fold_left
+      (fun n (name, run) -> n + assert_same_counts name run)
+      0
+      [
+        ("rw-paper-2r1w", mon (RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1));
+        ( "rw-no-exclusion-2r1w",
+          mon (RW.program ~monitor:RW.no_exclusion_monitor ~readers:2 ~writers:1) );
+        ("rw-buggy-1r2w", mon (RW.program ~monitor:RW.buggy_monitor ~readers:1 ~writers:2));
+        ( "buffer-monitor-2p2c",
+          mon (Buf.monitor_solution ~capacity:2 ~producers:2 ~consumers:2 ~items_each:1) );
+        ( "buffer-buggy-monitor-1p1c2i",
+          mon
+            (Buf.buggy_monitor_solution ~capacity:1 ~producers:1 ~consumers:1
+               ~items_each:2) );
+        ( "buffer-csp-1p1c2i",
+          csp (Buf.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2) );
+        ( "buffer-ada-1p1c2i",
+          ada (Buf.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2) );
+        ("rwd-csp-1r1w", csp (Rwd.csp_program ~readers:1 ~writers:1));
+        ("rwd-csp-no-priority-1r1w", csp (Rwd.csp_program_no_priority ~readers:1 ~writers:1));
+        ("rwd-ada-1r1w", ada (Rwd.ada_program ~readers:1 ~writers:1));
+        ("db-update-3-sites", csp (Db.program ~sites:3));
+      ]
+  in
+  check Alcotest.bool "the spool really spilled" true (spills > 0)
+
+(* Random programs are small, so the checkpointing leg writes every 5
+   configurations instead of every 500 — otherwise it would never
+   write at all. *)
+let prop_random_monitor_counts =
+  QCheck.Test.make ~name:"random Monitor: spool and checkpoint keep counts"
+    ~count:25 Gen_csp.monitor_arb (fun prog ->
+      ignore (assert_same_counts ~every:5 "random monitor" (mon prog));
+      true)
+
+let prop_random_csp_counts =
+  QCheck.Test.make ~name:"random CSP: spool and checkpoint keep counts" ~count:25
+    Gen_csp.prog_arb (fun prog ->
+      ignore (assert_same_counts ~every:5 "random csp" (csp prog));
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel teardown under crashes                                     *)
@@ -490,47 +696,21 @@ let test_resume_refuses_foreign_stamp () =
 exception Boom
 
 (* A synthetic 512-leaf binary tree with one poisoned interior node:
-   moves from node 37 raise. Reachable from the root, deep enough that
-   all workers are busy when the crash lands. *)
+   moves from node 37 raise. Eight checking domains each walk a subtree;
+   the walks under roots 1, 2, 4 and 9 reach the poisoned node while the
+   others are still busy. *)
 let tree_moves c = if c = 37 then raise Boom else if c >= 512 then [] else [ (2 * c); (2 * c) + 1 ]
 let tree_done c = c >= 512
 
-let test_worker_crash_degrades () =
-  let res = { Explore.no_resilience with degrade_crashes = true } in
-  let r =
-    Explore.run ~jobs:8 ~resilience:res ~moves:tree_moves ~terminated:tree_done 1
-  in
-  match r.Explore.exhausted with
-  | Some (Budget.Worker_crashed msg) ->
-      check Alcotest.bool "crash message names the exception" true
-        (String.length msg > 0)
-  | other ->
-      Alcotest.failf "expected Worker_crashed, got %s"
-        (Option.value ~default:"clean" (reason_opt other))
-
 let test_worker_crash_reraises_by_default () =
-  check Alcotest.bool "default propagates the worker exception" true
+  check Alcotest.bool "a crashing domain's exception reaches the caller" true
     (try
-       ignore (Explore.run ~jobs:8 ~moves:tree_moves ~terminated:tree_done 1);
+       ignore
+         (Gem_check.Par.map ~jobs:8
+            (fun root -> Explore.run ~moves:tree_moves ~terminated:tree_done root)
+            (List.init 8 (fun i -> i + 1)));
        false
      with Boom -> true)
-
-let test_domain_start_fault_absorbed () =
-  with_disarmed (fun () ->
-      T.reset ();
-      arm_exn "9:1:domain-start";
-      (* Engine pinned to sleep: the source engine is sequential, so
-         under GEM_REDUCTION=source --jobs would never start a domain
-         and the domain-start fault point could not fire. *)
-      let prog = Db.program ~sites:2 in
-      let base = Csp.explore ~reduction:Explore.Sleep_sets ~jobs:1 prog in
-      let o = Csp.explore ~reduction:Explore.Sleep_sets ~jobs:8 prog in
-      check Alcotest.(list string) "main worker absorbs the whole walk"
-        (fpset base.Csp.computations) (fpset o.Csp.computations);
-      check Alcotest.(option string) "run is clean" None (reason_opt o.Csp.exhausted);
-      check Alcotest.bool "spawn faults fired" true (T.read T.Faults_injected > 0);
-      check Alcotest.int "all survived" (T.read T.Faults_injected)
-        (T.read T.Faults_survived))
 
 (* ------------------------------------------------------------------ *)
 (* Random CSP programs under injected faults (qcheck)                  *)
@@ -540,7 +720,7 @@ let prop_faulted_runs_sound =
   QCheck.Test.make
     ~name:"random CSP under GEM_FAULT: subset of clean, loss reported, faults survived"
     ~count:30 Gen_csp.prog_arb (fun prog ->
-      let clean = Csp.explore ~jobs:1 prog in
+      let clean = Csp.explore prog in
       QCheck.assume (clean.Csp.exhausted = None);
       let clean_comps = fpset clean.Csp.computations in
       let clean_dead = fpset clean.Csp.deadlocks in
@@ -555,7 +735,7 @@ let prop_faulted_runs_sound =
                   spool = Some (Spool.policy ~chunk:4 ~watermark_mb:0 ())
                 }
               in
-              let o = Csp.explore ~jobs:1 ~resilience:res prog in
+              let o = Csp.explore ~resilience:res prog in
               let comps = fpset o.Csp.computations in
               let dead = fpset o.Csp.deadlocks in
               let subset xs ys = List.for_all (fun x -> List.mem x ys) xs in
@@ -604,6 +784,10 @@ let () =
             test_checkpoint_corrupt_and_missing;
           Alcotest.test_case "faulted write keeps previous" `Quick
             test_checkpoint_fault_preserves_previous;
+          Alcotest.test_case "truncated file refused" `Quick test_checkpoint_truncated;
+          Alcotest.test_case "flipped payload byte refused" `Quick
+            test_checkpoint_flipped_byte;
+          Alcotest.test_case "old format refused" `Quick test_checkpoint_old_format;
         ] );
       ( "bitstate-engine",
         [
@@ -624,13 +808,17 @@ let () =
           Alcotest.test_case "foreign stamp refused" `Quick
             test_resume_refuses_foreign_stamp;
         ] );
+      ( "count-parity",
+        [
+          Alcotest.test_case "lib/problems workloads" `Quick
+            test_workload_counts_unchanged;
+          to_alc prop_random_monitor_counts;
+          to_alc prop_random_csp_counts;
+        ] );
       ( "par-teardown",
         [
-          Alcotest.test_case "crash degrades" `Quick test_worker_crash_degrades;
           Alcotest.test_case "crash re-raises by default" `Quick
             test_worker_crash_reraises_by_default;
-          Alcotest.test_case "domain-start fault absorbed" `Quick
-            test_domain_start_fault_absorbed;
         ] );
       ("random-faulted", [ to_alc prop_faulted_runs_sound ]);
     ]

@@ -194,7 +194,6 @@ let test_request_roundtrip () =
              por = Some false;
              exact_keys = Some true;
              jobs = 4;
-             batch = 128;
              bitstate_bits = Some 20;
              timeout = Some 1.5;
              max_configs = Some 100;
@@ -216,7 +215,7 @@ let test_request_roundtrip () =
 
 let test_request_canonical () =
   (* Workload keys come out sorted; defaults are omitted. *)
-  match R.parse "check rw writers=1 readers=2 por=off jobs=1 batch=64" with
+  match R.parse "check rw writers=1 readers=2 por=off jobs=1" with
   | Error e -> Alcotest.fail e
   | Ok r ->
       check Alcotest.string "canonical line" "check rw readers=2 writers=1 por=off"
@@ -249,7 +248,6 @@ let test_request_errors () =
   bad "check rw jobs=0" "positive integer";
   bad "check rw jobs=-1" "positive integer";
   bad "check rw jobs=abc" "positive integer";
-  bad "check rw batch=0" "positive integer";
   bad "check rw bitstate=nope" "positive integer";
   bad "check rw timeout=0" "timeout expects positive seconds";
   bad "check rw timeout=-1" "timeout expects positive seconds";
@@ -327,7 +325,6 @@ let test_verdict_key_sensitivity () =
             }
           (rw ()) );
       ("jobs", key ~engine:{ deft with R.jobs = 2 } (rw ()));
-      ("batch", key ~engine:{ deft with R.batch = 128 } (rw ()));
       ("bitstate", key ~engine:{ deft with R.bitstate_bits = Some 16 } (rw ()));
       ( "bitstate bits",
         key ~engine:{ deft with R.bitstate_bits = Some 18 } (rw ()) );
@@ -576,6 +573,8 @@ let test_handler_errors () =
   error_reply "check rw por=maybe" "parse:";
   error_reply "check nosuch" "unknown command";
   error_reply "check rw bogus=1" "unknown key";
+  (* batch= is not an engine key: a request that sends it is refused. *)
+  error_reply "check rw batch=64" "unknown key batch";
   error_reply "check db sites=2 restrict=true" "does not take a restrict";
   (* Junk must never crash the handler. *)
   List.iter
