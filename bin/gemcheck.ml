@@ -50,7 +50,9 @@ let budget_term =
     Arg.(value & opt (some int) None
          & info [ "max-runs" ] ~docv:"N"
              ~doc:(Printf.sprintf
-                     "Run-enumeration cap per temporal check (default %d)."
+                     "Run-enumeration cap per temporal check (default %d); \
+                      it also bounds each history lattice at N x (events + 1) \
+                      histories."
                      Strategy.default_run_cap))
   in
   let make timeout max_configs max_runs =

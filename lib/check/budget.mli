@@ -63,8 +63,9 @@ val make :
   t
 (** [timeout] is seconds of wall-clock from now; [max_configs] bounds
     interpreter configuration visits (cumulative); [max_runs] caps run
-    enumeration {e per temporal check} (it tightens strategy caps —
-    checking many computations does not exhaust it); [max_heap_mb] is a
+    enumeration {e per temporal check} (it tightens strategy caps, and
+    with them the history-lattice bound — checking many computations
+    does not exhaust it); [max_heap_mb] is a
     major-heap watermark. Omitted dimensions are unlimited. *)
 
 val unlimited : unit -> t

@@ -1,20 +1,92 @@
 module F = Gem_logic.Formula
 module Eval = Gem_logic.Eval
+module Lattice = Gem_logic.Lattice
+module Vhs = Gem_logic.Vhs
 module Spec = Gem_spec.Spec
 module Legality = Gem_spec.Legality
+
+(* Which runs a strategy enumerates, when they are paths of the history
+   lattice. A sample is not a set of paths the lattice can stand for. *)
+let lattice_runs = function
+  | Strategy.Linearizations _ -> Some Lattice.One_event_steps
+  | Strategy.Exhaustive_vhs _ -> Some Lattice.Antichain_steps
+  | Strategy.Sampled _ -> None
+
+type lattice = Built of Gem_logic.History.lattice | Too_big | Stopped of Budget.reason
+
+(* The lattice is built only while it holds at most as many histories as
+   the capped enumeration would (cap x (events + 1)); an exhausted budget
+   stops it before or during the build. *)
+let build_lattice ?budget strategy comp =
+  let stopped () = Option.bind budget Budget.exhausted in
+  match stopped () with
+  | Some reason -> Stopped reason
+  | None -> (
+      let per_run = Gem_model.Computation.n_events comp + 1 in
+      let cap =
+        match Strategy.cap ?budget strategy with
+        | Some c when c <= max_int / per_run -> Some (c * per_run)
+        | Some _ | None -> None
+      in
+      match Lattice.build ?cap ~stop:(fun () -> stopped () <> None) comp with
+      | Some l -> Built l
+      | None -> ( match stopped () with Some reason -> Stopped reason | None -> Too_big))
+
+(* A lattice refutation becomes a witness only once the run semantics
+   refutes it too; it then counts as the one run checked. *)
+let confirm comp f events =
+  match Vhs.of_linearization comp events with
+  | Some run when not (Eval.eval_run run f) ->
+      Gem_obs.Telemetry.(hit Runs_enumerated);
+      Some run
+  | Some _ | None -> None
 
 let check_restrictions ?budget ~strategy ~spec_name comp restrictions =
   let immediate, temporal = List.partition (fun (_, f) -> F.is_immediate f) restrictions in
   let failures = ref [] in
+  let fail name f witness =
+    failures := { Verdict.restriction = name; formula = f; witness } :: !failures
+  in
   List.iter
-    (fun (name, f) ->
-      if not (Eval.eval_computation comp f) then
-        failures := { Verdict.restriction = name; formula = f; witness = None } :: !failures)
+    (fun (name, f) -> if not (Eval.eval_computation comp f) then fail name f None)
     immediate;
   let runs_checked = ref 0 in
   let exhaustion = ref None in
   let complete = ref true in
-  if temporal <> [] then begin
+  let runs = lattice_runs strategy in
+  let on_lattice, enumerated =
+    match runs with
+    | Some runs -> List.partition (fun (_, f) -> Lattice.decides runs f) temporal
+    | None -> ([], temporal)
+  in
+  let enumerated =
+    if on_lattice = [] then enumerated
+    else
+      match build_lattice ?budget strategy comp with
+      | Stopped reason ->
+          exhaustion := Some reason;
+          complete := false;
+          []
+      | Too_big -> temporal
+      | Built l ->
+          complete := runs = Some Lattice.Antichain_steps;
+          let unconfirmed =
+            List.filter
+              (fun (name, f) ->
+                match Lattice.refute l f with
+                | None -> false
+                | Some events -> (
+                    match confirm comp f events with
+                    | Some run ->
+                        incr runs_checked;
+                        fail name f (Some run);
+                        false
+                    | None -> true))
+              on_lattice
+          in
+          unconfirmed @ enumerated
+  in
+  if enumerated <> [] then begin
     let enum = Strategy.enumerate ?budget strategy comp in
     complete := enum.Strategy.complete;
     (* The cap is per enumeration, so it is counted here, once per
@@ -25,7 +97,7 @@ let check_restrictions ?budget ~strategy ~spec_name comp restrictions =
         exhaustion := Some (Budget.Run_cap cap);
         Gem_obs.Telemetry.(hit Budget_stop_runs)
     | None -> ());
-    let pending = ref temporal in
+    let pending = ref enumerated in
     (try
        List.iter
          (fun run ->
@@ -39,13 +111,11 @@ let check_restrictions ?budget ~strategy ~spec_name comp restrictions =
            pending :=
              List.filter
                (fun (name, f) ->
-                 if Eval.eval_run run f then true
-                 else begin
-                   failures :=
-                     { Verdict.restriction = name; formula = f; witness = Some run }
-                     :: !failures;
-                   false
-                 end)
+                 Eval.eval_run run f
+                 || begin
+                      fail name f (Some run);
+                      false
+                    end)
                !pending;
            if !pending = [] then raise Exit)
          enum.Strategy.runs

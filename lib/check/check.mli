@@ -3,9 +3,14 @@
     [legal(C, sigma)] per the paper: the built-in legality restrictions
     ({!Gem_spec.Legality}) plus every explicit and element-type restriction
     of the specification. Immediate restrictions are evaluated once on the
-    full history; temporal restrictions are evaluated over the runs
-    produced by a {!Strategy}. Thread labels are attached before any
-    restriction is evaluated.
+    full history. Temporal restrictions that {!Gem_logic.Lattice} decides
+    exactly for the {!Strategy}'s runs are decided on the lattice of
+    histories, built only while it has at most cap x (events + 1)
+    histories for the strategy's run cap; a failure there is reported
+    with a witness run that {!Gem_logic.Eval.eval_run} refutes, counted
+    as the one run checked. The others, and all of them when the lattice
+    is bigger, are evaluated over the runs the {!Strategy} enumerates.
+    Thread labels are attached before any restriction is evaluated.
 
     All entry points accept an optional {!Budget.t}. Budget exhaustion
     never raises: it surfaces as an [Inconclusive] {!Verdict.status} with

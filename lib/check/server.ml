@@ -5,13 +5,7 @@
 
 type handler = string -> string list
 
-type conn = {
-  c_fd : Unix.file_descr;
-  mutable c_thread : Thread.t option;
-  mutable c_closed : bool;
-      (* Guarded by [s_lock]: once true, [c_fd] may be reused by the OS,
-         so the drain path must not touch it. *)
-}
+type conn = { c_fd : Unix.file_descr; mutable c_thread : Thread.t option }
 
 type t = {
   s_path : string;
@@ -19,6 +13,9 @@ type t = {
   s_stop : bool Atomic.t;
   s_lock : Mutex.t;
   mutable s_conns : conn list;
+      (* Guarded by [s_lock]: the open connections. A connection leaves
+         the list as its descriptor is closed, which the OS may then
+         reuse, so the drain never touches a closed one. *)
 }
 
 let create ~socket () =
@@ -45,6 +42,7 @@ let create ~socket () =
   }
 
 let socket_path t = t.s_path
+let live_connections t = Mutex.protect t.s_lock (fun () -> List.length t.s_conns)
 let request_stop t = Atomic.set t.s_stop true
 let stopping t = Atomic.get t.s_stop
 
@@ -78,11 +76,9 @@ let serve_conn t ~handler conn =
   let ic = Unix.in_channel_of_descr conn.c_fd in
   let close () =
     Mutex.protect t.s_lock (fun () ->
-        if not conn.c_closed then begin
-          conn.c_closed <- true;
-          (* close_in closes the underlying descriptor too. *)
-          close_in_noerr ic
-        end)
+        (* close_in closes the underlying descriptor too. *)
+        close_in_noerr ic;
+        t.s_conns <- List.filter (fun c -> c != conn) t.s_conns)
   in
   (try
      let continue = ref true in
@@ -130,7 +126,7 @@ let run t ~handler =
         match Unix.accept t.s_listen with
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
         | fd, _ ->
-            let conn = { c_fd = fd; c_thread = None; c_closed = false } in
+            let conn = { c_fd = fd; c_thread = None } in
             Mutex.protect t.s_lock (fun () -> t.s_conns <- conn :: t.s_conns);
             conn.c_thread <- Some (Thread.create (serve_conn t ~handler) conn))
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -143,9 +139,8 @@ let run t ~handler =
     Mutex.protect t.s_lock (fun () ->
         List.iter
           (fun c ->
-            if not c.c_closed then
-              try Unix.shutdown c.c_fd Unix.SHUTDOWN_RECEIVE
-              with Unix.Unix_error _ | Invalid_argument _ -> ())
+            try Unix.shutdown c.c_fd Unix.SHUTDOWN_RECEIVE
+            with Unix.Unix_error _ | Invalid_argument _ -> ())
           t.s_conns;
         t.s_conns)
   in

@@ -36,6 +36,10 @@ val create : socket:string -> unit -> t
 
 val socket_path : t -> string
 
+val live_connections : t -> int
+(** Connections accepted and not yet closed — the ones a drain would
+    wait for. *)
+
 val run : t -> handler:handler -> unit
 (** Accept and serve connections until {!request_stop}. Blocks the
     calling thread; the CLI calls it from the main thread so a signal

@@ -34,22 +34,23 @@ let capped enum cap comp =
           (List.filteri (fun i _ -> i < cap) runs, Some cap)
       | runs -> (runs, None))
 
-let enumerate ?budget t comp =
+let cap ?budget t =
   let tighten cap = min_opt cap (Option.bind budget Budget.max_runs) in
   match t with
-  | Exhaustive_vhs limit ->
-      let runs, truncated_at = capped Vhs.all (tighten limit) comp in
+  | Exhaustive_vhs limit | Linearizations limit -> tighten limit
+  | Sampled { count; _ } -> tighten (Some count)
+
+let enumerate ?budget t comp =
+  match t with
+  | Exhaustive_vhs _ ->
+      let runs, truncated_at = capped Vhs.all (cap ?budget t) comp in
       { runs; truncated_at; complete = truncated_at = None }
-  | Linearizations limit ->
-      let runs, truncated_at = capped Vhs.all_linearizations (tighten limit) comp in
+  | Linearizations _ ->
+      let runs, truncated_at = capped Vhs.all_linearizations (cap ?budget t) comp in
       { runs; truncated_at; complete = false }
-  | Sampled { seed; count } ->
+  | Sampled { seed; _ } ->
       let rng = Random.State.make [| seed |] in
-      let count =
-        match Option.bind budget Budget.max_runs with
-        | Some cap -> min count cap
-        | None -> count
-      in
+      let count = Option.get (cap ?budget t) in
       { runs = List.init count (fun _ -> Vhs.sample rng comp); truncated_at = None;
         complete = false }
 

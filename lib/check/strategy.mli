@@ -12,6 +12,11 @@
       history sets... not in general — see EXPERIMENTS.md E14 discussion);
     - sample random runs (sound for falsification only).
 
+    {!Check} decides the restrictions of the lattice fragment on the
+    lattice of histories instead ({!Gem_logic.Lattice}); for those the
+    strategy only says which runs are meant and bounds the lattice
+    through {!cap}.
+
     {b Domain safety.} Enumeration is pure per call: [Sampled] draws from
     a [Random.State] seeded inside the call (no global generator), and no
     strategy touches module-level mutable state, so concurrent
@@ -46,6 +51,11 @@ type enumeration = {
       (** [runs] is every complete run of the computation (exhaustive
           strategy, cap did not fire). *)
 }
+
+val cap : ?budget:Budget.t -> t -> int option
+(** The most runs {!enumerate} hands out: the strategy's own cap (a
+    sample's count) tightened by the budget's [max_runs]; [None] when
+    nothing caps it. *)
 
 val enumerate : ?budget:Budget.t -> t -> Gem_model.Computation.t -> enumeration
 (** Enumerate under the strategy's own cap tightened by the budget's

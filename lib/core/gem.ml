@@ -49,6 +49,7 @@ module Formula = Gem_logic.Formula
 module History = Gem_logic.History
 module Vhs = Gem_logic.Vhs
 module Eval = Gem_logic.Eval
+module Lattice = Gem_logic.Lattice
 module Etype = Gem_spec.Etype
 module Access = Gem_spec.Access
 module Abbrev = Gem_spec.Abbrev

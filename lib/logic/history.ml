@@ -72,64 +72,68 @@ let at h e1 is_e2 =
           (fun e2 -> mem h e2 && is_e2 e2)
           (Computation.enable_succs h.comp e1))
 
-(* BFS over the prefix lattice with set-keyed dedup: adding independent
-   events in either order yields the same down-set, so generation by ordered
-   insertion alone would duplicate. *)
-let all comp =
+type lattice = { histories : t array; succs : (int * int) list array }
+
+(* How many histories the builder adds between two [stop] polls. *)
+let poll_every = 64
+
+exception Stop
+
+(* Breadth-first from the empty history, one event per edge, with
+   set-keyed dedup: adding independent events in either order reaches the
+   same down-set, so generation by insertion alone would duplicate. BFS
+   layers are cardinalities, so every edge goes to a higher index. *)
+let lattice ?(cap = max_int) ?(stop = fun () -> false) comp =
   let module H = Hashtbl.Make (struct
     type t = Bitset.t
 
     let equal = Bitset.equal
     let hash = Bitset.hash
   end) in
-  let seen = H.create 64 in
+  let poset = Computation.temporal_exn comp in
+  let below = Array.init (Computation.n_events comp) (Poset.down_set poset) in
+  let index = H.create 64 in
+  let found = ref [] and count = ref 0 in
   let queue = Queue.create () in
-  let start = empty comp in
-  H.add seen start.set ();
-  Queue.add start queue;
-  let out = ref [] in
-  while not (Queue.is_empty queue) do
-    let h = Queue.pop queue in
-    out := h :: !out;
-    List.iter
-      (fun e ->
-        match add_step h [ e ] with
-        | Some h' -> if not (H.mem seen h'.set) then begin
-            H.add seen h'.set ();
-            Queue.add h' queue
-          end
-        | None -> ())
-      (frontier h)
-  done;
-  List.rev !out
+  let visit set =
+    match H.find_opt index set with
+    | Some i -> i
+    | None ->
+        if !count >= cap || (!count mod poll_every = 0 && stop ()) then raise Stop;
+        let i = !count in
+        incr count;
+        H.add index set i;
+        found := { comp; set } :: !found;
+        Queue.add set queue;
+        i
+  in
+  let build () =
+    ignore (visit (empty comp).set);
+    let succs = ref [] in
+    while not (Queue.is_empty queue) do
+      let set = Queue.pop queue in
+      let out = ref [] in
+      Array.iteri
+        (fun e down ->
+          if (not (Bitset.mem set e)) && Bitset.subset down set then begin
+            let set' = Bitset.copy set in
+            Bitset.add set' e;
+            out := (e, visit set') :: !out
+          end)
+        below;
+      succs := List.rev !out :: !succs
+    done;
+    {
+      histories = Array.of_list (List.rev !found);
+      succs = Array.of_list (List.rev !succs);
+    }
+  in
+  match build () with l -> Some l | exception Stop -> None
+
+let all comp = Array.to_list (Option.get (lattice comp)).histories
 
 let count ?(cap = max_int) comp =
-  let module H = Hashtbl.Make (struct
-    type t = Bitset.t
-
-    let equal = Bitset.equal
-    let hash = Bitset.hash
-  end) in
-  let seen = H.create 64 in
-  let queue = Queue.create () in
-  let start = empty comp in
-  H.add seen start.set ();
-  Queue.add start queue;
-  let n = ref 0 in
-  while (not (Queue.is_empty queue)) && !n < cap do
-    let h = Queue.pop queue in
-    incr n;
-    List.iter
-      (fun e ->
-        match add_step h [ e ] with
-        | Some h' -> if not (H.mem seen h'.set) then begin
-            H.add seen h'.set ();
-            Queue.add h' queue
-          end
-        | None -> ())
-      (frontier h)
-  done;
-  min !n cap
+  match lattice ~cap comp with Some l -> Array.length l.histories | None -> cap
 
 let pp ppf h =
   Format.fprintf ppf "@[<hov 2>history{%a}@]"

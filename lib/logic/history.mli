@@ -57,8 +57,28 @@ val at : t -> int -> (int -> bool) -> bool
 (** [at h e1 is_e2]: the paper's [e1 at E2] — [e1] occurred and has not
     enabled any event satisfying [is_e2] within the history. *)
 
+type lattice = {
+  histories : t array;
+      (** Every history, breadth-first from the empty one: index 0 is the
+          empty history, the last index the full one, and histories are
+          ordered by cardinality, so every edge goes to a higher index. *)
+  succs : (int * int) list array;
+      (** [succs.(i)] holds [(e, j)] for each event [e] of the
+          {!frontier} of history [i], in increasing [e], where [j] is the
+          index of history [i] plus [e]. *)
+}
+(** The lattice of histories (down-sets) with single-event edges — the
+    consistent cuts of the temporal order. Its maximal paths from index
+    0 are exactly the linearizations. *)
+
+val lattice :
+  ?cap:int -> ?stop:(unit -> bool) -> Gem_model.Computation.t -> lattice option
+(** The whole lattice, or [None] once it would exceed [cap] histories or
+    [stop] returns true; [stop] is polled before the first history and
+    then every 64. Exponential in the computation's width. *)
+
 val all : Gem_model.Computation.t -> t list
-(** Every history of the computation (the prefix lattice); exponential —
+(** Every history of the computation, in {!lattice} order; exponential —
     intended for small computations and tests. *)
 
 val count : ?cap:int -> Gem_model.Computation.t -> int

@@ -33,6 +33,7 @@ type counter =
   | Races_detected
   | Backtrack_points
   | Source_prunes
+  | Lattice_histories
 
 let counter_idx = function
   | Configs_explored -> 0
@@ -62,8 +63,9 @@ let counter_idx = function
   | Races_detected -> 24
   | Backtrack_points -> 25
   | Source_prunes -> 26
+  | Lattice_histories -> 27
 
-let n_counters = 27
+let n_counters = 28
 
 let counter_name = function
   | Configs_explored -> "configs_explored"
@@ -93,6 +95,7 @@ let counter_name = function
   | Races_detected -> "races_detected"
   | Backtrack_points -> "backtrack_points"
   | Source_prunes -> "source_prunes"
+  | Lattice_histories -> "lattice_histories"
 
 type phase =
   | Interp_step
@@ -232,6 +235,7 @@ let all_counters =
     Checkpoint_writes; Faults_injected; Faults_survived;
     Bitstate_saturated_prunes; Cache_hits; Cache_misses; Requests_coalesced;
     Explorations_shared; Races_detected; Backtrack_points; Source_prunes;
+    Lattice_histories;
   ]
 
 let snapshot_counters () = List.map (fun c -> (counter_name c, read c)) all_counters
@@ -263,8 +267,8 @@ let reset () =
 let stats_json ?(deterministic = false) () =
   let c name = Printf.sprintf {|"%s":%d|} (counter_name name) (read name) in
   let invariant =
-    Printf.sprintf {|"invariant":{%s,%s,%s}|} (c Runs_enumerated)
-      (c Formula_evals) (c Vhs_histories)
+    Printf.sprintf {|"invariant":{%s,%s,%s,%s}|} (c Runs_enumerated)
+      (c Formula_evals) (c Vhs_histories) (c Lattice_histories)
   in
   if deterministic then Printf.sprintf {|{"schema_version":1,%s}|} invariant
   else begin

@@ -28,7 +28,8 @@
       the seen table, or skipped by a source set that never scheduled
       it, never more than one;
     - the {e invariant} section of {!stats_json} ([Runs_enumerated],
-      [Formula_evals], [Vhs_histories]) is byte-stable across job
+      [Formula_evals], [Vhs_histories], [Lattice_histories]) is
+      byte-stable across job
       counts, because it is derived from the canonical computation
       list. *)
 
@@ -39,7 +40,9 @@ type counter =
   | Memo_misses  (** Seen-table lookups that recorded a new entry. *)
   | Sleep_prunes  (** Successors skipped because their move slept. *)
   | Runs_enumerated  (** Runs consumed by temporal checks. *)
-  | Formula_evals  (** Formula evaluations (per run or computation). *)
+  | Formula_evals
+      (** Formula evaluations: per run, per computation, and per
+          restriction decided on a history lattice. *)
   | Vhs_histories  (** Valid history sequences materialized. *)
   | Budget_stop_deadline  (** Budget stops: wall-clock deadline. *)
   | Budget_stop_configs  (** Budget stops: configuration budget. *)
@@ -88,12 +91,15 @@ type counter =
           backtrack set by any race — the engine's saving over sleep
           sets. Counted into [Configs_reduced] alongside [Sleep_prunes]
           and [Memo_hits]. *)
+  | Lattice_histories
+      (** Histories in the lattices built to decide temporal
+          restrictions without enumerating runs ({!Gem_logic.Lattice}). *)
 
 type phase =
   | Interp_step  (** One interpreter successor computation. *)
   | Canon_key  (** Canonical state-key construction (seal + marshal). *)
   | Seen_table  (** Seen-table lookup/record (memo subset rule). *)
-  | Run_enum  (** Linext/vhs run enumeration. *)
+  | Run_enum  (** Linext/vhs run enumeration and history-lattice builds. *)
   | Formula_eval  (** Temporal/immediate formula evaluation. *)
   | Project  (** Program-to-problem projection ({!Gem_check.Refine}). *)
   | Merge  (** Canonical leaf sort and fingerprint dedup. *)

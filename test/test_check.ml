@@ -168,6 +168,29 @@ let test_check_simultaneity_distinguishes () =
   check Alcotest.bool "vhs catches the joint step" false
     (Check.holds ~strategy:(Strategy.Exhaustive_vhs None) diamond_spec comp separated)
 
+(* On the history lattice <>p means "p on every run" (AF), not "on some
+   run": B strictly before C happens on one of the diamond's two
+   linearizations only. The lattice refutes it with a witness that the
+   run semantics refutes too, and counts that one run. *)
+let test_check_lattice_eventually_inevitable () =
+  let comp = diamond () in
+  let b_before_c =
+    F.(eventually
+         (exists [ ("b", Cls "B") ] (occurred "b")
+          &&& neg (exists [ ("c", Cls "C") ] (occurred "c"))))
+  in
+  let v =
+    Check.check_formula ~strategy:(Strategy.Linearizations None) diamond_spec comp
+      ~name:"b-first" b_before_c
+  in
+  check Alcotest.bool "falsified" false (Verdict.ok v);
+  check Alcotest.int "the witness is the one run checked" 1 v.Verdict.runs_checked;
+  match v.Verdict.failures with
+  | [ { Verdict.witness = Some run; _ } ] ->
+      check Alcotest.bool "run semantics refutes the witness" false
+        (Gem_logic.Eval.eval_run run b_before_c)
+  | _ -> Alcotest.fail "expected one failure with a witness"
+
 (* ------------------------------------------------------------------ *)
 (* Refinement                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -337,6 +360,8 @@ let () =
           Alcotest.test_case "illegal-skips" `Quick test_check_illegal_skips_restrictions;
           Alcotest.test_case "ablation-soundness" `Quick test_check_strategy_ablation_soundness;
           Alcotest.test_case "simultaneity" `Quick test_check_simultaneity_distinguishes;
+          Alcotest.test_case "lattice-eventually" `Quick
+            test_check_lattice_eventually_inevitable;
         ] );
       ( "budget",
         [

@@ -215,25 +215,32 @@ let test_sequential_runs_identical () =
 (* One budget shared by the checking domains                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Sixteen wide diamonds — a root enabling seven concurrent events on
-   distinct elements, 7! runs each — under a restriction that holds on
-   every run, so nothing but the budget ends the enumeration early. *)
-let diamond_spec =
+(* Sixteen diamonds — a root enabling [width] concurrent events on
+   distinct elements: width! runs and 2^width + 1 histories each. *)
+let diamond_spec_of ~width restriction =
   let e = Etype.make "E" ~events:[ { Etype.klass = "E"; schema = [] } ] () in
   Spec.make "budget-diamonds"
-    ~elements:(List.init 8 (fun i -> (Printf.sprintf "el%d" i, e)))
-    ~restrictions:
-      [ ("eventually-all", F.(eventually (forall [ ("e", Cls "E") ] (occurred "e")))) ]
+    ~elements:(List.init (width + 1) (fun i -> (Printf.sprintf "el%d" i, e)))
+    ~restrictions:[ ("eventually-all", restriction) ]
     ()
 
-let diamonds () =
+let diamonds_of ~width =
   List.init 16 (fun _ ->
       let b = Build.create () in
       let root = Build.emit b ~element:"el0" ~klass:"E" () in
-      for i = 1 to 7 do
+      for i = 1 to width do
         Build.enable b root (Build.emit b ~element:(Printf.sprintf "el%d" i) ~klass:"E" ())
       done;
       Build.finish b)
+
+let eventually_all = F.(eventually (forall [ ("e", Cls "E") ] (occurred "e")))
+
+(* Seven wide, under a restriction that holds on every run but lies just
+   outside the lattice fragment (a disjunction of temporal formulas), so
+   the runs are enumerated and nothing but the budget ends the
+   enumeration early. *)
+let diamond_spec = diamond_spec_of ~width:7 F.(eventually_all ||| henceforth False)
+let diamonds () = diamonds_of ~width:7
 
 let inconclusive_reasons verdicts =
   List.sort_uniq compare
@@ -249,15 +256,15 @@ let inconclusive_reasons verdicts =
    publishes the reason and the others drain. Every cut verdict carries
    exactly that one reason, and the check returns well within the 5s
    bound. *)
-let test_parallel_deadline_stops_all_domains () =
+let deadline_stops_all_domains spec comps () =
   List.iter
     (fun jobs ->
       let budget = Budget.make ~timeout:0.05 () in
-      let comps = diamonds () in
+      let comps = comps () in
       let t0 = Unix.gettimeofday () in
       let verdicts =
         Check.check_all ~strategy:(Strategy.Linearizations None) ~budget ~jobs
-          diamond_spec comps
+          spec comps
       in
       let elapsed = Unix.gettimeofday () -. t0 in
       Alcotest.check Alcotest.bool
@@ -271,6 +278,18 @@ let test_parallel_deadline_stops_all_domains () =
         (Some "deadline-exceeded")
         (Option.map Budget.reason_keyword (Budget.exhausted budget)))
     [ 1; 2; 8 ]
+
+(* The run enumeration of the seven-wide diamonds. *)
+let test_parallel_deadline_stops_all_domains =
+  deadline_stops_all_domains diamond_spec diamonds
+
+(* The lattice twin: the restriction is in the fragment and no run cap
+   bounds the lattice, so only the deadline, polled while the 2^18 + 1
+   histories are built, stops each check. *)
+let test_parallel_deadline_stops_lattice_builds =
+  deadline_stops_all_domains
+    (diamond_spec_of ~width:18 eventually_all)
+    (fun () -> diamonds_of ~width:18)
 
 (* First reason wins under cancellation: eight domains race to observe a
    poisoned deadline, and exactly one decision is recorded; a budget
@@ -399,6 +418,8 @@ let () =
         [
           Alcotest.test_case "deadline stops all domains" `Quick
             test_parallel_deadline_stops_all_domains;
+          Alcotest.test_case "deadline stops lattice builds" `Quick
+            test_parallel_deadline_stops_lattice_builds;
         ] );
       ( "budget",
         [

@@ -283,6 +283,167 @@ let prop_occurred_monotone =
         (Vhs.all ~limit:10 comp))
 
 (* ------------------------------------------------------------------ *)
+(* The history lattice against run enumeration                         *)
+(* ------------------------------------------------------------------ *)
+
+module Spec = Gem_spec.Spec
+module Etype = Gem_spec.Etype
+module Check = Gem_check.Check
+module Strategy = Gem_check.Strategy
+module Verdict = Gem_check.Verdict
+module Lattice = Gem_logic.Lattice
+
+let props_spec =
+  let e = Etype.make "E" ~events:[ { Etype.klass = "E"; schema = [] } ] () in
+  Spec.make "props" ~elements:(List.init 3 (fun i -> (Printf.sprintf "el%d" i, e))) ()
+
+let domain_gen = QCheck.Gen.oneofl F.[ Any; Cls "E"; At_elem "el0"; At_elem "el1" ]
+let forall x d body = F.Forall (x, d, body)
+let exists x d body = F.Exists (x, d, body)
+
+(* [make x d body] for a fresh variable [x] over a random domain [d], with
+   the body generated where [x] is bound. *)
+let quantified make body_gen vars depth =
+  QCheck.Gen.(
+    let x = Printf.sprintf "x%d" (List.length vars) in
+    let* d = domain_gen in
+    let+ body = body_gen (x :: vars) depth in
+    make x d body)
+
+(* Immediate formulas over the bound variables [vars] (non-empty). *)
+let rec imm_gen vars depth =
+  QCheck.Gen.(
+    let var = oneofl vars in
+    let atom =
+      oneof
+        [
+          map F.occurred var;
+          map F.fresh var;
+          map F.potential var;
+          map2 F.at_cls var domain_gen;
+          map2 F.temp_lt var var;
+          map2 F.distinct var var;
+          oneofl F.[ True; False ];
+        ]
+    in
+    if depth = 0 then atom
+    else
+      let sub = imm_gen vars (depth - 1) in
+      let literal = frequency [ (1, atom); (1, map F.neg atom) ] in
+      frequency
+        [
+          (2, atom);
+          (1, map F.neg sub);
+          (2, map2 F.( &&& ) literal literal);
+          (1, map2 F.( &&& ) sub sub);
+          (1, map2 F.( ||| ) sub sub);
+          (1, quantified exists imm_gen vars (depth - 1));
+        ])
+
+(* The fragment: immediate parts, /\, ALL, p ->, [] and, with
+   [eventually], <>p. Some variable is always bound. *)
+let rec frag_gen ~eventually vars depth =
+  QCheck.Gen.(
+    let frag = frag_gen ~eventually in
+    if vars = [] then quantified forall frag vars depth
+    else if depth = 0 then imm_gen vars 0
+    else
+      let sub = frag vars (depth - 1) in
+      let guarded vars depth = map2 F.( ==> ) (imm_gen vars 0) (frag vars depth) in
+      frequency
+        ([
+           (1, imm_gen vars 1);
+           (1, map2 F.( &&& ) sub sub);
+           (1, quantified forall frag vars (depth - 1));
+           (2, quantified forall guarded vars (depth - 1));
+           (2, guarded vars (depth - 1));
+           (3, map F.henceforth sub);
+         ]
+        @ if eventually then [ (3, map F.eventually (imm_gen vars 2)) ] else []))
+
+(* Just outside the fragment: a negated, disjoined or existentially
+   bound temporal formula. *)
+let outside_gen ~eventually =
+  QCheck.Gen.(
+    let frag = frag_gen ~eventually in
+    let always = map F.henceforth (frag [] 2) in
+    oneof
+      [
+        map F.neg always;
+        map2 F.( ||| ) always always;
+        quantified (fun x d body -> exists x d (F.henceforth body)) frag [] 1;
+      ])
+
+(* Temporal formulas only: an immediate restriction is checked on the
+   full history, not on runs. *)
+let formula_gen ~eventually =
+  QCheck.Gen.(
+    let frag = frag_gen ~eventually in
+    let+ f =
+      frequency
+        [
+          (3, map F.henceforth (frag [] 2));
+          (2, frag [] 3);
+          (3, quantified forall (quantified forall frag) [] 2);
+          (2, outside_gen ~eventually);
+        ]
+    in
+    if F.is_immediate f then F.henceforth f else f)
+
+(* The lattice verdict equals the verdict of uncapped enumeration with
+   [Eval.eval_run]. In the fragment the check enumerates nothing but its
+   witness, which [Vhs.of_steps] accepts and the run semantics refutes;
+   outside it, the check enumerates runs up to the first failing one. *)
+let lattice_agrees ~strategy ~enumerate ~lattice_runs (spec, f) =
+  let comp = build_comp spec in
+  let runs = enumerate ~limit:1001 comp in
+  QCheck.assume (List.compare_length_with runs 1000 <= 0);
+  let holds = List.map (fun run -> Eval.eval_run run f) runs in
+  let expected = List.for_all Fun.id holds in
+  let v = Check.check_formula ~strategy props_spec comp ~name:"p" f in
+  let witness_refutes =
+    match v.Verdict.failures with
+    | [] -> expected
+    | [ { Verdict.witness = Some w; _ } ] ->
+        (not expected)
+        && Vhs.of_steps (Vhs.computation w) (Vhs.steps w) <> None
+        && not (Eval.eval_run w f)
+    | _ -> false
+  in
+  let runs_checked =
+    if Lattice.decides lattice_runs f then if expected then 0 else 1
+    else
+      let rec upto i = function
+        | [] -> i
+        | true :: rest -> upto (i + 1) rest
+        | false :: _ -> i + 1
+      in
+      upto 0 holds
+  in
+  Verdict.status v = (if expected then Verdict.Verified else Verdict.Falsified)
+  && witness_refutes && v.Verdict.runs_checked = runs_checked
+
+let lattice_arb ~eventually =
+  QCheck.make
+    QCheck.Gen.(pair (QCheck.gen comp_arb) (formula_gen ~eventually))
+    ~print:(fun (spec, f) ->
+      Printf.sprintf "%s; %s" (Option.get comp_arb.QCheck.print spec) (F.to_string f))
+
+let prop_lattice_linearizations =
+  QCheck.Test.make ~name:"lattice = linearization enumeration" ~count:3000 ~max_gen:15000
+    (lattice_arb ~eventually:true)
+    (lattice_agrees ~strategy:(Strategy.Linearizations None)
+       ~enumerate:(fun ~limit -> Vhs.all_linearizations ~limit)
+       ~lattice_runs:Lattice.One_event_steps)
+
+let prop_lattice_vhs =
+  QCheck.Test.make ~name:"lattice = vhs enumeration ([] only)" ~count:3000 ~max_gen:15000
+    (lattice_arb ~eventually:false)
+    (lattice_agrees ~strategy:(Strategy.Exhaustive_vhs None)
+       ~enumerate:(fun ~limit -> Vhs.all ~limit)
+       ~lattice_runs:Lattice.Antichain_steps)
+
+(* ------------------------------------------------------------------ *)
 (* Bitsets against a set model                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -365,6 +526,8 @@ let () =
           to_alc prop_temporal_duality;
           to_alc prop_occurred_monotone;
         ] );
+      ( "lattice",
+        [ to_alc prop_lattice_linearizations; to_alc prop_lattice_vhs ] );
       ("bitset", [ to_alc prop_bitset_model ]);
       ("threads", [ to_alc prop_thread_chains ]);
     ]

@@ -631,7 +631,7 @@ let test_handler_survives_faults () =
 
 let socket_ctr = ref 0
 
-let with_server f =
+let with_server_t f =
   incr socket_ctr;
   let socket =
     Filename.concat
@@ -648,7 +648,9 @@ let with_server f =
       Server.request_stop srv;
       Thread.join thread;
       if Sys.file_exists socket then Sys.remove socket)
-    (fun () -> f socket)
+    (fun () -> f srv socket)
+
+let with_server f = with_server_t (fun _ socket -> f socket)
 
 let request_ok socket line =
   match Client.request ~socket line with
@@ -731,6 +733,22 @@ let test_server_survives_malformed_and_disconnect () =
       Thread.delay 0.05;
       let pong = request_ok socket "ping" in
       check Alcotest.int "daemon alive after disconnect" 0 pong.Client.code)
+
+(* A finished connection is forgotten: after a run of sequential
+   clients, each closing its connection, none is left listed, so a
+   flood of connections cannot grow the daemon. *)
+let test_server_forgets_closed_connections () =
+  with_server_t (fun srv socket ->
+      for _ = 1 to 50 do
+        ignore (request_ok socket "ping")
+      done;
+      (* The server closes its end once it reads the client's EOF. *)
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while Server.live_connections srv > 0 && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      check Alcotest.int "no connection left after 50 clients" 0
+        (Server.live_connections srv))
 
 let test_server_clean_shutdown () =
   incr socket_ctr;
@@ -841,6 +859,8 @@ let () =
             test_server_concurrent_duplicates;
           Alcotest.test_case "malformed and disconnects" `Quick
             test_server_survives_malformed_and_disconnect;
+          Alcotest.test_case "closed connections forgotten" `Quick
+            test_server_forgets_closed_connections;
           Alcotest.test_case "clean shutdown" `Quick test_server_clean_shutdown;
         ] );
       ("client", [ Alcotest.test_case "header fields" `Quick test_client_fields ]);
