@@ -1,7 +1,6 @@
 module Computation = Gem_model.Computation
 module Event = Gem_model.Event
 module Poset = Gem_order.Poset
-module Digraph = Gem_order.Digraph
 
 type mapping = {
   to_element : string;
@@ -29,9 +28,10 @@ let project ?(edges = Causal_paths) corr comp ~elements ~groups =
   match Computation.temporal comp with
   | None -> Error Cyclic_program
   | Some poset -> (
+      let mapped = Array.init (Computation.n_events comp) (corr comp) in
       let significant =
         List.filter_map
-          (fun h -> Option.map (fun m -> (h, m)) (corr comp h))
+          (fun h -> Option.map (fun m -> (h, m)) mapped.(h))
           (Computation.all_events comp)
       in
       (* Group significant events by target element, verify totality of the
@@ -65,19 +65,13 @@ let project ?(edges = Causal_paths) corr comp ~elements ~groups =
       match !clash with
       | Some (a, b) -> Error (Unserializable (a, b))
       | None ->
-          (* Array order: original topological position (handle order is
-             already consistent per element; use causal topological order
-             for global determinism). *)
-          let topo =
-            match Digraph.topological_sort (Computation.causal_graph comp) with
-            | Some o -> o
-            | None -> assert false
-          in
+          (* Array order: position in the temporal order's recorded linear
+             extension (handle order is already consistent per element; the
+             causal topological order makes it globally deterministic). *)
           let ordered =
             List.filter_map
-              (fun h ->
-                Option.map (fun m -> (h, m)) (List.assoc_opt h significant))
-              topo
+              (fun h -> Option.map (fun m -> (h, m)) mapped.(h))
+              (Poset.linear_extension poset)
           in
           let new_handle = Hashtbl.create 16 in
           List.iteri (fun i (h, _) -> Hashtbl.replace new_handle h i) ordered;
@@ -93,7 +87,10 @@ let project ?(edges = Causal_paths) corr comp ~elements ~groups =
           (* Projected enable: paths through non-significant events only;
              under Actor_paths the whole path must stay within one actor's
              activity. *)
-          let enable = Digraph.create (Array.length events) in
+          let enable = ref [] in
+          let add_edge a b =
+            enable := (Hashtbl.find new_handle a, Hashtbl.find new_handle b) :: !enable
+          in
           let is_significant h = Hashtbl.mem new_handle h in
           let actor_of h = (Computation.event comp h).Event.actor in
           List.iter
@@ -111,11 +108,7 @@ let project ?(edges = Causal_paths) corr comp ~elements ~groups =
                     if not (Hashtbl.mem seen s) then begin
                       Hashtbl.add seen s ();
                       if admissible s then
-                        if is_significant s then
-                          Digraph.add_edge enable
-                            (Hashtbl.find new_handle a)
-                            (Hashtbl.find new_handle s)
-                        else reach s
+                        if is_significant s then add_edge a s else reach s
                     end)
                   (Computation.enable_succs comp h)
               in
@@ -145,9 +138,7 @@ let project ?(edges = Causal_paths) corr comp ~elements ~groups =
               in
               let rec link = function
                 | (a, ma) :: ((b, mb) :: _ as rest) ->
-                    if not (String.equal ma.to_element mb.to_element) then
-                      Digraph.add_edge enable (Hashtbl.find new_handle a)
-                        (Hashtbl.find new_handle b);
+                    if not (String.equal ma.to_element mb.to_element) then add_edge a b;
                     link rest
                 | [ _ ] | [] -> ()
               in
@@ -155,7 +146,8 @@ let project ?(edges = Causal_paths) corr comp ~elements ~groups =
             by_prog_element;
           let element_names = List.map fst elements in
           Ok
-            (Computation.unsafe_make ~elements:element_names ~groups ~events ~enable))
+            (Computation.unsafe_make ~elements:element_names ~groups ~events
+               ~enable:(List.rev !enable)))
 
 let failed_projection ~spec_name err =
   {

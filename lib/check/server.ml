@@ -72,8 +72,66 @@ let write_all fd s =
     sent := !sent + Unix.write_substring fd s !sent (n - !sent)
   done
 
+(* The longest request line read, newline excluded. A longer one is
+   answered with a code-3 error and its connection closed, so a client
+   that never sends a newline cannot make the daemon allocate without
+   limit. *)
+let max_line_bytes = 1 lsl 20
+
+let line_too_long = {|{"serve":1,"error":"request line too long","code":3}|}
+
+(* Reads newline-framed lines from the connection's channel through a
+   small chunk; [pos, len) of [chunk] is read but not yet consumed. The
+   channel does the buffering (and its out-of-heap buffer keeps the
+   major GC paced to the connection rate, which a large chunk on the
+   OCaml heap would not), so the chunk stays small. *)
+type reader = {
+  ic : in_channel;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  line : Buffer.t;
+}
+
+let fill r =
+  r.pos <- 0;
+  r.len <- input r.ic r.chunk 0 (Bytes.length r.chunk)
+
+(* [input_line] (an unterminated last line included), or [None] once the
+   line passes [max_line_bytes]. Raises [End_of_file] at end of input. *)
+let read_line r =
+  Buffer.reset r.line;
+  let rec go () =
+    if r.pos = r.len then fill r;
+    if r.len = 0 then
+      if Buffer.length r.line > 0 then Some (Buffer.contents r.line)
+      else raise End_of_file
+    else
+      let stop =
+        match Bytes.index_from_opt r.chunk r.pos '\n' with
+        | Some i when i < r.len -> i
+        | _ -> r.len
+      in
+      if Buffer.length r.line + (stop - r.pos) > max_line_bytes then None
+      else begin
+        Buffer.add_subbytes r.line r.chunk r.pos (stop - r.pos);
+        if stop < r.len then begin
+          r.pos <- stop + 1;
+          Some (Buffer.contents r.line)
+        end
+        else begin
+          r.pos <- r.len;
+          go ()
+        end
+      end
+  in
+  go ()
+
 let serve_conn t ~handler conn =
   let ic = Unix.in_channel_of_descr conn.c_fd in
+  let reader =
+    { ic; chunk = Bytes.create 512; pos = 0; len = 0; line = Buffer.create 256 }
+  in
   let close () =
     Mutex.protect t.s_lock (fun () ->
         (* close_in closes the underlying descriptor too. *)
@@ -83,10 +141,14 @@ let serve_conn t ~handler conn =
   (try
      let continue = ref true in
      while !continue do
-       match input_line ic with
+       match read_line reader with
        | exception End_of_file -> continue := false
        | exception Sys_error _ -> continue := false
-       | line ->
+       | None ->
+           (try write_all conn.c_fd (line_too_long ^ "\n")
+            with Unix.Unix_error _ | Sys_error _ -> ());
+           continue := false
+       | Some line ->
            let replies =
              match handler line with
              | replies -> replies

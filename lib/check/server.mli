@@ -11,6 +11,9 @@
 
     Robustness contract (exercised by [test/test_serve.ml] and the CI
     serve smoke leg):
+    - a request line longer than {!max_line_bytes} (newline excluded) is
+      answered with [{"serve":1,"error":"request line too long","code":3}]
+      and its connection closed;
     - a handler exception answers that request with a one-line JSON
       error and leaves the connection (and the server) alive;
     - a client disconnecting mid-response kills only that connection;
@@ -28,6 +31,9 @@ type handler = string -> string list
     lines (each sent with a terminating newline). Must be thread-safe. *)
 
 type t
+
+val max_line_bytes : int
+(** The longest request line the server reads: 1 MiB. *)
 
 val create : socket:string -> unit -> t
 (** Bind and listen on a Unix-domain socket at [socket], replacing any

@@ -924,6 +924,12 @@ let run_tasks ~max_steps ~max_configs ~budget ~key ~audit ~expansion
 
 let run ?(max_steps = 10_000) ?(max_configs = 1_000_000) ?budget ?key ?audit
     ?footprint ?reduction ?(resilience = no_resilience) ~moves ~terminated init =
+  (* A budget's configuration cap replaces [max_configs] and its default:
+     the budget is charged per configuration, so the walk then needs no
+     cap of its own. *)
+  let max_configs =
+    if Option.bind budget Budget.max_configs = None then max_configs else max_int
+  in
   (* A bitstate table needs keys to store; without one it is ignored. *)
   let res =
     { resilience with bitstate = (if key = None then None else resilience.bitstate) }
@@ -964,7 +970,11 @@ let add_value buf v =
     | V.Unit -> Buffer.add_string buf "()"
     | V.Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | V.Int n -> Buffer.add_string buf (string_of_int n)
-    | V.Str s -> Buffer.add_string buf (Printf.sprintf "%S" s)
+    | V.Str s ->
+        (* What [%S] writes, without a format interpretation per string. *)
+        Buffer.add_char buf '"';
+        Buffer.add_string buf (String.escaped s);
+        Buffer.add_char buf '"'
     | V.Pair (a, b) ->
         Buffer.add_char buf '(';
         go a;
@@ -1003,29 +1013,26 @@ let add_event buf (e : Gem_model.Event.t) =
     Buffer.add_char buf ')'
   end
 
+(* Events in [Event.id_compare] order without sorting them: elements in
+   [String.compare] order, each element's events in index order. *)
 let fingerprint_into buf comp =
   let module C = Gem_model.Computation in
   let module E = Gem_model.Event in
-  let evs =
-    List.sort
-      (fun a b -> E.id_compare (C.event comp a).E.id (C.event comp b).E.id)
-      (C.all_events comp)
+  let add h =
+    add_event buf (C.event comp h);
+    Buffer.add_char buf ';';
+    let succs =
+      List.sort E.id_compare
+        (List.map (fun s -> (C.event comp s).E.id) (C.enable_succs comp h))
+    in
+    List.iter
+      (fun id ->
+        Buffer.add_char buf '>';
+        add_id buf id)
+      succs;
+    Buffer.add_char buf '|'
   in
-  List.iter
-    (fun h ->
-      add_event buf (C.event comp h);
-      Buffer.add_char buf ';';
-      let succs =
-        List.sort E.id_compare
-          (List.map (fun s -> (C.event comp s).E.id) (C.enable_succs comp h))
-      in
-      List.iter
-        (fun id ->
-          Buffer.add_char buf '>';
-          add_id buf id)
-        succs;
-      Buffer.add_char buf '|')
-    evs
+  List.iter (fun el -> List.iter add (C.events_at comp el)) (C.event_elements comp)
 
 let fingerprint comp =
   let buf = Buffer.create 256 in

@@ -171,7 +171,9 @@ val run :
     rather than raising, since an incomplete computation set makes
     "verified" claims unsound but is still a sound falsifier. [budget]
     adds a wall-clock deadline, a cumulative configuration counter and a
-    heap watermark, polled as the walk proceeds.
+    heap watermark, polled as the walk proceeds. A budget that caps
+    configurations replaces [max_configs] and its default: the budget is
+    then the one configuration limit.
 
     [key], when given, enables partial-order reduction by memoization: two
     configurations with equal keys generate the same set of future

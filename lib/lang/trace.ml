@@ -82,7 +82,6 @@ let touched_elements ~before after =
 
 let to_computation ?(extra_elements = []) ?(groups = []) t =
   let events = Array.of_list (List.rev t.rev_events) in
-  let enable = Gem_order.Digraph.of_edges t.n (List.rev t.rev_edges) in
   let seen = Hashtbl.create 16 in
   let elements_in_order =
     Array.to_list events
@@ -96,4 +95,4 @@ let to_computation ?(extra_elements = []) ?(groups = []) t =
   let extras = List.filter (fun el -> not (Hashtbl.mem seen el)) extra_elements in
   Gem_model.Computation.unsafe_make
     ~elements:(elements_in_order @ extras)
-    ~groups ~events ~enable
+    ~groups ~events ~enable:(List.rev t.rev_edges)

@@ -51,9 +51,8 @@ let emit_enabled_by t ~by ~element ~klass ?params () =
 let event_count t = t.n
 
 let finish t =
-  let events = Array.of_list (List.rev t.events) in
-  let enable = Gem_order.Digraph.of_edges t.n (List.rev t.enable_edges) in
   Computation.unsafe_make
     ~elements:(List.rev t.element_order)
     ~groups:(List.rev t.groups)
-    ~events ~enable
+    ~events:(Array.of_list (List.rev t.events))
+    ~enable:(List.rev t.enable_edges)

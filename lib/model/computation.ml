@@ -1,18 +1,11 @@
 module Digraph = Gem_order.Digraph
 module Poset = Gem_order.Poset
 
-module Id_map = Map.Make (struct
-  type t = Event.id
-
-  let compare = Event.id_compare
-end)
-
 type t = {
   elements : string list;
   groups : Group.t list;
   events : Event.t array;
   enable : Digraph.t;
-  by_id : int Id_map.t;
   at_element : (string, int list) Hashtbl.t;  (* element -> handles in order *)
   causal : Digraph.t;
   temporal : Poset.t option;
@@ -28,7 +21,9 @@ let event t h =
   if h < 0 || h >= Array.length t.events then invalid_arg "Computation.event";
   t.events.(h)
 
-let find t id = Id_map.find_opt id t.by_id
+let find t (id : Event.id) =
+  Option.bind (Hashtbl.find_opt t.at_element id.element)
+    (List.find_opt (fun h -> t.events.(h).Event.id.index = id.index))
 
 let find_exn t id =
   match find t id with
@@ -40,6 +35,9 @@ let handle_of t ~element ~index = find t { Event.element; index }
 let all_events t = List.init (Array.length t.events) Fun.id
 
 let events_at t el = Option.value ~default:[] (Hashtbl.find_opt t.at_element el)
+
+let event_elements t =
+  List.sort String.compare (Hashtbl.fold (fun el _ acc -> el :: acc) t.at_element [])
 
 let events_of_class t klass =
   let acc = ref [] in
@@ -69,44 +67,36 @@ let temporal_exn t =
 let temp_lt t a b = Poset.lt (temporal_exn t) a b
 let concurrent t a b = a <> b && not (temp_lt t a b) && not (temp_lt t b a)
 
-let build_tables events enable elements groups =
+(* One pass over the enable edges and the events builds the enable graph,
+   the causal graph (enable plus element-successor edges), the per-element
+   lists and the successor lists of the temporal order's walk. A scan from
+   the last handle down meets each element's events from the highest
+   occurrence index down, so consing links each event to its element
+   successor and leaves every list in element order. *)
+let unsafe_make ~elements ~groups ~events ~enable:edges =
   let n = Array.length events in
-  let by_id =
-    Array.to_seq events
-    |> Seq.mapi (fun h (e : Event.t) -> (e.id, h))
-    |> Id_map.of_seq
-  in
+  let enable = Digraph.create n and causal = Digraph.create n in
+  let succs = Array.make n [] in
+  List.iter
+    (fun (a, b) ->
+      Digraph.add_edge enable a b;
+      Digraph.add_edge causal a b;
+      succs.(a) <- b :: succs.(a))
+    edges;
   let at_element = Hashtbl.create 16 in
-  Array.iteri
-    (fun h (e : Event.t) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt at_element e.id.element) in
-      Hashtbl.replace at_element e.id.element (h :: prev))
-    events;
-  (* Reverse and sort each list by occurrence index. *)
-  Hashtbl.filter_map_inplace
-    (fun _ hs ->
-      Some
-        (List.sort
-           (fun a b -> Int.compare events.(a).Event.id.index events.(b).Event.id.index)
-           hs))
-    at_element;
-  let causal = Digraph.copy enable in
-  Hashtbl.iter
-    (fun _ hs ->
-      let rec link = function
-        | a :: (b :: _ as rest) ->
-            Digraph.add_edge causal a b;
-            link rest
-        | [ _ ] | [] -> ()
-      in
-      link hs)
-    at_element;
-  let temporal = Poset.of_digraph causal in
-  ignore n;
-  { elements; groups; events; enable; by_id; at_element; causal; temporal }
-
-let unsafe_make ~elements ~groups ~events ~enable =
-  build_tables events enable elements groups
+  for h = n - 1 downto 0 do
+    let id = events.(h).Event.id in
+    match Hashtbl.find_opt at_element id.element with
+    | Some (next :: _ as hs) ->
+        if id.index >= events.(next).Event.id.index then
+          invalid_arg "Computation.unsafe_make: element order differs from handle order";
+        Digraph.add_edge causal h next;
+        succs.(h) <- next :: succs.(h);
+        Hashtbl.replace at_element id.element (h :: hs)
+    | Some [] | None -> Hashtbl.replace at_element id.element [ h ]
+  done;
+  let temporal = Poset.of_succs succs in
+  { elements; groups; events; enable; at_element; causal; temporal }
 
 let map_events f t =
   let events =

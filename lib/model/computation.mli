@@ -37,7 +37,8 @@ val event : t -> int -> Event.t
 (** Raises [Invalid_argument] on an out-of-range handle. *)
 
 val find : t -> Event.id -> int option
-(** Handle of the event with the given identity. *)
+(** Handle of the event with the given identity, by a scan of its
+    element's events. *)
 
 val find_exn : t -> Event.id -> int
 
@@ -47,6 +48,9 @@ val all_events : t -> int list
 
 val events_at : t -> string -> int list
 (** Handles of the events at an element, in element order. *)
+
+val event_elements : t -> string list
+(** The elements that have events, in [String.compare] order. *)
 
 val events_of_class : t -> string -> int list
 (** Handles of all events of a class, ascending handle order. *)
@@ -73,7 +77,9 @@ val causal_graph : t -> Gem_order.Digraph.t
 
 val temporal : t -> Gem_order.Poset.t option
 (** The temporal order, or [None] when the causal graph is cyclic
-    (computed once at construction). *)
+    (computed once at construction). Its
+    {!Gem_order.Poset.linear_extension} is the causal graph's
+    topological order, smallest ready handle first. *)
 
 val temporal_exn : t -> Gem_order.Poset.t
 
@@ -98,7 +104,11 @@ val unsafe_make :
   elements:string list ->
   groups:Group.t list ->
   events:Event.t array ->
-  enable:Gem_order.Digraph.t ->
+  enable:(int * int) list ->
   t
-(** Trusts that event identities are consistent with array positions
-    grouped per element in index order; {!Build.finish} guarantees this. *)
+(** [enable] lists the enable edges between handles (repeats allowed).
+    At each element, handle order must be occurrence-index order, which
+    also makes identities unique; {!Build.finish}, [Trace.to_computation]
+    and [Refine.project] guarantee this, and a violation raises
+    [Invalid_argument]. Builds every table and the temporal order in one
+    pass. *)

@@ -102,10 +102,17 @@ let disjoint a b =
   in
   loop 0
 
+(* Skips zero bytes whole and tests bits only inside a nonzero one: a
+   sparse row costs a byte scan, not [cap] bit tests. Bits at or past
+   [cap] are never set, so the last byte needs no mask. *)
 let iter f t =
-  for i = 0 to t.cap - 1 do
-    if Char.code (Bytes.unsafe_get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
-    then f i
+  let bits = t.bits in
+  for j = 0 to Bytes.length bits - 1 do
+    let b = Char.code (Bytes.unsafe_get bits j) in
+    if b <> 0 then
+      for k = 0 to 7 do
+        if b land (1 lsl k) <> 0 then f ((j lsl 3) lor k)
+      done
   done
 
 let fold f t init =
@@ -131,9 +138,17 @@ let for_all p t =
 let exists p t = not (for_all (fun i -> not (p i)) t)
 
 let choose t =
-  let result = ref None in
-  (try iter (fun i -> result := Some i; raise Found) t with Found -> ());
-  !result
+  let bits = t.bits in
+  let rec byte j =
+    if j >= Bytes.length bits then None
+    else
+      let b = Char.code (Bytes.unsafe_get bits j) in
+      if b = 0 then byte (j + 1)
+      else
+        let rec bit k = if b land (1 lsl k) <> 0 then k else bit (k + 1) in
+        Some ((j lsl 3) lor bit 0)
+  in
+  byte 0
 
 let hash t = Hashtbl.hash (t.cap, Bytes.to_string t.bits)
 

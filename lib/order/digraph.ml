@@ -66,25 +66,21 @@ let in_degrees g =
   Array.iter (fun row -> Bitset.iter (fun v -> deg.(v) <- deg.(v) + 1) row) g.adj;
   deg
 
-(* Kahn's algorithm with a smallest-first ready heap (a sorted module on
-   int lists would be quadratic; a simple priority queue via module Set). *)
-module Iset = Set.Make (Int)
-
+(* Kahn's algorithm; the ready set is a bitset, whose [choose] is the
+   smallest ready node. *)
 let topological_sort g =
   let deg = in_degrees g in
-  let ready = ref Iset.empty in
-  for v = 0 to g.n - 1 do
-    if deg.(v) = 0 then ready := Iset.add v !ready
-  done;
+  let ready = Bitset.create g.n in
+  Array.iteri (fun v d -> if d = 0 then Bitset.add ready v) deg;
   let rec loop acc seen =
-    match Iset.min_elt_opt !ready with
+    match Bitset.choose ready with
     | None -> if seen = g.n then Some (List.rev acc) else None
     | Some v ->
-        ready := Iset.remove v !ready;
+        Bitset.remove ready v;
         Bitset.iter
           (fun w ->
             deg.(w) <- deg.(w) - 1;
-            if deg.(w) = 0 then ready := Iset.add w !ready)
+            if deg.(w) = 0 then Bitset.add ready w)
           g.adj.(v);
         loop (v :: acc) (seen + 1)
   in

@@ -1,16 +1,39 @@
-type t = { n : int; below : Bitset.t array (* below.(v) = strict predecessors of v *) }
+type t = {
+  n : int;
+  below : Bitset.t array;  (* below.(v) = strict predecessors of v *)
+  order : int array;  (* the walk's pop order: a linear extension *)
+}
 
-let of_digraph g =
-  if Digraph.has_cycle g then None
-  else begin
-    let closure = Digraph.transitive_closure g in
-    let n = Digraph.size g in
-    let below = Array.init n (fun _ -> Bitset.create n) in
-    for u = 0 to n - 1 do
-      List.iter (fun v -> Bitset.add below.(v) u) (Digraph.succs closure u)
-    done;
-    Some { n; below }
-  end
+(* One Kahn walk, smallest ready node first. A node pops only after every
+   predecessor has, so its down-set is complete by then, and the walk
+   unions that set and the node itself into each successor's. Nodes on a
+   cycle (a self-loop included) never become ready. *)
+let of_succs succs =
+  let n = Array.length succs in
+  let deg = Array.make n 0 in
+  Array.iter (List.iter (fun w -> deg.(w) <- deg.(w) + 1)) succs;
+  let ready = Bitset.create n in
+  Array.iteri (fun v d -> if d = 0 then Bitset.add ready v) deg;
+  let below = Array.init n (fun _ -> Bitset.create n) in
+  let order = Array.make n 0 in
+  let rec walk popped =
+    match Bitset.choose ready with
+    | None -> if popped = n then Some { n; below; order } else None
+    | Some v ->
+        Bitset.remove ready v;
+        order.(popped) <- v;
+        List.iter
+          (fun w ->
+            Bitset.union_into below.(w) below.(v);
+            Bitset.add below.(w) v;
+            deg.(w) <- deg.(w) - 1;
+            if deg.(w) = 0 then Bitset.add ready w)
+          succs.(v);
+        walk (popped + 1)
+  in
+  walk 0
+
+let of_digraph g = of_succs (Array.init (Digraph.size g) (Digraph.succs g))
 
 let of_digraph_exn g =
   match of_digraph g with
@@ -18,6 +41,7 @@ let of_digraph_exn g =
   | None -> invalid_arg "Poset.of_digraph_exn: cyclic graph"
 
 let size p = p.n
+let linear_extension p = Array.to_list p.order
 
 let check p v = if v < 0 || v >= p.n then invalid_arg "Poset: node out of range"
 
@@ -81,42 +105,37 @@ let to_digraph p =
 let covers p = Digraph.edges (Digraph.transitive_reduction (to_digraph p))
 
 let height p =
-  (* Longest chain via DP in a topological order of the cover graph. *)
+  (* Longest chain via DP along the recorded linear extension. *)
   if p.n = 0 then 0
   else begin
-    let g = to_digraph p in
-    match Digraph.topological_sort g with
-    | None -> assert false
-    | Some order ->
-        let len = Array.make p.n 1 in
-        List.iter
-          (fun v ->
-            Bitset.iter (fun u -> if len.(u) + 1 > len.(v) then len.(v) <- len.(u) + 1) p.below.(v))
-          order;
-        Array.fold_left max 0 len
+    let len = Array.make p.n 1 in
+    Array.iter
+      (fun v ->
+        Bitset.iter
+          (fun u -> if len.(u) + 1 > len.(v) then len.(v) <- len.(u) + 1)
+          p.below.(v))
+      p.order;
+    Array.fold_left max 0 len
   end
 
 let width_lower_bound p =
   if p.n = 0 then 0
   else begin
     (* Layer nodes by height-rank; the largest layer is an antichain. *)
-    let g = to_digraph p in
-    match Digraph.topological_sort g with
-    | None -> assert false
-    | Some order ->
-        let rank = Array.make p.n 0 in
-        List.iter
-          (fun v ->
-            Bitset.iter
-              (fun u -> if rank.(u) + 1 > rank.(v) then rank.(v) <- rank.(u) + 1)
-              p.below.(v))
-          order;
-        let counts = Hashtbl.create 8 in
-        Array.iter
-          (fun r ->
-            Hashtbl.replace counts r (1 + Option.value ~default:0 (Hashtbl.find_opt counts r)))
-          rank;
-        Hashtbl.fold (fun _ c best -> max c best) counts 0
+    let rank = Array.make p.n 0 in
+    Array.iter
+      (fun v ->
+        Bitset.iter
+          (fun u -> if rank.(u) + 1 > rank.(v) then rank.(v) <- rank.(u) + 1)
+          p.below.(v))
+      p.order;
+    let counts = Hashtbl.create 8 in
+    Array.iter
+      (fun r ->
+        Hashtbl.replace counts r
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts r)))
+      rank;
+    Hashtbl.fold (fun _ c best -> max c best) counts 0
   end
 
 exception Limit_reached

@@ -9,15 +9,26 @@
 
 type t
 
+val of_succs : int list array -> t option
+(** [of_succs succs] is the transitive closure of the graph on
+    [0 .. Array.length succs - 1] with an edge [v -> w] for each [w] in
+    [succs.(v)] (repeats allowed), or [None] if that closure would be
+    reflexive anywhere (the graph has a cycle, a self-loop included),
+    since a strict order must be irreflexive. One Kahn walk, smallest
+    ready node first, yields the closure, the cycle check and
+    {!linear_extension}. *)
+
 val of_digraph : Digraph.t -> t option
-(** Transitive closure of the edge set; [None] if that closure would be
-    reflexive anywhere (i.e. the graph has a cycle), since a strict order
-    must be irreflexive. *)
+(** {!of_succs} over the graph's rows. *)
 
 val of_digraph_exn : Digraph.t -> t
 (** Raises [Invalid_argument] on cyclic input. *)
 
 val size : t -> int
+
+val linear_extension : t -> int list
+(** The walk's pop order: among ready nodes, smallest index first. Equal
+    to [Digraph.topological_sort] of the generating graph. *)
 
 val lt : t -> int -> int -> bool
 (** [lt p a b] iff [a] strictly precedes [b]. *)

@@ -1,7 +1,6 @@
 module F = Gem_logic.Formula
 module Computation = Gem_model.Computation
 module Event = Gem_model.Event
-module Digraph = Gem_order.Digraph
 
 type pat =
   | Step of F.domain
@@ -93,8 +92,8 @@ let step nfa comp states h =
 let label comp defs =
   let n = Computation.n_events comp in
   let order =
-    match Digraph.topological_sort (Computation.causal_graph comp) with
-    | Some o -> o
+    match Computation.temporal comp with
+    | Some p -> Gem_order.Poset.linear_extension p
     | None -> invalid_arg "Thread.label: cyclic computation"
   in
   (* labels.(h) = (def name, instance, nfa state set) list *)

@@ -178,6 +178,33 @@ let prop_explore_conservation =
       && r.Explore.completed = [ cap ]
       && r.Explore.deadlocked = [])
 
+(* A budget's configuration cap replaces the built-in default of
+   1,000,000: on a two-level tree of 1 + 1,100 + 1,100,000
+   configurations, a 1.2M cap lets the walk finish, and with no cap
+   anywhere it still stops at exactly 1,000,000. [max_steps:1] cuts each
+   grandchild as it is visited, so no leaf list is kept. *)
+let test_budget_cap_replaces_default () =
+  let moves c =
+    if c = 0 then List.init 1_100 (fun i -> i + 1)
+    else if c <= 1_100 then List.init 1_000 (fun _ -> 1_101)
+    else []
+  in
+  let walk budget =
+    Explore.run ~max_steps:1 ?budget ~moves ~terminated:(fun _ -> true) 0
+  in
+  let reason r = Option.map Budget.reason_keyword r.Explore.exhausted in
+  let capped = walk (Some (Budget.make ~max_configs:1_200_000 ())) in
+  Alcotest.(check (option string)) "1.2M cap: complete" None (reason capped);
+  Alcotest.(check int) "1.2M cap: every configuration" 1_101_101 capped.Explore.explored;
+  Alcotest.(check int) "1.2M cap: grandchildren cut" 1_100_000 capped.Explore.truncated;
+  List.iter
+    (fun (what, budget) ->
+      let r = walk budget in
+      Alcotest.(check (option string))
+        (what ^ ": stopped") (Some "config-budget") (reason r);
+      Alcotest.(check int) (what ^ ": at the default") 1_000_000 r.Explore.explored)
+    [ ("no budget", None); ("uncapped budget", Some (Budget.make ~timeout:600.0 ())) ]
+
 (* Concurrent charging from many domains grants exactly the cap in
    total: the counters are fetch-and-add atomics, not read-modify-write
    races. *)
@@ -237,7 +264,13 @@ let () =
           q prop_falsified_wins;
           q prop_deadline_inconclusive;
         ] );
-      ( "explore", [ q prop_explore_budget; q prop_explore_conservation ] );
+      ( "explore",
+        [
+          q prop_explore_budget;
+          q prop_explore_conservation;
+          Alcotest.test_case "budget cap replaces the default" `Quick
+            test_budget_cap_replaces_default;
+        ] );
       ( "parallel",
         [
           Alcotest.test_case "charge_config across domains" `Quick

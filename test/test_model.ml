@@ -155,6 +155,25 @@ let test_element_order_cycles () =
   let comp = Build.finish b in
   check Alcotest.bool "cyclic" true (C.temporal comp = None)
 
+(* The one-pass constructor reads each element's events in handle order
+   as its element order; a computation whose handles disagree with the
+   occurrence indices (or repeat one) is refused, not mis-sealed. *)
+let test_unsafe_make_handle_order () =
+  let make indices =
+    C.unsafe_make ~elements:[ "X" ] ~groups:[] ~enable:[]
+      ~events:
+        (Array.of_list
+           (List.map (fun index -> Event.make ~element:"X" ~index ~klass:"E" []) indices))
+  in
+  check Alcotest.(list int) "in order" [ 0; 1 ] (C.events_at (make [ 0; 1 ]) "X");
+  List.iter
+    (fun indices ->
+      Alcotest.check_raises "refused"
+        (Invalid_argument
+           "Computation.unsafe_make: element order differs from handle order")
+        (fun () -> ignore (make indices)))
+    [ [ 1; 0 ]; [ 0; 0 ] ]
+
 let test_build_rejects_self_enable () =
   let b = Build.create () in
   let x = Build.emit b ~element:"X" ~klass:"E" () in
@@ -244,5 +263,6 @@ let () =
           Alcotest.test_case "empty-element" `Quick test_declared_but_empty_element;
           Alcotest.test_case "groups" `Quick test_groups_in_computation;
           Alcotest.test_case "dot" `Quick test_dot_export;
+          Alcotest.test_case "handle-order" `Quick test_unsafe_make_handle_order;
         ] );
     ]

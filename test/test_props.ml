@@ -472,6 +472,216 @@ let prop_bitset_model =
       && Bitset.cardinal bs = Iset.cardinal !model)
 
 (* ------------------------------------------------------------------ *)
+(* Sealing in one pass against the generic construction                *)
+(* ------------------------------------------------------------------ *)
+
+module E = Gem_model.Event
+module V = Gem_model.Value
+
+(* Arbitrary digraphs on at most 8 nodes: edges in both directions,
+   cycles and self-loops, at a density drawn per graph so that acyclic
+   graphs with backward edges are common too. *)
+let digraph_gen =
+  QCheck.Gen.(
+    let* n = int_range 0 8 in
+    let* sparsity = int_range 1 12 in
+    let pairs = List.concat (List.init n (fun i -> List.init n (fun j -> (i, j)))) in
+    let* picks =
+      flatten_l
+        (List.map
+           (fun (i, j) ->
+             let odds = if i = j then 4 * sparsity else sparsity in
+             map (fun k -> ((i, j), k = 0)) (int_range 0 odds))
+           pairs)
+    in
+    return (n, List.filter_map (fun (e, keep) -> if keep then Some e else None) picks))
+
+let digraph_arb = QCheck.make digraph_gen ~print:(Option.get dag_arb.QCheck.print)
+
+(* Kahn's sort with an [Int] set as the ready queue, smallest first: the
+   order [Digraph.topological_sort] gave before its ready set became a
+   bitset, kept as the reference. *)
+let reference_kahn g =
+  let n = Digraph.size g in
+  let deg = Array.make n 0 in
+  for u = 0 to n - 1 do
+    List.iter (fun v -> deg.(v) <- deg.(v) + 1) (Digraph.succs g u)
+  done;
+  let ready =
+    ref (Iset.of_list (List.filter (fun v -> deg.(v) = 0) (List.init n Fun.id)))
+  in
+  let rec loop acc seen =
+    match Iset.min_elt_opt !ready with
+    | None -> if seen = n then Some (List.rev acc) else None
+    | Some v ->
+        ready := Iset.remove v !ready;
+        List.iter
+          (fun w ->
+            deg.(w) <- deg.(w) - 1;
+            if deg.(w) = 0 then ready := Iset.add w !ready)
+          (Digraph.succs g v);
+        loop (v :: acc) (seen + 1)
+  in
+  loop [] 0
+
+let lt_matches_closure p closure =
+  let nodes = List.init (Digraph.size closure) Fun.id in
+  List.for_all
+    (fun a ->
+      List.for_all (fun b -> Poset.lt p a b = Digraph.mem_edge closure a b) nodes)
+    nodes
+
+let prop_walk_matches_generic =
+  QCheck.Test.make ~name:"one walk = cycle check + closure + Kahn order" ~count:2000
+    digraph_arb (fun (n, edges) ->
+      let g = Digraph.of_edges n edges in
+      let reference = reference_kahn g in
+      Digraph.topological_sort g = reference
+      &&
+      match (Poset.of_digraph g, reference) with
+      | None, None -> Digraph.has_cycle g
+      | Some p, Some order ->
+          (not (Digraph.has_cycle g))
+          && Poset.linear_extension p = order
+          && lt_matches_closure p (Digraph.transitive_closure g)
+      | _ -> false)
+
+(* What [Computation] built before the one-pass constructor: per-element
+   lists sorted by occurrence index, the causal graph as a copy of the
+   enable graph plus element-successor edges, and the temporal order as
+   a cycle check followed by the transitive closure. *)
+let reference_tables n events edges =
+  let enable = Digraph.of_edges n edges in
+  let at_element = Hashtbl.create 8 in
+  Array.iteri
+    (fun h (e : E.t) ->
+      let prev = Option.value ~default:[] (Hashtbl.find_opt at_element e.id.element) in
+      Hashtbl.replace at_element e.id.element (h :: prev))
+    events;
+  Hashtbl.filter_map_inplace
+    (fun _ hs ->
+      let index h = events.(h).E.id.index in
+      Some (List.sort (fun a b -> Int.compare (index a) (index b)) hs))
+    at_element;
+  let causal = Digraph.copy enable in
+  Hashtbl.iter
+    (fun _ hs ->
+      let rec link = function
+        | a :: (b :: _ as rest) ->
+            Digraph.add_edge causal a b;
+            link rest
+        | [ _ ] | [] -> ()
+      in
+      link hs)
+    at_element;
+  let closure =
+    if Digraph.has_cycle causal then None else Some (Digraph.transitive_closure causal)
+  in
+  (enable, at_element, causal, closure)
+
+(* Events on up to three elements with enable edges in both directions,
+   including from later to earlier handles: the causal graph may be
+   cyclic, as [Build] allows. *)
+let build_any_gen =
+  QCheck.Gen.(
+    let* n, edges = digraph_gen in
+    let* assignment = flatten_l (List.init n (fun _ -> int_range 0 2)) in
+    return (n, assignment, List.filter (fun (a, b) -> a <> b) edges))
+
+let prop_build_matches_generic =
+  QCheck.Test.make ~name:"one-pass Build = generic tables" ~count:2000
+    (QCheck.make build_any_gen ~print:(Option.get comp_arb.QCheck.print))
+    (fun (n, assignment, edges) ->
+      let comp = build_comp (n, assignment, edges) in
+      let events = Array.init n (C.event comp) in
+      let enable, at_element, causal, closure = reference_tables n events edges in
+      Digraph.equal (C.enable_graph comp) enable
+      && Digraph.equal (C.causal_graph comp) causal
+      && C.event_elements comp
+         = List.sort String.compare
+             (Hashtbl.fold (fun el _ acc -> el :: acc) at_element [])
+      && Hashtbl.fold (fun el hs ok -> ok && C.events_at comp el = hs) at_element true
+      &&
+      match (C.temporal comp, closure) with
+      | None, None -> true
+      | Some p, Some closure ->
+          lt_matches_closure p closure
+          && Some (Poset.linear_extension p) = Digraph.topological_sort causal
+      | _ -> false)
+
+(* The canonical rendering [Explore.fingerprint] wrote before it stopped
+   sorting events: every event by [Event.id_compare], printed with
+   [Event.pp], then its enable successors' ids, sorted. *)
+let reference_fingerprint comp =
+  let id h = (C.event comp h).E.id in
+  let evs = List.sort (fun a b -> E.id_compare (id a) (id b)) (C.all_events comp) in
+  String.concat ""
+    (List.map
+       (fun h ->
+         Format.asprintf "%a;%s|" E.pp (C.event comp h)
+           (String.concat ""
+              (List.map
+                 (Format.asprintf ">%a" E.pp_id)
+                 (List.sort E.id_compare (List.map id (C.enable_succs comp h))))))
+       evs)
+
+let value_gen =
+  QCheck.Gen.(
+    let str =
+      oneofl
+        [
+          ""; "plain"; "q\"uote"; "back\\slash"; "new\nline"; "tab\t"; "\001\255";
+          "caf\195\169";
+        ]
+    in
+    fix
+      (fun self depth ->
+        let leaf =
+          oneof
+            [
+              return V.Unit;
+              map (fun b -> V.Bool b) bool;
+              map (fun i -> V.Int i) (int_range (-5) 99);
+              map (fun s -> V.Str s) str;
+            ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (4, leaf);
+              (1, map2 (fun a b -> V.Pair (a, b)) (self (depth - 1)) (self (depth - 1)));
+              ( 1,
+                map (fun xs -> V.List xs)
+                  (list_size (int_range 0 2) (self (depth - 1))) );
+            ])
+      2)
+
+let prop_fingerprint_unchanged =
+  QCheck.Test.make ~name:"fingerprint = sorted rendering" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(
+         pair build_any_gen
+           (list_size (return 8)
+              (list_size (int_range 0 2) (pair (oneofl [ "k"; "v" ]) value_gen))))
+       ~print:(fun (spec, _) -> Option.get comp_arb.QCheck.print spec))
+    (fun ((_, assignment, edges), params) ->
+      (* Element names whose [String.compare] order differs from their
+         first-occurrence order. *)
+      let names = [| "b"; "a"; "a2" |] in
+      let b = Build.create () in
+      let handles =
+        Array.of_list
+          (List.mapi
+             (fun i el ->
+               Build.emit b ~element:names.(el) ~klass:"E" ~params:(List.nth params i) ())
+             assignment)
+      in
+      List.iter (fun (i, j) -> Build.enable b handles.(i) handles.(j)) edges;
+      let comp = Build.finish b in
+      Gem_lang.Explore.fingerprint comp = reference_fingerprint comp)
+
+(* ------------------------------------------------------------------ *)
 (* Thread labelling on random chains                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -529,5 +739,11 @@ let () =
       ( "lattice",
         [ to_alc prop_lattice_linearizations; to_alc prop_lattice_vhs ] );
       ("bitset", [ to_alc prop_bitset_model ]);
+      ( "sealing",
+        [
+          to_alc prop_walk_matches_generic;
+          to_alc prop_build_matches_generic;
+          to_alc prop_fingerprint_unchanged;
+        ] );
       ("threads", [ to_alc prop_thread_chains ]);
     ]

@@ -750,6 +750,26 @@ let test_server_forgets_closed_connections () =
       check Alcotest.int "no connection left after 50 clients" 0
         (Server.live_connections srv))
 
+(* A request line over the cap gets a typed error and loses its
+   connection; the daemon forgets it and keeps answering others. *)
+let test_server_line_cap () =
+  with_server_t (fun srv socket ->
+      let fd = raw_connect socket in
+      let flood = String.make (2 * 1024 * 1024) 'x' in
+      (try ignore (Unix.write_substring fd flood 0 (String.length flood))
+       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+      let ic = Unix.in_channel_of_descr fd in
+      check Alcotest.string "typed error"
+        {|{"serve":1,"error":"request line too long","code":3}|} (input_line ic);
+      close_in_noerr ic;
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while Server.live_connections srv > 0 && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      check Alcotest.int "connection forgotten" 0 (Server.live_connections srv);
+      let pong = request_ok socket "ping" in
+      check Alcotest.int "next client answered" 0 pong.Client.code)
+
 let test_server_clean_shutdown () =
   incr socket_ctr;
   let socket =
@@ -862,6 +882,7 @@ let () =
           Alcotest.test_case "closed connections forgotten" `Quick
             test_server_forgets_closed_connections;
           Alcotest.test_case "clean shutdown" `Quick test_server_clean_shutdown;
+          Alcotest.test_case "request line cap" `Quick test_server_line_cap;
         ] );
       ("client", [ Alcotest.test_case "header fields" `Quick test_client_fields ]);
     ]
