@@ -10,9 +10,6 @@
    and only measures budget-accounting overhead (writes BENCH_budget.json
    in the current directory) — cheap enough for CI.
 
-   `dune exec bench/main.exe -- --por-only` only compares states explored
-   with and without partial-order reduction (writes BENCH_por.json).
-
    `dune exec bench/main.exe -- --dpor-only` only compares states
    explored across the three reduction engines (--reduction
    none/sleep/source; writes BENCH_dpor.json, which the CI bench gate
@@ -340,78 +337,6 @@ let budget_overhead_report () =
   Printf.printf "wrote BENCH_budget.json\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* Partial-order reduction: states explored with and without POR       *)
-(* ------------------------------------------------------------------ *)
-
-(* Each workload is explored twice — reduced search vs plain DFS — and
-   the comparison lands in BENCH_por.json. The full search is capped:
-   cyclic workloads (e.g. the distributed ADA Readers/Writers server
-   loops) are intractable without reduction, which is the point; a
-   capped row reports [full_complete:false]. *)
-let por_workloads =
-  [
-    ( "rw-monitor-1r1w",
-      fun por max_configs ->
-        let o = Monitor.explore ~por ~max_configs (rw_program 1 1) in
-        (o.Monitor.explored, o.Monitor.reduced, List.length o.Monitor.computations, o.Monitor.exhausted = None) );
-    ( "rw-monitor-2r1w",
-      fun por max_configs ->
-        let o = Monitor.explore ~por ~max_configs (rw_program 2 1) in
-        (o.Monitor.explored, o.Monitor.reduced, List.length o.Monitor.computations, o.Monitor.exhausted = None) );
-    ( "buffer-monitor-1p1c2i",
-      fun por max_configs ->
-        let o = Monitor.explore ~por ~max_configs buffer_monitor_program in
-        (o.Monitor.explored, o.Monitor.reduced, List.length o.Monitor.computations, o.Monitor.exhausted = None) );
-    ( "buffer-csp-1p1c2i",
-      fun por max_configs ->
-        let o = Csp.explore ~por ~max_configs buffer_csp_program in
-        (o.Csp.explored, o.Csp.reduced, List.length o.Csp.computations, o.Csp.exhausted = None) );
-    ( "buffer-ada-1p1c2i",
-      fun por max_configs ->
-        let o = Ada.explore ~por ~max_configs buffer_ada_program in
-        (o.Ada.explored, o.Ada.reduced, List.length o.Ada.computations, o.Ada.exhausted = None) );
-    ( "rwd-csp-1r1w",
-      fun por max_configs ->
-        let o = Csp.explore ~por ~max_configs rwd_csp in
-        (o.Csp.explored, o.Csp.reduced, List.length o.Csp.computations, o.Csp.exhausted = None) );
-    ( "rwd-ada-1r1w",
-      fun por max_configs ->
-        let o = Ada.explore ~por ~max_configs rwd_ada in
-        (o.Ada.explored, o.Ada.reduced, List.length o.Ada.computations, o.Ada.exhausted = None) );
-    ( "db-update-2-sites",
-      fun por max_configs ->
-        let r = Db_update.check ~por ~max_configs ~sites:2 () in
-        (r.Db_update.explored, r.Db_update.reduced, r.Db_update.computations, r.Db_update.exhausted = None) );
-  ]
-
-let por_report () =
-  let full_cap = 200_000 in
-  let rows =
-    List.map
-      (fun (name, run) ->
-        let por_explored, por_reduced, por_comps, por_complete = run true max_int in
-        let full_explored, _, full_comps, full_complete = run false full_cap in
-        let ratio = float_of_int full_explored /. float_of_int (max 1 por_explored) in
-        Printf.printf
-          "%-24s POR: %7d explored (%d pruned, %d computations)  full: %7d explored%s  %.1fx\n%!"
-          name por_explored por_reduced por_comps full_explored
-          (if full_complete then "" else " [capped]")
-          ratio;
-        ignore full_comps;
-        Printf.sprintf
-          {|{"workload":"%s","por_explored":%d,"por_reduced":%d,"por_computations":%d,"por_complete":%b,"full_explored":%d,"full_computations":%d,"full_complete":%b,"reduction_ratio":%.2f}|}
-          name por_explored por_reduced por_comps por_complete full_explored
-          full_comps full_complete ratio)
-      por_workloads
-  in
-  let oc = open_out "BENCH_por.json" in
-  output_string oc
-    (Printf.sprintf "{%s,\"rows\":[\n  %s\n]}\n" provenance_fields
-       (String.concat ",\n  " rows));
-  close_out oc;
-  Printf.printf "wrote BENCH_por.json\n%!"
-
-(* ------------------------------------------------------------------ *)
 (* Reduction engines: plain DFS vs sleep sets vs source-DPOR           *)
 (* ------------------------------------------------------------------ *)
 
@@ -421,8 +346,7 @@ let por_report () =
    must visit no more configurations than the sleep engine while
    producing the exact same completed-computation fingerprint multiset,
    and on the rendezvous-heavy ADA families it visits asymptotically
-   fewer. Each row carries its own configuration cap — 200k (the same
-   budget as the plain-DFS column of BENCH_por.json) except the
+   fewer. Each row carries its own configuration cap — 200k except the
    promoted large instances below; a capped run reports
    [*_complete:false] and its fingerprint comparison is vacuously true
    (a truncated sample is traversal-order-dependent). The CI bench gate
@@ -544,8 +468,8 @@ let keys_workloads =
     ( "rw-monitor-2r1w",
       fun ~exact ~audit ->
         let o =
-          Monitor.explore ~por:true ~exact_keys:exact ~audit_keys:audit
-            (rw_program 2 1)
+          Monitor.explore ~reduction:Explore.Sleep_sets ~exact_keys:exact
+            ~audit_keys:audit (rw_program 2 1)
         in
         (o.Monitor.explored, o.Monitor.exhausted = None,
          List.map Explore.fingerprint o.Monitor.computations
@@ -553,7 +477,7 @@ let keys_workloads =
     ( "buffer-ada-1p1c2i",
       fun ~exact ~audit ->
         let o =
-          Ada.explore ~por:true ~exact_keys:exact ~audit_keys:audit
+          Ada.explore ~reduction:Explore.Sleep_sets ~exact_keys:exact ~audit_keys:audit
             buffer_ada_program
         in
         (o.Ada.explored, o.Ada.exhausted = None,
@@ -562,7 +486,7 @@ let keys_workloads =
     ( "rwd-ada-1r1w",
       fun ~exact ~audit ->
         let o =
-          Ada.explore ~por:true ~exact_keys:exact ~audit_keys:audit
+          Ada.explore ~reduction:Explore.Sleep_sets ~exact_keys:exact ~audit_keys:audit
             rwd_ada
         in
         (o.Ada.explored, o.Ada.exhausted = None,
@@ -571,7 +495,7 @@ let keys_workloads =
     ( "buffer-csp-1p1c2i",
       fun ~exact ~audit ->
         let o =
-          Csp.explore ~por:true ~exact_keys:exact ~audit_keys:audit
+          Csp.explore ~reduction:Explore.Sleep_sets ~exact_keys:exact ~audit_keys:audit
             buffer_csp_program
         in
         (o.Csp.explored, o.Csp.exhausted = None,
@@ -668,7 +592,7 @@ let stats_workloads =
   [
     ( "rw-monitor-2r1w",
       fun () ->
-        let o = Monitor.explore ~por:true (rw_program 2 1) in
+        let o = Monitor.explore ~reduction:Explore.Sleep_sets (rw_program 2 1) in
         let problem =
           Readers_writers.spec Readers_writers.Free_for_all
             ~users:(Readers_writers.user_names ~readers:2 ~writers:1)
@@ -680,7 +604,7 @@ let stats_workloads =
         (List.length o.Monitor.computations, List.length o.Monitor.deadlocks) );
     ( "buffer-monitor-1p1c2i",
       fun () ->
-        let o = Monitor.explore ~por:true buffer_monitor_program in
+        let o = Monitor.explore ~reduction:Explore.Sleep_sets buffer_monitor_program in
         ignore
           (Refine.sat_ok ~strategy:(Strategy.Linearizations (Some 200)) ~jobs:1
              ~problem:(Buffer_problem.spec ~capacity:1)
@@ -688,7 +612,7 @@ let stats_workloads =
         (List.length o.Monitor.computations, List.length o.Monitor.deadlocks) );
     ( "buffer-csp-1p1c2i",
       fun () ->
-        let o = Csp.explore ~por:true buffer_csp_program in
+        let o = Csp.explore ~reduction:Explore.Sleep_sets buffer_csp_program in
         ignore
           (Refine.sat_ok ~strategy:(Strategy.Linearizations (Some 200)) ~jobs:1
              ~problem:(Buffer_problem.spec ~capacity:1)
@@ -696,7 +620,7 @@ let stats_workloads =
         (List.length o.Csp.computations, List.length o.Csp.deadlocks) );
     ( "buffer-ada-1p1c2i",
       fun () ->
-        let o = Ada.explore ~por:true buffer_ada_program in
+        let o = Ada.explore ~reduction:Explore.Sleep_sets buffer_ada_program in
         ignore
           (Refine.sat_ok ~strategy:(Strategy.Linearizations (Some 200)) ~jobs:1
              ~problem:(Buffer_problem.spec ~capacity:1)
@@ -1112,7 +1036,6 @@ let () =
   if has "--telemetry-only" then telemetry_overhead_report ()
   else if has "--stats-only" || (has "--quick" && has "--stats") then
     stats_report ()
-  else if has "--por-only" then por_report ()
   else if has "--dpor-only" then dpor_report ()
   else if has "--keys-only" then keys_report ()
   else if has "--bitstate-only" then bitstate_report ()
@@ -1122,7 +1045,6 @@ let () =
   else begin
     run_bechamel ();
     budget_overhead_report ();
-    por_report ();
     dpor_report ();
     keys_report ();
     stats_report ();

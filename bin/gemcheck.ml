@@ -121,12 +121,24 @@ let resilience_term =
                    stays sound. Composes with $(b,--audit-keys) to measure \
                    the realized collision rate.")
   in
+  let bit_width =
+    let parse s =
+      match int_of_string_opt (String.trim s) with
+      | Some n when n >= Bitstate.min_bits && n <= Bitstate.max_bits -> Ok n
+      | Some _ | None ->
+          Error
+            (`Msg
+               (Printf.sprintf "%S is not a valid bit width (expected %d..%d)" s
+                  Bitstate.min_bits Bitstate.max_bits))
+    in
+    Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+  in
   let bits =
-    Arg.(value & opt (positive "bit width") 24
+    Arg.(value & opt bit_width 24
          & info [ "bitstate-bits" ] ~docv:"N"
-             ~doc:"log2 of the bitstate table's slot count (default 24 = \
-                   16M slots = 256 MiB). Each visited state costs one \
-                   16-byte slot; the table never grows.")
+             ~doc:"log2 of the bitstate table's slot count, 8..30 \
+                   (default 24 = 16M slots = 256 MiB). Each visited state \
+                   costs one 16-byte slot; the table never grows.")
   in
   let spill_mb =
     Arg.(value & opt (some (positive "watermark")) None
@@ -134,15 +146,15 @@ let resilience_term =
              ~doc:"Page the exploration frontier to a temp file whenever \
                    the major heap exceeds $(docv) MiB. An I/O failure \
                    degrades to INCONCLUSIVE (spill-io-error), never a \
-                   crash. Forces the sequential resilient engine.")
+                   crash; the report is byte-identical to an unspilled \
+                   run's.")
   in
   let ckpt =
     Arg.(value & opt (some string) None
          & info [ "checkpoint" ] ~docv:"FILE"
              ~doc:"Periodically snapshot the complete exploration state to \
                    $(docv) (atomic rename; see $(b,--checkpoint-every)), so \
-                   a killed run can continue with $(b,--resume). Forces the \
-                   sequential resilient engine.")
+                   a killed run can continue with $(b,--resume).")
   in
   let ckpt_every =
     Arg.(value & opt (positive "interval") 50_000
@@ -163,22 +175,10 @@ let resilience_term =
           { ro_bitstate; ro_bits; ro_spill_mb; ro_ckpt; ro_ckpt_every; ro_resume })
         $ bitstate $ bits $ spill_mb $ ckpt $ ckpt_every $ resume)
 
-(* The checkpoint stamp pins the run identity: resolved engine switches
-   (the environment defaults matter — a resumed run must resolve to the
-   same engine) plus each command's workload parameters. *)
-let resilience_of ~command ~params ~reduction ~exact_keys ro =
-  (* The stamp names the engine by its por=%b field; that is exact
-     because checkpoint/resume runs degrade source to sleep sets — both
-     are por=true engines. *)
-  let por = Explore.resolve_reduction ?reduction () <> Explore.No_reduction in
-  let exact =
-    match exact_keys with Some b -> b | None -> Explore.exact_keys_default ()
-  in
-  let stamp =
-    Printf.sprintf "gemcheck/1 %s %s por=%b exact=%b bitstate=%s" command params
-      por exact
-      (if ro.ro_bitstate then string_of_int ro.ro_bits else "off")
-  in
+(* The checkpoint stamp (Runner.stamp) pins the run identity: the
+   resolved engine plus the workload parameters. *)
+let resilience_of load ~reduction ~exact_keys ro =
+  let bitstate_bits = if ro.ro_bitstate then Some ro.ro_bits else None in
   {
     Explore.bitstate =
       (if ro.ro_bitstate then Some (Bitstate.create ~bits:ro.ro_bits ())
@@ -188,7 +188,7 @@ let resilience_of ~command ~params ~reduction ~exact_keys ro =
     checkpoint =
       Option.map (fun f -> Checkpoint.ctl ~every:ro.ro_ckpt_every f) ro.ro_ckpt;
     resume = ro.ro_resume;
-    stamp;
+    stamp = Runner.stamp load ~reduction ~exact_keys ~bitstate_bits;
   }
 
 (* SIGINT/SIGTERM stop the run through the budget's first-reason-wins
@@ -273,79 +273,50 @@ let obs_finish ~json o code =
   end;
   code
 
-(* --reduction picks the reduction engine; --no-por is kept as an alias
-   for --reduction none. The default honors GEM_REDUCTION, then the
-   legacy GEM_NO_POR (see Explore.reduction_default). Passing [None]
-   down keeps the interpreters' own defaulting in charge. *)
-let reduction_conv =
-  let parse s =
-    match Explore.reduction_of_string s with
-    | Some r -> Ok r
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "invalid reduction %S (expected none, sleep or source)" s))
-  in
-  Arg.conv ~docv:"ENGINE"
-    (parse, fun ppf r -> Format.pp_print_string ppf (Explore.reduction_name r))
+(* --reduction picks the reduction engine. GEM_REDUCTION reaches
+   cmdliner through the flag's ~env, so a bad value is a usage error
+   whichever way it is given. Passing [None] down keeps the
+   interpreters' own defaulting in charge. *)
+let parse_reduction s =
+  match Explore.reduction_of_string s with
+  | Some r -> Ok r
+  | None ->
+      Error
+        (`Msg
+           (Printf.sprintf "invalid reduction %S (expected none, sleep or source)" s))
 
-let por_term =
-  let no_por =
-    Arg.(value & flag
-         & info [ "no-por" ]
-             ~doc:"Alias for $(b,--reduction) $(i,none): explore every \
-                   interleaving with a plain depth-first search. The \
-                   verdict is unchanged; only the configuration counts \
-                   (and runtime) differ.")
+let reduction_term =
+  let reduction_conv =
+    Arg.conv ~docv:"ENGINE"
+      ( parse_reduction,
+        fun ppf r -> Format.pp_print_string ppf (Explore.reduction_name r) )
   in
-  let reduction =
-    Arg.(value & opt (some reduction_conv) None
-         & info [ "reduction" ] ~docv:"ENGINE"
-             ~doc:"Reduction engine: $(i,none) (plain exhaustive DFS), \
-                   $(i,sleep) (persistent/sleep sets, the default) or \
-                   $(i,source) (source-DPOR with race-driven wakeups; \
-                   explores no more configurations than sleep and \
-                   asymptotically fewer on rendezvous-heavy workloads). \
-                   The \
-                   $(b,GEM_REDUCTION) variable supplies the default \
-                   when the flag is absent. The verdict is \
-                   byte-identical across engines.")
+  Arg.(value & opt (some reduction_conv) None
+       & info [ "reduction" ] ~docv:"ENGINE"
+           ~env:(Cmd.Env.info "GEM_REDUCTION"
+                   ~doc:"Default engine when $(b,--reduction) is absent.")
+           ~doc:"Reduction engine: $(i,none) (plain exhaustive DFS), \
+                 $(i,sleep) (persistent/sleep sets, the default) or \
+                 $(i,source) (source-DPOR with race-driven wakeups; \
+                 explores no more configurations than sleep and \
+                 asymptotically fewer on rendezvous-heavy workloads). \
+                 The verdict is byte-identical across engines; only the \
+                 configuration counts and runtime differ.")
+
+(* Commands without --reduction (experiments, matrix, serve) still
+   resolve the engine from GEM_REDUCTION, so they refuse a bad value at
+   start as well. *)
+let reduction_env_term =
+  let check () =
+    match Option.map parse_reduction (Sys.getenv_opt "GEM_REDUCTION") with
+    | Some (Error (`Msg m)) ->
+        `Error (false, "environment variable GEM_REDUCTION: " ^ m)
+    | Some (Ok _) | None -> `Ok ()
   in
-  Term.(ret
-          (const (fun no_por reduction ->
-               match (no_por, reduction) with
-               | false, Some r -> `Ok (Some r)
-               | true, (None | Some Explore.No_reduction) ->
-                   `Ok (Some Explore.No_reduction)
-               | true, Some _ ->
-                   `Error
-                     ( false,
-                       "--no-por is an alias for --reduction none and \
-                        conflicts with --reduction sleep|source" )
-               | false, None -> (
-                   (* GEM_REDUCTION is read by hand rather than wired
-                      through cmdliner's ~env: an env value must not be
-                      mistaken for an explicit --reduction, or it would
-                      conflict with an explicit --no-por — flags beat
-                      the environment. Bad spellings are still usage
-                      errors, exactly like the flag's. *)
-                   match Sys.getenv_opt "GEM_REDUCTION" with
-                   | None -> `Ok None
-                   | Some s -> (
-                       match Explore.reduction_of_string s with
-                       | Some r -> `Ok (Some r)
-                       | None ->
-                           `Error
-                             ( false,
-                               Printf.sprintf
-                                 "environment variable GEM_REDUCTION: \
-                                  invalid reduction %S (expected none, \
-                                  sleep or source)"
-                                 s ))))
-           $ no_por $ reduction))
+  Term.(ret (const check $ const ()))
 
 (* --exact-keys / --audit-keys pick the search-key mode of the reduced
-   search; like --no-por, passing [None] down defers to the interpreters'
+   search; like --reduction, passing [None] down defers to the interpreters'
    environment-aware defaults (GEM_EXACT_KEYS / GEM_AUDIT_KEYS, see
    Explore.exact_keys_default / audit_keys_default). *)
 let keys_term =
@@ -392,7 +363,7 @@ let restrict_term =
                  the problem specification's own.")
 
 let runner_opts ~reduction ~exact_keys ~audit_keys ~jobs ~resilience =
-  { Runner.reduction; por = None; exact_keys; audit_keys; jobs; resilience }
+  { Runner.reduction; exact_keys; audit_keys; jobs; resilience }
 
 (* ------------------------------------------------------------------ *)
 (* experiments                                                         *)
@@ -402,7 +373,7 @@ let experiments_cmd =
   let only =
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"ID" ~doc:"Run only experiment $(docv) (e.g. E9).")
   in
-  let run only =
+  let run () only =
     let selected =
       match only with
       | None -> Gem_experiments.Experiments.all
@@ -431,7 +402,7 @@ let experiments_cmd =
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Run the paper-reproduction experiments.")
-    Term.(const run $ only)
+    Term.(const run $ reduction_env_term $ only)
 
 (* ------------------------------------------------------------------ *)
 (* rw                                                                  *)
@@ -465,8 +436,7 @@ let rw_cmd =
     install_signals budget;
     let load = Runner.Rw { monitor; version; readers; writers } in
     let resilience =
-      resilience_of ~command:"rw" ~params:(Runner.params_string load)
-        ~reduction ~exact_keys resil
+      resilience_of load ~reduction ~exact_keys resil
     in
     let r =
       Runner.run load
@@ -481,7 +451,7 @@ let rw_cmd =
   in
   Cmd.v
     (Cmd.info "rw" ~doc:"Verify a Readers/Writers monitor against a problem version.")
-    Term.(const run $ monitor $ version $ readers $ writers $ restrict_term $ por_term $ keys_term $ jobs_term $ budget_term $ resilience_term $ json_flag $ obs_term)
+    Term.(const run $ monitor $ version $ readers $ writers $ restrict_term $ reduction_term $ keys_term $ jobs_term $ budget_term $ resilience_term $ json_flag $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* buffer                                                              *)
@@ -501,8 +471,7 @@ let buffer_cmd =
     install_signals budget;
     let load = Runner.Buffer { lang; capacity; producers; consumers; items } in
     let resilience =
-      resilience_of ~command:"buffer" ~params:(Runner.params_string load)
-        ~reduction ~exact_keys resil
+      resilience_of load ~reduction ~exact_keys resil
     in
     let r =
       Runner.run load
@@ -513,7 +482,7 @@ let buffer_cmd =
   in
   Cmd.v
     (Cmd.info "buffer" ~doc:"Verify a bounded-buffer solution.")
-    Term.(const run $ lang $ capacity $ producers $ consumers $ items $ restrict_term $ por_term $ keys_term $ jobs_term $ budget_term $ resilience_term $ json_flag $ obs_term)
+    Term.(const run $ lang $ capacity $ producers $ consumers $ items $ restrict_term $ reduction_term $ keys_term $ jobs_term $ budget_term $ resilience_term $ json_flag $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* rwd: distributed Readers/Writers                                    *)
@@ -534,8 +503,7 @@ let rwd_cmd =
     install_signals budget;
     let load = Runner.Rwd { lang; readers; writers; broken } in
     let resilience =
-      resilience_of ~command:"rwd" ~params:(Runner.params_string load)
-        ~reduction ~exact_keys resil
+      resilience_of load ~reduction ~exact_keys resil
     in
     let r =
       Runner.run load
@@ -547,7 +515,7 @@ let rwd_cmd =
   Cmd.v
     (Cmd.info "rwd"
        ~doc:"Verify the distributed (CSP/ADA) Readers/Writers solutions.")
-    Term.(const run $ lang $ readers $ writers $ broken $ restrict_term $ por_term $ keys_term $ jobs_term $ budget_term $ resilience_term $ json_flag $ obs_term)
+    Term.(const run $ lang $ readers $ writers $ broken $ restrict_term $ reduction_term $ keys_term $ jobs_term $ budget_term $ resilience_term $ json_flag $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz: differential fuzzing across the engine lattice                *)
@@ -645,7 +613,7 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:"Differentially fuzz the exploration engines: random \
              Monitor/CSP/ADA programs and restrictions, cross-checked \
-             over {POR on,off} x {fp,exact keys} x \
+             over {none,sleep} reduction x {fp,exact keys} x \
              {unbounded,bitstate} plus a source-DPOR cell (--reduction \
              source) and a spilling-frontier cell; disagreements are \
              shrunk and written to the reproducer corpus.")
@@ -657,7 +625,7 @@ let fuzz_cmd =
 
 let matrix_cmd =
   let family_conv =
-    Arg.enum (List.map (fun f -> (f, f)) Fuzz.Matrix.family_names)
+    Arg.enum (List.map (fun f -> (f, f)) Matrix.family_names)
   in
   let family =
     Arg.(value & opt_all family_conv []
@@ -665,7 +633,7 @@ let matrix_cmd =
              ~doc:(Printf.sprintf
                      "Workload family to sweep (repeatable; default all). \
                       One of: %s."
-                     (String.concat ", " Fuzz.Matrix.family_names)))
+                     (String.concat ", " Matrix.family_names)))
   in
   let scale =
     Arg.(value & opt (enum [ ("small", `Small); ("wide", `Wide) ]) `Small
@@ -697,12 +665,14 @@ let matrix_cmd =
          & info [ "out" ] ~docv:"FILE"
              ~doc:"Write the JSON report to $(docv) instead of stdout.")
   in
-  let run family scale jobs max_configs time_budget no_timings out =
-    let module M = Fuzz.Matrix in
+  let run () family scale jobs max_configs time_budget no_timings out =
+    let module M = Matrix in
     let cells = M.cells ~scale family in
     let started = Unix.gettimeofday () in
     let remaining () =
-      Option.map (fun b -> Float.max 0. (b -. (Unix.gettimeofday () -. started))) time_budget
+      Option.map
+        (fun b -> Float.max 0. (b -. (Unix.gettimeofday () -. started)))
+        time_budget
     in
     let rows =
       List.map
@@ -723,7 +693,9 @@ let matrix_cmd =
         Printf.printf "matrix: wrote %d rows to %s\n" (List.length rows) file);
     if List.exists (fun r -> r.M.r_status = "falsified") rows then 1
     else if
-      List.exists (fun r -> r.M.r_status = "inconclusive" || r.M.r_status = "skipped") rows
+      List.exists
+        (fun r -> r.M.r_status = "inconclusive" || r.M.r_status = "skipped")
+        rows
     then 2
     else 0
   in
@@ -731,7 +703,7 @@ let matrix_cmd =
     (Cmd.info "matrix"
        ~doc:"Sweep the parameterized lib/problems workload matrix and \
              emit one BENCH-schema JSON row per cell.")
-    Term.(const run $ family $ scale $ jobs_term $ max_configs $ time_budget $ no_timings $ out)
+    Term.(const run $ reduction_env_term $ family $ scale $ jobs_term $ max_configs $ time_budget $ no_timings $ out)
 
 (* ------------------------------------------------------------------ *)
 (* parse                                                               *)
@@ -777,8 +749,7 @@ let db_cmd =
     install_signals budget;
     let load = Runner.Db { sites } in
     let resilience =
-      resilience_of ~command:"db" ~params:(Runner.params_string load)
-        ~reduction ~exact_keys resil
+      resilience_of load ~reduction ~exact_keys resil
     in
     let r =
       Runner.run load
@@ -788,7 +759,7 @@ let db_cmd =
     obs_finish ~json obs (Runner.print_report ~json ~command:"db" r)
   in
   Cmd.v (Cmd.info "db" ~doc:"Explore the distributed database update.")
-    Term.(const run $ sites $ por_term $ keys_term $ jobs_term $ budget_term $ resilience_term $ json_flag $ obs_term)
+    Term.(const run $ sites $ reduction_term $ keys_term $ jobs_term $ budget_term $ resilience_term $ json_flag $ obs_term)
 
 let life_cmd =
   let width = Arg.(value & opt int 4 & info [ "width" ] ~docv:"N") in
@@ -827,7 +798,7 @@ let serve_cmd =
                    exploration cache (default 128). In-flight requests \
                    never count against it.")
   in
-  let run socket cache_size obs =
+  let run () socket cache_size obs =
     obs_init obs;
     match Server.create ~socket () with
     | exception Unix.Unix_error (e, _, _) ->
@@ -858,7 +829,7 @@ let serve_cmd =
              exploration sharing across restrictions. Responses carry \
              cache provenance; bodies are byte-identical to the \
              equivalent one-shot --json reports.")
-    Term.(const run $ socket_term $ cache_size $ obs_term)
+    Term.(const run $ reduction_env_term $ socket_term $ cache_size $ obs_term)
 
 let client_cmd =
   let request_arg =
@@ -905,12 +876,14 @@ let () =
               2 — inconclusive (a resource budget was exhausted before \
               coverage finished); 3 — usage or internal error.";
           `S Manpage.s_environment;
-          `P "GEM_FAULT=SEED[:PERIOD[:POINTS]] arms the deterministic \
-              fault-injection harness (test/CI instrument): roughly one in \
-              PERIOD draws fails at the eligible injection points (alloc, \
-              spill-io, checkpoint-io, domain-start). Injected faults only \
-              ever degrade verdicts to INCONCLUSIVE — a malformed spec is a \
-              usage error.";
+          `P
+            (Printf.sprintf
+               "GEM_FAULT=SEED[:PERIOD[:POINTS]] arms the deterministic \
+                fault-injection harness (test/CI instrument): roughly one \
+                in PERIOD draws fails at the eligible injection points \
+                (%s). Injected faults only ever degrade verdicts to \
+                INCONCLUSIVE — a malformed spec is a usage error."
+               (String.concat ", " (List.map Faults.point_name Faults.all_points)));
         ]
   in
   (* Armed before any command runs so every injection point sees the same

@@ -35,8 +35,13 @@ type t = {
 let norm fp =
   if fp.Fp.hi = 0 && fp.Fp.lo = 0 then { Fp.hi = 1; lo = 1 } else fp
 
+let min_bits = 8
+let max_bits = 30
+
 let create ?(shards = 64) ~bits () =
-  if bits < 8 || bits > 30 then invalid_arg "Bitstate.create: bits in 8..30";
+  if bits < min_bits || bits > max_bits then
+    invalid_arg
+      (Printf.sprintf "Bitstate.create: bits in %d..%d" min_bits max_bits);
   let shards =
     let rec pow2 n = if n >= shards then n else pow2 (n * 2) in
     min (pow2 1) (1 lsl (bits - 3))

@@ -20,11 +20,17 @@
 
 type t
 
+val min_bits : int
+val max_bits : int
+(** The accepted table sizes, [min_bits]..[max_bits] = 8..30: 2^30
+    slots is 16 GiB, past any sensible single-table budget. The CLI and
+    the wire grammar reject other widths as usage errors. *)
+
 val create : ?shards:int -> bits:int -> unit -> t
 (** [create ~bits ()] allocates [2^bits] slots split over [shards]
     (default 64, rounded to a power of two, clamped so each shard keeps
-    ≥ 8 slots). [bits] must lie in 8..30 — 2^30 slots is 16 GiB, past
-    any sensible single-table budget. *)
+    ≥ 8 slots). Raises [Invalid_argument] unless [bits] lies in
+    {!min_bits}..{!max_bits}. *)
 
 val add : t -> Gem_order.Fingerprint.t -> [ `New | `Seen | `Full ]
 (** Insert-or-lookup: [`New] recorded (first sight), [`Seen] already

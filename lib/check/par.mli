@@ -9,9 +9,10 @@
 val jobs_default : unit -> int
 (** The worker-count default: the [GEM_JOBS] environment variable when it
     parses as an integer [>= 1], else [1]. Mirrors
-    {!Gem_lang.Explore.por_default}'s treatment of [GEM_NO_POR]: library
-    entry points consult it when the caller passes no explicit [jobs], so
-    the CLI flag and the environment variable compose. Invalid values are
+    {!Gem_lang.Explore.reduction_default}'s treatment of
+    [GEM_REDUCTION]: library entry points consult it when the caller
+    passes no explicit [jobs], so the CLI flag and the environment
+    variable compose. Invalid values are
     ignored (the strict rejection lives in the CLI, which refuses them
     with a usage error). *)
 

@@ -15,7 +15,8 @@
     {- checking: {!Budget}, {!Strategy}, {!Verdict}, {!Check}, {!Refine};}
     {- the checking service: {!Cache} (LRU + single-flight), {!Server}
        (Unix-socket transport), {!Request} (wire requests), {!Runner}
-       (the shared verification pipeline), {!Handler}, {!Client};}
+       (the shared verification pipeline), {!Handler}, {!Client},
+       {!Matrix} (the workload matrix);}
     {- resilience: {!Bitstate}, {!Spool}, {!Checkpoint}, {!Faults};}
     {- observability: {!Telemetry} (counters, spans, trace export);}
     {- the concrete syntax: {!Lexer}, {!Parser};}
@@ -24,7 +25,7 @@
     {- case studies: {!Buffer_problem}, {!Readers_writers},
        {!Rw_distributed}, {!Db_update}, {!Life};}
     {- differential fuzzing: {!Fuzz} (generators, oracle, shrinker,
-       corpus, workload matrix);}
+       corpus);}
     {- dynamic group structures: {!Dyngroup}.}}
 
     Quick start: build a computation with {!Build}, describe a
@@ -74,6 +75,7 @@ module Parser = Gem_syntax.Parser
 module Request = Gem_syntax.Request
 module Runner = Gem_daemon.Runner
 module Handler = Gem_daemon.Handler
+module Matrix = Gem_daemon.Matrix
 module Client = Gem_daemon.Client
 module Expr = Gem_lang.Expr
 module Trace = Gem_lang.Trace

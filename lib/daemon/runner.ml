@@ -294,41 +294,33 @@ let key_params_string load =
   | Buffer _ | Rwd _ | Db _ | Life _ ->
       command_name load ^ " " ^ params_string load
 
-(* The engine's effective reduction with defaults resolved: an explicit
-   [reduction=] key wins, else the legacy [por=] key, else the
+(* The engine's effective reduction: the [reduction=] key, else the
    environment default. *)
 let engine_reduction (e : R.engine) =
-  let reduction =
-    Option.map
-      (function
-        | R.Reduction_none -> Explore.No_reduction
-        | R.Reduction_sleep -> Explore.Sleep_sets
-        | R.Reduction_source -> Explore.Source_sets)
-      e.R.reduction
-  in
-  Explore.resolve_reduction ?reduction ?por:e.R.por ()
+  match e.R.reduction with
+  | Some R.Reduction_none -> Explore.No_reduction
+  | Some R.Reduction_sleep -> Explore.Sleep_sets
+  | Some R.Reduction_source -> Explore.Source_sets
+  | None -> Explore.reduction_default ()
+
+let resolve_exact = function
+  | Some b -> b
+  | None -> Explore.exact_keys_default ()
+
+let bits_string = function Some b -> string_of_int b | None -> "off"
 
 (* Engine identity with the environment defaults resolved: two requests
-   that spell the default differently (por absent vs por=on under an
-   unset GEM_NO_POR, or por=off vs reduction=none) behave identically
-   and may share a cache line. The timeout is deliberately absent —
-   timeout-bearing requests bypass the caches (their verdicts are
-   wall-clock-dependent). *)
+   that spell the default differently (reduction absent vs the default
+   engine named) behave identically and may share a cache line. The
+   timeout is deliberately absent — timeout-bearing requests bypass the
+   caches (their verdicts are wall-clock-dependent). *)
 let engine_string (e : R.engine) =
-  let reduction = engine_reduction e in
-  let por = reduction <> Explore.No_reduction in
-  let exact =
-    match e.R.exact_keys with
-    | Some b -> b
-    | None -> Explore.exact_keys_default ()
-  in
   let opt_int = function Some n -> string_of_int n | None -> "none" in
-  Printf.sprintf
-    "por=%b exact=%b jobs=%d bitstate=%s maxc=%s maxr=%s reduction=%s"
-    por exact e.R.jobs
-    (match e.R.bitstate_bits with Some b -> string_of_int b | None -> "off")
-    (opt_int e.R.max_configs) (opt_int e.R.max_runs)
-    (Explore.reduction_name reduction)
+  Printf.sprintf "exact=%b jobs=%d bitstate=%s maxc=%s maxr=%s reduction=%s"
+    (resolve_exact e.R.exact_keys)
+    e.R.jobs (bits_string e.R.bitstate_bits) (opt_int e.R.max_configs)
+    (opt_int e.R.max_runs)
+    (Explore.reduction_name (engine_reduction e))
 
 let explore_key load engine =
   Fingerprint.to_hex
@@ -347,9 +339,23 @@ let verdict_key load ~restrict engine =
 
 (* --- running -------------------------------------------------------- *)
 
+(* The checkpoint stamp pins the run identity: the resolved engine (a
+   resumed run must resolve to the same one) plus the workload
+   parameters. Its bytes predate the reduction engines: the engine is
+   named by [por=%b], which is exact because checkpointed runs degrade
+   source-DPOR to sleep sets, so checkpoints written by older builds
+   still resume. *)
+let stamp load ~reduction ~exact_keys ~bitstate_bits =
+  let reduction =
+    Option.value reduction ~default:(Explore.reduction_default ())
+  in
+  Printf.sprintf "gemcheck/1 %s %s por=%b exact=%b bitstate=%s"
+    (command_name load) (params_string load)
+    (reduction <> Explore.No_reduction)
+    (resolve_exact exact_keys) (bits_string bitstate_bits)
+
 type opts = {
   reduction : Explore.reduction option;
-  por : bool option;
   exact_keys : bool option;
   audit_keys : bool option;
   jobs : int;
@@ -358,20 +364,8 @@ type opts = {
 
 let opts_of_engine load (e : R.engine) =
   let reduction = engine_reduction e in
-  let por = reduction <> Explore.No_reduction in
-  let exact =
-    match e.R.exact_keys with
-    | Some b -> b
-    | None -> Explore.exact_keys_default ()
-  in
-  let stamp =
-    Printf.sprintf "gemcheck/1 %s %s por=%b exact=%b bitstate=%s"
-      (command_name load) (params_string load) por exact
-      (match e.R.bitstate_bits with Some b -> string_of_int b | None -> "off")
-  in
   {
     reduction = Some reduction;
-    por = e.R.por;
     exact_keys = e.R.exact_keys;
     audit_keys = None;
     jobs = e.R.jobs;
@@ -380,7 +374,9 @@ let opts_of_engine load (e : R.engine) =
         Explore.no_resilience with
         Explore.bitstate =
           Option.map (fun bits -> Bitstate.create ~bits ()) e.R.bitstate_bits;
-        stamp;
+        stamp =
+          stamp load ~reduction:(Some reduction) ~exact_keys:e.R.exact_keys
+            ~bitstate_bits:e.R.bitstate_bits;
       };
   }
 
@@ -395,7 +391,7 @@ type exploration = {
 }
 
 let explore load o ~budget =
-  let { reduction; por; exact_keys; audit_keys; resilience; _ } = o in
+  let { reduction; exact_keys; audit_keys; resilience; _ } = o in
   let of_monitor (x : Monitor.outcome) =
     {
       x_computations = x.Monitor.computations;
@@ -433,7 +429,7 @@ let explore load o ~budget =
   | Rw { monitor; readers; writers; _ } ->
       Some
         (of_monitor
-           (Monitor.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~resilience
+           (Monitor.explore ?reduction ?exact_keys ?audit_keys ~budget ~resilience
               (Readers_writers.program ~monitor:(rw_monitor monitor) ~readers
                  ~writers)))
   | Buffer { lang; capacity; producers; consumers; items } ->
@@ -441,17 +437,17 @@ let explore load o ~budget =
         (match lang with
         | `Monitor ->
             of_monitor
-              (Monitor.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~resilience
+              (Monitor.explore ?reduction ?exact_keys ?audit_keys ~budget ~resilience
                  (Buffer_problem.monitor_solution ~capacity ~producers
                     ~consumers ~items_each:items))
         | `Csp ->
             of_csp
-              (Csp.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~resilience
+              (Csp.explore ?reduction ?exact_keys ?audit_keys ~budget ~resilience
                  (Buffer_problem.csp_solution ~capacity ~producers ~consumers
                     ~items_each:items))
         | `Ada ->
             of_ada
-              (Ada.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~resilience
+              (Ada.explore ?reduction ?exact_keys ?audit_keys ~budget ~resilience
                  (Buffer_problem.ada_solution ~capacity ~producers ~consumers
                     ~items_each:items)))
   | Rwd { lang; readers; writers; broken } ->
@@ -464,7 +460,7 @@ let explore load o ~budget =
               else Rw_distributed.csp_program ~readers ~writers
             in
             of_csp
-              (Csp.explore ?reduction ?por ?exact_keys ?audit_keys
+              (Csp.explore ?reduction ?exact_keys ?audit_keys
                  ~max_configs:20_000_000 ~budget ~resilience program)
         | `Ada ->
             let program =
@@ -473,7 +469,7 @@ let explore load o ~budget =
               else Rw_distributed.ada_program ~readers ~writers
             in
             of_ada
-              (Ada.explore ?reduction ?por ?exact_keys ?audit_keys
+              (Ada.explore ?reduction ?exact_keys ?audit_keys
                  ~max_configs:20_000_000 ~budget ~resilience program))
   | Db _ | Life _ -> None
 
@@ -528,6 +524,8 @@ type result = {
   detail : string;
   coverage : Budget.coverage;
   failures : (int * Verdict.t) list;
+  computations : int;
+  deadlocks : int;
   exit_code : int;
 }
 
@@ -540,8 +538,19 @@ let with_restrict problem = function
           problem.Spec.restrictions @ [ (R.restriction_name, f) ];
       }
 
-let finish status detail cov failures =
-  { status; detail; coverage = cov; failures; exit_code = Verdict.exit_code status }
+let finish ~computations ~deadlocks status detail cov failures =
+  {
+    status;
+    detail;
+    coverage = cov;
+    failures;
+    computations;
+    deadlocks;
+    exit_code = Verdict.exit_code status;
+  }
+
+let finish_explored x =
+  finish ~computations:(List.length x.x_computations) ~deadlocks:x.x_deadlocks
 
 let conclude load o ~budget ~restrict exploration =
   let strategy = Strategy.of_budget budget in
@@ -575,7 +584,7 @@ let conclude load o ~budget ~restrict exploration =
               Printf.sprintf "violated on computation %d (of %d failing)" i
                 (List.length failures))
       in
-      finish status detail
+      finish_explored x status detail
         (coverage ~explored:x.x_explored ~reduced:x.x_reduced
            ~truncated:x.x_truncated verdicts)
         failures
@@ -601,7 +610,7 @@ let conclude load o ~budget ~restrict exploration =
           (List.length x.x_computations)
           x.x_deadlocks
       in
-      finish status detail
+      finish_explored x status detail
         (coverage ~explored:x.x_explored ~reduced:x.x_reduced
            ~truncated:x.x_truncated verdicts)
         (List.filter (fun (_, v) -> not (Verdict.ok v)) results)
@@ -631,14 +640,14 @@ let conclude load o ~budget ~restrict exploration =
           (List.length x.x_computations)
           x.x_deadlocks
       in
-      finish status detail
+      finish_explored x status detail
         (coverage ~explored:x.x_explored ~reduced:x.x_reduced
            ~truncated:x.x_truncated verdicts)
         (List.filter (fun (_, v) -> not (Verdict.ok v)) results)
   | Db { sites }, None ->
-      let { reduction; por; exact_keys; audit_keys; jobs; resilience } = o in
+      let { reduction; exact_keys; audit_keys; jobs; resilience } = o in
       let r =
-        Db_update.check ?reduction ?por ?exact_keys ?audit_keys ~budget ~jobs
+        Db_update.check ?reduction ?exact_keys ?audit_keys ~budget ~jobs
           ~resilience ~sites ()
       in
       let status =
@@ -652,7 +661,8 @@ let conclude load o ~budget ~restrict exploration =
         Printf.sprintf "%d computations, %d deadlocks, convergence: %b"
           r.Db_update.computations r.deadlocks r.converges
       in
-      finish status detail
+      finish ~computations:r.Db_update.computations ~deadlocks:r.deadlocks status
+        detail
         {
           Budget.full_coverage with
           Budget.configs_explored = r.explored;
@@ -674,7 +684,7 @@ let conclude load o ~budget ~restrict exploration =
           (Verdict.ok v)
           (Life.asynchrony_witness comp <> None)
       in
-      finish status detail v.Verdict.coverage
+      finish ~computations:1 ~deadlocks:0 status detail v.Verdict.coverage
         (if Verdict.ok v then [] else [ (0, v) ])
 
 let run load o ~budget ~restrict =

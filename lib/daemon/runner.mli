@@ -49,11 +49,6 @@ type load =
 
 val command_name : load -> string
 
-val params_string : load -> string
-(** The workload-parameter half of the resilience/checkpoint stamp —
-    char-for-char the strings the CLI has always written, so existing
-    checkpoints keep resuming. *)
-
 val of_request : Gem_syntax.Request.check -> (load, string) result
 (** Interpret a wire request's workload parameters. Unknown commands,
     unknown keys and malformed values are one-line errors. *)
@@ -85,11 +80,22 @@ val explore_key : load -> Gem_syntax.Request.engine -> string
 
 (** {1 Running} *)
 
+val stamp :
+  load ->
+  reduction:Gem_lang.Explore.reduction option ->
+  exact_keys:bool option ->
+  bitstate_bits:int option ->
+  string
+(** The checkpoint stamp of a run: command, workload parameters and the
+    engine with environment defaults resolved, e.g.
+    ["gemcheck/1 db sites=3 por=true exact=false bitstate=off"]. The
+    engine is spelled [por=true|false] (reduction other than none), the
+    bytes checkpoints have always carried, so they keep resuming. *)
+
 type opts = {
   reduction : Gem_lang.Explore.reduction option;
-      (** [None] defers to {!Gem_lang.Explore.resolve_reduction} inside
+      (** [None] defers to {!Gem_lang.Explore.reduction_default} inside
           the interpreter; {!opts_of_engine} always resolves it. *)
-  por : bool option;
   exact_keys : bool option;
   audit_keys : bool option;
   jobs : int;  (** Checking domains ([Refine.sat], [Db_update.check]). *)
@@ -98,7 +104,7 @@ type opts = {
 
 val opts_of_engine : load -> Gem_syntax.Request.engine -> opts
 (** The daemon's options: bitstate per the engine record, no spill or
-    checkpointing, stamp built from {!params_string}. *)
+    checkpointing, {!stamp} of the resolved engine. *)
 
 type exploration = {
   x_computations : Gem_model.Computation.t list;
@@ -121,6 +127,10 @@ type result = {
   failures : (int * Gem_check.Verdict.t) list;
       (** Failing (computation index, verdict) pairs, for the CLI's
           human-readable witness printing. *)
+  computations : int;
+      (** Distinct computations checked: explored ones, or [1] for
+          [life]'s single built computation. *)
+  deadlocks : int;  (** Distinct deadlocked schedules. *)
   exit_code : int;
 }
 

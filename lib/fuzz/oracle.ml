@@ -10,15 +10,14 @@ module Spool = Gem_check.Spool
 module Check = Gem_check.Check
 
 type cell = {
-  por : bool;
+  reduction : Explore.reduction;
   exact : bool;
   bitstate : bool;
-  source : bool;
   spool : bool;
 }
 
 let baseline =
-  { por = true; exact = true; bitstate = false; source = false; spool = false }
+  { reduction = Explore.Sleep_sets; exact = true; bitstate = false; spool = false }
 
 (* The core grid is {plain, sleep} x {fp, exact} x {unbounded, bitstate};
    the source-DPOR cell and the spool cell (sleep, fp keys, a frontier
@@ -29,23 +28,22 @@ let lattice =
   :: List.filter
        (fun c -> c <> baseline)
        (List.concat_map
-          (fun por ->
+          (fun reduction ->
             List.concat_map
               (fun exact ->
                 List.map
-                  (fun bitstate ->
-                    { por; exact; bitstate; source = false; spool = false })
+                  (fun bitstate -> { reduction; exact; bitstate; spool = false })
                   [ false; true ])
               [ true; false ])
-          [ true; false ]))
+          [ Explore.Sleep_sets; Explore.No_reduction ]))
   @ [
-      { por = true; exact = false; bitstate = false; source = true; spool = false };
-      { por = true; exact = false; bitstate = false; source = false; spool = true };
+      { reduction = Explore.Source_sets; exact = false; bitstate = false; spool = false };
+      { reduction = Explore.Sleep_sets; exact = false; bitstate = false; spool = true };
     ]
 
 let cell_name c =
   Printf.sprintf "reduction=%s keys=%s seen=%s frontier=%s"
-    (if c.source then "source" else if c.por then "sleep" else "none")
+    (Explore.reduction_name c.reduction)
     (if c.exact then "exact" else "fp")
     (if c.bitstate then "bitstate" else "unbounded")
     (if c.spool then "spool" else "memory")
@@ -83,23 +81,22 @@ let resilience_of c =
 
 let explore_cell ~max_configs c prog =
   let resilience = resilience_of c in
-  let reduction = if c.source then Some Explore.Source_sets else None in
   match prog with
   | Case.P_csp p ->
       let o =
-        Csp.explore ?reduction ~por:c.por ~exact_keys:c.exact ~audit_keys:false
+        Csp.explore ~reduction:c.reduction ~exact_keys:c.exact ~audit_keys:false
           ~max_configs ~resilience p
       in
       (o.Csp.computations, o.Csp.deadlocks, o.Csp.exhausted, o.Csp.explored)
   | Case.P_monitor p ->
       let o =
-        Monitor.explore ?reduction ~por:c.por ~exact_keys:c.exact ~audit_keys:false
+        Monitor.explore ~reduction:c.reduction ~exact_keys:c.exact ~audit_keys:false
           ~max_configs ~resilience p
       in
       (o.Monitor.computations, o.Monitor.deadlocks, o.Monitor.exhausted, o.Monitor.explored)
   | Case.P_ada p ->
       let o =
-        Ada.explore ?reduction ~por:c.por ~exact_keys:c.exact ~audit_keys:false
+        Ada.explore ~reduction:c.reduction ~exact_keys:c.exact ~audit_keys:false
           ~max_configs ~resilience p
       in
       (o.Ada.computations, o.Ada.deadlocks, o.Ada.exhausted, o.Ada.explored)

@@ -16,10 +16,9 @@
     resilience layer. *)
 
 type cell = {
-  por : bool;
+  reduction : Gem_lang.Explore.reduction;
   exact : bool;
   bitstate : bool;
-  source : bool;  (** Use the source-DPOR engine ([--reduction source]). *)
   spool : bool;  (** Keep the frontier on an always-spilling spool. *)
 }
 
@@ -27,8 +26,8 @@ val lattice : cell list
 (** All 10 cells; the head is {!baseline}. *)
 
 val baseline : cell
-(** POR on, exact keys, no bitstate, in-memory frontier — the truth
-    anchor. *)
+(** Sleep sets, exact keys, no bitstate, in-memory frontier — the
+    truth anchor. *)
 
 val cell_name : cell -> string
 

@@ -434,9 +434,11 @@ let fp_key cfg =
   Gem_obs.Telemetry.(span_end Canon_key) span;
   !acc
 
-let explore ?reduction ?por ?exact_keys ?audit_keys ?max_steps ?max_configs
+let explore ?reduction ?exact_keys ?audit_keys ?max_steps ?max_configs
     ?budget ?(resilience = Explore.no_resilience) program =
-  let reduction = Explore.resolve_reduction ?reduction ?por () in
+  let reduction =
+    Option.value reduction ~default:(Explore.reduction_default ())
+  in
   let exact =
     match exact_keys with Some b -> b | None -> Explore.exact_keys_default ()
   in

@@ -57,7 +57,6 @@ type outcome = {
 
 val explore :
   ?reduction:Explore.reduction ->
-  ?por:bool ->
   ?exact_keys:bool ->
   ?audit_keys:bool ->
   ?max_steps:int ->
@@ -67,8 +66,8 @@ val explore :
   program ->
   outcome
 (** Resource exhaustion never raises; it is reported in [exhausted].
-    [por] (default {!Explore.por_default}) switches between the sleep-set
-    + canonical-key reduced search and a plain exhaustive DFS.
+    [reduction] (default {!Explore.reduction_default}) picks the
+    reduction engine.
     [exact_keys] (default {!Explore.exact_keys_default}) keys the reduced
     search on exact canonical strings instead of incremental
     fingerprints; [audit_keys] (default {!Explore.audit_keys_default})

@@ -109,11 +109,6 @@ let bitstate_key k sleep =
     Fp.combine base
       (Smap.fold (fun l _ acc -> Fp.cadd acc (Fp.of_string l)) sleep Fp.zero)
 
-let por_default () =
-  match Sys.getenv_opt "GEM_NO_POR" with
-  | Some ("1" | "true" | "yes") -> false
-  | Some _ | None -> true
-
 (* ------------------------------------------------------------------ *)
 (* Reduction engine selection                                          *)
 (* ------------------------------------------------------------------ *)
@@ -131,23 +126,12 @@ let reduction_of_string = function
   | "source" -> Some Source_sets
   | _ -> None
 
-(* GEM_REDUCTION names an engine directly; the older GEM_NO_POR switch
-   (kept for compatibility with every script written against PR 2) is
-   the fallback. The CLI validates both spellings strictly — an invalid
-   GEM_REDUCTION there is a usage error, not a silent default. *)
+(* GEM_REDUCTION names the default engine. The CLI and the daemon
+   validate it strictly — an invalid value there is a usage error, not a
+   silent default. *)
 let reduction_default () =
-  match Option.bind (Sys.getenv_opt "GEM_REDUCTION") reduction_of_string with
-  | Some r -> r
-  | None -> if por_default () then Sleep_sets else No_reduction
-
-let resolve_reduction ?reduction ?por () =
-  match reduction with
-  | Some r -> r
-  | None -> (
-      match por with
-      | Some true -> Sleep_sets
-      | Some false -> No_reduction
-      | None -> reduction_default ())
+  Option.value ~default:Sleep_sets
+    (Option.bind (Sys.getenv_opt "GEM_REDUCTION") reduction_of_string)
 
 (* Mutable walk state shared by both walks. Leaves are kept
    decorated with the search key computed when the configuration was

@@ -75,12 +75,6 @@ type 'c result = {
           configuration counter. *)
 }
 
-val por_default : unit -> bool
-(** Whether partial-order reduction should be on by default: [true] unless
-    the [GEM_NO_POR] environment variable is set to [1], [true] or [yes].
-    Interpreters consult this when the caller passes no explicit [~por]
-    argument, so one environment switch flips every test and tool. *)
-
 (** {1 Reduction engines}
 
     Three ways to walk the scheduler tree, ordered by how much of it
@@ -101,16 +95,10 @@ val reduction_of_string : string -> reduction option
 (** Inverse of {!reduction_name}; [None] on any other string. *)
 
 val reduction_default : unit -> reduction
-(** The engine used when the caller passes neither [~reduction] nor
-    [~por]: a valid [GEM_REDUCTION] value wins, else [GEM_NO_POR] (via
-    {!por_default}) selects [No_reduction]/[Sleep_sets]. *)
-
-val resolve_reduction :
-  ?reduction:reduction -> ?por:bool -> unit -> reduction
-(** One resolver shared by the interpreters, the CLI and the daemon so
-    every layer agrees on precedence: an explicit [reduction] wins, then
-    an explicit [por] ([true] = [Sleep_sets], [false] = [No_reduction],
-    the pre-PR-10 switch), then {!reduction_default}. *)
+(** The engine used when the caller passes no [~reduction]: the
+    [GEM_REDUCTION] environment variable when it names an engine, else
+    [Sleep_sets]. Interpreters consult it, so one environment switch
+    flips every test and tool. *)
 
 (** {1 Resilience}
 

@@ -100,7 +100,6 @@ type outcome = {
 val explore :
   ?emit_getvals:bool ->
   ?reduction:Explore.reduction ->
-  ?por:bool ->
   ?exact_keys:bool ->
   ?audit_keys:bool ->
   ?max_steps:int ->
@@ -112,9 +111,9 @@ val explore :
 (** Exhaustively explore all schedules. Resource exhaustion (config
     budget, deadline, memory watermark) never raises: it is reported in
     [exhausted]. [Expr.Eval_error] still raises on runtime type errors.
-    [por] (default {!Explore.por_default}) switches between the sleep-set
-    + canonical-key reduced search and a plain exhaustive DFS; both reach
-    the same completed/deadlocked computation sets. [exact_keys] (default
+    [reduction] (default {!Explore.reduction_default}) picks the
+    reduction engine; every engine reaches the same completed/deadlocked
+    computation sets. [exact_keys] (default
     {!Explore.exact_keys_default}) keys the reduced search on exact
     marshal-string canonical keys instead of incremental 126-bit
     fingerprints; [audit_keys] (default {!Explore.audit_keys_default})

@@ -71,10 +71,10 @@ type report = {
   exhausted : Gem_check.Budget.reason option;
 }
 
-let check ?reduction ?por ?exact_keys ?audit_keys ?max_configs ?budget ?jobs
+let check ?reduction ?exact_keys ?audit_keys ?max_configs ?budget ?jobs
     ?resilience ~sites () =
   let o =
-    Csp.explore ?reduction ?por ?exact_keys ?audit_keys ?max_configs ?budget
+    Csp.explore ?reduction ?exact_keys ?audit_keys ?max_configs ?budget
       ?resilience (program ~sites)
   in
   let spec = Csp.language_spec ~name:"db-update" (program ~sites) in

@@ -40,7 +40,6 @@ type report = {
 
 val check :
   ?reduction:Gem_lang.Explore.reduction ->
-  ?por:bool ->
   ?exact_keys:bool ->
   ?audit_keys:bool ->
   ?max_configs:int ->
@@ -52,9 +51,9 @@ val check :
   report
 (** Explore every schedule and check convergence on each computation,
     within the given budget. Never raises on exhaustion. [reduction]
-    selects the reduction engine (and wins over [por]); [por] selects
-    the reduced search (default {!Gem_lang.Explore.por_default});
-    [exact_keys]/[audit_keys] select the search-key mode (defaults
+    selects the reduction engine (default
+    {!Gem_lang.Explore.reduction_default}); [exact_keys]/[audit_keys]
+    select the search-key mode (defaults
     {!Gem_lang.Explore.exact_keys_default} /
     {!Gem_lang.Explore.audit_keys_default}). [jobs] spreads the
     per-computation checking over that many domains (default

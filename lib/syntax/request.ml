@@ -13,7 +13,6 @@ let reduction_of_string = function
 
 type engine = {
   reduction : reduction option;
-  por : bool option;
   exact_keys : bool option;
   jobs : int;
   bitstate_bits : int option;
@@ -25,7 +24,6 @@ type engine = {
 let default_engine =
   {
     reduction = None;
-    por = None;
     exact_keys = None;
     jobs = 1;
     bitstate_bits = None;
@@ -136,11 +134,6 @@ let parse_engine_key eng key v =
       | Some r -> Ok (Some { eng with reduction = Some r })
       | None ->
           Error (Printf.sprintf "reduction expects none|sleep|source, got %S" v))
-  | "por" -> (
-      match v with
-      | "on" -> Ok (Some { eng with por = Some true })
-      | "off" -> Ok (Some { eng with por = Some false })
-      | _ -> Error (Printf.sprintf "por expects on|off, got %S" v))
   | "keys" -> (
       match v with
       | "fp" -> Ok (Some { eng with exact_keys = Some false })
@@ -148,12 +141,15 @@ let parse_engine_key eng key v =
       | _ -> Error (Printf.sprintf "keys expects fp|exact, got %S" v))
   | "jobs" -> map (fun n -> Some { eng with jobs = n }) (pos_int ~key v)
   | "bitstate" -> (
-      match v with
-      | "off" -> Ok (Some { eng with bitstate_bits = None })
+      let module B = Gem_check.Bitstate in
+      match (v, int_of_string_opt v) with
+      | "off", _ -> Ok (Some { eng with bitstate_bits = None })
+      | _, Some n when n >= B.min_bits && n <= B.max_bits ->
+          Ok (Some { eng with bitstate_bits = Some n })
       | _ ->
-          map
-            (fun n -> Some { eng with bitstate_bits = Some n })
-            (pos_int ~key:"bitstate" v))
+          Error
+            (Printf.sprintf "bitstate expects off or bits in %d..%d, got %S"
+               B.min_bits B.max_bits v))
   | "timeout" -> (
       match float_of_string_opt v with
       | Some f when f > 0. && Float.is_finite f ->
@@ -250,6 +246,15 @@ let render_value v =
     Buffer.contents b
   end
 
+(* The shortest [%g] rendering that reads back as the same float, so a
+   timeout survives [parse (to_line r)]. *)
+let float_repr f =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else go (p + 1)
+  in
+  go 1
+
 let engine_pairs eng =
   let d = default_engine in
   let p = ref [] in
@@ -259,7 +264,7 @@ let engine_pairs eng =
   | Some n -> add "max-configs" (string_of_int n)
   | None -> ());
   (match eng.timeout with
-  | Some f -> add "timeout" (Printf.sprintf "%g" f)
+  | Some f -> add "timeout" (float_repr f)
   | None -> ());
   (match eng.bitstate_bits with
   | Some n -> add "bitstate" (string_of_int n)
@@ -268,10 +273,6 @@ let engine_pairs eng =
   (match eng.exact_keys with
   | Some true -> add "keys" "exact"
   | Some false -> add "keys" "fp"
-  | None -> ());
-  (match eng.por with
-  | Some true -> add "por" "on"
-  | Some false -> add "por" "off"
   | None -> ());
   (match eng.reduction with
   | Some r -> add "reduction" (reduction_to_string r)

@@ -15,9 +15,10 @@
     only escapes. Keys split into two vocabularies:
 
     - {e engine} keys, parsed and validated here because every check
-      command shares them: [reduction=none|sleep|source], [por=on|off],
-      [keys=fp|exact], [jobs=N], [bitstate=off|BITS], [timeout=SECS],
-      [max-configs=N], [max-runs=N] ([jobs] sets the checking domains);
+      command shares them: [reduction=none|sleep|source],
+      [keys=fp|exact], [jobs=N], [bitstate=off|BITS] (BITS in 8..30),
+      [timeout=SECS], [max-configs=N], [max-runs=N] ([jobs] sets the
+      checking domains);
     - {e workload} keys (e.g. [readers=2], [version=readers-priority]),
       kept as an association list for the command runner to interpret.
 
@@ -30,8 +31,9 @@
 
     {!to_line} renders the canonical form — workload keys sorted,
     engine keys in a fixed order with defaults omitted — and
-    [parse (to_line r)] returns a request equal to [r] (the round-trip
-    property tested in [test/test_serve.ml]). *)
+    [parse (to_line r)] returns a request equal to [r] (a qcheck
+    property in [test/test_syntax.ml], over every engine key, quoted
+    values and [restrict=] formulas). *)
 
 type reduction = Reduction_none | Reduction_sleep | Reduction_source
 (** Mirror of [Explore.reduction] — [Gem_syntax] cannot depend on
@@ -45,10 +47,7 @@ val reduction_of_string : string -> reduction option
 
 type engine = {
   reduction : reduction option;
-      (** [None] defers to [Explore.reduction_default] (which still
-          honours the legacy [por] key below). The [reduction] key wins
-          over [por] when both are present. *)
-  por : bool option;  (** [None] defers to [Explore.por_default]. *)
+      (** [None] defers to [Explore.reduction_default]. *)
   exact_keys : bool option;
       (** [None] defers to [Explore.exact_keys_default]. *)
   jobs : int;  (** Checking domains. Default 1. *)

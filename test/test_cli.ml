@@ -52,28 +52,43 @@ let test_inconclusive_timeout () =
 
 let test_usage_error () =
   check Alcotest.int "unknown flag" 3 (run "rw --no-such-flag");
-  check Alcotest.int "unknown subcommand" 3 (run "frobnicate")
+  check Alcotest.int "unknown subcommand" 3 (run "frobnicate");
+  (* Bit widths outside 8..30 are usage errors, not an internal error
+     raised by the table's constructor mid-run. *)
+  List.iter
+    (fun args ->
+      let ic =
+        Unix.open_process_in
+          (Printf.sprintf "%s %s 2>&1 >/dev/null" (Filename.quote gemcheck) args)
+      in
+      let err = In_channel.input_all ic in
+      check Alcotest.bool (args ^ " exits 3") true
+        (Unix.close_process_in ic = Unix.WEXITED 3);
+      check Alcotest.bool (args ^ " is a usage error") true
+        (contains err "not a valid bit width"
+        && contains err "8..30"
+        && not (contains err "internal")))
+    [ "rw --bitstate --bitstate-bits 100"; "db --bitstate --bitstate-bits 7" ]
 
 let test_no_por_parity () =
   (* Disabling the partial-order reduction must not change any verdict:
      one verified, one falsified and one budget-truncated workload exit
-     with the same code POR on and off. *)
+     with the same code under --reduction none as by default. The old
+     --no-por alias is gone: an unknown option, a usage error. *)
   let parity name args =
-    check Alcotest.int name (run args) (run (args ^ " --no-por"))
+    check Alcotest.int name (run args) (run (args ^ " --reduction none"))
   in
   parity "verified unchanged" "rw --readers 1 --writers 1";
   parity "falsified unchanged" "rw --monitor no-exclusion --readers 1 --writers 1";
   parity "truncated unchanged" "rw --readers 1 --writers 1 --max-configs 30";
-  check Alcotest.int "--no-por verified=0" 0 (run "rw --readers 1 --writers 1 --no-por");
-  check Alcotest.int "--no-por falsified=1" 1
-    (run "rw --monitor no-exclusion --readers 1 --writers 1 --no-por");
-  check Alcotest.int "--no-por truncated=2" 2
-    (run "rw --readers 1 --writers 1 --max-configs 30 --no-por")
+  check Alcotest.int "--reduction none truncated=2" 2
+    (run "rw --readers 1 --writers 1 --max-configs 30 --reduction none");
+  check Alcotest.int "--no-por rejected" 3 (run "rw --readers 1 --writers 1 --no-por");
+  check Alcotest.int "--no-por rejected on db" 3 (run "db --sites 2 --no-por")
 
 (* --reduction contract: the engine choice must never change a verdict
    or exit code; invalid spellings — flag or GEM_REDUCTION env — are
-   usage errors (exit 3); --no-por stays an exact alias for --reduction
-   none (and conflicts with the reduced engines). *)
+   usage errors (exit 3). *)
 let test_reduction_parity () =
   let parity name args =
     let base = run args in
@@ -97,21 +112,13 @@ let test_reduction_rejected () =
   check Alcotest.int "--reduction turbo rejected" 3 (run "rw --reduction turbo");
   check Alcotest.int "--reduction Source rejected (case-sensitive)" 3
     (run "rw --reduction Source");
-  check Alcotest.int "empty --reduction rejected" 3 (run "rw --reduction \"\"");
-  (* --no-por is an alias for --reduction none: redundant agreement is
-     fine, contradiction is a usage error. *)
-  check Alcotest.int "--no-por --reduction none agree" 0
-    (run "rw --readers 1 --writers 1 --no-por --reduction none");
-  check Alcotest.int "--no-por --reduction sleep conflict" 3
-    (run "rw --readers 1 --writers 1 --no-por --reduction sleep");
-  check Alcotest.int "--no-por --reduction source conflict" 3
-    (run "rw --readers 1 --writers 1 --no-por --reduction source")
+  check Alcotest.int "empty --reduction rejected" 3 (run "rw --reduction \"\"")
 
 let test_reduction_env () =
-  (* GEM_REDUCTION supplies the default engine with the same vocabulary
-     and validation as --reduction, but explicit flags beat it: in
-     particular --no-por under GEM_REDUCTION=source is the flag winning
-     over the environment, not a flag conflict. *)
+  (* GEM_REDUCTION reaches cmdliner through the flag's ~env: the same
+     vocabulary and validation as --reduction, and the flag beats it.
+     GEM_NO_POR is not read: the report, explored counts included,
+     equals the default's. *)
   check Alcotest.int "GEM_REDUCTION=source verified" 0
     (run ~env:"GEM_REDUCTION=source" "rw --readers 1 --writers 1");
   check Alcotest.int "GEM_REDUCTION=source falsified" 1
@@ -120,10 +127,33 @@ let test_reduction_env () =
     (run ~env:"GEM_REDUCTION=none" "rw --readers 1 --writers 1");
   check Alcotest.int "--reduction sleep overrides env" 0
     (run ~env:"GEM_REDUCTION=none" "rw --readers 1 --writers 1 --reduction sleep");
-  check Alcotest.int "--no-por overrides env" 0
-    (run ~env:"GEM_REDUCTION=source" "rw --readers 1 --writers 1 --no-por");
+  check Alcotest.int "--reduction none overrides env" 0
+    (run ~env:"GEM_REDUCTION=source" "rw --readers 1 --writers 1 --reduction none");
   check Alcotest.int "GEM_REDUCTION=turbo is a usage error" 3
-    (run ~env:"GEM_REDUCTION=turbo" "rw --readers 1 --writers 1")
+    (run ~env:"GEM_REDUCTION=turbo" "rw --readers 1 --writers 1");
+  let report env = fst (run_capture ~env "rw --readers 1 --writers 1 --json") in
+  check Alcotest.string "GEM_NO_POR=1 is ignored" (report "") (report "GEM_NO_POR=1");
+  (* serve, matrix and experiments have no --reduction flag but resolve
+     the engine from GEM_REDUCTION, so they refuse a bad value at start. *)
+  let err, status =
+    let ic =
+      Unix.open_process_in
+        (* A socket path that cannot be bound: were the variable not
+           checked first, serve would still exit 3, but without naming
+           it. *)
+        (Printf.sprintf "GEM_REDUCTION=bogus %s serve --socket %s 2>&1"
+           (Filename.quote gemcheck) "/nonexistent-dir/gemcheck.sock")
+    in
+    let out = In_channel.input_all ic in
+    (out, Unix.close_process_in ic)
+  in
+  check Alcotest.bool "serve exits 3" true (status = Unix.WEXITED 3);
+  check Alcotest.bool "serve names the variable and value" true
+    (contains err "GEM_REDUCTION" && contains err {|"bogus"|});
+  check Alcotest.int "matrix exits 3" 3
+    (run ~env:"GEM_REDUCTION=bogus" "matrix --family life");
+  check Alcotest.int "experiments exits 3" 3
+    (run ~env:"GEM_REDUCTION=bogus" "experiments --only E9")
 
 (* The deterministic stats snapshot carries only the checking-phase
    invariant counters, which depend on the computation multiset alone —
@@ -166,10 +196,10 @@ let test_jobs_parity () =
   check Alcotest.int "--jobs 4 verified=0" 0 (run "rw --readers 1 --writers 1 --jobs 4");
   check Alcotest.int "--jobs 4 falsified=1" 1
     (run "rw --monitor no-exclusion --readers 1 --writers 1 --jobs 4");
-  check Alcotest.int "--jobs 4 --no-por composes" 0
-    (run "rw --readers 1 --writers 1 --jobs 4 --no-por");
-  check Alcotest.int "--jobs 4 --no-por falsified=1" 1
-    (run "rw --monitor no-exclusion --readers 1 --writers 1 --jobs 4 --no-por")
+  check Alcotest.int "--jobs 4 --reduction none composes" 0
+    (run "rw --readers 1 --writers 1 --jobs 4 --reduction none");
+  check Alcotest.int "--jobs 4 --reduction none falsified=1" 1
+    (run "rw --monitor no-exclusion --readers 1 --writers 1 --jobs 4 --reduction none")
 
 let test_jobs_env () =
   (* GEM_JOBS reaches cmdliner through the flag's ~env, so values and
@@ -340,8 +370,8 @@ let test_exact_keys_parity () =
     (run "rw --readers 1 --writers 1 --exact-keys");
   check Alcotest.int "--exact-keys falsified=1" 1
     (run "rw --monitor no-exclusion --readers 1 --writers 1 --exact-keys");
-  check Alcotest.int "--exact-keys --jobs 4 --no-por composes" 0
-    (run "rw --readers 1 --writers 1 --exact-keys --jobs 4 --no-por")
+  check Alcotest.int "--exact-keys --jobs 4 --reduction none composes" 0
+    (run "rw --readers 1 --writers 1 --exact-keys --jobs 4 --reduction none")
 
 let test_exact_keys_env () =
   (* GEM_EXACT_KEYS reaches the interpreters through the Explore default,

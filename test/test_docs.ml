@@ -1,12 +1,16 @@
 (* README.md and the code must name the same telemetry counters, budget
-   stop reasons and fault points, in both directions:
+   stop reasons, fault points and environment variables, in both
+   directions:
 
    - every counter key that [Telemetry.stats_json] prints, every
      [Budget.reason_keyword] and every [Faults] point name appears in
      README.md as a code span;
    - every code span in README.md shaped like one of those names
      (snake_case or kebab-case) is a name the code still has, or one of
-     the few other documented identifiers listed below. *)
+     the few other documented identifiers listed below;
+   - the [GEM_*] names in README.md's code spans are exactly the
+     ["GEM_..."] string literals of lib/ and bin/, the variables the
+     code reads. *)
 
 module T = Gem_obs.Telemetry
 module Budget = Gem_check.Budget
@@ -90,6 +94,70 @@ let problems readme =
 
 let readme () = In_channel.with_open_bin "../README.md" In_channel.input_all
 
+(* The [GEM_*] names in [text]: "GEM_" and the upper-case letters,
+   digits and underscores after it. [quoted] keeps only the names
+   written as a whole string literal. *)
+let gem_names ?(quoted = false) text =
+  let name_char c = (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' in
+  let n = String.length text in
+  let rec scan i acc =
+    if i + 4 > n then acc
+    else if String.sub text i 4 <> "GEM_" then scan (i + 1) acc
+    else begin
+      let j = ref (i + 4) in
+      while !j < n && name_char text.[!j] do incr j done;
+      let literal = i > 0 && text.[i - 1] = '"' && !j < n && text.[!j] = '"' in
+      let keep = !j > i + 4 && (literal || not quoted) in
+      scan !j (if keep then String.sub text i (!j - i) :: acc else acc)
+    end
+  in
+  scan 0 []
+
+let rec ml_files dir =
+  List.concat_map
+    (fun f ->
+      let path = Filename.concat dir f in
+      if Sys.is_directory path then ml_files path
+      else if Filename.check_suffix f ".ml" then [ path ]
+      else [])
+    (Array.to_list (Sys.readdir dir))
+
+let env_vars_read () =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun path ->
+         gem_names ~quoted:true (In_channel.with_open_bin path In_channel.input_all))
+       (ml_files "../lib" @ ml_files "../bin"))
+
+let env_problems readme =
+  let documented =
+    List.sort_uniq compare
+      (List.concat_map gem_names (code_spans readme))
+  in
+  let read = env_vars_read () in
+  List.filter_map
+    (fun n ->
+      if List.mem n documented then None
+      else Some (Printf.sprintf "README.md never names %s" n))
+    read
+  @ List.filter_map
+      (fun n ->
+        if List.mem n read then None
+        else Some (Printf.sprintf "README.md names %s, which the code does not read" n))
+      documented
+
+let test_env_vars_match () =
+  Alcotest.(check bool) "the scan reads the sources" true
+    (List.mem "GEM_JOBS" (env_vars_read ()));
+  Alcotest.(check (list string)) "README.md vs the variables read" []
+    (env_problems (readme ()))
+
+let test_retired_variable_caught () =
+  Alcotest.(check (list string))
+    "a retired variable is reported"
+    [ "README.md names GEM_NO_POR, which the code does not read" ]
+    (env_problems (readme () ^ "\nSet `GEM_NO_POR=1` to disable reduction.\n"))
+
 let test_readme_matches_code () =
   Alcotest.(check (list string)) "README.md vs code" [] (problems (readme ()))
 
@@ -131,5 +199,8 @@ let () =
             test_readme_matches_code;
           Alcotest.test_case "deleted counter caught" `Quick test_deleted_counter_caught;
           Alcotest.test_case "undocumented reason caught" `Quick test_missing_reason_caught;
+          Alcotest.test_case "environment variables match" `Quick test_env_vars_match;
+          Alcotest.test_case "retired variable caught" `Quick
+            test_retired_variable_caught;
         ] );
     ]

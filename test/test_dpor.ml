@@ -285,15 +285,13 @@ let prop_ada_random =
           })
         prog)
 
-(* Engine-selection plumbing: resolve_reduction's documented precedence. *)
+(* Engine selection has one switch: the retired GEM_NO_POR no longer
+   moves the default, and the spellings round-trip. *)
 let test_resolution_precedence () =
-  check Alcotest.string "explicit reduction wins over por" "source"
-    (Explore.reduction_name
-       (Explore.resolve_reduction ~reduction:Explore.Source_sets ~por:false ()));
-  check Alcotest.string "por=false means none" "none"
-    (Explore.reduction_name (Explore.resolve_reduction ~por:false ()));
-  check Alcotest.string "por=true means sleep" "sleep"
-    (Explore.reduction_name (Explore.resolve_reduction ~por:true ()));
+  let default = Explore.reduction_name (Explore.reduction_default ()) in
+  Unix.putenv "GEM_NO_POR" "1";
+  check Alcotest.string "GEM_NO_POR is ignored" default
+    (Explore.reduction_name (Explore.reduction_default ()));
   check
     Alcotest.(option string)
     "of_string round-trips"

@@ -159,7 +159,7 @@ let test_corpus_source_dpor () =
   let base_comps, base_deads = Oracle.skeys case.Case.prog Oracle.baseline in
   check Alcotest.bool "the seed explores to completion" true (base_comps <> []);
   let source_cells =
-    List.filter (fun c -> c.Oracle.source) Oracle.lattice
+    List.filter (fun c -> c.Oracle.reduction = Gem.Explore.Source_sets) Oracle.lattice
   in
   check Alcotest.int "one source-DPOR cell in the lattice" 1
     (List.length source_cells);

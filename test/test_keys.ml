@@ -107,14 +107,15 @@ let prop_csp_random_partition =
 (* Parity matrix: key mode x jobs x POR, byte-identical outcomes       *)
 (* ------------------------------------------------------------------ *)
 
-(* Each leg explores in one key mode and POR setting, then checks the
-   computations against the language spec on [jobs] checking domains:
-   the computation/deadlock fingerprints and the rendered verdicts must
-   match the exact-key, POR-on, jobs-1 leg byte for byte. *)
+(* Each leg explores in one key mode and reduction engine (none or
+   sleep), then checks the computations against the language spec on
+   [jobs] checking domains: the computation/deadlock fingerprints and
+   the rendered verdicts must match the exact-key, sleep-set, jobs-1 leg
+   byte for byte. *)
 let test_parity_matrix () =
   let matrix name run =
-    let outcome ~exact_keys ~por ~jobs =
-      let spec, comps, deads = run ~exact_keys ~por in
+    let outcome ~exact_keys ~reduction ~jobs =
+      let spec, comps, deads = run ~exact_keys ~reduction in
       let verdicts =
         List.map
           (fun v -> Format.asprintf "%a" (Gem_check.Verdict.pp None) v)
@@ -122,36 +123,36 @@ let test_parity_matrix () =
       in
       (fps comps, fps deads, verdicts)
     in
-    let bc, bd, bv = outcome ~exact_keys:true ~por:true ~jobs:1 in
+    let bc, bd, bv = outcome ~exact_keys:true ~reduction:Explore.Sleep_sets ~jobs:1 in
     List.iter
-      (fun por ->
+      (fun reduction ->
         List.iter
           (fun jobs ->
             List.iter
               (fun exact_keys ->
-                let c, d, v = outcome ~exact_keys ~por ~jobs in
+                let c, d, v = outcome ~exact_keys ~reduction ~jobs in
                 let leg what =
-                  Printf.sprintf "%s %s (exact=%b jobs=%d por=%b)" name what
-                    exact_keys jobs por
+                  Printf.sprintf "%s %s (exact=%b jobs=%d reduction=%s)" name what
+                    exact_keys jobs (Explore.reduction_name reduction)
                 in
                 check Alcotest.(list string) (leg "computations") bc c;
                 check Alcotest.(list string) (leg "deadlocks") bd d;
                 check Alcotest.(list string) (leg "verdicts") bv v)
               [ true; false ])
           [ 1; 2; 8 ])
-      [ true; false ]
+      [ Explore.Sleep_sets; Explore.No_reduction ]
   in
   let rw = RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1 in
-  matrix "rw-monitor-1r1w" (fun ~exact_keys ~por ->
-      let o = Monitor.explore ~por ~exact_keys rw in
+  matrix "rw-monitor-1r1w" (fun ~exact_keys ~reduction ->
+      let o = Monitor.explore ~reduction ~exact_keys rw in
       (Monitor.language_spec rw, o.Monitor.computations, o.Monitor.deadlocks));
   let csp = Buffer_p.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
-  matrix "buffer-csp-1p1c2i" (fun ~exact_keys ~por ->
-      let o = Csp.explore ~por ~exact_keys csp in
+  matrix "buffer-csp-1p1c2i" (fun ~exact_keys ~reduction ->
+      let o = Csp.explore ~reduction ~exact_keys csp in
       (Csp.language_spec csp, o.Csp.computations, o.Csp.deadlocks));
   let ada = Buffer_p.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
-  matrix "buffer-ada-1p1c2i" (fun ~exact_keys ~por ->
-      let o = Ada.explore ~por ~exact_keys ada in
+  matrix "buffer-ada-1p1c2i" (fun ~exact_keys ~reduction ->
+      let o = Ada.explore ~reduction ~exact_keys ada in
       (Ada.language_spec ada, o.Ada.computations, o.Ada.deadlocks))
 
 (* Fingerprint and exact keys induce the same partition, so the reduced
@@ -159,13 +160,13 @@ let test_parity_matrix () =
 let test_explored_counts_agree () =
   let rw = RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1 in
   let me e =
-    let o = Monitor.explore ~por:true ~exact_keys:e rw in
+    let o = Monitor.explore ~reduction:Explore.Sleep_sets ~exact_keys:e rw in
     (o.Monitor.explored, o.Monitor.reduced)
   in
   check Alcotest.(pair int int) "rw-2r1w: counters" (me true) (me false);
   let csp = Buffer_p.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
   let ce e =
-    let o = Csp.explore ~por:true ~exact_keys:e csp in
+    let o = Csp.explore ~reduction:Explore.Sleep_sets ~exact_keys:e csp in
     (o.Csp.explored, o.Csp.reduced)
   in
   check Alcotest.(pair int int) "buffer-csp: counters" (ce true) (ce false)
@@ -188,15 +189,16 @@ let with_telemetry f =
 let test_audited_runs_collision_free () =
   with_telemetry (fun () ->
       let rw = RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1 in
-      ignore (Monitor.explore ~por:true ~exact_keys:false ~audit_keys:true rw);
+      let reduction = Explore.Sleep_sets in
+      ignore (Monitor.explore ~reduction ~exact_keys:false ~audit_keys:true rw);
       let ada =
         Buffer_p.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2
       in
-      ignore (Ada.explore ~por:true ~exact_keys:false ~audit_keys:true ada);
+      ignore (Ada.explore ~reduction ~exact_keys:false ~audit_keys:true ada);
       let csp =
         Buffer_p.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2
       in
-      ignore (Csp.explore ~por:true ~exact_keys:false ~audit_keys:true csp);
+      ignore (Csp.explore ~reduction ~exact_keys:false ~audit_keys:true csp);
       check Alcotest.int "audited workloads: fingerprint_collisions"
         0
         (T.read T.Fingerprint_collisions))

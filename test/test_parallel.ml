@@ -53,29 +53,31 @@ let render verdicts =
 
 let assert_parity name explore =
   List.iter
-    (fun por ->
-      let spec, comps = explore ~por in
+    (fun reduction ->
+      let spec, comps = explore ~reduction in
       let rendered jobs = render (Check.check_all ~strategy ~jobs spec comps) in
       let base = rendered 1 in
       List.iter
         (fun jobs ->
           check Alcotest.string
-            (Printf.sprintf "%s por=%b jobs=%d: verdicts" name por jobs)
+            (Printf.sprintf "%s %s jobs=%d: verdicts" name
+               (Explore.reduction_name reduction) jobs)
             base (rendered jobs))
         job_counts)
-    [ true; false ]
+    [ Explore.Sleep_sets; Explore.No_reduction ]
 
 let mon_parity name prog =
-  assert_parity name (fun ~por ->
-      (Monitor.language_spec prog, (Monitor.explore ~por prog).Monitor.computations))
+  assert_parity name (fun ~reduction ->
+      ( Monitor.language_spec prog,
+        (Monitor.explore ~reduction prog).Monitor.computations ))
 
 let csp_parity name prog =
-  assert_parity name (fun ~por ->
-      (Csp.language_spec prog, (Csp.explore ~por prog).Csp.computations))
+  assert_parity name (fun ~reduction ->
+      (Csp.language_spec prog, (Csp.explore ~reduction prog).Csp.computations))
 
 let ada_parity name prog =
-  assert_parity name (fun ~por ->
-      (Ada.language_spec prog, (Ada.explore ~por prog).Ada.computations))
+  assert_parity name (fun ~reduction ->
+      (Ada.language_spec prog, (Ada.explore ~reduction prog).Ada.computations))
 
 let test_rw_monitor_workloads () =
   mon_parity "rw-paper-1r1w" (RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1);
@@ -385,13 +387,13 @@ let prop_csp_random_parallel_parity =
           [ Csp.language_spec prog; Spec.make "restriction" ~restrictions:[ ("r", f) ] () ]
       in
       List.for_all
-        (fun por ->
-          let comps = (Csp.explore ~por prog).Csp.computations in
+        (fun reduction ->
+          let comps = (Csp.explore ~reduction prog).Csp.computations in
           let base = render (Check.check_all ~strategy ~jobs:1 spec comps) in
           List.for_all
             (fun jobs -> render (Check.check_all ~strategy ~jobs spec comps) = base)
             job_counts)
-        [ true; false ])
+        [ Explore.Sleep_sets; Explore.No_reduction ])
 
 let () =
   let to_alc = QCheck_alcotest.to_alcotest in

@@ -33,6 +33,10 @@ module Gen_csp = Gem_fuzz.Gen
 let check = Alcotest.check
 let strategy = Strategy.Linearizations (Some 200)
 
+(* The two engines compared: sleep sets (POR on) and plain DFS (off). *)
+let sleep = Explore.Sleep_sets
+let none = Explore.No_reduction
+
 (* Sorted fingerprint multiset of a list of computations. *)
 let fps comps = List.sort compare (List.map Explore.fingerprint comps)
 
@@ -50,25 +54,25 @@ let assert_same_outcomes name (c1, d1, x1) (c2, d2, x2) =
     (name ^ ": exhaustion") (reason_opt x1) (reason_opt x2)
 
 let mon_diff name prog =
-  let run por =
-    let o = Monitor.explore ~por prog in
+  let run reduction =
+    let o = Monitor.explore ~reduction prog in
     (o.Monitor.computations, o.Monitor.deadlocks, o.Monitor.exhausted)
   in
-  assert_same_outcomes name (run true) (run false)
+  assert_same_outcomes name (run sleep) (run none)
 
 let csp_diff name prog =
-  let run por =
-    let o = Csp.explore ~por prog in
+  let run reduction =
+    let o = Csp.explore ~reduction prog in
     (o.Csp.computations, o.Csp.deadlocks, o.Csp.exhausted)
   in
-  assert_same_outcomes name (run true) (run false)
+  assert_same_outcomes name (run sleep) (run none)
 
 let ada_diff name prog =
-  let run por =
-    let o = Ada.explore ~por prog in
+  let run reduction =
+    let o = Ada.explore ~reduction prog in
     (o.Ada.computations, o.Ada.deadlocks, o.Ada.exhausted)
   in
-  assert_same_outcomes name (run true) (run false)
+  assert_same_outcomes name (run sleep) (run none)
 
 let test_rw_monitor_workloads () =
   mon_diff "rw-paper-1r1w" (RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1);
@@ -93,8 +97,8 @@ let test_distributed_workloads () =
   csp_diff "db-update-2-sites" (Db.program ~sites:2)
 
 let test_db_report_agrees () =
-  let on = Db.check ~por:true ~sites:2 ()
-  and off = Db.check ~por:false ~sites:2 () in
+  let on = Db.check ~reduction:sleep ~sites:2 ()
+  and off = Db.check ~reduction:none ~sites:2 () in
   check Alcotest.int "computations" on.Db.computations off.Db.computations;
   check Alcotest.int "deadlocks" on.Db.deadlocks off.Db.deadlocks;
   check Alcotest.bool "converges" on.Db.converges off.Db.converges;
@@ -105,25 +109,27 @@ let test_db_report_agrees () =
    two modes under a shared cap: both must degrade to the same reason. *)
 let test_rwd_ada_capped () =
   let prog = Rwd.ada_program ~readers:1 ~writers:1 in
-  let run por = (Ada.explore ~por ~max_configs:500 prog).Ada.exhausted in
+  let run reduction = (Ada.explore ~reduction ~max_configs:500 prog).Ada.exhausted in
   check
     Alcotest.(option string)
-    "both report config-budget" (Some "config-budget") (reason_opt (run true));
+    "both report config-budget" (Some "config-budget") (reason_opt (run sleep));
   check
     Alcotest.(option string)
-    "POR off agrees" (reason_opt (run true)) (reason_opt (run false))
+    "POR off agrees" (reason_opt (run sleep)) (reason_opt (run none))
 
 (* A cap too small for either mode: the degradation status must be the
    same three-valued outcome POR on and off. *)
 let test_budget_truncation_agrees () =
   let prog = RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1 in
-  let run por = (Monitor.explore ~por ~max_configs:30 prog).Monitor.exhausted in
+  let run reduction =
+    (Monitor.explore ~reduction ~max_configs:30 prog).Monitor.exhausted
+  in
   check
     Alcotest.(option string)
-    "POR on truncates" (Some "config-budget") (reason_opt (run true));
+    "POR on truncates" (Some "config-budget") (reason_opt (run sleep));
   check
     Alcotest.(option string)
-    "POR off matches" (reason_opt (run true)) (reason_opt (run false))
+    "POR off matches" (reason_opt (run sleep)) (reason_opt (run none))
 
 (* ------------------------------------------------------------------ *)
 (* Byte-identical verdicts                                             *)
@@ -150,28 +156,28 @@ let test_verdicts_byte_identical () =
   let rw_case name monitor version ~readers ~writers =
     let prog = RW.program ~monitor ~readers ~writers in
     let problem = RW.spec version ~users:(RW.user_names ~readers ~writers) in
-    let render por =
-      let o = Monitor.explore ~por prog in
+    let render reduction =
+      let o = Monitor.explore ~reduction prog in
       render_sat ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
         o.Monitor.computations
     in
-    check Alcotest.string (name ^ ": verdicts byte-identical") (render true)
-      (render false)
+    check Alcotest.string (name ^ ": verdicts byte-identical") (render sleep)
+      (render none)
   in
   rw_case "rw-paper-verified" RW.paper_monitor RW.Readers_priority ~readers:1
     ~writers:1;
   rw_case "rw-no-exclusion-falsified" RW.no_exclusion_monitor RW.Free_for_all
     ~readers:2 ~writers:1;
-  let buffer_render por =
+  let buffer_render reduction =
     let o =
-      Csp.explore ~por
+      Csp.explore ~reduction
         (Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2)
     in
     render_sat ~problem:(Buffer.spec ~capacity:1) ~map:Buffer.csp_correspondence
       o.Csp.computations
   in
-  check Alcotest.string "buffer-csp: verdicts byte-identical" (buffer_render true)
-    (buffer_render false)
+  check Alcotest.string "buffer-csp: verdicts byte-identical" (buffer_render sleep)
+    (buffer_render none)
 
 (* ------------------------------------------------------------------ *)
 (* Reduction factor: the optimisation must actually optimise           *)
@@ -179,12 +185,13 @@ let test_verdicts_byte_identical () =
 
 let test_reduction_at_least_2x () =
   let p = RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1 in
-  let on = Monitor.explore ~por:true p and off = Monitor.explore ~por:false p in
+  let on = Monitor.explore ~reduction:sleep p
+  and off = Monitor.explore ~reduction:none p in
   check Alcotest.bool "rw-2r1w reduced >= 2x" true
     (off.Monitor.explored >= 2 * on.Monitor.explored);
   check Alcotest.bool "rw-2r1w reports pruning" true (on.Monitor.reduced > 0);
   let b = Buffer.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
-  let on = Ada.explore ~por:true b and off = Ada.explore ~por:false b in
+  let on = Ada.explore ~reduction:sleep b and off = Ada.explore ~reduction:none b in
   check Alcotest.bool "buffer-ada reduced >= 2x" true
     (off.Ada.explored >= 2 * on.Ada.explored);
   check Alcotest.bool "buffer-ada reports pruning" true (on.Ada.reduced > 0)
@@ -201,7 +208,8 @@ let prog_arb = Gen_csp.prog_arb
 let prop_csp_random_differential =
   QCheck.Test.make ~name:"random CSP: POR on/off agree" ~count:60 prog_arb
     (fun prog ->
-      let on = Csp.explore ~por:true prog and off = Csp.explore ~por:false prog in
+      let on = Csp.explore ~reduction:sleep prog
+      and off = Csp.explore ~reduction:none prog in
       fps on.Csp.computations = fps off.Csp.computations
       && fps on.Csp.deadlocks = fps off.Csp.deadlocks
       && on.Csp.exhausted = None

@@ -398,13 +398,14 @@ let bitstate_res () =
 
 let bitstate_parity name prog =
   List.iter
-    (fun por ->
-      let base = Csp.explore ~por prog in
+    (fun reduction ->
+      let engine = Explore.reduction_name reduction in
+      let base = Csp.explore ~reduction prog in
       check Alcotest.(option string)
-        (Printf.sprintf "%s por=%b: exact baseline is clean" name por)
+        (Printf.sprintf "%s %s: exact baseline is clean" name engine)
         None (reason_opt base.Csp.exhausted);
-      let o = Csp.explore ~por ~resilience:(bitstate_res ()) prog in
-      let tag = Printf.sprintf "%s por=%b bitstate" name por in
+      let o = Csp.explore ~reduction ~resilience:(bitstate_res ()) prog in
+      let tag = Printf.sprintf "%s %s bitstate" name engine in
       check
         Alcotest.(list string)
         (tag ^ ": computation set")
@@ -420,7 +421,7 @@ let bitstate_parity name prog =
         (tag ^ ": Verified downgraded")
         (Some "bitstate-collision-risk")
         (reason_opt o.Csp.exhausted))
-    [ true; false ]
+    [ Explore.Sleep_sets; Explore.No_reduction ]
 
 let test_bitstate_parity_matrix () =
   bitstate_parity "db-update-2" (Db.program ~sites:2);

@@ -22,7 +22,10 @@ let sat_ada program ~readers ~writers =
      and the unreduced DFS (no memoization) enumerates paths without
      bound. test_por compares the two modes on this workload under a
      shared configuration cap instead. *)
-  let o = Gem_lang.Ada.explore ~por:true ~max_configs:10_000_000 program in
+  let o =
+    Gem_lang.Ada.explore ~reduction:Gem_lang.Explore.Sleep_sets
+      ~max_configs:10_000_000 program
+  in
   let rnames, wnames = RWD.user_names ~readers ~writers in
   let problem = RWD.spec ~readers:rnames ~writers:wnames in
   ( Refine.sat_ok ~strategy ~problem ~map:RWD.ada_correspondence o.Gem_lang.Ada.computations,

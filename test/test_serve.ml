@@ -8,8 +8,8 @@
    assembled from a shared exploration two-phase budget. The key suite
    is its dual: any input that can change a verdict (workload parameter,
    restriction, engine knob) must change the cache key, while spellings
-   that cannot (por=on under default POR, rw versions sharing an
-   exploration) must collapse onto one line. *)
+   that cannot (the default engine named explicitly, rw versions sharing
+   an exploration) must collapse onto one line. *)
 
 module Cache = Gem_check.Cache
 module Server = Gem_check.Server
@@ -191,7 +191,6 @@ let test_request_roundtrip () =
          engine =
            {
              R.reduction = Some R.Reduction_source;
-             por = Some false;
              exact_keys = Some true;
              jobs = 4;
              bitstate_bits = Some 20;
@@ -215,11 +214,11 @@ let test_request_roundtrip () =
 
 let test_request_canonical () =
   (* Workload keys come out sorted; defaults are omitted. *)
-  match R.parse "check rw writers=1 readers=2 por=off jobs=1" with
+  match R.parse "check rw writers=1 readers=2 reduction=none jobs=1" with
   | Error e -> Alcotest.fail e
   | Ok r ->
-      check Alcotest.string "canonical line" "check rw readers=2 writers=1 por=off"
-        (R.to_line r)
+      check Alcotest.string "canonical line"
+        "check rw readers=2 writers=1 reduction=none" (R.to_line r)
 
 let test_request_errors () =
   let bad line expect =
@@ -242,13 +241,14 @@ let test_request_errors () =
   bad "check rw extra" "unexpected bare word";
   bad "check rw readers=1 readers=2" "duplicate key";
   bad "check rw restrict=true restrict=false" "duplicate key";
-  bad "check rw por=maybe" "por expects on|off";
   bad "check rw reduction=turbo" "reduction expects none|sleep|source";
   bad "check rw keys=hash" "keys expects fp|exact";
   bad "check rw jobs=0" "positive integer";
   bad "check rw jobs=-1" "positive integer";
   bad "check rw jobs=abc" "positive integer";
-  bad "check rw bitstate=nope" "positive integer";
+  bad "check rw bitstate=nope" "bits in 8..30";
+  bad "check rw bitstate=100" "bits in 8..30";
+  bad "check rw bitstate=7" "bits in 8..30";
   bad "check rw timeout=0" "timeout expects positive seconds";
   bad "check rw timeout=-1" "timeout expects positive seconds";
   bad "check rw timeout=inf" "timeout expects positive seconds";
@@ -265,7 +265,7 @@ let test_request_errors () =
       match R.parse line with
       | Ok _ -> ()
       | Error e -> check Alcotest.bool "one-line error" false (String.contains e '\n'))
-    [ ""; "frobnicate"; "check rw por=maybe"; "check rw restrict=((" ]
+    [ ""; "frobnicate"; "check rw reduction=maybe"; "check rw restrict=((" ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache keys                                                          *)
@@ -280,16 +280,15 @@ let deft = R.default_engine
 (* The wire spelling of the environment-resolved reduction engine, plus
    one that differs from it — so the sensitivity and defaults-collapse
    assertions stay meaningful on CI legs that flip the default via
-   GEM_REDUCTION / GEM_NO_POR (same idea as the [not (por_default ())]
-   perturbations). *)
+   GEM_REDUCTION. *)
 let default_reduction_wire =
-  match Explore.resolve_reduction () with
+  match Explore.reduction_default () with
   | Explore.No_reduction -> R.Reduction_none
   | Explore.Sleep_sets -> R.Reduction_sleep
   | Explore.Source_sets -> R.Reduction_source
 
 let non_default_reduction =
-  match Explore.resolve_reduction () with
+  match Explore.reduction_default () with
   | Explore.Source_sets -> R.Reduction_sleep
   | _ -> R.Reduction_source
 
@@ -308,11 +307,6 @@ let test_verdict_key_sensitivity () =
       ("monitor", key (rw ~monitor:"buggy" ()));
       ("restrict", key ~restrict:(formula "false") (rw ()));
       ("restrict formula", key ~restrict:(formula "true") (rw ()));
-      ( "por",
-        (* por=on resolves to sleep, por=off to none; pick whichever
-           differs from the resolved default engine. *)
-        let flipped = Explore.resolve_reduction () = Explore.No_reduction in
-        key ~engine:{ deft with R.por = Some flipped } (rw ()) );
       ( "reduction",
         key ~engine:{ deft with R.reduction = Some non_default_reduction }
           (rw ()) );
@@ -354,39 +348,43 @@ let test_verdict_key_resolves_defaults () =
   (* Spelling the environment default explicitly is the same request —
      it must land on the same cache line. *)
   let base = Runner.verdict_key (rw ()) ~restrict:None deft in
-  (* por can only spell the none/sleep engines, so it re-spells the
-     default exactly when the resolved default is one of those; under a
-     source default (GEM_REDUCTION=source leg) an explicit por=on is a
-     *different* engine — sleep — and must split the key. *)
-  (match Explore.resolve_reduction () with
-  | Explore.Sleep_sets ->
-      check Alcotest.string "por=on collapses" base
-        (Runner.verdict_key (rw ()) ~restrict:None
-           { deft with R.por = Some true })
-  | Explore.No_reduction ->
-      check Alcotest.string "por=off collapses" base
-        (Runner.verdict_key (rw ()) ~restrict:None
-           { deft with R.por = Some false })
-  | Explore.Source_sets ->
-      check Alcotest.bool "por=on splits under a source default" false
-        (String.equal base
-           (Runner.verdict_key (rw ()) ~restrict:None
-              { deft with R.por = Some true })));
   check Alcotest.string "keys=default collapses" base
     (Runner.verdict_key (rw ()) ~restrict:None
        { deft with R.exact_keys = Some (Explore.exact_keys_default ()) });
   (* Spelling the resolved default reduction explicitly is the default
-     engine spelled out, and reduction=none is por=off spelled through
-     the new key: both pairs are the same request and must share a
-     cache line. *)
+     engine spelled out: the same request, the same cache line. *)
   check Alcotest.string "reduction=default collapses" base
     (Runner.verdict_key (rw ()) ~restrict:None
-       { deft with R.reduction = Some default_reduction_wire });
-  check Alcotest.string "reduction=none equals por=off"
-    (Runner.verdict_key (rw ()) ~restrict:None
-       { deft with R.por = Some false })
-    (Runner.verdict_key (rw ()) ~restrict:None
-       { deft with R.reduction = Some R.Reduction_none })
+       { deft with R.reduction = Some default_reduction_wire })
+
+(* The checkpoint stamp keeps the bytes checkpoints have always carried:
+   the engine spelled por=true|false, so a checkpoint written before the
+   reduction engines existed still resumes. *)
+let test_checkpoint_stamp () =
+  let stamp ?(exact_keys = false) ?bitstate_bits reduction =
+    Runner.stamp (Runner.Db { sites = 3 }) ~reduction:(Some reduction)
+      ~exact_keys:(Some exact_keys) ~bitstate_bits
+  in
+  check Alcotest.string "sleep sets"
+    "gemcheck/1 db sites=3 por=true exact=false bitstate=off"
+    (stamp Explore.Sleep_sets);
+  check Alcotest.string "plain DFS, exact keys, bitstate"
+    "gemcheck/1 db sites=3 por=false exact=true bitstate=20"
+    (stamp ~exact_keys:true ~bitstate_bits:20 Explore.No_reduction);
+  check Alcotest.string "source is stamped as sleep (checkpointed runs degrade)"
+    (stamp Explore.Sleep_sets) (stamp Explore.Source_sets);
+  check Alcotest.string "the daemon stamps through the same function"
+    (Runner.stamp (rw ()) ~reduction:(Some Explore.No_reduction)
+       ~exact_keys:(Some true) ~bitstate_bits:(Some 16))
+    (Runner.opts_of_engine (rw ())
+       {
+         deft with
+         R.reduction = Some R.Reduction_none;
+         exact_keys = Some true;
+         bitstate_bits = Some 16;
+       })
+      .Runner.resilience
+      .Explore.stamp
 
 let test_explore_key_sharing () =
   (* The exploration key must ignore exactly the inputs that do not
@@ -473,17 +471,11 @@ let identity_cases =
     "rw readers=1 writers=1 restrict=false";
     "rw readers=1 writers=1 max-configs=5";
     "rw readers=1 writers=1 version=free-for-all";
-    (* The por and reduction spellings must differ from the resolved
-       default engine, or their cold request here would land on the
-       default case's cache line and be a hit already (the collapse
-       itself is asserted in the keys suite); CI legs flip the default
-       via GEM_NO_POR / GEM_REDUCTION. *)
-    ("rw readers=1 writers=1 por="
-    ^ match Explore.resolve_reduction () with
-      | Explore.No_reduction -> "on"
-      | _ -> "off");
-    (* reduction=none is deliberately absent: under the default engine
-       it collapses onto por=off's cache line. *)
+    (* The reduction spelling must differ from the resolved default
+       engine, or its cold request here would land on the default
+       case's cache line and be a hit already (the collapse itself is
+       asserted in the keys suite); CI legs flip the default via
+       GEM_REDUCTION. *)
     "rw readers=1 writers=1 reduction="
     ^ R.reduction_to_string non_default_reduction;
     ("rw readers=1 writers=1 keys="
@@ -570,11 +562,15 @@ let test_handler_errors () =
     | ls -> Alcotest.failf "%S: %d lines" line (List.length ls)
   in
   error_reply "frobnicate" "parse:";
-  error_reply "check rw por=maybe" "parse:";
+  error_reply "check rw reduction=maybe" "parse:";
   error_reply "check nosuch" "unknown command";
   error_reply "check rw bogus=1" "unknown key";
-  (* batch= is not an engine key: a request that sends it is refused. *)
+  (* batch= and por= are not engine keys: a request that sends one is
+     refused. *)
   error_reply "check rw batch=64" "unknown key batch";
+  error_reply "check rw por=off" "unknown key por";
+  (* Refused by the parser, not by the table's constructor mid-run. *)
+  error_reply "check rw bitstate=100" "parse: bitstate expects off or bits in 8..30";
   error_reply "check db sites=2 restrict=true" "does not take a restrict";
   (* Junk must never crash the handler. *)
   List.iter
@@ -855,6 +851,7 @@ let () =
             test_verdict_key_resolves_defaults;
           Alcotest.test_case "exploration sharing" `Quick
             test_explore_key_sharing;
+          Alcotest.test_case "checkpoint stamp" `Quick test_checkpoint_stamp;
         ] );
       ( "identity",
         [

@@ -233,6 +233,102 @@ let prop_roundtrip =
     roundtrip
 
 (* ------------------------------------------------------------------ *)
+(* Wire grammar: the parsers a serve socket reaches                    *)
+(* ------------------------------------------------------------------ *)
+
+module R = Gem_syntax.Request
+
+(* Random bytes, or random splices of a grammar's own tokens: the
+   splices reach far deeper into a parser than uniform bytes do. *)
+let soup words =
+  let open QCheck.Gen in
+  oneof
+    [
+      string_size (int_range 0 60);
+      map (String.concat "")
+        (list_size (int_range 0 24)
+           (oneof [ oneofl words; map (String.make 1) printable ]));
+    ]
+
+let request_words =
+  [ "check "; "ping"; "stats"; " "; "\t"; "="; "\""; "\\"; "rw "; "db ";
+    "reduction="; "none"; "sleep"; "keys="; "exact"; "jobs="; "bitstate=";
+    "timeout="; "max-configs="; "max-runs="; "restrict="; "off"; "8"; "30";
+    "100"; "-1"; "1e308"; "nan"; "0x1p-3"; "readers="; "por=" ]
+
+let formula_words =
+  [ "ALL "; "EX "; "EX! "; "EX<=1 "; "("; ")"; "[]"; "<>"; "~"; "/\\"; "\\/";
+    "->"; "<->"; "x"; "y"; ":"; "."; "="; "!="; "<"; "<="; "=>"; "=>el"; "|>";
+    "occurred"; "new"; "potential"; "at"; "in"; "index"; "elem"; "\""; "-";
+    "99999999999999999999"; "true"; "false"; "{"; "}"; "|"; "*"; "+"; "!~pi~" ]
+
+let never_raises name parse words =
+  QCheck.Test.make ~name ~count:3000
+    (QCheck.make (soup words) ~print:(Printf.sprintf "%S"))
+    (fun s -> match parse s with Ok _ | Error _ -> true)
+
+let prop_request_total = never_raises "Request.parse never raises" R.parse request_words
+
+let prop_formula_total =
+  never_raises "Parser.parse_formula never raises" Parser.parse_formula formula_words
+
+(* Requests as a client could send them: every engine key, workload
+   values that need quoting, restrict= formulas, timeouts over the
+   whole float range. Values are one line of printable ASCII, as the
+   line-framed wire carries them. *)
+let request_gen =
+  let open QCheck.Gen in
+  let ident =
+    string_size ~gen:(oneofl [ 'a'; 'b'; 'z'; 'X'; '0'; '9'; '-'; '_' ]) (int_range 1 6)
+  in
+  let value = string_size ~gen:(map Char.chr (int_range 32 126)) (int_range 0 10) in
+  let engine_keys =
+    [ "reduction"; "keys"; "jobs"; "bitstate"; "timeout"; "max-configs"; "max-runs";
+      "restrict" ]
+  in
+  let params =
+    map
+      (fun ps ->
+        List.sort_uniq
+          (fun (a, _) (b, _) -> compare a b)
+          (List.filter (fun (k, _) -> not (List.mem k engine_keys)) ps))
+      (list_size (int_range 0 4) (pair ident value))
+  in
+  let timeout =
+    oneof
+      [
+        oneofl [ 0.5; 1.; 60.; 0.123456789; 1e-300; max_float ];
+        float_range 1e-3 1e4;
+        map2 (fun m e -> m *. (10. ** float_of_int e)) (float_range 1. 10.)
+          (int_range (-300) 300);
+      ]
+  in
+  let* reduction = opt (oneofl R.[ Reduction_none; Reduction_sleep; Reduction_source ]) in
+  let* exact_keys = opt bool in
+  let* jobs = int_range 1 64 in
+  let* bitstate_bits = opt (int_range 8 30) in
+  let* timeout = opt timeout in
+  let* max_configs = opt (int_range 1 max_int) in
+  let* max_runs = opt (int_range 1 max_int) in
+  let* cmd = ident in
+  let* params = params in
+  let* restrict = opt formula_gen in
+  let engine =
+    { R.reduction; exact_keys; jobs; bitstate_bits; timeout; max_configs; max_runs }
+  in
+  frequency
+    [
+      (1, return R.Ping);
+      (1, return R.Stats);
+      (8, return (R.Check { cmd; params; restrict; engine }));
+    ]
+
+let prop_request_roundtrip =
+  QCheck.Test.make ~name:"parse (to_line r) = r" ~count:2000
+    (QCheck.make request_gen ~print:R.to_line)
+    (fun r -> R.parse (R.to_line r) = Ok r)
+
+(* ------------------------------------------------------------------ *)
 (* Thread patterns and specifications                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -447,6 +543,12 @@ let () =
           Alcotest.test_case "terms" `Quick test_parse_terms;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           QCheck_alcotest.to_alcotest prop_roundtrip;
+        ] );
+      ( "wire",
+        [
+          QCheck_alcotest.to_alcotest prop_request_total;
+          QCheck_alcotest.to_alcotest prop_formula_total;
+          QCheck_alcotest.to_alcotest prop_request_roundtrip;
         ] );
       ( "spec",
         [

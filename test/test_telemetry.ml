@@ -222,7 +222,7 @@ let test_conservation_grid () =
 (* Cross-language: the CSP interpreter feeds the same sink. *)
 let test_conservation_csp () =
   with_telemetry (fun () ->
-      let o = Csp.explore ~por:true buffer_csp in
+      let o = Csp.explore ~reduction:Explore.Sleep_sets buffer_csp in
       Alcotest.(check int) "csp explored" o.Csp.explored (T.read T.Configs_explored);
       Alcotest.(check int) "csp reduced" o.Csp.reduced (T.read T.Configs_reduced))
 
@@ -240,14 +240,14 @@ let sat_buffer comps =
 let test_transparency () =
   T.disable ();
   T.reset ();
-  let o_off = Monitor.explore ~por:true buffer_monitor in
+  let o_off = Monitor.explore ~reduction:Explore.Sleep_sets buffer_monitor in
   let verdict_off = sat_buffer o_off.Monitor.computations in
   let fps_off =
     List.sort compare (List.map Explore.fingerprint o_off.Monitor.computations)
   in
   let verdict_on, fps_on =
     with_telemetry (fun () ->
-        let o = Monitor.explore ~por:true buffer_monitor in
+        let o = Monitor.explore ~reduction:Explore.Sleep_sets buffer_monitor in
         ( sat_buffer o.Monitor.computations,
           List.sort compare (List.map Explore.fingerprint o.Monitor.computations)
         ))
@@ -260,9 +260,9 @@ let test_transparency () =
 (* ------------------------------------------------------------------ *)
 
 let test_deterministic_stats () =
-  let snapshot ?reduction jobs =
+  let snapshot ?(reduction = Explore.Sleep_sets) jobs =
     with_telemetry (fun () ->
-        let o = Monitor.explore ?reduction ~por:true (rw 2 1) in
+        let o = Monitor.explore ~reduction (rw 2 1) in
         let problem =
           Readers_writers.spec Readers_writers.Free_for_all
             ~users:(Readers_writers.user_names ~readers:2 ~writers:1)
@@ -292,7 +292,7 @@ let test_deterministic_stats () =
 let test_budget_stop_counter () =
   with_telemetry (fun () ->
       let budget = Budget.make ~max_configs:5 () in
-      let o = Monitor.explore ~budget ~por:true (rw 2 1) in
+      let o = Monitor.explore ~budget ~reduction:Explore.Sleep_sets (rw 2 1) in
       Alcotest.(check bool) "exploration was cut" true
         (o.Monitor.exhausted <> None);
       Alcotest.(check int) "config-budget stop recorded once" 1
@@ -365,7 +365,7 @@ let all_phases =
 let test_disabled_noop () =
   T.disable ();
   T.reset ();
-  let o = Monitor.explore ~por:true buffer_monitor in
+  let o = Monitor.explore ~reduction:Explore.Sleep_sets buffer_monitor in
   ignore (sat_buffer o.Monitor.computations);
   List.iter
     (fun c ->
@@ -396,7 +396,7 @@ let test_trace_export () =
       Fun.protect
         ~finally:(fun () -> T.disable ())
         (fun () ->
-          ignore (Monitor.explore ~por:true buffer_monitor);
+          ignore (Monitor.explore ~reduction:Explore.Sleep_sets buffer_monitor);
           T.flush_trace ());
       let ic = open_in file in
       let lines = ref [] in
