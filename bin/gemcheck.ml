@@ -839,6 +839,11 @@ let client_cmd =
                    or 'ping' or 'stats'.")
   in
   let run socket request =
+    (* A daemon over its connection cap answers busy and closes; a send
+       after that must fail with EPIPE, not kill the client, so that the
+       reply is still read. *)
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+     with Invalid_argument _ | Sys_error _ -> ());
     match Client.request ~socket request with
     | Error m ->
         Printf.eprintf "gemcheck: %s\n" m;

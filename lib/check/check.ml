@@ -97,7 +97,11 @@ let check_restrictions ?budget ~strategy ~spec_name comp restrictions =
         exhaustion := Some (Budget.Run_cap cap);
         Gem_obs.Telemetry.(hit Budget_stop_runs)
     | None -> ());
-    let pending = ref enumerated in
+    let pending =
+      ref
+        (Gem_obs.Telemetry.(time Formula_eval) @@ fun () ->
+         List.map (fun (name, f) -> (name, f, Eval.ground comp f)) enumerated)
+    in
     (try
        List.iter
          (fun run ->
@@ -110,8 +114,8 @@ let check_restrictions ?budget ~strategy ~spec_name comp restrictions =
            Gem_obs.Telemetry.(hit Runs_enumerated);
            pending :=
              List.filter
-               (fun (name, f) ->
-                 Eval.eval_run run f
+               (fun (name, f, g) ->
+                 Eval.eval_ground_run run g
                  || begin
                       fail name f (Some run);
                       false

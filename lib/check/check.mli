@@ -9,7 +9,9 @@
     histories for the strategy's run cap; a failure there is reported
     with a witness run that {!Gem_logic.Eval.eval_run} refutes, counted
     as the one run checked. The others, and all of them when the lattice
-    is bigger, are evaluated over the runs the {!Strategy} enumerates.
+    is bigger, are grounded once on the computation
+    ({!Gem_logic.Eval.ground}) and evaluated over the runs the
+    {!Strategy} enumerates.
     Thread labels are attached before any restriction is evaluated.
 
     All entry points accept an optional {!Budget.t}. Budget exhaustion

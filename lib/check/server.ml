@@ -18,6 +18,14 @@ type t = {
          reuse, so the drain never touches a closed one. *)
 }
 
+(* The most connections served at once, one thread each: the listen
+   backlog. A connection over it is answered and closed by the accept
+   loop, so a flood of idle connections cannot make the daemon start
+   threads without limit. *)
+let max_connections = 64
+
+let busy = {|{"serve":1,"error":"busy","code":3}|}
+
 let create ~socket () =
   (* A stale socket file from a crashed daemon would make bind fail with
      EADDRINUSE even though nobody is listening; removing a regular file
@@ -32,7 +40,7 @@ let create ~socket () =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  Unix.listen fd 64;
+  Unix.listen fd max_connections;
   {
     s_path = socket;
     s_listen = fd;
@@ -189,8 +197,22 @@ let run t ~handler =
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
         | fd, _ ->
             let conn = { c_fd = fd; c_thread = None } in
-            Mutex.protect t.s_lock (fun () -> t.s_conns <- conn :: t.s_conns);
-            conn.c_thread <- Some (Thread.create (serve_conn t ~handler) conn))
+            let admitted =
+              Mutex.protect t.s_lock (fun () ->
+                  List.compare_length_with t.s_conns max_connections < 0
+                  && begin
+                       t.s_conns <- conn :: t.s_conns;
+                       true
+                     end)
+            in
+            if admitted then
+              conn.c_thread <- Some (Thread.create (serve_conn t ~handler) conn)
+            else begin
+              (* A fresh socket's send buffer takes the short reply
+                 without blocking the accept loop. *)
+              (try write_all fd (busy ^ "\n") with Unix.Unix_error _ -> ());
+              try Unix.close fd with Unix.Unix_error _ -> ()
+            end)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   (try Unix.close t.s_listen with Unix.Unix_error _ -> ());

@@ -14,6 +14,9 @@
     - a request line longer than {!max_line_bytes} (newline excluded) is
       answered with [{"serve":1,"error":"request line too long","code":3}]
       and its connection closed;
+    - at most {!max_connections} connections are served at once; one
+      accepted over the cap is answered with
+      [{"serve":1,"error":"busy","code":3}] and closed without a thread;
     - a handler exception answers that request with a one-line JSON
       error and leaves the connection (and the server) alive;
     - a client disconnecting mid-response kills only that connection;
@@ -34,6 +37,10 @@ type t
 
 val max_line_bytes : int
 (** The longest request line the server reads: 1 MiB. *)
+
+val max_connections : int
+(** The most connections served at once: 64, also the listen backlog.
+    There is no idle timeout: a held connection keeps its place. *)
 
 val create : socket:string -> unit -> t
 (** Bind and listen on a Unix-domain socket at [socket], replacing any

@@ -58,8 +58,11 @@ let field_string header name =
 
 let request ~socket line =
   let fd =
-    try Ok (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0)
-    with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+    if String.contains line '\n' then
+      Error "request contains a line feed; quote the value and write it as \\n"
+    else
+      try Ok (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0)
+      with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   in
   match fd with
   | Error _ as e -> e
@@ -76,48 +79,52 @@ let request ~socket line =
           fail "cannot connect to %s: %s" socket (Unix.error_message e)
       | () -> (
           let msg = line ^ "\n" in
-          match
-            let n = String.length msg in
-            let sent = ref 0 in
-            while !sent < n do
-              sent := !sent + Unix.write_substring fd msg !sent (n - !sent)
-            done
-          with
-          | exception Unix.Unix_error (e, _, _) ->
-              fail "cannot send request: %s" (Unix.error_message e)
-          | () -> (
-              let ic = Unix.in_channel_of_descr fd in
-              let read_line () =
-                match input_line ic with
-                | l -> Ok l
-                | exception End_of_file -> Error "daemon closed the connection"
-                | exception Sys_error m -> Error m
+          let sent =
+            match
+              let n = String.length msg in
+              let sent = ref 0 in
+              while !sent < n do
+                sent := !sent + Unix.write_substring fd msg !sent (n - !sent)
+              done
+            with
+            | () -> Ok ()
+            | exception Unix.Unix_error (e, _, _) ->
+                Error ("cannot send request: " ^ Unix.error_message e)
+          in
+          (* A daemon over its connection cap answers busy and closes at
+             once, so the send can fail with the reply already here. *)
+          let ic = Unix.in_channel_of_descr fd in
+          let read_line () =
+            match input_line ic with
+            | l -> Ok l
+            | exception End_of_file -> Error "daemon closed the connection"
+            | exception Sys_error m -> Error m
+          in
+          match read_line () with
+          | Error m ->
+              close_in_noerr ic;
+              Error (match sent with Error e -> e | Ok () -> m)
+          | Ok header -> (
+              let n_body = Option.value ~default:0 (field_int header "body") in
+              let rec read_body acc k =
+                if k = 0 then Ok (List.rev acc)
+                else
+                  match read_line () with
+                  | Ok l -> read_body (l :: acc) (k - 1)
+                  | Error m -> Error m
               in
-              match read_line () with
-              | Error m ->
-                  close_in_noerr ic;
-                  Error m
-              | Ok header -> (
-                  let n_body = Option.value ~default:0 (field_int header "body") in
-                  let rec read_body acc k =
-                    if k = 0 then Ok (List.rev acc)
-                    else
-                      match read_line () with
-                      | Ok l -> read_body (l :: acc) (k - 1)
-                      | Error m -> Error m
-                  in
-                  let body = read_body [] n_body in
-                  close_in_noerr ic;
-                  match body with
-                  | Error m -> Error ("truncated response: " ^ m)
-                  | Ok body -> (
-                      match field_int header "code" with
-                      | None -> Error ("malformed header: " ^ header)
-                      | Some code ->
-                          Ok
-                            {
-                              header;
-                              body;
-                              code;
-                              error = field_string header "error";
-                            })))))
+              let body = read_body [] n_body in
+              close_in_noerr ic;
+              match body with
+              | Error m -> Error ("truncated response: " ^ m)
+              | Ok body -> (
+                  match field_int header "code" with
+                  | None -> Error ("malformed header: " ^ header)
+                  | Some code ->
+                      Ok
+                        {
+                          header;
+                          body;
+                          code;
+                          error = field_string header "error";
+                        }))))

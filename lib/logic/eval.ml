@@ -124,36 +124,62 @@ let eval_computation ?(env = []) comp f =
   Gem_obs.Telemetry.(span_end Formula_eval) span;
   v
 
+let ground ?(env = []) comp f =
+  let full = History.full comp in
+  (* A history-independent atom has its value, or its exception, at
+     every history. *)
+  let static env a =
+    match eval_atom full env a with
+    | v -> Ground.Const v
+    | exception ((Error _ | Invalid_argument _) as e) -> Ground.Fail e
+  in
+  let handle env x make =
+    match lookup env x with h -> make h | exception (Error _ as e) -> Ground.Fail e
+  in
+  let rec atom env = function
+    | Occurred x -> handle env x (fun h -> Ground.Occurred h)
+    | (Enables (x, y) | Elem_lt (x, y) | Temp_lt (x, y)) as a ->
+        (* Both ends occurred, and the fixed relation holds. *)
+        Ground.conj (List.to_seq [ atom env (Occurred x); atom env (Occurred y); static env a ])
+    | At_class (x, d) ->
+        handle env x (fun h ->
+            Ground.At
+              (h, List.filter (fun e2 -> matches_domain comp e2 d) (Computation.enable_succs comp h)))
+    | New x -> handle env x (fun h -> Ground.New h)
+    | Potential x -> handle env x (fun h -> Ground.Potential h)
+    | Sem (_, xs, fn) -> (
+        match List.map (lookup env) xs with
+        | hs -> Ground.Sem (fn, hs)
+        | exception (Error _ as e) -> Ground.Fail e)
+    | ( Same_event _ | Same_element _ | In_class _ | Cmp _ | Same_thread _
+      | Distinct_thread _ | In_thread _ ) as a ->
+        static env a
+  in
+  let rec go env = function
+    | True -> Ground.Const true
+    | False -> Ground.Const false
+    | Atom a -> atom env a
+    | Not f -> Ground.neg (go env f)
+    | And fs -> Ground.conj (Seq.map (go env) (List.to_seq fs))
+    | Or fs -> Ground.disj (Seq.map (go env) (List.to_seq fs))
+    | Implies (a, b) -> Ground.implies (go env a) (fun () -> go env b)
+    | Iff (a, b) -> Ground.iff (go env a) (go env b)
+    | Forall (x, d, body) -> Ground.conj (bindings env x d body)
+    | Exists (x, d, body) -> Ground.disj (bindings env x d body)
+    | Exists_unique (x, d, body) -> Ground.exactly_one (List.of_seq (bindings env x d body))
+    | At_most_one (x, d, body) -> Ground.at_most_one (List.of_seq (bindings env x d body))
+    | Henceforth f -> Ground.always (go env f)
+    | Eventually f -> Ground.eventually (go env f)
+  and bindings env x d body =
+    Seq.map (fun h -> go ((x, h) :: env) body) (List.to_seq (domain_events comp d))
+  in
+  go env f
+
+let eval_ground_run run g =
+  Gem_obs.Telemetry.(hit Formula_evals);
+  Gem_obs.Telemetry.(time Formula_eval) @@ fun () -> Ground.holds_on_run run g
+
 let eval_run ?(env = []) run f =
   Gem_obs.Telemetry.(hit Formula_evals);
-  let span = Gem_obs.Telemetry.(span_begin Formula_eval) in
-  let len = Vhs.length run in
-  let comp = Vhs.computation run in
-  let rec at i env f =
-    match f with
-    | True -> true
-    | False -> false
-    | Atom a -> eval_atom (Vhs.nth_history run i) env a
-    | Not f -> not (at i env f)
-    | And fs -> List.for_all (at i env) fs
-    | Or fs -> List.exists (at i env) fs
-    | Implies (a, b) -> (not (at i env a)) || at i env b
-    | Iff (a, b) -> at i env a = at i env b
-    | Forall (x, d, body) ->
-        List.for_all (fun h -> at i ((x, h) :: env) body) (domain_events comp d)
-    | Exists (x, d, body) ->
-        List.exists (fun h -> at i ((x, h) :: env) body) (domain_events comp d)
-    | Exists_unique (x, d, body) ->
-        count_until_two comp d env x (fun env -> at i env body) = 1
-    | At_most_one (x, d, body) ->
-        count_until_two comp d env x (fun env -> at i env body) <= 1
-    | Henceforth body ->
-        let rec all j = j >= len || (at j env body && all (j + 1)) in
-        all i
-    | Eventually body ->
-        let rec some j = j < len && (at j env body || some (j + 1)) in
-        some i
-  in
-  let v = at 0 env f in
-  Gem_obs.Telemetry.(span_end Formula_eval) span;
-  v
+  Gem_obs.Telemetry.(time Formula_eval) @@ fun () ->
+  Ground.holds_on_run run (ground ~env (Vhs.computation run) f)

@@ -3,30 +3,15 @@ open Formula
 
 type runs = One_event_steps | Antichain_steps
 
-(* The fragment, with its immediate subformulas marked once. *)
-type frag =
-  | Imm of Formula.t
-  | Conj of frag list
-  | All of string * domain * frag
-  | Imp of Formula.t * frag
-  | Always of frag
-  | Finally of Formula.t
-
-let rec fragment runs f =
-  if is_immediate f then Some (Imm f)
-  else
-    match f with
-    | And fs ->
-        let parts = List.filter_map (fragment runs) fs in
-        if List.compare_lengths parts fs = 0 then Some (Conj parts) else None
-    | Forall (x, d, body) -> Option.map (fun b -> All (x, d, b)) (fragment runs body)
-    | Implies (p, body) when is_immediate p ->
-        Option.map (fun b -> Imp (p, b)) (fragment runs body)
-    | Henceforth body -> Option.map (fun b -> Always b) (fragment runs body)
-    | Eventually p when runs = One_event_steps && is_immediate p -> Some (Finally p)
-    | _ -> None
-
-let decides runs f = Option.is_some (fragment runs f)
+let rec decides runs f =
+  is_immediate f
+  ||
+  match f with
+  | And fs -> List.for_all (decides runs) fs
+  | Forall (_, _, body) | Henceforth body -> decides runs body
+  | Implies (p, body) -> is_immediate p && decides runs body
+  | Eventually p -> runs = One_event_steps && is_immediate p
+  | _ -> false
 
 let build ?cap ?stop comp =
   Telemetry.(time Run_enum) @@ fun () ->
@@ -36,9 +21,9 @@ let build ?cap ?stop comp =
     l;
   l
 
-(* A subformula under one variable binding: [holds i] is its value on
-   every maximal path from history [i]; [refute i], when it does not
-   hold, is the events of a path from [i] to the top on which it fails. *)
+(* A part of the ground form: [holds i] is its value on every maximal
+   path from history [i]; [refute i], when it does not hold, is the
+   events of a path from [i] to the top on which it fails. *)
 type node = { holds : int -> bool; refute : int -> int list }
 
 (* A value per history, computed on demand from the values above it.
@@ -59,9 +44,11 @@ let memoized n step =
   in
   holds
 
-let compile (l : History.lattice) frag =
+(* The ground form of a formula in the fragment is again in it: folding
+   only replaces parts by constants, failures or immediate forms. A
+   binding whose guard folds to false is gone before it gets a table. *)
+let compile (l : History.lattice) g =
   let hs = l.History.histories and succs = l.History.succs in
-  let comp = History.computation hs.(0) in
   let rec to_top i = match succs.(i) with [] -> [] | (e, j) :: _ -> e :: to_top j in
   let all_succs holds i = List.for_all (fun (_, j) -> holds j) succs.(i) in
   let all_of cs =
@@ -70,50 +57,47 @@ let compile (l : History.lattice) frag =
       refute = (fun i -> (List.find (fun c -> not (c.holds i)) cs).refute i);
     }
   in
-  let rec go env = function
-    | Imm p -> { holds = (fun i -> Eval.eval_history hs.(i) env p); refute = to_top }
-    | Conj fs -> all_of (List.map (go env) fs)
-    | All (x, d, body) ->
-        all_of (List.map (fun h -> go ((x, h) :: env) body) (Eval.domain_events comp d))
-    | Imp (p, body) ->
-        let c = go env body in
-        {
-          holds = (fun i -> (not (Eval.eval_history hs.(i) env p)) || c.holds i);
-          refute = c.refute;
-        }
-    | Always body ->
-        (* AG: the body here and everywhere above. *)
-        let c = go env body in
-        let holds =
-          memoized (Array.length hs) (fun holds i -> c.holds i && all_succs holds i)
-        in
-        let rec refute i =
-          if not (c.holds i) then c.refute i
-          else
-            let e, j = List.find (fun (_, j) -> not (holds j)) succs.(i) in
-            e :: refute j
-        in
-        { holds; refute }
-    | Finally p ->
-        (* AF: p here, or else on every path on; a run ends at the top. *)
-        let holds =
-          memoized (Array.length hs) (fun holds i ->
-              Eval.eval_history hs.(i) env p || (succs.(i) <> [] && all_succs holds i))
-        in
-        let rec refute i =
-          match List.find_opt (fun (_, j) -> not (holds j)) succs.(i) with
-          | Some (e, j) -> e :: refute j
-          | None -> []
-        in
-        { holds; refute }
+  let rec go g =
+    if Ground.is_immediate g then { holds = (fun i -> Ground.holds hs.(i) g); refute = to_top }
+    else
+      match g with
+      | Ground.And gs -> all_of (List.map go gs)
+      | Ground.Implies (p, body) ->
+          let c = go body in
+          { holds = (fun i -> (not (Ground.holds hs.(i) p)) || c.holds i); refute = c.refute }
+      | Ground.Always body ->
+          (* AG: the body here and everywhere above. *)
+          let c = go body in
+          let holds =
+            memoized (Array.length hs) (fun holds i -> c.holds i && all_succs holds i)
+          in
+          let rec refute i =
+            if not (c.holds i) then c.refute i
+            else
+              let e, j = List.find (fun (_, j) -> not (holds j)) succs.(i) in
+              e :: refute j
+          in
+          { holds; refute }
+      | Ground.Eventually p ->
+          (* AF: p here, or else on every path on; a run ends at the top. *)
+          let holds =
+            memoized (Array.length hs) (fun holds i ->
+                Ground.holds hs.(i) p || (succs.(i) <> [] && all_succs holds i))
+          in
+          let rec refute i =
+            match List.find_opt (fun (_, j) -> not (holds j)) succs.(i) with
+            | Some (e, j) -> e :: refute j
+            | None -> []
+          in
+          { holds; refute }
+      | _ -> invalid_arg "Lattice.compile: ground form outside the fragment"
   in
-  go [] frag
+  go g
 
 let refute l f =
-  match fragment One_event_steps f with
-  | None -> invalid_arg "Lattice.refute: formula outside the fragment"
-  | Some frag ->
-      Telemetry.(hit Formula_evals);
-      Telemetry.(time Formula_eval) @@ fun () ->
-      let top = compile l frag in
-      if top.holds 0 then None else Some (top.refute 0)
+  if not (decides One_event_steps f) then
+    invalid_arg "Lattice.refute: formula outside the fragment";
+  Telemetry.(hit Formula_evals);
+  Telemetry.(time Formula_eval) @@ fun () ->
+  let top = compile l (Eval.ground (History.computation l.History.histories.(0)) f) in
+  if top.holds 0 then None else Some (top.refute 0)

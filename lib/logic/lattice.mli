@@ -35,5 +35,7 @@ val refute : History.lattice -> Formula.t -> int list option
     path of the lattice. Otherwise a linearization, as its event order,
     on which {!Eval.eval_run} finds the formula false: the path walks
     from the empty history through a failing history to the full one.
-    Counts one [Formula_evals] under the [Formula_eval] span. Raises
+    The formula is grounded once on the lattice's computation
+    ({!Eval.ground}) and each history evaluates the ground form. Counts
+    one [Formula_evals] under the [Formula_eval] span. Raises
     [Invalid_argument] unless [decides One_event_steps] holds. *)

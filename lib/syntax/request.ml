@@ -47,9 +47,10 @@ let restriction_name = "client-restriction"
 
 (* Splits a request line into bare words and [key=value] pairs, where a
    value may be double-quoted to carry spaces. Escapes inside quotes are
-   backslash-quote and backslash-backslash; anything else after a
-   backslash is an error rather than silently passed through, so a
-   typo'd escape fails loudly. *)
+   backslash-quote, backslash-backslash, and backslash-n and backslash-r
+   for a line feed and a carriage return, which the line-framed wire
+   cannot carry raw; anything else after a backslash is an error rather
+   than silently passed through, so a typo'd escape fails loudly. *)
 
 type token = Word of string | Pair of string * string
 
@@ -92,6 +93,8 @@ let tokenize line =
                     else begin
                       (match line.[!i + 1] with
                       | ('"' | '\\') as c -> Buffer.add_char b c
+                      | 'n' -> Buffer.add_char b '\n'
+                      | 'r' -> Buffer.add_char b '\r'
                       | c ->
                           result :=
                             Some (err "unknown escape \\%c in quoted value" c));
@@ -229,7 +232,7 @@ let parse line =
 let needs_quoting v =
   v = ""
   || String.exists
-       (fun c -> is_space c || c = '"' || c = '\\' || c = '=')
+       (fun c -> is_space c || c = '"' || c = '\\' || c = '=' || c = '\n' || c = '\r')
        v
 
 let render_value v =
@@ -238,9 +241,13 @@ let render_value v =
     let b = Buffer.create (String.length v + 2) in
     Buffer.add_char b '"';
     String.iter
-      (fun c ->
-        if c = '"' || c = '\\' then Buffer.add_char b '\\';
-        Buffer.add_char b c)
+      (function
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | ('"' | '\\') as c ->
+            Buffer.add_char b '\\';
+            Buffer.add_char b c
+        | c -> Buffer.add_char b c)
       v;
     Buffer.add_char b '"';
     Buffer.contents b

@@ -11,8 +11,10 @@
     ]}
 
     Values containing spaces (notably [restrict=...] formulas) are
-    double-quoted, with backslash-quote and backslash-backslash as the
-    only escapes. Keys split into two vocabularies:
+    double-quoted, with backslash-quote, backslash-backslash, and
+    backslash-n and backslash-r (a line feed and a carriage return, which
+    a line cannot carry raw) as the only escapes. Keys split into two
+    vocabularies:
 
     - {e engine} keys, parsed and validated here because every check
       command shares them: [reduction=none|sleep|source],
@@ -76,7 +78,8 @@ val parse : string -> (t, string) result
     the daemon can embed them in a JSON error reply verbatim. *)
 
 val to_line : t -> string
-(** Canonical rendering; see above. *)
+(** Canonical rendering; see above. It contains no line feed or carriage
+    return: values that hold one are quoted with the escape. *)
 
 val restriction_name : string
 (** The name under which a [restrict=...] formula is added to the

@@ -682,6 +682,218 @@ let prop_fingerprint_unchanged =
       Gem_lang.Explore.fingerprint comp = reference_fingerprint comp)
 
 (* ------------------------------------------------------------------ *)
+(* Grounding against the direct evaluator                              *)
+(* ------------------------------------------------------------------ *)
+
+module Ground = Gem_logic.Ground
+
+(* [comp_gen]'s shapes with data: classes E and F alternate, most events
+   carry an integer [v] and some a string [s], and two events in three
+   carry a label of thread type t — so a comparison can miss its
+   parameter or add to a string, and a thread atom can meet an
+   unlabelled event. *)
+let data_comp (_, assignment, edges) =
+  let b = Build.create () in
+  let handles =
+    Array.of_list
+      (List.mapi
+         (fun i el ->
+           let params =
+             (if i mod 4 = 3 then [] else [ ("v", V.Int (i mod 3)) ])
+             @ if i mod 3 = 0 then [ ("s", V.Str "x") ] else []
+           in
+           Build.emit b ~element:(Printf.sprintf "el%d" el)
+             ~klass:(if i mod 2 = 0 then "E" else "F")
+             ~params ())
+         assignment)
+  in
+  List.iter (fun (i, j) -> Build.enable b handles.(i) handles.(j)) edges;
+  C.map_events
+    (fun h e -> if h mod 3 = 2 then e else E.with_thread e "t" (h mod 2))
+    (Build.finish b)
+
+let ground_domain_gen =
+  QCheck.Gen.oneofl
+    F.[ Any; Cls "E"; Cls "F"; At_elem "el0"; Cls_at ("el1", "F"); Union [ Cls "F"; At_elem "el2" ] ]
+
+(* Semantic predicates see the history: one reads it, one raises where
+   it has an odd number of events, one always raises. *)
+let sems =
+  [
+    ("inside", fun _ members hs -> List.for_all (Bitset.mem members) hs);
+    ( "even",
+      fun _ members _ ->
+        Bitset.cardinal members mod 2 = 0 || raise (Eval.Error "odd history") );
+    ("boom", fun _ _ _ -> raise (Eval.Error "boom"));
+  ]
+
+(* Atoms over the variables [vars], now and then over the unbound
+   [zz]: the history-independent ones, and the ones that look at the
+   history. *)
+let static_atom_gen vars =
+  QCheck.Gen.(
+    let var = frequency [ (12, oneofl vars); (1, return "zz") ] in
+    let texp =
+      frequency
+        [
+          (3, map2 F.param var (oneofl [ "v"; "s"; "w" ]));
+          (1, map (fun x -> F.Index x) var);
+          (1, map F.const_int (int_range 0 2));
+          (1, map2 (fun x p -> F.Plus (F.Param (x, p), 1)) var (oneofl [ "v"; "s" ]));
+        ]
+    in
+    oneof
+      [
+        map2 F.same var var;
+        map2 F.same_element var var;
+        map2 F.in_class var ground_domain_gen;
+        map3
+          (fun c a b -> F.Atom (F.Cmp (c, a, b)))
+          (oneofl F.[ Eq; Ne; Lt; Le; Gt; Ge ])
+          texp texp;
+        map2 (F.same_thread "t") var var;
+        map2 (F.distinct_thread "t") var var;
+        map (F.in_thread "t") var;
+        oneofl F.[ True; False ];
+      ])
+
+let dynamic_atom_gen vars =
+  QCheck.Gen.(
+    let var = frequency [ (12, oneofl vars); (1, return "zz") ] in
+    oneof
+      [
+        map F.occurred var;
+        map F.fresh var;
+        map F.potential var;
+        map2 F.at_cls var ground_domain_gen;
+        map2 F.enables var var;
+        map2 F.elem_lt var var;
+        map2 F.temp_lt var var;
+        map2
+          (fun (name, fn) xs -> F.sem name xs fn)
+          (oneofl sems)
+          (list_size (int_range 1 2) var);
+      ])
+
+(* Static and dynamic atoms at every position of the connectives, under
+   every quantifier; with [temporal], [] and <> anywhere too. *)
+let rec ground_formula_gen ~temporal vars depth =
+  QCheck.Gen.(
+    let atom = frequency [ (1, static_atom_gen vars); (2, dynamic_atom_gen vars) ] in
+    if depth = 0 then atom
+    else
+      let sub = ground_formula_gen ~temporal vars (depth - 1) in
+      let part = frequency [ (1, static_atom_gen vars); (1, dynamic_atom_gen vars); (2, sub) ] in
+      let quantifier =
+        let x = Printf.sprintf "x%d" (List.length vars) in
+        let* make =
+          oneofl
+            F.
+              [
+                (fun x d b -> Forall (x, d, b));
+                (fun x d b -> Exists (x, d, b));
+                (fun x d b -> Exists_unique (x, d, b));
+                (fun x d b -> At_most_one (x, d, b));
+              ]
+        in
+        let* d = ground_domain_gen in
+        let+ body = ground_formula_gen ~temporal (x :: vars) (depth - 1) in
+        make x d body
+      in
+      frequency
+        ([
+           (2, atom);
+           (1, map F.neg sub);
+           (2, map F.conj (list_size (int_range 1 4) part));
+           (1, map F.disj (list_size (int_range 1 4) part));
+           (2, map2 F.( ==> ) part part);
+           (1, map2 F.( <=> ) part part);
+           (2, quantifier);
+         ]
+        @
+        if temporal then [ (1, map F.henceforth sub); (1, map F.eventually sub) ] else []))
+
+let ground_arb ~temporal =
+  QCheck.make
+    QCheck.Gen.(
+      triple (QCheck.gen comp_arb)
+        (ground_formula_gen ~temporal [ "a"; "b" ] 3)
+        (pair (int_range 0 7) (int_range 0 7)))
+    ~print:(fun (spec, f, (a, b)) ->
+      Printf.sprintf "%s; a=%d b=%d (mod n); %s"
+        (Option.get comp_arb.QCheck.print spec)
+        a b (F.to_string f))
+
+let outcome f = match f () with v -> Ok v | exception Eval.Error m -> Error m
+
+let binding comp (a, b) =
+  let n = C.n_events comp in
+  [ ("a", a mod n); ("b", b mod n) ]
+
+let prop_ground_history =
+  QCheck.Test.make ~name:"ground form = eval_history" ~count:3000
+    (ground_arb ~temporal:false) (fun (spec, f, ab) ->
+      let comp = data_comp spec in
+      let env = binding comp ab in
+      let g = Eval.ground ~env comp f in
+      List.for_all
+        (fun h ->
+          outcome (fun () -> Ground.holds h g) = outcome (fun () -> Eval.eval_history h env f))
+        (History.all comp))
+
+(* [Eval.eval_run] before grounding: the formula walked at every
+   position of the run, each quantifier over its domain events there,
+   each atom by the direct evaluator. *)
+let reference_eval_run env run f =
+  let len = Vhs.length run in
+  let comp = Vhs.computation run in
+  let count_until_two d env x pred =
+    let rec loop n = function
+      | [] -> n
+      | h :: rest ->
+          if pred ((x, h) :: env) then if n = 1 then 2 else loop 1 rest else loop n rest
+    in
+    loop 0 (Eval.domain_events comp d)
+  in
+  let rec at i env f =
+    match f with
+    | F.True -> true
+    | F.False -> false
+    | F.Atom _ -> Eval.eval_history (Vhs.nth_history run i) env f
+    | F.Not f -> not (at i env f)
+    | F.And fs -> List.for_all (at i env) fs
+    | F.Or fs -> List.exists (at i env) fs
+    | F.Implies (a, b) -> (not (at i env a)) || at i env b
+    | F.Iff (a, b) -> at i env a = at i env b
+    | F.Forall (x, d, body) ->
+        List.for_all (fun h -> at i ((x, h) :: env) body) (Eval.domain_events comp d)
+    | F.Exists (x, d, body) ->
+        List.exists (fun h -> at i ((x, h) :: env) body) (Eval.domain_events comp d)
+    | F.Exists_unique (x, d, body) ->
+        count_until_two d env x (fun env -> at i env body) = 1
+    | F.At_most_one (x, d, body) ->
+        count_until_two d env x (fun env -> at i env body) <= 1
+    | F.Henceforth body ->
+        let rec all j = j >= len || (at j env body && all (j + 1)) in
+        all i
+    | F.Eventually body ->
+        let rec some j = j < len && (at j env body || some (j + 1)) in
+        some i
+  in
+  at 0 env f
+
+let prop_ground_run =
+  QCheck.Test.make ~name:"ground form = eval_run walk" ~count:1000
+    (ground_arb ~temporal:true) (fun (spec, f, ab) ->
+      let comp = data_comp spec in
+      let env = binding comp ab in
+      List.for_all
+        (fun run ->
+          outcome (fun () -> Eval.eval_run ~env run f)
+          = outcome (fun () -> reference_eval_run env run f))
+        (Vhs.all ~limit:20 comp))
+
+(* ------------------------------------------------------------------ *)
 (* Thread labelling on random chains                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -738,6 +950,7 @@ let () =
         ] );
       ( "lattice",
         [ to_alc prop_lattice_linearizations; to_alc prop_lattice_vhs ] );
+      ("grounding", [ to_alc prop_ground_history; to_alc prop_ground_run ]);
       ("bitset", [ to_alc prop_bitset_model ]);
       ( "sealing",
         [

@@ -199,7 +199,8 @@ let test_request_roundtrip () =
              max_runs = Some 5;
            };
        });
-  (* Values that force quoting: spaces, quotes, backslashes, equals. *)
+  (* Values that force quoting: spaces, quotes, backslashes, equals,
+     line feeds and carriage returns. *)
   List.iter
     (fun v ->
       roundtrip
@@ -210,9 +211,20 @@ let test_request_roundtrip () =
              restrict = None;
              engine = R.default_engine;
            }))
-    [ "a b"; "a\"b"; "a\\b"; "a=b"; "" ]
+    [ "a b"; "a\"b"; "a\\b"; "a=b"; ""; "1\n2"; "a\r\nb" ]
 
 let test_request_canonical () =
+  (* A line feed in a value is quoted and escaped: the request stays one
+     line on the wire. *)
+  check Alcotest.string "escaped line feed" {|check rw readers="1\n2" writers=1|}
+    (R.to_line
+       (R.Check
+          {
+            cmd = "rw";
+            params = [ ("readers", "1\n2"); ("writers", "1") ];
+            restrict = None;
+            engine = R.default_engine;
+          }));
   (* Workload keys come out sorted; defaults are omitted. *)
   match R.parse "check rw writers=1 readers=2 reduction=none jobs=1" with
   | Error e -> Alcotest.fail e
@@ -766,6 +778,44 @@ let test_server_line_cap () =
       let pong = request_ok socket "ping" in
       check Alcotest.int "next client answered" 0 pong.Client.code)
 
+(* Idle connections up to the cap are held; the next one gets a typed
+   busy reply and is closed without a thread, and once a held one
+   closes the daemon answers again. *)
+let test_server_connection_cap () =
+  with_server_t (fun srv socket ->
+      let wait_until cond =
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while (not (cond ())) && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done
+      in
+      let held = List.init Server.max_connections (fun _ -> raw_connect socket) in
+      wait_until (fun () -> Server.live_connections srv = Server.max_connections);
+      check Alcotest.int "cap held" Server.max_connections (Server.live_connections srv);
+      let fd = raw_connect socket in
+      (* Served instead of refused, it would wait for a request. *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      let ic = Unix.in_channel_of_descr fd in
+      check Alcotest.string "typed busy reply"
+        {|{"serve":1,"error":"busy","code":3}|} (input_line ic);
+      check Alcotest.bool "then closed" true
+        (match input_line ic with _ -> false | exception End_of_file -> true);
+      close_in_noerr ic;
+      (* The client gets the reply whether its send beat the close or
+         failed on it. *)
+      for _ = 1 to 20 do
+        let busy = request_ok socket "ping" in
+        check (Alcotest.option Alcotest.string) "client sees busy" (Some "busy")
+          busy.Client.error
+      done;
+      check Alcotest.int "no thread over the cap" Server.max_connections
+        (Server.live_connections srv);
+      Unix.close (List.hd held);
+      wait_until (fun () -> Server.live_connections srv < Server.max_connections);
+      let pong = request_ok socket "ping" in
+      check Alcotest.int "answered after one closes" 0 pong.Client.code;
+      List.iter Unix.close (List.tl held))
+
 let test_server_clean_shutdown () =
   incr socket_ctr;
   let socket =
@@ -822,6 +872,12 @@ let test_client_fields () =
     (Client.field_string {|{"error":"a\"b\\c\nd"}|} "error");
   check (Alcotest.option Alcotest.int) "negative" (Some (-3))
     (Client.field_int {|{"code":-3}|} "code")
+
+(* A raw line feed would reach the daemon as two requests. *)
+let test_client_refuses_line_feed () =
+  match Client.request ~socket:"/nonexistent/gem.sock" "check rw readers=1\n2" with
+  | Ok _ -> Alcotest.fail "request with a raw line feed sent"
+  | Error e -> check Alcotest.bool ("refused before connecting: " ^ e) true (contains e "line feed")
 
 let () =
   Alcotest.run "serve"
@@ -880,6 +936,11 @@ let () =
             test_server_forgets_closed_connections;
           Alcotest.test_case "clean shutdown" `Quick test_server_clean_shutdown;
           Alcotest.test_case "request line cap" `Quick test_server_line_cap;
+          Alcotest.test_case "connection cap" `Quick test_server_connection_cap;
         ] );
-      ("client", [ Alcotest.test_case "header fields" `Quick test_client_fields ]);
+      ( "client",
+        [
+          Alcotest.test_case "header fields" `Quick test_client_fields;
+          Alcotest.test_case "raw line feed refused" `Quick test_client_refuses_line_feed;
+        ] );
     ]

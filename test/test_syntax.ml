@@ -274,14 +274,18 @@ let prop_formula_total =
 
 (* Requests as a client could send them: every engine key, workload
    values that need quoting, restrict= formulas, timeouts over the
-   whole float range. Values are one line of printable ASCII, as the
-   line-framed wire carries them. *)
+   whole float range. Values are printable ASCII with the odd line feed
+   or carriage return, which [to_line] must escape. *)
 let request_gen =
   let open QCheck.Gen in
   let ident =
     string_size ~gen:(oneofl [ 'a'; 'b'; 'z'; 'X'; '0'; '9'; '-'; '_' ]) (int_range 1 6)
   in
-  let value = string_size ~gen:(map Char.chr (int_range 32 126)) (int_range 0 10) in
+  let value =
+    string_size
+      ~gen:(frequency [ (30, map Char.chr (int_range 32 126)); (1, oneofl [ '\n'; '\r' ]) ])
+      (int_range 0 10)
+  in
   let engine_keys =
     [ "reduction"; "keys"; "jobs"; "bitstate"; "timeout"; "max-configs"; "max-runs";
       "restrict" ]
@@ -327,6 +331,14 @@ let prop_request_roundtrip =
   QCheck.Test.make ~name:"parse (to_line r) = r" ~count:2000
     (QCheck.make request_gen ~print:R.to_line)
     (fun r -> R.parse (R.to_line r) = Ok r)
+
+(* The daemon reads one request per line. *)
+let prop_request_one_line =
+  QCheck.Test.make ~name:"to_line r has no newline" ~count:2000
+    (QCheck.make request_gen ~print:(fun r -> Printf.sprintf "%S" (R.to_line r)))
+    (fun r ->
+      let line = R.to_line r in
+      not (String.contains line '\n' || String.contains line '\r'))
 
 (* ------------------------------------------------------------------ *)
 (* Thread patterns and specifications                                  *)
@@ -549,6 +561,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_request_total;
           QCheck_alcotest.to_alcotest prop_formula_total;
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
+          QCheck_alcotest.to_alcotest prop_request_one_line;
         ] );
       ( "spec",
         [
