@@ -681,7 +681,7 @@ let telemetry_counters =
     ]
 
 let telemetry_phases =
-  T.[ Interp_step; Canon_key; Seen_table; Run_enum; Formula_eval; Project; Merge ]
+  T.[ Interp_step; Canon_key; Seen_table; Run_enum; Formula_eval; Project; Merge; Race_analysis ]
 
 let telemetry_overhead_report () =
   T.disable ();

@@ -911,6 +911,10 @@ let () =
     | Explore.Resume_error msg ->
         Printf.eprintf "gemcheck: %s\n" msg;
         3
+    | Gem_check.Check.Restriction_error { restriction; message } ->
+        Printf.eprintf "gemcheck: %s\n"
+          (Gem_check.Check.restriction_error_message ~restriction ~message);
+        3
     | e ->
         Printf.eprintf "gemcheck: internal error: %s\n" (Printexc.to_string e);
         3

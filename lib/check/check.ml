@@ -5,6 +5,16 @@ module Vhs = Gem_logic.Vhs
 module Spec = Gem_spec.Spec
 module Legality = Gem_spec.Legality
 
+exception Restriction_error of { restriction : string; message : string }
+
+let restriction_error_message ~restriction ~message =
+  Printf.sprintf "restriction %s: %s" restriction message
+
+(* Evaluation errors of a restriction (an unknown parameter, a type
+   mismatch) carry the restriction's name out of the checker. *)
+let guarded restriction f x =
+  try f x with Eval.Error message -> raise (Restriction_error { restriction; message })
+
 (* Which runs a strategy enumerates, when they are paths of the history
    lattice. A sample is not a set of paths the lattice can stand for. *)
 let lattice_runs = function
@@ -48,7 +58,8 @@ let check_restrictions ?budget ~strategy ~spec_name comp restrictions =
     failures := { Verdict.restriction = name; formula = f; witness } :: !failures
   in
   List.iter
-    (fun (name, f) -> if not (Eval.eval_computation comp f) then fail name f None)
+    (fun (name, f) ->
+      if not (guarded name (Eval.eval_computation comp) f) then fail name f None)
     immediate;
   let runs_checked = ref 0 in
   let exhaustion = ref None in
@@ -56,7 +67,8 @@ let check_restrictions ?budget ~strategy ~spec_name comp restrictions =
   let runs = lattice_runs strategy in
   let on_lattice, enumerated =
     match runs with
-    | Some runs -> List.partition (fun (_, f) -> Lattice.decides runs f) temporal
+    | Some runs ->
+        List.partition (fun (name, f) -> guarded name (Lattice.decides runs) f) temporal
     | None -> ([], temporal)
   in
   let enumerated =
@@ -73,10 +85,10 @@ let check_restrictions ?budget ~strategy ~spec_name comp restrictions =
           let unconfirmed =
             List.filter
               (fun (name, f) ->
-                match Lattice.refute l f with
+                match guarded name (Lattice.refute l) f with
                 | None -> false
                 | Some events -> (
-                    match confirm comp f events with
+                    match guarded name (confirm comp f) events with
                     | Some run ->
                         incr runs_checked;
                         fail name f (Some run);
@@ -100,7 +112,7 @@ let check_restrictions ?budget ~strategy ~spec_name comp restrictions =
     let pending =
       ref
         (Gem_obs.Telemetry.(time Formula_eval) @@ fun () ->
-         List.map (fun (name, f) -> (name, f, Eval.ground comp f)) enumerated)
+         List.map (fun (name, f) -> (name, f, guarded name (Eval.ground comp) f)) enumerated)
     in
     (try
        List.iter
@@ -115,7 +127,7 @@ let check_restrictions ?budget ~strategy ~spec_name comp restrictions =
            pending :=
              List.filter
                (fun (name, f, g) ->
-                 Eval.eval_ground_run run g
+                 guarded name (Eval.eval_ground_run run) g
                  || begin
                       fail name f (Some run);
                       false
@@ -149,8 +161,34 @@ let check ?(strategy = Strategy.default) ?budget spec comp =
       (Spec.all_restrictions spec)
   end
 
+(* A restriction that cannot be evaluated stops the batch with the error
+   of the first failing computation in list order, whatever [jobs] is: a
+   computation after the first failure found so far is skipped, and every
+   one before it is still checked. *)
+let map_checked ?jobs f comps =
+  let first = Atomic.make max_int in
+  let rec lower i =
+    let j = Atomic.get first in
+    if i < j && not (Atomic.compare_and_set first j i) then lower i
+  in
+  let results =
+    Par.mapi ?jobs
+      (fun i comp ->
+        if i > Atomic.get first then None
+        else
+          match f comp with
+          | v -> Some (Ok v)
+          | exception (Restriction_error _ as e) ->
+              lower i;
+              Some (Error e))
+      comps
+  in
+  List.map
+    (function Some (Ok v) -> v | Some (Error e) -> raise e | None -> assert false)
+    results
+
 let check_all ?strategy ?budget ?jobs spec comps =
-  Par.map ?jobs (fun comp -> check ?strategy ?budget spec comp) comps
+  map_checked ?jobs (fun comp -> check ?strategy ?budget spec comp) comps
 
 let check_formula ?(strategy = Strategy.default) ?budget spec comp ~name f =
   let legality = Legality.check spec comp in

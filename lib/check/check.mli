@@ -18,6 +18,14 @@
     never raises: it surfaces as an [Inconclusive] {!Verdict.status} with
     a machine-readable reason and coverage statistics. *)
 
+exception Restriction_error of { restriction : string; message : string }
+(** A restriction could not be evaluated on a computation — an unknown
+    event parameter, a type mismatch ({!Gem_logic.Eval.Error}). It names
+    the restriction; the CLI and the daemon report it as a usage error. *)
+
+val restriction_error_message : restriction:string -> message:string -> string
+(** ["restriction NAME: MESSAGE"], the text both front ends print. *)
+
 val check :
   ?strategy:Strategy.t ->
   ?budget:Budget.t ->
@@ -39,7 +47,13 @@ val check_all :
 (** {!check} over a batch of computations, order-preserving. [jobs]
     (default 1) checks computations on that many domains via {!Par.map};
     a shared [budget]'s counters are atomic, so exhaustion observed by
-    one domain stops the others. *)
+    one domain stops the others. A {!Restriction_error} is raised for
+    the first failing computation in list order, whatever [jobs] is. *)
+
+val map_checked : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** The parallel map under {!check_all}: order-preserving over [jobs]
+    domains, and a {!Restriction_error} raised by [f] stops the batch
+    with the error of the first failing item in list order. *)
 
 val check_formula :
   ?strategy:Strategy.t ->

@@ -1,5 +1,5 @@
 (* Crash-safe periodic snapshots. The format is deliberately dumb:
-     "GEMCKPT2" | stamp length (8 bytes, big-endian) | stamp
+     "GEMCKPT3" | stamp length (8 bytes, big-endian) | stamp
      | payload length (8 bytes, big-endian) | MD5 of the payload | payload
    where the payload is the marshalled walk state. It is written to
    FILE.tmp and atomically renamed over FILE, so a crash mid-write leaves
@@ -9,7 +9,10 @@
    because resuming a frontier into a different exploration would
    corrupt the verdict silently. The lengths and the digest are checked
    before anything is unmarshalled, so a truncated or bit-flipped file
-   is an [Error], never a crash inside [Marshal]. *)
+   is an [Error], never a crash inside [Marshal]. The magic names the
+   payload's layout too: the walk state holds the interpreters'
+   configurations and traces, so a change to their records is a new
+   magic, and a file in an older one is refused before unmarshalling. *)
 
 module T = Gem_obs.Telemetry
 
@@ -22,7 +25,12 @@ let ctl ?(every = 50_000) file =
 let file t = t.file
 let every t = t.every
 
-let magic = "GEMCKPT2"
+let magic = "GEMCKPT3"
+
+(* Formats this build recognizes and refuses: GEMCKPT1 had no lengths or
+   digest; GEMCKPT2 payloads predate the element fingerprints kept in
+   traces and the key components kept in monitor configurations. *)
+let old_magics = [ "GEMCKPT1"; "GEMCKPT2" ]
 
 let write t ~stamp payload =
   let tmp = t.file ^ ".tmp" in
@@ -76,8 +84,10 @@ let read ~stamp path =
           else n
         in
         let m = really_input_string ic (String.length magic) in
-        if m = "GEMCKPT1" then
-          corrupt "checkpoint written in the old GEMCKPT1 format; rerun to write a new one"
+        if List.mem m old_magics then
+          corrupt
+            (Printf.sprintf
+               "checkpoint written in the old %s format; rerun to write a new one" m)
         else if m <> magic then corrupt "not a gemcheck checkpoint";
         let written = really_input_string ic (field ()) in
         if written <> stamp then

@@ -10,7 +10,7 @@
     the resilient engine is sequential-deterministic and the canonical
     merge anchors the output.
 
-    {b Format}: ["GEMCKPT2"] magic, the [stamp] (8-byte big-endian
+    {b Format}: ["GEMCKPT3"] magic, the [stamp] (8-byte big-endian
     length, then its bytes), the payload length (8 bytes, big-endian),
     an MD5 {!Digest} of the payload, then the payload (the marshalled
     walk state). The stamp encodes the full run identity (command,
@@ -18,8 +18,10 @@
     mismatch — resuming into a different run would silently corrupt the
     verdict, the one thing this subsystem exists to protect. {!read}
     checks both lengths and the digest before it unmarshals anything,
-    so a truncated or bit-flipped file, or one in the older
-    ["GEMCKPT1"] format, is an [Error] and never a crash.
+    so a truncated or bit-flipped file, or one in an older format
+    (["GEMCKPT1"], or ["GEMCKPT2"], whose payload has the walk state's
+    previous layout), is an [Error] that says to rerun, and never a
+    crash.
 
     Write failures (real, or injected at {!Faults.Checkpoint_io})
     return [Error] and the run continues without that snapshot; a

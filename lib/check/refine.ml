@@ -169,7 +169,7 @@ let failed_projection ~spec_name err =
 
 let sat ?strategy ?budget ?jobs ?edges ~problem ~map comps =
   let verdicts =
-    Par.map ?jobs
+    Check.map_checked ?jobs
       (fun comp ->
         match
           project ?edges map comp ~elements:problem.Gem_spec.Spec.elements

@@ -73,7 +73,10 @@ val sat :
     error is reported as a legality-style failed verdict. Budget
     exhaustion surfaces as [Inconclusive] verdicts, never an exception.
     [jobs] (default 1) projects and checks computations on that many
-    domains via {!Par.map}; indices and order are preserved regardless. *)
+    domains via {!Par.map}; indices and order are preserved regardless.
+    A restriction that cannot be evaluated raises
+    {!Check.Restriction_error} for the first failing computation in list
+    order, whatever [jobs] is. *)
 
 val sat_ok :
   ?strategy:Strategy.t ->

@@ -122,6 +122,8 @@ let check_response t (c : R.check) =
                   without GEM_FAULT"
                  (Faults.point_name point));
           ]
+      | exception Gem_check.Check.Restriction_error { restriction; message } ->
+          [ error_line (Gem_check.Check.restriction_error_message ~restriction ~message) ]
       | exception e ->
           [ error_line ("internal: " ^ Printexc.to_string e) ])
 

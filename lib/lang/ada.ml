@@ -132,8 +132,9 @@ let begin_rendezvous cfg a (acc : accept) (p : pending) rest =
   in
   set_task cfg a { rt with t_locals = locals; t_state = Active cont }
 
-(* Run one task until (and including) its next global action. *)
-let step_task cfg tname =
+(* Run task [tname], whose state is [Active items], until (and including)
+   its next global action. *)
+let step_task cfg tname items =
   let rec go cfg items =
     let rt = task_rt cfg tname in
     match items with
@@ -219,9 +220,7 @@ let step_task cfg tname =
         in
         set_task cfg tname { (task_rt cfg tname) with t_state = Active rest }
   in
-  match (task_rt cfg tname).t_state with
-  | Active items -> Some (go cfg items)
-  | Blocked_call | Blocked_accept _ | Blocked_select _ | Tdone -> None
+  go cfg items
 
 (* ------------------------------------------------------------------ *)
 (* Moves and exploration                                               *)
@@ -256,21 +255,21 @@ let footprint before after =
   in
   List.sort_uniq String.compare touches
 
-let moves_fp cfg =
+(* The enabled moves, listed without stepping: Active tasks, accepts with
+   a queued caller, and open select branches with one (guards are
+   evaluated here). Each thunk takes its step. *)
+let steps cfg =
   let ms = ref [] in
-  let push label cfg' =
-    ms := ({ Explore.label; touches = footprint cfg cfg' }, cfg') :: !ms
-  in
+  let push label step = ms := (label, step) :: !ms in
   List.iter
     (fun (tname, rt) ->
       match rt.t_state with
-      | Active _ -> (
-          match step_task cfg tname with Some cfg' -> push tname cfg' | None -> ())
+      | Active items -> push tname (fun () -> step_task cfg tname items)
       | Blocked_accept (acc, rest) -> (
           match queue cfg tname acc.acc_entry with
           | p :: q ->
-              let cfg' = set_queue cfg tname acc.acc_entry q in
-              push (tname ^ "?" ^ acc.acc_entry) (begin_rendezvous cfg' tname acc p rest)
+              push (tname ^ "?" ^ acc.acc_entry) (fun () ->
+                  begin_rendezvous (set_queue cfg tname acc.acc_entry q) tname acc p rest)
           | [] -> ())
       | Blocked_select (branches, rest) ->
           let queue_len entry = List.length (queue cfg tname entry) in
@@ -280,17 +279,28 @@ let moves_fp cfg =
               if Expr.eval_bool ~queue_test ~queue_len rt.t_locals b.when_ then
                 match queue cfg tname b.accept.acc_entry with
                 | p :: q ->
-                    let cfg' = set_queue cfg tname b.accept.acc_entry q in
                     push
                       (Printf.sprintf "%s?%s#%d" tname b.accept.acc_entry i)
-                      (begin_rendezvous cfg' tname b.accept p rest)
+                      (fun () ->
+                        begin_rendezvous
+                          (set_queue cfg tname b.accept.acc_entry q)
+                          tname b.accept p rest)
                 | [] -> ())
             branches
       | Blocked_call | Tdone -> ())
     cfg.tasks;
   List.rev !ms
 
-let moves cfg = List.map snd (moves_fp cfg)
+let moves_fp cfg : config Explore.successor list =
+  List.map
+    (fun (label, step) ->
+      ( label,
+        fun () ->
+          let cfg' = step () in
+          ({ Explore.label; touches = footprint cfg cfg' }, cfg') ))
+    (steps cfg)
+
+let moves cfg = List.map (fun (_, step) -> step ()) (steps cfg)
 
 let terminated cfg =
   List.for_all
@@ -330,7 +340,9 @@ type outcome = {
 let all_elements (program : program) =
   main_element :: List.map (fun t -> element_of_task t.task_name) program
 
-let seal program cfg = Trace.to_computation ~extra_elements:(all_elements program) cfg.trace
+let seal program =
+  let extra_elements = all_elements program in
+  fun cfg -> Trace.to_computation ~extra_elements cfg.trace
 
 (* Canonical state key for partial-order reduction (see Explore.run).
    Local stores are sorted ([Expr.update] prepends), queues are listed in
@@ -342,9 +354,9 @@ let sorted_store (s : Expr.store) =
 
 let canon x = Marshal.to_string x [ Marshal.No_sharing ]
 
-let state_key program cfg =
+let state_key_sealed seal cfg =
   let span = Gem_obs.Telemetry.(span_begin Canon_key) in
-  let comp = seal program cfg in
+  let comp = seal cfg in
   let buf = Buffer.create 1024 in
   let id h =
     Explore.add_id buf (Gem_model.Computation.event comp h).Gem_model.Event.id
@@ -384,6 +396,8 @@ let state_key program cfg =
   let key = Buffer.contents buf in
   Gem_obs.Telemetry.(span_end Canon_key) span;
   key
+
+let state_key program = state_key_sealed (seal program)
 
 (* Incremental fingerprint mirroring [state_key] — see Monitor.fp_key for
    the construction rationale. Local stores and the queue association
@@ -445,12 +459,12 @@ let explore ?reduction ?exact_keys ?audit_keys ?max_steps ?max_configs
   let auditing =
     match audit_keys with Some b -> b | None -> Explore.audit_keys_default ()
   in
+  let state_key = state_key program and seal = seal program in
   let result =
     let key c =
-      if exact then Explore.Exact (state_key program c)
-      else Explore.Fp (fp_key c)
+      if exact then Explore.Exact (state_key c) else Explore.Fp (fp_key c)
     in
-    let audit = if auditing && not exact then Some (state_key program) else None in
+    let audit = if auditing && not exact then Some state_key else None in
     if reduction <> Explore.No_reduction then
       Explore.run ?max_steps ?max_configs ?budget ~key ?audit ~footprint:moves_fp
         ~reduction ~resilience ~moves ~terminated (initial program)
@@ -463,8 +477,8 @@ let explore ?reduction ?exact_keys ?audit_keys ?max_steps ?max_configs
         ~moves ~terminated (initial program)
   in
   {
-    computations = Explore.dedup_computations (seal program) result.completed;
-    deadlocks = Explore.dedup_computations (seal program) result.deadlocked;
+    computations = Explore.dedup_computations seal result.completed;
+    deadlocks = Explore.dedup_computations seal result.deadlocked;
     explored = result.explored;
     truncated = result.truncated;
     reduced = result.reduced;
@@ -473,7 +487,8 @@ let explore ?reduction ?exact_keys ?audit_keys ?max_steps ?max_configs
 
 (* Small-step interface for the POR differential harness. *)
 let initial_config program = initial program
-let config_moves cfg = moves_fp cfg
+let config_successors cfg = moves_fp cfg
+let config_moves cfg = List.map (fun (_, fire) -> fire ()) (moves_fp cfg)
 let config_key = state_key
 let config_fp _program cfg = fp_key cfg
 let config_terminated = terminated

@@ -180,12 +180,13 @@ let footprint before after =
   in
   List.sort_uniq String.compare touches
 
-let moves_fp cfg =
+(* The enabled moves, listed without stepping: guard-true boolean
+   branches, matched offers and distributed terminations. Guards are
+   evaluated here; each thunk takes its step. *)
+let steps cfg =
   let procs = List.map fst cfg.procs in
   let ms = ref [] in
-  let push label cfg' =
-    ms := ({ Explore.label; touches = footprint cfg cfg' }, cfg') :: !ms
-  in
+  let push label step = ms := (label, step) :: !ms in
   (* Boolean-only choice branches. Labels index the source branch list, so
      they are stable for as long as the process stays parked here. *)
   List.iter
@@ -198,8 +199,9 @@ let moves_fp cfg =
               match b.comm with
               | None when Expr.eval_bool rt.p_locals b.guard ->
                   let back = if loop then [ CDo branches ] @ cont else cont in
-                  let cfg' = set_proc cfg pname { rt with p_state = Active (b.body @ back) } in
-                  push (pname ^ "#" ^ string_of_int i) (normalize cfg')
+                  push (pname ^ "#" ^ string_of_int i) (fun () ->
+                      normalize
+                        (set_proc cfg pname { rt with p_state = Active (b.body @ back) }))
               | None | Some _ -> ())
             branches
       | Active _ | At_comm _ | Cdone -> ())
@@ -222,9 +224,10 @@ let moves_fp cfg =
                         | Recv { from_; bind } when String.equal from_ sender ->
                             push
                               (Printf.sprintf "%s>%s#%d#%d" sender receiver i j)
-                              (communicate cfg ~sender ~value ~s_req:so.o_req
-                                 ~s_next:so.o_next ~receiver ~bind ~r_req:ro.o_req
-                                 ~r_next:ro.o_next)
+                              (fun () ->
+                                communicate cfg ~sender ~value ~s_req:so.o_req
+                                  ~s_next:so.o_next ~receiver ~bind ~r_req:ro.o_req
+                                  ~r_next:ro.o_next)
                         | Recv _ | Send _ -> ())
                       (offers cfg receiver)
                 | Send _ | Recv _ -> ())
@@ -255,15 +258,23 @@ let moves_fp cfg =
                 | None -> false)
               branches
           in
-          if (not bool_live) && not io_live then begin
-            let cfg' = set_proc cfg pname { rt with p_state = Active cont } in
-            push (pname ^ "!done") (normalize cfg')
-          end
+          if (not bool_live) && not io_live then
+            push (pname ^ "!done") (fun () ->
+                normalize (set_proc cfg pname { rt with p_state = Active cont }))
       | Active _ | At_comm _ | At_choice _ | Cdone -> ())
     procs;
   List.rev !ms
 
-let moves cfg = List.map snd (moves_fp cfg)
+let moves_fp cfg : config Explore.successor list =
+  List.map
+    (fun (label, step) ->
+      ( label,
+        fun () ->
+          let cfg' = step () in
+          ({ Explore.label; touches = footprint cfg cfg' }, cfg') ))
+    (steps cfg)
+
+let moves cfg = List.map (fun (_, step) -> step ()) (steps cfg)
 
 let terminated cfg =
   List.for_all
@@ -302,7 +313,9 @@ type outcome = {
 let all_elements (program : program) =
   main_element :: List.map (fun p -> element_of_process p.proc_name) program
 
-let seal program cfg = Trace.to_computation ~extra_elements:(all_elements program) cfg.trace
+let seal program =
+  let extra_elements = all_elements program in
+  fun cfg -> Trace.to_computation ~extra_elements cfg.trace
 
 (* Canonical state key for partial-order reduction (see Explore.run).
    Local stores are sorted ([Expr.update] prepends) and marshalling
@@ -313,9 +326,9 @@ let sorted_store (s : Expr.store) =
 
 let canon x = Marshal.to_string x [ Marshal.No_sharing ]
 
-let state_key program cfg =
+let state_key_sealed seal cfg =
   let span = Gem_obs.Telemetry.(span_begin Canon_key) in
-  let comp = seal program cfg in
+  let comp = seal cfg in
   let buf = Buffer.create 1024 in
   let id h =
     Explore.add_id buf (Gem_model.Computation.event comp h).Gem_model.Event.id
@@ -342,6 +355,8 @@ let state_key program cfg =
   let key = Buffer.contents buf in
   Gem_obs.Telemetry.(span_end Canon_key) span;
   key
+
+let state_key program = state_key_sealed (seal program)
 
 (* Incremental fingerprint mirroring [state_key] — see Monitor.fp_key for
    the construction rationale. Local stores are folded commutatively
@@ -386,12 +401,12 @@ let explore ?reduction ?exact_keys ?audit_keys ?max_steps ?max_configs
   let auditing =
     match audit_keys with Some b -> b | None -> Explore.audit_keys_default ()
   in
+  let state_key = state_key program and seal = seal program in
   let result =
     let key c =
-      if exact then Explore.Exact (state_key program c)
-      else Explore.Fp (fp_key c)
+      if exact then Explore.Exact (state_key c) else Explore.Fp (fp_key c)
     in
-    let audit = if auditing && not exact then Some (state_key program) else None in
+    let audit = if auditing && not exact then Some state_key else None in
     if reduction <> Explore.No_reduction then
       Explore.run ?max_steps ?max_configs ?budget ~key ?audit ~footprint:moves_fp
         ~reduction ~resilience ~moves ~terminated (initial program)
@@ -404,8 +419,8 @@ let explore ?reduction ?exact_keys ?audit_keys ?max_steps ?max_configs
         ~moves ~terminated (initial program)
   in
   {
-    computations = Explore.dedup_computations (seal program) result.completed;
-    deadlocks = Explore.dedup_computations (seal program) result.deadlocked;
+    computations = Explore.dedup_computations seal result.completed;
+    deadlocks = Explore.dedup_computations seal result.deadlocked;
     explored = result.explored;
     truncated = result.truncated;
     reduced = result.reduced;
@@ -414,7 +429,8 @@ let explore ?reduction ?exact_keys ?audit_keys ?max_steps ?max_configs
 
 (* Small-step interface for the POR differential harness. *)
 let initial_config program = initial program
-let config_moves cfg = moves_fp cfg
+let config_successors cfg = moves_fp cfg
+let config_moves cfg = List.map (fun (_, fire) -> fire ()) (moves_fp cfg)
 let config_key = state_key
 let config_fp _program cfg = fp_key cfg
 let config_terminated = terminated

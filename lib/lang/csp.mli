@@ -85,9 +85,15 @@ type config
 
 val initial_config : program -> config
 
+val config_successors : config -> config Explore.successor list
+(** The enabled moves as the exploration walks see them — guard-true
+    boolean branches, matched offers, distributed terminations — each a
+    labelled thunk that takes the step. Listing them steps nothing. *)
+
 val config_moves : config -> (Explore.move * config) list
 (** Every scheduler choice, labeled (acting process, branch/offer
-    indices) and carrying its element footprint. *)
+    indices) and carrying its element footprint: {!config_successors},
+    all forced in list order. *)
 
 val config_key : program -> config -> string
 (** Canonical state key: byte-equal for configurations reached by

@@ -9,6 +9,12 @@ module Smap = Map.Make (String)
 
 type move = { label : string; touches : string list }
 
+(* A move belongs to one sequential locus (a process, a task, a matched
+   pair of offers), so the interpreters name it before computing its
+   effect: the walks read labels to decide what to fire and build only
+   the successors they fire. *)
+type 'c successor = string * (unit -> move * 'c)
+
 (* [touches] lists are sorted and duplicate-free (the interpreters build
    them with [List.sort_uniq]), so disjointness is one merge walk — the
    sleep-set filter calls this for every (sleeping, fired) move pair, and
@@ -314,11 +320,11 @@ let sum_merge a b =
 
 (* A frame is one open state on the DFS stack: frame [d] is the state
    entry [d] was fired from. Backtrack/executed/skipped are keyed by
-   move label, matching the sleep map; a label shared by several
-   successors (a process at a choice point) schedules all of them. *)
+   move label, matching the sleep map; each label names one successor,
+   which is built only when the frame executes it. *)
 type 'c sframe = {
-  fr_succs : (move * 'c) list;
-  fr_awake : (move * 'c) list;
+  fr_succs : 'c successor list;
+  fr_awake : 'c successor list;
   fr_backtrack : (string, unit) Hashtbl.t;
   fr_executed : (string, unit) Hashtbl.t;
   fr_skipped : (string, unit) Hashtbl.t;
@@ -366,9 +372,7 @@ let run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
       T.hit T.Backtrack_points
     end
   in
-  let saturate_frame fr =
-    List.iter (fun (m, _) -> backtrack_add fr m.label) fr.fr_awake
-  in
+  let saturate_frame fr = List.iter (fun (l, _) -> backtrack_add fr l) fr.fr_awake in
   (* Saturate every frame on [dlo..dhi] and poison their summaries:
      the subtree that should have refined their backtrack sets was
      pruned with unknown contents. *)
@@ -424,10 +428,7 @@ let run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
           let enabled_inits =
             List.sort_uniq String.compare
               (List.filter
-                 (fun l ->
-                   List.exists
-                     (fun (mm, _) -> String.equal mm.label l)
-                     frj.fr_succs)
+                 (fun l -> List.exists (fun (l', _) -> String.equal l' l) frj.fr_succs)
                  inits)
           in
           if
@@ -450,10 +451,10 @@ let run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
   in
   let next_pick fr =
     List.find_opt
-      (fun (m, _) ->
-        Hashtbl.mem fr.fr_backtrack m.label
-        && (not (Hashtbl.mem fr.fr_executed m.label))
-        && not (Hashtbl.mem fr.fr_skipped m.label))
+      (fun (l, _) ->
+        Hashtbl.mem fr.fr_backtrack l
+        && (not (Hashtbl.mem fr.fr_executed l))
+        && not (Hashtbl.mem fr.fr_skipped l))
       fr.fr_awake
   in
   (* [dfs] returns the subtree summary for the parent to absorb. *)
@@ -478,14 +479,14 @@ let run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
             Moves []
         | succs -> (
             let awake, asleep =
-              List.partition (fun (m, _) -> not (Smap.mem m.label sleep)) succs
+              List.partition (fun (l, _) -> not (Smap.mem l sleep)) succs
             in
             w.w_reduced <- w.w_reduced + List.length asleep;
             T.add T.Sleep_prunes (List.length asleep);
             T.add T.Configs_reduced (List.length asleep);
             match awake with
             | [] -> Moves []
-            | (m0, _) :: _ ->
+            | (l0, _) :: _ ->
                 grow frames depth;
                 let fr =
                   {
@@ -508,41 +509,38 @@ let run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
                     in
                     Ktbl.replace open_depths k (depth :: ds)
                 | None -> ());
-                backtrack_add fr m0.label;
+                backtrack_add fr l0;
                 let rec loop () =
                   if not (stop ()) then
                     match next_pick fr with
                     | None -> ()
-                    | Some (m, _) ->
-                        let l = m.label in
+                    | Some (l, fire) ->
                         if Smap.mem l fr.fr_sleep then begin
                           Hashtbl.replace fr.fr_skipped l ();
                           loop ()
                         end
                         else begin
                           Hashtbl.replace fr.fr_executed l ();
-                          (* All successors sharing the scheduled label
-                             fire, mirroring the sleep engine's fold. *)
-                          List.iter
-                            (fun (m, c') ->
-                              if
-                                String.equal m.label l && not (stop ())
-                              then begin
-                                grow entries depth;
-                                (!entries).(depth) <-
-                                  Some
-                                    { en_move = m; en_hb = hb_of depth m };
-                                race_detect depth m (entry depth).en_hb;
-                                let child_sleep =
-                                  Smap.filter
-                                    (fun _ z -> independent z m)
-                                    fr.fr_sleep
-                                in
-                                visit depth fr m c' child_sleep;
-                                (!entries).(depth) <- None;
-                                fr.fr_sleep <- Smap.add l m fr.fr_sleep
-                              end)
-                            fr.fr_awake;
+                          if not (stop ()) then begin
+                            (* The step belongs to this configuration's
+                               expansion, counted when its labels were
+                               listed. *)
+                            let t = T.span_begin T.Interp_step in
+                            let m, c' = fire () in
+                            T.span_extend T.Interp_step t;
+                            grow entries depth;
+                            let t = T.span_begin T.Race_analysis in
+                            let hb = hb_of depth m in
+                            (!entries).(depth) <- Some { en_move = m; en_hb = hb };
+                            race_detect depth m hb;
+                            T.span_end T.Race_analysis t;
+                            let child_sleep =
+                              Smap.filter (fun _ z -> independent z m) fr.fr_sleep
+                            in
+                            visit depth fr m c' child_sleep;
+                            (!entries).(depth) <- None;
+                            fr.fr_sleep <- Smap.add l m fr.fr_sleep
+                          end;
                           loop ()
                         end
                 in
@@ -554,9 +552,7 @@ let run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
                    frame are budget cuts, not prunes. *)
                 let n_skip =
                   List.length
-                    (List.filter
-                       (fun (m, _) -> Hashtbl.mem fr.fr_skipped m.label)
-                       fr.fr_awake)
+                    (List.filter (fun (l, _) -> Hashtbl.mem fr.fr_skipped l) fr.fr_awake)
                 in
                 if n_skip > 0 then begin
                   w.w_reduced <- w.w_reduced + n_skip;
@@ -567,9 +563,9 @@ let run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
                   let n_src =
                     List.length
                       (List.filter
-                         (fun (m, _) ->
-                           (not (Hashtbl.mem fr.fr_executed m.label))
-                           && not (Hashtbl.mem fr.fr_skipped m.label))
+                         (fun (l, _) ->
+                           (not (Hashtbl.mem fr.fr_executed l))
+                           && not (Hashtbl.mem fr.fr_skipped l))
                          fr.fr_awake)
                   in
                   if n_src > 0 then begin
@@ -620,10 +616,12 @@ let run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
           | Some [] | None -> (
               match Ktbl.find_opt sums d with
               | Some (Moves ms) ->
+                  let t = T.span_begin T.Race_analysis in
                   List.iter
                     (fun sm ->
                       race_detect (depth + 1) sm (hb_of (depth + 1) sm))
                     ms;
+                  T.span_end T.Race_analysis t;
                   fr.fr_sum <-
                     sum_add m (sum_merge fr.fr_sum (Moves ms))
               | Some Sat | None ->
@@ -665,7 +663,7 @@ type 'c task = {
 
 type 'c expansion =
   | Plain of ('c -> 'c list)
-  | Sleep of ('c -> (move * 'c) list)
+  | Sleep of ('c -> 'c successor list)
 
 (* Bitstate lookup: [`Full] (table at its load cap) is treated as a hit —
    the arrival is pruned, coverage is lost, and the dedicated counter
@@ -779,20 +777,26 @@ let run_tasks ~max_steps ~max_configs ~budget ~key ~audit ~expansion
         | cs -> List.iter (fun c -> push (child depth c Smap.empty)) (List.rev cs))
     | Sleep footprint -> (
         let t = T.span_begin T.Interp_step in
-        let succs = footprint task.t_config in
-        T.span_end T.Interp_step t;
-        match succs with
-        | [] -> leaf kc task
+        match footprint task.t_config with
+        | [] ->
+            T.span_end T.Interp_step t;
+            leaf kc task
         | succs ->
-            let awake, asleep =
-              List.partition (fun (m, _) -> not (Smap.mem m.label task.t_sleep)) succs
-            in
             (* Sleeping successors are covered by an earlier sibling
                branch that fired the same move before this
-               configuration's distinguishing step. *)
-            w.w_reduced <- w.w_reduced + List.length asleep;
-            T.add T.Sleep_prunes (List.length asleep);
-            T.add T.Configs_reduced (List.length asleep);
+               configuration's distinguishing step, so they are never
+               built; the awake ones are, in list order. *)
+            let n = List.length succs in
+            let awake =
+              List.filter_map
+                (fun (l, fire) -> if Smap.mem l task.t_sleep then None else Some (fire ()))
+                succs
+            in
+            T.span_end T.Interp_step t;
+            let asleep = n - List.length awake in
+            w.w_reduced <- w.w_reduced + asleep;
+            T.add T.Sleep_prunes asleep;
+            T.add T.Configs_reduced asleep;
             (* A child keeps sleeping only the moves that commute with
                the one it fires; the fold yields the children last
                first, the push order. *)
@@ -948,12 +952,25 @@ let run ?(max_steps = 10_000) ?(max_configs = 1_000_000) ?budget ?key ?audit
    the buffer: the [Format.asprintf] per event/per id dominated the
    dedup and exact-key hot paths. *)
 
+(* What [string_of_int] writes, without the intermediate string. Digits
+   are taken on the non-positive side, where [min_int] has a magnitude. *)
+let add_int buf n =
+  let rec digits m =
+    if m <= -10 then digits (m / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (m mod 10)))
+  in
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    digits n
+  end
+  else digits (-n)
+
 let add_value buf v =
   let module V = Gem_model.Value in
   let rec go = function
     | V.Unit -> Buffer.add_string buf "()"
     | V.Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | V.Int n -> Buffer.add_string buf (string_of_int n)
+    | V.Int n -> add_int buf n
     | V.Str s ->
         (* What [%S] writes, without a format interpretation per string. *)
         Buffer.add_char buf '"';
@@ -979,7 +996,7 @@ let add_value buf v =
 let add_id buf (id : Gem_model.Event.id) =
   Buffer.add_string buf id.element;
   Buffer.add_char buf '^';
-  Buffer.add_string buf (string_of_int id.index)
+  add_int buf id.index
 
 let add_event buf (e : Gem_model.Event.t) =
   add_id buf e.id;
@@ -1002,18 +1019,19 @@ let add_event buf (e : Gem_model.Event.t) =
 let fingerprint_into buf comp =
   let module C = Gem_model.Computation in
   let module E = Gem_model.Event in
+  let succ id =
+    Buffer.add_char buf '>';
+    add_id buf id
+  in
   let add h =
     add_event buf (C.event comp h);
     Buffer.add_char buf ';';
-    let succs =
-      List.sort E.id_compare
-        (List.map (fun s -> (C.event comp s).E.id) (C.enable_succs comp h))
-    in
-    List.iter
-      (fun id ->
-        Buffer.add_char buf '>';
-        add_id buf id)
-      succs;
+    (match C.enable_succs comp h with
+    | [] -> ()
+    | [ s ] -> succ (C.event comp s).E.id
+    | ss ->
+        List.iter succ
+          (List.sort E.id_compare (List.map (fun s -> (C.event comp s).E.id) ss)));
     Buffer.add_char buf '|'
   in
   List.iter (fun el -> List.iter add (C.events_at comp el)) (C.event_elements comp)
@@ -1026,11 +1044,14 @@ let fingerprint comp =
 let dedup_computations seal leaves =
   let span = T.span_begin T.Merge in
   let seen = Hashtbl.create 64 in
+  let buf = Buffer.create 4096 in
   let distinct =
     List.filter_map
       (fun leaf ->
         let comp = seal leaf in
-        let key = fingerprint comp in
+        Buffer.clear buf;
+        fingerprint_into buf comp;
+        let key = Buffer.contents buf in
         if Hashtbl.mem seen key then None
         else begin
           Hashtbl.add seen key ();

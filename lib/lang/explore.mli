@@ -24,6 +24,17 @@ type move = { label : string; touches : string list }
     footprints in one linear merge walk. Two moves with disjoint
     [touches] commute and can neither enable nor disable one another. *)
 
+type 'c successor = string * (unit -> move * 'c)
+(** An enabled move as the walks first see it: its label, and a thunk
+    that takes the step and returns the move (with its footprint) and the
+    successor configuration. A GEM move belongs to one sequential locus —
+    a process, a task, a matched pair of offers — so an interpreter names
+    it without computing its effect. The walks read labels to decide
+    which moves to fire and force only those thunks: a sleeping move is
+    never built. The thunk's move carries the listed label, and labels
+    are distinct within one configuration, so each label stands for
+    exactly one successor. *)
+
 val independent : move -> move -> bool
 (** Element-footprint disjointness — the independence relation used by the
     sleep-set search. O(|touches|) over the pre-sorted footprints; each
@@ -146,7 +157,7 @@ val run :
   ?budget:Gem_check.Budget.t ->
   ?key:('c -> skey) ->
   ?audit:('c -> string) ->
-  ?footprint:('c -> (move * 'c) list) ->
+  ?footprint:('c -> 'c successor list) ->
   ?reduction:reduction ->
   ?resilience:resilience ->
   moves:('c -> 'c list) ->
@@ -187,8 +198,12 @@ val run :
     a dependent move (per {!independent}) fires. With [key] also given,
     a state is skipped only when it was previously visited under a sleep
     set no larger than the current one, which keeps the combination
-    sound. The successor configurations of [footprint] must enumerate
-    exactly [moves config], in the same order.
+    sound. The successor configurations of [footprint]'s thunks must
+    enumerate exactly [moves config], in the same order. The sleep-set
+    walk forces the awake thunks of a configuration in list order, under
+    one [Interp_step] span; source-DPOR forces a thunk only when it
+    executes the move, so a step that raises is raised only if its move
+    is fired.
 
     [reduction] picks the reduction engine used over [footprint]
     (default [Sleep_sets]; ignored without a [footprint], where every

@@ -78,11 +78,23 @@ type pstate = Active of pstmt list | In_monitor | Proc_done
 
 type proc_rt = { p_def : process; p_locals : Expr.store; p_state : pstate; p_last : int }
 
+(* A process runtime's share of the fingerprint key ([fp_key]): its name,
+   its last event's identity, its state and its locals. These are a pure
+   function of the runtime — an event's identity never changes once
+   emitted — so a runtime that a step left physically unchanged keeps
+   them. *)
+type proc_key = { k_name : Fp.t; k_last : Fp.t; k_state : Fp.t; k_locals : Fp.t }
+
 type config = {
   trace : Trace.t;
   procs : (string * proc_rt) list;
   mons : (string * mon_rt) list;
   shared_store : Expr.store;
+  mutable proc_keys : (proc_rt * proc_key) list;
+      (* The components [fp_key] computed for this configuration's
+         runtimes, in [procs] order ([] until then). A step copies its
+         parent's list with the record, and the walks key a parent before
+         they step it, so a child finds the parent's components here. *)
 }
 
 type ctx = { program : program; emit_getvals : bool }
@@ -335,7 +347,7 @@ and begin_tenure ctx cfg (t : tenure) =
 
 (* Run one process until (and including) its next global action. Local
    statements commute with every other process and are bundled in. *)
-let step_proc ctx cfg pname =
+let step_proc ctx cfg pname stmts =
   let rec go cfg stmts =
     let rt = proc_rt cfg pname in
     match stmts with
@@ -415,9 +427,7 @@ let step_proc ctx cfg pname =
           set_mon cfg monitor { mon with m_entryq = mon.m_entryq @ [ t ] }
         else begin_tenure ctx cfg t
   in
-  match (proc_rt cfg pname).p_state with
-  | Active stmts -> Some (go cfg stmts)
-  | In_monitor | Proc_done -> None
+  go cfg stmts
 
 (* Element footprint of the step that took [before] to [after]: elements
    of the events emitted, plus a representative element for every runtime
@@ -450,19 +460,26 @@ let footprint before after =
   in
   List.sort_uniq String.compare touches
 
-let moves_fp ctx cfg =
+(* The enabled moves, one per Active process and labelled by it, listed
+   without stepping. *)
+let steps ctx cfg =
   List.filter_map
     (fun (pname, rt) ->
       match rt.p_state with
-      | Active _ ->
-          Option.map
-            (fun cfg' ->
-              ({ Explore.label = pname; touches = footprint cfg cfg' }, cfg'))
-            (step_proc ctx cfg pname)
+      | Active stmts -> Some (pname, fun () -> step_proc ctx cfg pname stmts)
       | In_monitor | Proc_done -> None)
     cfg.procs
 
-let moves ctx cfg = List.map snd (moves_fp ctx cfg)
+let moves_fp ctx cfg : config Explore.successor list =
+  List.map
+    (fun (label, step) ->
+      ( label,
+        fun () ->
+          let cfg' = step () in
+          ({ Explore.label; touches = footprint cfg cfg' }, cfg') ))
+    (steps ctx cfg)
+
+let moves ctx cfg = List.map (fun (_, step) -> step ()) (steps ctx cfg)
 
 let terminated cfg =
   List.for_all
@@ -543,6 +560,7 @@ let initial ctx =
     procs = List.rev procs;
     mons = List.rev mons;
     shared_store = program.shared;
+    proc_keys = [];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -588,9 +606,11 @@ let all_elements program =
         @ List.map (fun c -> element_of_cond m.mon_name c) m.conditions)
       program.monitors
 
-let seal program cfg =
-  Trace.to_computation ~extra_elements:(all_elements program)
-    ~groups:(groups_of_program program) cfg.trace
+(* The program's elements and groups are built once per partial
+   application, not once per sealed configuration. *)
+let seal program =
+  let extra_elements = all_elements program and groups = groups_of_program program in
+  fun cfg -> Trace.to_computation ~extra_elements ~groups cfg.trace
 
 (* Canonical state key for partial-order reduction: the trace's
    emission-order-independent fingerprint plus the runtime state with
@@ -609,9 +629,9 @@ let canon x = Marshal.to_string x [ Marshal.No_sharing ]
    [--exact-keys] fallback path and the collision-audit oracle; the hot
    default is the incremental [fp_key] below. Both constructions share
    the Canon_key telemetry span. *)
-let state_key program cfg =
+let state_key_sealed seal cfg =
   let span = Gem_obs.Telemetry.(span_begin Canon_key) in
-  let comp = seal program cfg in
+  let comp = seal cfg in
   let buf = Buffer.create 1024 in
   let id h =
     Explore.add_id buf (Gem_model.Computation.event comp h).Gem_model.Event.id
@@ -642,6 +662,8 @@ let state_key program cfg =
   Gem_obs.Telemetry.(span_end Canon_key) span;
   key
 
+let state_key program = state_key_sealed (seal program)
+
 (* Incremental 126-bit state fingerprint — same equivalence classes as
    [state_key] up to hash collisions, built without sealing or
    marshalling: the trace contributes its running history fingerprint
@@ -656,21 +678,43 @@ let store_fp s =
     (fun acc (x, v) -> Fp.cadd acc (Fp.combine (Fp.of_string x) (Fp.of_struct v)))
     (Fp.of_int 0x57) s
 
-let fp_key cfg =
+let proc_key idf n rt =
+  {
+    k_name = Fp.of_string n;
+    k_last = idf rt.p_last;
+    k_state =
+      (match rt.p_state with
+      | Active stmts -> Fp.combine (Fp.of_int 1) (Fp.of_struct stmts)
+      | In_monitor -> Fp.of_int 2
+      | Proc_done -> Fp.of_int 3);
+    k_locals = store_fp rt.p_locals;
+  }
+
+(* [reuse] takes the components of a runtime from [cfg.proc_keys] when it
+   is the same runtime; the key is the same value either way. *)
+let fp_key ?(reuse = true) cfg =
   let span = Gem_obs.Telemetry.(span_begin Canon_key) in
   let idf = Trace.id_fp cfg.trace in
   let acc = ref (Trace.fp cfg.trace) in
   let mix x = acc := Fp.combine !acc x in
-  List.iter
-    (fun (n, rt) ->
-      mix (Fp.of_string n);
-      mix (idf rt.p_last);
-      (match rt.p_state with
-      | Active stmts -> mix (Fp.combine (Fp.of_int 1) (Fp.of_struct stmts))
-      | In_monitor -> mix (Fp.of_int 2)
-      | Proc_done -> mix (Fp.of_int 3));
-      mix (store_fp rt.p_locals))
-    cfg.procs;
+  let rec keys procs cached =
+    match procs with
+    | [] -> []
+    | (n, rt) :: procs ->
+        let k, cached =
+          match cached with
+          | (rt', k) :: cached when reuse && rt' == rt -> (k, cached)
+          | _ :: cached -> (proc_key idf n rt, cached)
+          | [] -> (proc_key idf n rt, [])
+        in
+        mix k.k_name;
+        mix k.k_last;
+        mix k.k_state;
+        mix k.k_locals;
+        let rest = keys procs cached in
+        (rt, k) :: rest
+  in
+  cfg.proc_keys <- keys cfg.procs cfg.proc_keys;
   List.iter
     (fun (n, m) ->
       mix (Fp.of_string n);
@@ -699,12 +743,12 @@ let explore ?(emit_getvals = false) ?reduction ?exact_keys ?audit_keys
     match audit_keys with Some b -> b | None -> Explore.audit_keys_default ()
   in
   let ctx = { program; emit_getvals } in
+  let state_key = state_key program and seal = seal program in
   let result =
     let key c =
-      if exact then Explore.Exact (state_key program c)
-      else Explore.Fp (fp_key c)
+      if exact then Explore.Exact (state_key c) else Explore.Fp (fp_key c)
     in
-    let audit = if auditing && not exact then Some (state_key program) else None in
+    let audit = if auditing && not exact then Some state_key else None in
     if reduction <> Explore.No_reduction then
       Explore.run ?max_steps ?max_configs ?budget ~key ?audit
         ~footprint:(moves_fp ctx) ~reduction ~resilience
@@ -720,8 +764,8 @@ let explore ?(emit_getvals = false) ?reduction ?exact_keys ?audit_keys
         ~moves:(moves ctx) ~terminated (initial ctx)
   in
   {
-    computations = Explore.dedup_computations (seal program) result.completed;
-    deadlocks = Explore.dedup_computations (seal program) result.deadlocked;
+    computations = Explore.dedup_computations seal result.completed;
+    deadlocks = Explore.dedup_computations seal result.deadlocked;
     explored = result.explored;
     truncated = result.truncated;
     reduced = result.reduced;
@@ -732,11 +776,15 @@ let explore ?(emit_getvals = false) ?reduction ?exact_keys ?audit_keys
 let initial_config ?(emit_getvals = false) program =
   initial { program; emit_getvals }
 
-let config_moves ?(emit_getvals = false) program cfg =
+let config_successors ?(emit_getvals = false) program cfg =
   moves_fp { program; emit_getvals } cfg
+
+let config_moves ?emit_getvals program cfg =
+  List.map (fun (_, fire) -> fire ()) (config_successors ?emit_getvals program cfg)
 
 let config_key = state_key
 let config_fp _program cfg = fp_key cfg
+let config_fp_uncached _program cfg = fp_key ~reuse:false cfg
 let config_terminated = terminated
 
 let run_one ?(emit_getvals = false) ?(seed = 42) program =

@@ -137,10 +137,17 @@ type config
 
 val initial_config : ?emit_getvals:bool -> program -> config
 
+val config_successors :
+  ?emit_getvals:bool -> program -> config -> config Explore.successor list
+(** The enabled moves of [config] as the exploration walks see them: one
+    per Active process, labelled by it, each a thunk that takes the step.
+    Listing them steps nothing. *)
+
 val config_moves :
   ?emit_getvals:bool -> program -> config -> (Explore.move * config) list
 (** Every scheduler choice from [config], labeled by the acting process
-    and carrying its element footprint. *)
+    and carrying its element footprint: {!config_successors}, all
+    forced in list order. *)
 
 val config_key : program -> config -> string
 (** Canonical state key: byte-equal for configurations reached by
@@ -150,7 +157,14 @@ val config_fp : program -> config -> Gem_order.Fingerprint.t
 (** Incremental fingerprint of the configuration — equal whenever
     {!config_key} is byte-equal; distinct keys collide with negligible
     probability. This is what the default (fingerprint-keyed) search keys
-    its seen tables on. *)
+    its seen tables on. It reuses the key components of every process
+    runtime it shares with the configuration it was stepped from, when
+    that one was keyed first (the walks key a configuration before they
+    step it). *)
+
+val config_fp_uncached : program -> config -> Gem_order.Fingerprint.t
+(** {!config_fp} with every component recomputed: the same value, the
+    reference the reuse is tested against. *)
 
 val config_terminated : config -> bool
 

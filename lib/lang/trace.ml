@@ -15,9 +15,13 @@ module Fp = Gem_order.Fingerprint
 let event_tag = Fp.of_int 0x3e7
 let edge_tag = Fp.of_int 0xed6e
 
+(* An element's next occurrence index, and the fingerprint of its name,
+   hashed once at the element's first event. *)
+type count = { next : int; name_fp : Fp.t }
+
 type t = {
   rev_events : Event.t list;
-  counts : int Smap.t;
+  counts : count Smap.t;
   rev_edges : (int * int) list;
   n : int;
   fp : Fp.t;  (** Commutative hash of the event and edge multisets. *)
@@ -38,9 +42,13 @@ let fp t = t.fp
 let id_fp t h = Imap.find h t.id_fps
 
 let emit t ?actor ~element ~klass ?(params = []) () =
-  let index = Option.value ~default:0 (Smap.find_opt element t.counts) in
+  let index, name_fp =
+    match Smap.find_opt element t.counts with
+    | Some c -> (c.next, c.name_fp)
+    | None -> (0, Fp.of_string element)
+  in
   let e = Event.make ?actor ~element ~index ~klass params in
-  let idf = Fp.combine (Fp.of_string element) (Fp.of_int index) in
+  let idf = Fp.combine name_fp (Fp.of_int index) in
   let contrib =
     Fp.combine event_tag
       (Fp.combine idf (Fp.combine (Fp.of_string klass) (Fp.of_struct params)))
@@ -48,7 +56,7 @@ let emit t ?actor ~element ~klass ?(params = []) () =
   ( t.n,
     {
       rev_events = e :: t.rev_events;
-      counts = Smap.add element (index + 1) t.counts;
+      counts = Smap.add element { next = index + 1; name_fp } t.counts;
       rev_edges = t.rev_edges;
       n = t.n + 1;
       fp = Fp.cadd t.fp contrib;
@@ -71,14 +79,14 @@ let emit_after t ?actor ~after ~element ~klass ?params () =
 let n_events t = t.n
 
 let touched_elements ~before after =
-  (* Traces are persistent and only ever extended, so the elements touched
-     by a step are exactly those whose occurrence count grew. *)
-  Smap.fold
-    (fun element count acc ->
-      match Smap.find_opt element before.counts with
-      | Some c when c = count -> acc
-      | _ -> element :: acc)
-    after.counts []
+  (* Traces are persistent and only ever extended, so the events a step
+     added are the first [after.n - before.n] of [after.rev_events]. *)
+  let rec added k events acc =
+    match events with
+    | (e : Event.t) :: rest when k > 0 -> added (k - 1) rest (e.id.element :: acc)
+    | _ -> acc
+  in
+  List.sort_uniq String.compare (added (after.n - before.n) after.rev_events [])
 
 let to_computation ?(extra_elements = []) ?(groups = []) t =
   let events = Array.of_list (List.rev t.rev_events) in

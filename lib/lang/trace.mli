@@ -55,7 +55,8 @@ val id_fp : t -> int -> Gem_order.Fingerprint.t
 
 val touched_elements : before:t -> t -> string list
 (** Elements that gained at least one event between [before] and the
-    (extended) trace — the event-footprint of the step that produced it.
+    (extended) trace — the event-footprint of the step that produced it —
+    sorted and duplicate-free. It reads only the events the step added.
     Only meaningful when the second trace extends [before]. *)
 
 val to_computation :

@@ -105,6 +105,7 @@ type phase =
   | Formula_eval
   | Project
   | Merge
+  | Race_analysis
 
 let phase_idx = function
   | Interp_step -> 0
@@ -114,9 +115,12 @@ let phase_idx = function
   | Formula_eval -> 4
   | Project -> 5
   | Merge -> 6
+  | Race_analysis -> 7
 
-let n_phases = 7
-let phases = [ Interp_step; Canon_key; Seen_table; Run_enum; Formula_eval; Project; Merge ]
+let n_phases = 8
+
+let phases =
+  [ Interp_step; Canon_key; Seen_table; Run_enum; Formula_eval; Project; Merge; Race_analysis ]
 
 let phase_name = function
   | Interp_step -> "interp_step"
@@ -126,6 +130,7 @@ let phase_name = function
   | Formula_eval -> "formula_eval"
   | Project -> "project"
   | Merge -> "merge"
+  | Race_analysis -> "race_analysis"
 
 let on = Atomic.make false
 let trace_on = Atomic.make false
@@ -205,15 +210,18 @@ let flush_trace () =
 
 let span_begin _p = if Atomic.get on then now_ns () else 0
 
-let span_end p t0 =
+let close_span ~counted p t0 =
   if t0 <> 0 then begin
     let dt = now_ns () - t0 in
     let dt = if dt < 0 then 0 else dt in
     let i = phase_idx p in
     ignore (Atomic.fetch_and_add span_totals.(i) dt);
-    Atomic.incr span_counts.(i);
+    if counted then Atomic.incr span_counts.(i);
     if Atomic.get trace_on then emit_trace p t0 dt
   end
+
+let span_end p t0 = close_span ~counted:true p t0
+let span_extend p t0 = close_span ~counted:false p t0
 
 let span_count p = Atomic.get span_counts.(phase_idx p)
 let span_ns p = Atomic.get span_totals.(phase_idx p)

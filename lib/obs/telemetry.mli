@@ -103,6 +103,9 @@ type phase =
   | Formula_eval  (** Temporal/immediate formula evaluation. *)
   | Project  (** Program-to-problem projection ({!Gem_check.Refine}). *)
   | Merge  (** Canonical leaf sort and fingerprint dedup. *)
+  | Race_analysis
+      (** Source-DPOR happens-before clocks and race detection on the
+          DFS stack. *)
 
 val enabled : unit -> bool
 val enable : unit -> unit
@@ -128,6 +131,13 @@ val span_end : phase -> int -> unit
 (** Close a span started by {!span_begin}: accumulates wall-clock
     nanoseconds into the phase aggregate and, when tracing, appends a
     Chrome trace event to the current domain's buffer. *)
+
+val span_extend : phase -> int -> unit
+(** Close a span like {!span_end}, but as a continuation of a span
+    already counted: its time is added to the phase total and the span
+    count stays as it is. The source-DPOR walk lists a configuration's
+    moves under one [Interp_step] span and builds each successor only
+    when it executes it; those builds extend that one span. *)
 
 val span_count : phase -> int
 val span_ns : phase -> int

@@ -70,6 +70,59 @@ let test_usage_error () =
         && not (contains err "internal")))
     [ "rw --bitstate --bitstate-bits 100"; "db --bitstate --bitstate-bits 7" ]
 
+let stderr_and_code args =
+  let ic =
+    Unix.open_process_in
+      (Printf.sprintf "%s %s 2>&1 >/dev/null" (Filename.quote gemcheck) args)
+  in
+  let err = In_channel.input_all ic in
+  (err, Unix.close_process_in ic)
+
+(* A --restrict formula that cannot be evaluated is a usage error naming
+   the restriction, with one message for every --jobs value. *)
+let test_restriction_error () =
+  let restrict = Filename.quote "[]((ALL s:control.StartWrite) s.foo = 1)" in
+  let first = ref None in
+  List.iter
+    (fun (w, jobs) ->
+      let args = Printf.sprintf "rw --readers %d --writers 1 --jobs %d --restrict %s" w jobs restrict in
+      let err, st = stderr_and_code args in
+      check Alcotest.bool (args ^ " exits 3") true (st = Unix.WEXITED 3);
+      check Alcotest.bool (args ^ " names the restriction: " ^ err) true
+        (contains err "restriction client-restriction: "
+        && contains err "no parameter foo"
+        && not (contains err "internal"));
+      if w = 2 then
+        match !first with
+        | None -> first := Some err
+        | Some e -> check Alcotest.string (args ^ ": same message") e err)
+    [ (1, 1); (2, 1); (2, 2); (2, 4) ]
+
+(* A checkpoint in the previous GEMCKPT2 format is refused before
+   anything is unmarshalled: exit 3, and the message says to rerun. *)
+let test_old_checkpoint_refused () =
+  let file = Filename.temp_file "gem-ckpt" ".bin" in
+  let file2 = Filename.temp_file "gem-ckpt" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ file; file2 ])
+    (fun () ->
+      ignore
+        (run
+           (Printf.sprintf "db --sites 3 --checkpoint %s --checkpoint-every 500 --max-configs 2000"
+              (Filename.quote file)));
+      let bytes = In_channel.with_open_bin file In_channel.input_all in
+      check Alcotest.string "written as GEMCKPT3" "GEMCKPT3" (String.sub bytes 0 8);
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc ("GEMCKPT2" ^ String.sub bytes 8 (String.length bytes - 8)));
+      let err, st =
+        stderr_and_code
+          (Printf.sprintf "db --sites 3 --checkpoint %s --checkpoint-every 500 --resume %s"
+             (Filename.quote file2) (Filename.quote file))
+      in
+      check Alcotest.bool "exit 3" true (st = Unix.WEXITED 3);
+      check Alcotest.bool ("says to rerun: " ^ err) true
+        (contains err "GEMCKPT2" && contains err "rerun" && not (contains err "internal")))
+
 let test_no_por_parity () =
   (* Disabling the partial-order reduction must not change any verdict:
      one verified, one falsified and one budget-truncated workload exit
@@ -620,6 +673,8 @@ let () =
           Alcotest.test_case "inconclusive-configs=2" `Quick test_inconclusive_configs;
           Alcotest.test_case "inconclusive-timeout=2" `Quick test_inconclusive_timeout;
           Alcotest.test_case "usage=3" `Quick test_usage_error;
+          Alcotest.test_case "restriction error=3" `Quick test_restriction_error;
+          Alcotest.test_case "GEMCKPT2 resume=3" `Quick test_old_checkpoint_refused;
           Alcotest.test_case "no-por-parity" `Quick test_no_por_parity;
         ] );
       ( "reduction",

@@ -192,10 +192,12 @@ let test_explore_sleep_sets () =
   (* Two independent moves a/b from (0,0): the sleep set prunes one of the
      two interleavings, and the one completed leaf survives. *)
   let footprint (a, b) =
-    (if a < 1 then [ ({ Explore.label = "a"; touches = [ "A" ] }, (a + 1, b)) ] else [])
-    @ if b < 1 then [ ({ Explore.label = "b"; touches = [ "B" ] }, (a, b + 1)) ] else []
+    (if a < 1 then [ ("a", fun () -> ({ Explore.label = "a"; touches = [ "A" ] }, (a + 1, b))) ]
+     else [])
+    @ if b < 1 then [ ("b", fun () -> ({ Explore.label = "b"; touches = [ "B" ] }, (a, b + 1))) ]
+      else []
   in
-  let moves c = List.map snd (footprint c) in
+  let moves c = List.map (fun (_, fire) -> snd (fire ())) (footprint c) in
   let key (a, b) = Explore.Exact (Printf.sprintf "%d,%d" a b) in
   let r =
     Explore.run ~key ~footprint ~moves ~terminated:(fun c -> c = (1, 1)) (0, 0)

@@ -915,6 +915,271 @@ let prop_thread_chains =
            (fun i -> List.length (Gem_spec.Thread.events_of_instance comp "t" i) = 2)
            instances)
 
+
+(* ------------------------------------------------------------------ *)
+(* Awake-only successors and step-local keys                           *)
+(* ------------------------------------------------------------------ *)
+
+module Explore = Gem_lang.Explore
+module Monitor = Gem_lang.Monitor
+module Csp = Gem_lang.Csp
+module Ada = Gem_lang.Ada
+module Trace = Gem_lang.Trace
+module T = Gem_obs.Telemetry
+
+(* What one walk leaves behind: its leaves (as exact state keys, in the
+   walk's canonical order), its counts, every telemetry counter and the
+   number of [Interp_step] spans — or the evaluation error it raised. *)
+type walk_outcome = {
+  w_leaves : string list * string list;
+  w_counts : int * int * int * string;
+  w_counters : (string * int) list;
+  w_steps : int;
+}
+
+let observe ~state_key walk =
+  T.reset ();
+  T.enable ();
+  let r =
+    match walk () with
+    | (r : _ Explore.result) ->
+        Ok
+          {
+            w_leaves = (List.map state_key r.completed, List.map state_key r.deadlocked);
+            w_counts =
+              ( r.explored,
+                r.reduced,
+                r.truncated,
+                match r.exhausted with
+                | None -> "-"
+                | Some reason -> Gem_check.Budget.reason_keyword reason );
+            w_counters = T.snapshot_counters ();
+            w_steps = T.span_count T.Interp_step;
+          }
+    | exception Gem_lang.Expr.Eval_error msg -> Error msg
+  in
+  T.disable ();
+  T.reset ();
+  r
+
+(* The awake-only walk against the eager one, under both reducing
+   engines, on one interpreter's program. A small configuration cap
+   keeps generated programs quick; both walks stop at the same
+   configuration. *)
+let awake_matches_eager ~initial ~successors ~eager ~fp ~state_key ~terminated =
+  List.for_all
+    (fun reduction ->
+      let key c = Explore.Fp (fp c) in
+      let lazy_ =
+        observe ~state_key (fun () ->
+            Explore.run ~max_configs:2000 ~key ~footprint:successors ~reduction
+              ~moves:(fun _ -> invalid_arg "plain moves") ~terminated (initial ()))
+      in
+      let eager_ =
+        observe ~state_key (fun () ->
+            Eager_walk.run ~max_configs:2000 ~key ~footprint:eager ~reduction ~terminated
+              (initial ()))
+      in
+      lazy_ = eager_
+      || QCheck.Test.fail_reportf "%s: the awake-only walk differs from the eager one"
+           (Explore.reduction_name reduction))
+    [ Explore.Sleep_sets; Explore.Source_sets ]
+
+let prop_awake_monitor =
+  QCheck.Test.make ~name:"awake-only walk = eager walk (Monitor)" ~count:40
+    Gem_fuzz.Gen.monitor_arb (fun prog ->
+      awake_matches_eager
+        ~initial:(fun () -> Monitor.initial_config prog)
+        ~successors:(Monitor.config_successors prog) ~eager:(Monitor.config_moves prog)
+        ~fp:(Monitor.config_fp prog) ~state_key:(Monitor.config_key prog)
+        ~terminated:Monitor.config_terminated)
+
+let prop_awake_csp =
+  QCheck.Test.make ~name:"awake-only walk = eager walk (Csp)" ~count:40
+    Gem_fuzz.Gen.csp_arb (fun prog ->
+      awake_matches_eager
+        ~initial:(fun () -> Csp.initial_config prog)
+        ~successors:Csp.config_successors ~eager:Csp.config_moves
+        ~fp:(Csp.config_fp prog) ~state_key:(Csp.config_key prog)
+        ~terminated:Csp.config_terminated)
+
+let prop_awake_ada =
+  QCheck.Test.make ~name:"awake-only walk = eager walk (Ada)" ~count:40
+    Gem_fuzz.Gen.ada_arb (fun prog ->
+      awake_matches_eager
+        ~initial:(fun () -> Ada.initial_config prog)
+        ~successors:Ada.config_successors ~eager:Ada.config_moves
+        ~fp:(Ada.config_fp prog) ~state_key:(Ada.config_key prog)
+        ~terminated:Ada.config_terminated)
+
+(* The generated programs are small (most CSP ones have no matching
+   offers), so the walks are also compared on the problem workloads,
+   each of whose walks takes hundreds to thousands of configurations. *)
+let test_awake_workloads () =
+  let module P = Gem_problems in
+  let check_one name ok = if not ok then Alcotest.failf "%s: walks differ" name in
+  let monitor name prog =
+    check_one name
+      (awake_matches_eager
+         ~initial:(fun () -> Monitor.initial_config prog)
+         ~successors:(Monitor.config_successors prog) ~eager:(Monitor.config_moves prog)
+         ~fp:(Monitor.config_fp prog) ~state_key:(Monitor.config_key prog)
+         ~terminated:Monitor.config_terminated)
+  in
+  let csp name prog =
+    check_one name
+      (awake_matches_eager
+         ~initial:(fun () -> Csp.initial_config prog)
+         ~successors:Csp.config_successors ~eager:Csp.config_moves
+         ~fp:(Csp.config_fp prog) ~state_key:(Csp.config_key prog)
+         ~terminated:Csp.config_terminated)
+  in
+  let ada name prog =
+    check_one name
+      (awake_matches_eager
+         ~initial:(fun () -> Ada.initial_config prog)
+         ~successors:Ada.config_successors ~eager:Ada.config_moves
+         ~fp:(Ada.config_fp prog) ~state_key:(Ada.config_key prog)
+         ~terminated:Ada.config_terminated)
+  in
+  monitor "rw 1r1w"
+    (P.Readers_writers.program ~monitor:P.Readers_writers.paper_monitor ~readers:1
+       ~writers:1);
+  monitor "buffer monitor"
+    (P.Buffer.monitor_solution ~capacity:1 ~producers:1 ~consumers:2 ~items_each:2);
+  csp "buffer csp" (P.Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:2 ~items_each:2);
+  csp "db 2 sites" (P.Db_update.program ~sites:2);
+  csp "rwd csp 1r1w" (P.Rw_distributed.csp_program ~readers:1 ~writers:1);
+  ada "buffer ada" (P.Buffer.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2);
+  ada "rwd ada 1r1w" (P.Rw_distributed.ada_program ~readers:1 ~writers:1)
+
+(* The key components a monitor configuration reuses from the one it
+   was stepped from give the key a from-scratch computation gives, on
+   every configuration the sleep-set and source walks key. *)
+let prop_fp_key_reuse =
+  QCheck.Test.make ~name:"reused fp_key = from-scratch fp_key" ~count:60
+    Gem_fuzz.Gen.monitor_arb (fun prog ->
+      let keyed = ref 0 in
+      let key c =
+        let k = Monitor.config_fp prog c in
+        incr keyed;
+        if not (Gem_order.Fingerprint.equal k (Monitor.config_fp_uncached prog c)) then
+          QCheck.Test.fail_reportf "configuration %d: reused key differs" !keyed;
+        Explore.Fp k
+      in
+      List.iter
+        (fun reduction ->
+          ignore
+            (Explore.run ~max_configs:2000 ~key
+               ~footprint:(Monitor.config_successors prog) ~reduction
+               ~moves:(fun _ -> invalid_arg "plain moves")
+               ~terminated:Monitor.config_terminated (Monitor.initial_config prog)))
+        [ Explore.Sleep_sets; Explore.Source_sets ];
+      !keyed > 0)
+
+(* [touched_elements] against the fold it replaced: the elements whose
+   occurrence count grew between the two traces. *)
+let old_touched_elements ~before after =
+  let count t el = List.length (C.events_at (Trace.to_computation t) el) in
+  let comp = Trace.to_computation after in
+  List.fold_left
+    (fun acc el -> if count before el = List.length (C.events_at comp el) then acc else el :: acc)
+    [] (C.event_elements comp)
+
+let prop_touched_elements =
+  QCheck.Test.make ~name:"touched_elements = count fold" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 8) (int_range 0 4))
+           (list_size (int_range 0 6) (int_range 0 4))))
+    (fun (prefix, step) ->
+      let names = [| "a"; "b"; "b.lock"; "main"; "x" |] in
+      let emit_all t els =
+        List.fold_left
+          (fun t el -> snd (Trace.emit t ~element:names.(el) ~klass:"E" ()))
+          t els
+      in
+      let before = emit_all Trace.empty prefix in
+      let after = emit_all before step in
+      Trace.touched_elements ~before after
+      = List.sort String.compare (old_touched_elements ~before after))
+
+(* The renderer against [Event.pp] over the whole int range: negative
+   numbers, both ends, escaped strings and nested values. *)
+let wide_value_gen =
+  QCheck.Gen.(
+    let int_gen =
+      oneof
+        [
+          int;
+          oneofl [ min_int; max_int; min_int + 1; 0; -1; -9; -10; 10; -100; 1_000_000 ];
+        ]
+    in
+    fix
+      (fun self depth ->
+        let leaf =
+          oneof
+            [
+              map (fun i -> V.Int i) int_gen;
+              map (fun s -> V.Str s) (oneofl [ "-1"; "q\"uote"; "\\"; "\n"; "\255" ]);
+              return V.Unit;
+            ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              (1, map2 (fun a b -> V.Pair (a, b)) (self (depth - 1)) (self (depth - 1)));
+              (1, map (fun xs -> V.List xs) (list_size (int_range 0 3) (self (depth - 1))));
+            ])
+      3)
+
+let prop_renderer_ints =
+  QCheck.Test.make ~name:"renderer = Event.pp over every int" ~count:1000
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 4) wide_value_gen))
+    (fun values ->
+      let b = Build.create () in
+      let hs =
+        List.mapi
+          (fun i v ->
+            Build.emit b ~element:(if i mod 2 = 0 then "e" else "d") ~klass:"K"
+              ~params:[ ("v", v); ("i", V.Int (-i)) ] ())
+          values
+      in
+      (match hs with h :: (_ :: _ as rest) -> List.iter (Build.enable b h) rest | _ -> ());
+      let comp = Build.finish b in
+      Explore.fingerprint comp = reference_fingerprint comp)
+
+(* A step that raises is still raised when the walk fires it: the
+   process's first statement reads an unbound variable. *)
+let test_step_error_raises () =
+  let open Monitor in
+  let prog =
+    {
+      monitors = [];
+      shared = [];
+      processes =
+        [
+          { proc_name = "ok"; locals = []; code = [ PMark { klass = "M"; params = [] } ] };
+          {
+            proc_name = "bad";
+            locals = [];
+            code = [ PLocal ("x", Gem_lang.Expr.Var "unbound") ];
+          };
+        ];
+    }
+  in
+  List.iter
+    (fun reduction ->
+      match Monitor.explore ~reduction prog with
+      | _ ->
+          Alcotest.failf "%s: the failing step did not raise"
+            (Explore.reduction_name reduction)
+      | exception Gem_lang.Expr.Eval_error _ -> ())
+    [ Explore.Sleep_sets; Explore.Source_sets ]
+
 let () =
   let to_alc = QCheck_alcotest.to_alcotest in
   Alcotest.run "gem_properties"
@@ -959,4 +1224,15 @@ let () =
           to_alc prop_fingerprint_unchanged;
         ] );
       ("threads", [ to_alc prop_thread_chains ]);
+      ( "awake-only",
+        [
+          to_alc prop_awake_monitor;
+          to_alc prop_awake_csp;
+          to_alc prop_awake_ada;
+          Alcotest.test_case "problem workloads" `Quick test_awake_workloads;
+          to_alc prop_fp_key_reuse;
+          to_alc prop_touched_elements;
+          to_alc prop_renderer_ints;
+          Alcotest.test_case "failing step raises" `Quick test_step_error_raises;
+        ] );
     ]

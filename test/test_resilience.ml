@@ -389,6 +389,33 @@ let test_checkpoint_old_format () =
             has 0
         | Ok () -> false))
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* A GEMCKPT2 file has the current header layout, so its lengths and
+   digest check out; only the magic tells that its payload is the walk
+   state's previous layout, which must not be unmarshalled. *)
+let test_checkpoint_previous_format () =
+  with_engine_snapshot (fun file bytes ->
+      check Alcotest.string "written as GEMCKPT3" "GEMCKPT3" (String.sub bytes 0 8);
+      rewrite file ("GEMCKPT2" ^ String.sub bytes 8 (String.length bytes - 8));
+      (match (Checkpoint.read ~stamp:"run/db3" file : (unit, string) result) with
+      | Ok () -> Alcotest.fail "GEMCKPT2 file unmarshalled"
+      | Error e ->
+          check Alcotest.bool "the error names GEMCKPT2 and says to rerun" true
+            (contains e "GEMCKPT2" && contains e "rerun"));
+      match
+        Csp.explore ~max_configs:1000
+          ~resilience:
+            { Explore.no_resilience with resume = Some file; stamp = "run/db3" }
+          (Db.program ~sites:3)
+      with
+      | _ -> Alcotest.fail "resumed from a GEMCKPT2 file"
+      | exception Explore.Resume_error e ->
+          check Alcotest.bool "Resume_error names GEMCKPT2" true (contains e "GEMCKPT2"))
+
 (* ------------------------------------------------------------------ *)
 (* Bitstate engine parity matrix                                       *)
 (* ------------------------------------------------------------------ *)
@@ -789,6 +816,7 @@ let () =
           Alcotest.test_case "flipped payload byte refused" `Quick
             test_checkpoint_flipped_byte;
           Alcotest.test_case "old format refused" `Quick test_checkpoint_old_format;
+          Alcotest.test_case "GEMCKPT2 refused" `Quick test_checkpoint_previous_format;
         ] );
       ( "bitstate-engine",
         [

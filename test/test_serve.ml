@@ -589,6 +589,32 @@ let test_handler_errors () =
     (fun line -> ignore (Handler.handle h line))
     [ ""; String.make 4096 'x'; "check"; "\x00\x01\x02"; "check rw \"" ]
 
+(* A restriction that cannot be evaluated is the client's error: a code-3
+   reply naming the restriction, with the same message for every jobs
+   count, and not an internal error. *)
+let test_handler_restriction_error () =
+  let h = Handler.create ~cache_size:4 () in
+  let restrict = {|restrict="[]((ALL s:control.StartWrite) s.foo = 1)"|} in
+  let reply jobs =
+    match
+      Handler.handle h
+        (Printf.sprintf "check rw readers=2 writers=1 jobs=%d %s" jobs restrict)
+    with
+    | [ header ] -> (
+        check Alcotest.int "code 3" 3 (code_of header);
+        match Client.field_string header "error" with
+        | Some e -> e
+        | None -> Alcotest.failf "no error field: %s" header)
+    | ls -> Alcotest.failf "%d lines" (List.length ls)
+  in
+  let e1 = reply 1 in
+  check Alcotest.bool ("names the restriction: " ^ e1) true
+    (contains e1 "restriction client-restriction: " && contains e1 "no parameter foo");
+  check Alcotest.bool "not an internal error" false (contains e1 "internal");
+  List.iter
+    (fun jobs -> check Alcotest.string (Printf.sprintf "jobs=%d message" jobs) e1 (reply jobs))
+    [ 2; 4 ]
+
 let test_handler_timeout_uncached () =
   (* Wall-clock-bounded requests bypass the cache: same request twice,
      both uncached, and the verdict cache never sees them. *)
@@ -920,6 +946,7 @@ let () =
         [
           Alcotest.test_case "ping and stats" `Quick test_handler_ping_stats;
           Alcotest.test_case "error replies" `Quick test_handler_errors;
+          Alcotest.test_case "restriction error" `Quick test_handler_restriction_error;
           Alcotest.test_case "timeout bypasses cache" `Quick
             test_handler_timeout_uncached;
           Alcotest.test_case "survives fault injection" `Quick

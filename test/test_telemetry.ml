@@ -360,7 +360,30 @@ let all_counters =
     ]
 
 let all_phases =
-  T.[ Interp_step; Canon_key; Seen_table; Run_enum; Formula_eval; Project; Merge ]
+  T.[ Interp_step; Canon_key; Seen_table; Run_enum; Formula_eval; Project; Merge; Race_analysis ]
+
+(* The race analysis is source-DPOR's own work: it has spans under
+   source and none under sleep sets, and the interpreter steps source
+   builds late extend the configuration's one [Interp_step] span, so
+   both engines count one per expanded configuration. *)
+let test_race_analysis_span () =
+  T.enable ();
+  List.iter
+    (fun (reduction, expect_races) ->
+      T.reset ();
+      let o = Monitor.explore ~reduction buffer_monitor in
+      let name = Explore.reduction_name reduction in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: race_analysis spans" name)
+        expect_races
+        (T.span_count T.Race_analysis > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "%s: one interp_step per expanded configuration" name)
+        (o.Monitor.explored - o.Monitor.truncated)
+        (T.span_count T.Interp_step))
+    [ (Explore.Sleep_sets, false); (Explore.Source_sets, true) ];
+  T.disable ();
+  T.reset ()
 
 let test_disabled_noop () =
   T.disable ();
@@ -452,6 +475,8 @@ let () =
         ] );
       ( "disabled",
         [ Alcotest.test_case "no-op sink" `Quick test_disabled_noop ] );
+      ( "spans",
+        [ Alcotest.test_case "race_analysis" `Quick test_race_analysis_span ] );
       ( "trace",
         [ Alcotest.test_case "chrome trace export" `Quick test_trace_export ] );
     ]
