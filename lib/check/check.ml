@@ -152,14 +152,26 @@ let check_restrictions ?budget ~strategy ~spec_name comp restrictions =
       };
   }
 
-let check ?(strategy = Strategy.default) ?budget spec comp =
-  let legality = Legality.check spec comp in
-  if legality <> [] then Verdict.legal_verdict ~spec_name:spec.Spec.spec_name legality
-  else begin
-    let comp = Spec.label_threads spec comp in
-    check_restrictions ?budget ~strategy ~spec_name:spec.Spec.spec_name comp
-      (Spec.all_restrictions spec)
-  end
+type prepared = Illegal of Legality.violation list | Legal of Gem_model.Computation.t
+
+let prepare spec comp =
+  match Legality.check spec comp with
+  | [] -> Legal (Spec.label_threads spec comp)
+  | violations -> Illegal violations
+
+(* The verdict is named after the spec being checked, not the one the
+   computation was prepared with: the two may differ in name. *)
+let evaluate ~strategy ?budget spec prepared restrictions =
+  match prepared with
+  | Illegal violations -> Verdict.legal_verdict ~spec_name:spec.Spec.spec_name violations
+  | Legal comp ->
+      check_restrictions ?budget ~strategy ~spec_name:spec.Spec.spec_name comp restrictions
+
+let check_prepared ?(strategy = Strategy.default) ?budget spec prepared =
+  evaluate ~strategy ?budget spec prepared (Spec.all_restrictions spec)
+
+let check ?strategy ?budget spec comp =
+  check_prepared ?strategy ?budget spec (prepare spec comp)
 
 (* A restriction that cannot be evaluated stops the batch with the error
    of the first failing computation in list order, whatever [jobs] is: a
@@ -191,12 +203,7 @@ let check_all ?strategy ?budget ?jobs spec comps =
   map_checked ?jobs (fun comp -> check ?strategy ?budget spec comp) comps
 
 let check_formula ?(strategy = Strategy.default) ?budget spec comp ~name f =
-  let legality = Legality.check spec comp in
-  if legality <> [] then Verdict.legal_verdict ~spec_name:spec.Spec.spec_name legality
-  else begin
-    let comp = Spec.label_threads spec comp in
-    check_restrictions ?budget ~strategy ~spec_name:spec.Spec.spec_name comp [ (name, f) ]
-  end
+  evaluate ~strategy ?budget spec (prepare spec comp) [ (name, f) ]
 
 let holds ?strategy ?budget spec comp f =
   Verdict.ok (check_formula ?strategy ?budget spec comp ~name:"property" f)

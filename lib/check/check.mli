@@ -37,6 +37,28 @@ val check :
     checking is skipped — the orders the formulas quantify over may not
     exist. *)
 
+(** {1 Preparation and checking}
+
+    {!check} is {!prepare} then {!check_prepared}. Preparation is the
+    part of a check that does not depend on any restriction: the
+    legality check, then the thread labels. It reads only the spec's
+    elements, groups, element types and threads, never its restrictions
+    or its name, so one prepared computation serves every spec that
+    agrees on those (the versions of a problem, a problem with and
+    without a client restriction). *)
+
+type prepared
+(** A computation after legality and thread labelling: either its
+    legality violations or the labelled computation. *)
+
+val prepare : Gem_spec.Spec.t -> Gem_model.Computation.t -> prepared
+
+val check_prepared :
+  ?strategy:Strategy.t -> ?budget:Budget.t -> Gem_spec.Spec.t -> prepared -> Verdict.t
+(** Evaluate the spec's restrictions on a prepared computation. The
+    verdict carries this spec's name; a legality failure found by
+    {!prepare} is reported as {!check} reports it. *)
+
 val check_all :
   ?strategy:Strategy.t ->
   ?budget:Budget.t ->

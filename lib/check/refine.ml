@@ -167,20 +167,34 @@ let failed_projection ~spec_name err =
     coverage = Budget.full_coverage;
   }
 
+type prepared = Unprojectable of projection_error | Projected of Check.prepared
+
+let prepare ?edges ~problem ~map comp =
+  match
+    project ?edges map comp ~elements:problem.Gem_spec.Spec.elements
+      ~groups:problem.Gem_spec.Spec.groups
+  with
+  | Error err -> Unprojectable err
+  | Ok projected -> Projected (Check.prepare problem projected)
+
+let check_prepared ?strategy ?budget ~problem = function
+  | Unprojectable err -> failed_projection ~spec_name:problem.Gem_spec.Spec.spec_name err
+  | Projected p -> Check.check_prepared ?strategy ?budget problem p
+
+(* The one checking path: [prep] readies each item just before it is
+   checked, on the domain that checks it. *)
+let check_each ?strategy ?budget ?jobs ~problem prep items =
+  List.mapi
+    (fun i verdict -> (i, verdict))
+    (Check.map_checked ?jobs
+       (fun item -> check_prepared ?strategy ?budget ~problem (prep item))
+       items)
+
 let sat ?strategy ?budget ?jobs ?edges ~problem ~map comps =
-  let verdicts =
-    Check.map_checked ?jobs
-      (fun comp ->
-        match
-          project ?edges map comp ~elements:problem.Gem_spec.Spec.elements
-            ~groups:problem.Gem_spec.Spec.groups
-        with
-        | Error err ->
-            failed_projection ~spec_name:problem.Gem_spec.Spec.spec_name err
-        | Ok projected -> Check.check ?strategy ?budget problem projected)
-      comps
-  in
-  List.mapi (fun i verdict -> (i, verdict)) verdicts
+  check_each ?strategy ?budget ?jobs ~problem (prepare ?edges ~problem ~map) comps
+
+let sat_prepared ?strategy ?budget ?jobs ~problem prepared =
+  check_each ?strategy ?budget ?jobs ~problem Fun.id prepared
 
 let sat_ok ?strategy ?budget ?jobs ?edges ~problem ~map comps =
   List.for_all

@@ -78,6 +78,39 @@ val sat :
     {!Check.Restriction_error} for the first failing computation in list
     order, whatever [jobs] is. *)
 
+(** {1 Prepared computations}
+
+    {!sat} prepares each computation just before checking it, so a
+    one-shot check never holds more than the computations being checked
+    at once. A caller that checks one set of computations against
+    several restriction sets (the daemon's shared explorations) prepares
+    them once with {!prepare} and checks them with {!sat_prepared}; both
+    go through one checking path. *)
+
+type prepared
+(** A program computation projected onto the problem's significant
+    objects and {!Check.prepare}d, or the projection's error. *)
+
+val prepare :
+  ?edges:edge_rule ->
+  problem:Gem_spec.Spec.t ->
+  map:correspondence ->
+  Gem_model.Computation.t ->
+  prepared
+(** Reads only the problem's elements, groups, element types and
+    threads (never its restrictions or its name), like
+    {!Check.prepare}. *)
+
+val sat_prepared :
+  ?strategy:Strategy.t ->
+  ?budget:Budget.t ->
+  ?jobs:int ->
+  problem:Gem_spec.Spec.t ->
+  prepared list ->
+  (int * Verdict.t) list
+(** {!sat} on computations prepared already: the same verdicts, indices
+    and {!Check.Restriction_error}. *)
+
 val sat_ok :
   ?strategy:Strategy.t ->
   ?budget:Budget.t ->

@@ -88,25 +88,48 @@ let max_line_bytes = 1 lsl 20
 
 let line_too_long = {|{"serve":1,"error":"request line too long","code":3}|}
 
+(* The seconds a connection has to complete a request line, counted from
+   its accept or from the server's previous reply on it. Over it, the
+   connection is answered with a code-3 error and closed, so idle
+   connections cannot hold every place under the connection cap. The
+   bound runs only while the server reads: a check takes as long as it
+   takes. *)
+let idle_timeout_s = 5.0
+
+let idle_timeout = {|{"serve":1,"error":"idle timeout","code":3}|}
+
+exception Idle
+
 (* Reads newline-framed lines from the connection's channel through a
    small chunk; [pos, len) of [chunk] is read but not yet consumed. The
    channel does the buffering (and its out-of-heap buffer keeps the
    major GC paced to the connection rate, which a large chunk on the
    OCaml heap would not), so the chunk stays small. *)
 type reader = {
+  fd : Unix.file_descr;
   ic : in_channel;
   chunk : Bytes.t;
   mutable pos : int;
   mutable len : int;
   line : Buffer.t;
+  mutable deadline : float;  (** When the line being read must be complete. *)
 }
 
+(* Each read of the descriptor waits at most until the deadline: the
+   receive timeout is re-armed with the time left before every fill, so
+   a client trickling bytes cannot stretch the bound. A read that times
+   out surfaces as [Sys_blocked_io]. A timeout under a millisecond is
+   not armed, as a zero one would mean none. *)
 let fill r =
+  let left = r.deadline -. Unix.gettimeofday () in
+  if left < 1e-3 then raise Idle;
+  Unix.setsockopt_float r.fd Unix.SO_RCVTIMEO left;
   r.pos <- 0;
-  r.len <- input r.ic r.chunk 0 (Bytes.length r.chunk)
+  r.len <- (try input r.ic r.chunk 0 (Bytes.length r.chunk) with Sys_blocked_io -> raise Idle)
 
 (* [input_line] (an unterminated last line included), or [None] once the
-   line passes [max_line_bytes]. Raises [End_of_file] at end of input. *)
+   line passes [max_line_bytes]. Raises [End_of_file] at end of input and
+   [Idle] at the deadline. *)
 let read_line r =
   Buffer.reset r.line;
   let rec go () =
@@ -138,7 +161,15 @@ let read_line r =
 let serve_conn t ~handler conn =
   let ic = Unix.in_channel_of_descr conn.c_fd in
   let reader =
-    { ic; chunk = Bytes.create 512; pos = 0; len = 0; line = Buffer.create 256 }
+    {
+      fd = conn.c_fd;
+      ic;
+      chunk = Bytes.create 512;
+      pos = 0;
+      len = 0;
+      line = Buffer.create 256;
+      deadline = Unix.gettimeofday () +. idle_timeout_s;
+    }
   in
   let close () =
     Mutex.protect t.s_lock (fun () ->
@@ -152,6 +183,10 @@ let serve_conn t ~handler conn =
        match read_line reader with
        | exception End_of_file -> continue := false
        | exception Sys_error _ -> continue := false
+       | exception Idle ->
+           (try write_all conn.c_fd (idle_timeout ^ "\n")
+            with Unix.Unix_error _ | Sys_error _ -> ());
+           continue := false
        | None ->
            (try write_all conn.c_fd (line_too_long ^ "\n")
             with Unix.Unix_error _ | Sys_error _ -> ());
@@ -176,6 +211,7 @@ let serve_conn t ~handler conn =
             with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
             | Sys_error _ ->
               continue := false);
+           reader.deadline <- Unix.gettimeofday () +. idle_timeout_s;
            (* A drain request closes the connection once the in-flight
               response is out; clients reconnect to a restarted daemon. *)
            if Atomic.get t.s_stop then continue := false

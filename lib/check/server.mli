@@ -17,6 +17,10 @@
     - at most {!max_connections} connections are served at once; one
       accepted over the cap is answered with
       [{"serve":1,"error":"busy","code":3}] and closed without a thread;
+    - a connection that has not completed a request line within
+      {!idle_timeout_s} of its accept or of its previous reply is
+      answered with [{"serve":1,"error":"idle timeout","code":3}] and
+      closed;
     - a handler exception answers that request with a one-line JSON
       error and leaves the connection (and the server) alive;
     - a client disconnecting mid-response kills only that connection;
@@ -39,8 +43,12 @@ val max_line_bytes : int
 (** The longest request line the server reads: 1 MiB. *)
 
 val max_connections : int
-(** The most connections served at once: 64, also the listen backlog.
-    There is no idle timeout: a held connection keeps its place. *)
+(** The most connections served at once: 64, also the listen backlog. *)
+
+val idle_timeout_s : float
+(** The seconds a connection has to complete a request line, from its
+    accept or from the previous reply: 5. The bound runs only while the
+    server reads, never while the handler checks. *)
 
 val create : socket:string -> unit -> t
 (** Bind and listen on a Unix-domain socket at [socket], replacing any

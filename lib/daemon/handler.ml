@@ -27,16 +27,26 @@ let cache_stats_json (s : Cache.stats) =
     {|{"entries":%d,"capacity":%d,"hits":%d,"misses":%d,"coalesced":%d,"evictions":%d}|}
     s.Cache.entries s.capacity s.hits s.misses s.coalesced s.evictions
 
+(* With telemetry on ([serve --stats]), the members of the object
+   [--stats] prints (the process's counters and phase timings so far)
+   follow the two caches' objects. *)
 let stats_body t =
-  Printf.sprintf {|{"verdicts":%s,"explorations":%s}|}
-    (cache_stats_json (Cache.stats t.verdicts))
-    (cache_stats_json (Cache.stats t.explorations))
+  let caches =
+    Printf.sprintf {|{"verdicts":%s,"explorations":%s|}
+      (cache_stats_json (Cache.stats t.verdicts))
+      (cache_stats_json (Cache.stats t.explorations))
+  in
+  if T.enabled () then
+    let totals = T.stats_json () in
+    caches ^ "," ^ String.sub totals 1 (String.length totals - 1)
+  else caches ^ "}"
 
 (* Build the verdict for a cache miss: share the exploration if an
    equivalent one is cached (or in flight), then conclude on a second
    budget restored to the exploration's end state — the protocol
-   documented in {!Runner}. *)
-let compute_body t load (c : R.check) =
+   documented in {!Runner}. A cached exploration is prepared inside the
+   cache's compute, once for every request that shares it. *)
+let compute_body t load ~program (c : R.check) =
   let e = c.R.engine in
   let opts = Runner.opts_of_engine load e in
   let mk_budget () =
@@ -45,12 +55,12 @@ let compute_body t load (c : R.check) =
   let exploration =
     if not (Runner.has_exploration load) then None
     else begin
-      let xkey = Runner.explore_key load e in
+      let xkey = Runner.explore_key ~program load e in
       let x, prov =
         Cache.find_or_compute t.explorations xkey (fun () ->
             let budget = mk_budget () in
             match Runner.explore load opts ~budget with
-            | Some x -> x
+            | Some x -> Runner.prepare load opts x
             | None -> assert false)
       in
       (match prov with
@@ -79,7 +89,8 @@ let check_response t (c : R.check) =
       ]
   | Ok load -> (
       let started = Unix.gettimeofday () in
-      let key = Runner.verdict_key load ~restrict:c.R.restrict c.R.engine in
+      let program = Runner.program_fp load in
+      let key = Runner.verdict_key ~program load ~restrict:c.R.restrict c.R.engine in
       let respond provenance (code, body) =
         let header =
           Printf.sprintf
@@ -108,7 +119,7 @@ let check_response t (c : R.check) =
         else
           let v, prov =
             Cache.find_or_compute t.verdicts key (fun () ->
-                compute_body t load c)
+                compute_body t load ~program c)
           in
           (v, Cache.provenance_name prov)
       with

@@ -18,9 +18,11 @@
     - the {e verdict cache} maps {!Runner.verdict_key} to the rendered
       report, with single-flight coalescing ({!Gem_check.Cache});
     - the {e exploration cache} maps {!Runner.explore_key} to the
-      exploration phase's outcome, so requests that differ only in their
-      restriction re-check computations without re-exploring (counted
-      under the [Explorations_shared] telemetry counter);
+      exploration phase's outcome, {!Runner.prepare}d once inside the
+      cache's compute, so requests that differ only in their
+      restriction evaluate restrictions without re-exploring or
+      re-projecting (counted under the [Explorations_shared] telemetry
+      counter);
     - requests with a [timeout] bypass both caches ([cache]:
       ["uncached"]) — their verdicts depend on wall-clock time, and the
       byte-identity guarantee is only meaningful for deterministic
@@ -37,4 +39,7 @@ val handle : t -> string -> string list
     {!Gem_check.Faults.Injected}) becomes an error header. *)
 
 val stats_body : t -> string
-(** The [stats] verb's body line: both caches' counters. *)
+(** The [stats] verb's body line: both caches' counters and, with
+    telemetry on ([serve --stats]), beside them the members of the
+    object [--stats] prints ({!Gem_obs.Telemetry.stats_json}): the
+    process's counters and phase timings so far. *)

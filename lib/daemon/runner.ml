@@ -248,37 +248,60 @@ let program_fp load =
            (String.concat ","
               (List.map (fun (x, y) -> Printf.sprintf "%d:%d" x y) life_alive)))
 
-let problem_spec load =
+(* What an explored load is refined against: the problem spec (before
+   any client restriction), the correspondence and the edge rule. *)
+let refinement load =
   match load with
   | Rw { version; readers; writers; _ } ->
-      Some
-        (Readers_writers.spec version
-           ~users:(Readers_writers.user_names ~readers ~writers))
-  | Buffer { capacity; _ } -> Some (Buffer_problem.spec ~capacity)
-  | Rwd { readers; writers; _ } ->
+      ( Readers_writers.spec version
+          ~users:(Readers_writers.user_names ~readers ~writers),
+        Readers_writers.correspondence,
+        Refine.Actor_paths )
+  | Buffer { lang; capacity; _ } ->
+      ( Buffer_problem.spec ~capacity,
+        (match lang with
+        | `Monitor -> Buffer_problem.monitor_correspondence
+        | `Csp -> Buffer_problem.csp_correspondence
+        | `Ada -> Buffer_problem.ada_correspondence),
+        Refine.Causal_paths )
+  | Rwd { lang; readers; writers; _ } ->
       let rnames, wnames = Rw_distributed.user_names ~readers ~writers in
-      Some (Rw_distributed.spec ~readers:rnames ~writers:wnames)
+      ( Rw_distributed.spec ~readers:rnames ~writers:wnames,
+        (match lang with
+        | `Csp -> Rw_distributed.csp_correspondence
+        | `Ada -> Rw_distributed.ada_correspondence),
+        Refine.Causal_paths )
+  | Db _ | Life _ -> invalid_arg "Runner: the command has no refinement"
+
+let problem_spec load =
+  match load with
+  | Rw _ | Buffer _ | Rwd _ ->
+      let problem, _, _ = refinement load in
+      Some problem
   | Db _ -> None
   | Life { width; height; _ } -> Some (Life.spec ~width ~height)
 
+(* One restriction: its name, then its formula's structural
+   fingerprint, which is equal exactly when the formulas print alike. *)
+let named_fp acc (name, f) =
+  Fingerprint.combine acc
+    (Fingerprint.combine (Fingerprint.of_string name) (Formula.fingerprint f))
+
+(* The spec's name and its explicit restrictions, then the client
+   restriction if there is one. *)
 let restriction_fp load restrict =
   let base =
     match problem_spec load with
     | Some s ->
-        s.Spec.spec_name
-        :: List.map
-             (fun (n, f) -> n ^ "=" ^ Formula.to_string f)
-             s.Spec.restrictions
+        List.fold_left named_fp (Fingerprint.of_string s.Spec.spec_name)
+          s.Spec.restrictions
     | None ->
         (* db's two properties are baked into Db_update.check. *)
-        [ "db-update:convergence+deadlock-freedom" ]
+        Fingerprint.of_string "db-update:convergence+deadlock-freedom"
   in
-  let client =
-    match restrict with
-    | Some f -> [ "+" ^ R.restriction_name ^ "=" ^ Formula.to_string f ]
-    | None -> []
-  in
-  Fingerprint.of_string (String.concat "\n" (base @ client))
+  match restrict with
+  | Some f -> named_fp base (R.restriction_name, f)
+  | None -> base
 
 (* The program-determining workload parameters — unlike the checkpoint
    stamp, the cache key must see every one of them (e.g. rw's monitor).
@@ -322,20 +345,21 @@ let engine_string (e : R.engine) =
     (opt_int e.R.max_runs)
     (Explore.reduction_name (engine_reduction e))
 
-let explore_key load engine =
-  Fingerprint.to_hex
-    (Fingerprint.combine (program_fp load)
-       (Fingerprint.combine
-          (Fingerprint.of_string (key_params_string load))
-          (Fingerprint.of_string (engine_string engine))))
+let setting_fp load engine =
+  Fingerprint.combine
+    (Fingerprint.of_string (key_params_string load))
+    (Fingerprint.of_string (engine_string engine))
 
-let verdict_key load ~restrict engine =
+let explore_key ?program load engine =
+  let program = match program with Some p -> p | None -> program_fp load in
+  Fingerprint.to_hex (Fingerprint.combine program (setting_fp load engine))
+
+let verdict_key ?program load ~restrict engine =
+  let program = match program with Some p -> p | None -> program_fp load in
   Fingerprint.to_hex
     (Fingerprint.combine
-       (Fingerprint.combine (program_fp load) (restriction_fp load restrict))
-       (Fingerprint.combine
-          (Fingerprint.of_string (key_params_string load))
-          (Fingerprint.of_string (engine_string engine))))
+       (Fingerprint.combine program (restriction_fp load restrict))
+       (setting_fp load engine))
 
 (* --- running -------------------------------------------------------- *)
 
@@ -380,8 +404,12 @@ let opts_of_engine load (e : R.engine) =
       };
   }
 
+type computations =
+  | Computations of Computation.t list
+  | Prepared of Refine.prepared list
+
 type exploration = {
-  x_computations : Computation.t list;
+  x_computations : computations;
   x_deadlocks : int;
   x_explored : int;
   x_reduced : int;
@@ -394,7 +422,7 @@ let explore load o ~budget =
   let { reduction; exact_keys; audit_keys; resilience; _ } = o in
   let of_monitor (x : Monitor.outcome) =
     {
-      x_computations = x.Monitor.computations;
+      x_computations = Computations x.Monitor.computations;
       x_deadlocks = List.length x.Monitor.deadlocks;
       x_explored = x.Monitor.explored;
       x_reduced = x.Monitor.reduced;
@@ -405,7 +433,7 @@ let explore load o ~budget =
   in
   let of_csp (x : Csp.outcome) =
     {
-      x_computations = x.Csp.computations;
+      x_computations = Computations x.Csp.computations;
       x_deadlocks = List.length x.Csp.deadlocks;
       x_explored = x.Csp.explored;
       x_reduced = x.Csp.reduced;
@@ -416,7 +444,7 @@ let explore load o ~budget =
   in
   let of_ada (x : Ada.outcome) =
     {
-      x_computations = x.Ada.computations;
+      x_computations = Computations x.Ada.computations;
       x_deadlocks = List.length x.Ada.deadlocks;
       x_explored = x.Ada.explored;
       x_reduced = x.Ada.reduced;
@@ -472,6 +500,22 @@ let explore load o ~budget =
               (Ada.explore ?reduction ?exact_keys ?audit_keys
                  ~max_configs:20_000_000 ~budget ~resilience program))
   | Db _ | Life _ -> None
+
+let prepare load o x =
+  match x.x_computations with
+  | Prepared _ -> x
+  | Computations comps ->
+      let problem, map, edges = refinement load in
+      {
+        x with
+        x_computations =
+          Prepared (Gem_check.Par.map ~jobs:o.jobs (Refine.prepare ~edges ~problem ~map) comps);
+      }
+
+let computation_count x =
+  match x.x_computations with
+  | Computations comps -> List.length comps
+  | Prepared ps -> List.length ps
 
 (* --- verdict combination (hoisted verbatim from the CLI) ------------ *)
 
@@ -549,9 +593,6 @@ let finish ~computations ~deadlocks status detail cov failures =
     exit_code = Verdict.exit_code status;
   }
 
-let finish_explored x =
-  finish ~computations:(List.length x.x_computations) ~deadlocks:x.x_deadlocks
-
 let conclude load o ~budget ~restrict exploration =
   let strategy = Strategy.of_budget budget in
   match (load, exploration) with
@@ -559,91 +600,40 @@ let conclude load o ~budget ~restrict exploration =
       invalid_arg "Runner.conclude: missing exploration"
   | (Db _ | Life _), Some _ ->
       invalid_arg "Runner.conclude: unexpected exploration"
-  | Rw { version; readers; writers; _ }, Some x ->
-      let problem =
-        with_restrict
-          (Readers_writers.spec version
-             ~users:(Readers_writers.user_names ~readers ~writers))
-          restrict
-      in
+  | (Rw _ | Buffer _ | Rwd _), Some x ->
+      let problem, map, edges = refinement load in
+      let problem = with_restrict problem restrict in
       let results =
-        Refine.sat ~strategy ~budget ~jobs:o.jobs ~edges:Refine.Actor_paths
-          ~problem ~map:Readers_writers.correspondence x.x_computations
+        match x.x_computations with
+        | Computations comps ->
+            Refine.sat ~strategy ~budget ~jobs:o.jobs ~edges ~problem ~map comps
+        | Prepared ps -> Refine.sat_prepared ~strategy ~budget ~jobs:o.jobs ~problem ps
       in
-      let verdicts = List.map snd results in
-      let status = combined_status ~explore_exhausted:x.x_exhausted verdicts in
+      let n = computation_count x in
       let failures = List.filter (fun (_, v) -> not (Verdict.ok v)) results in
-      let detail =
-        Printf.sprintf "%d distinct computations, %d deadlocks vs %s: %s"
-          (List.length x.x_computations)
-          x.x_deadlocks
-          (Readers_writers.version_name version)
-          (match failures with
-          | [] -> "no violation found"
-          | (i, _) :: _ ->
-              Printf.sprintf "violated on computation %d (of %d failing)" i
-                (List.length failures))
+      let verdicts, detail =
+        match load with
+        | Rw { version; _ } ->
+            ( List.map snd results,
+              Printf.sprintf "%d distinct computations, %d deadlocks vs %s: %s" n
+                x.x_deadlocks
+                (Readers_writers.version_name version)
+                (match failures with
+                | [] -> "no violation found"
+                | (i, _) :: _ ->
+                    Printf.sprintf "violated on computation %d (of %d failing)" i
+                      (List.length failures)) )
+        | _ ->
+            ( List.map snd results
+              @ Option.to_list
+                  (deadlock_verdict ~spec_name:(command_name load) x.x_deadlocks),
+              Printf.sprintf "%d computations, %d deadlocks" n x.x_deadlocks )
       in
-      finish_explored x status detail
+      let status = combined_status ~explore_exhausted:x.x_exhausted verdicts in
+      finish ~computations:n ~deadlocks:x.x_deadlocks status detail
         (coverage ~explored:x.x_explored ~reduced:x.x_reduced
            ~truncated:x.x_truncated verdicts)
         failures
-  | Buffer { lang; capacity; _ }, Some x ->
-      let problem = with_restrict (Buffer_problem.spec ~capacity) restrict in
-      let map =
-        match lang with
-        | `Monitor -> Buffer_problem.monitor_correspondence
-        | `Csp -> Buffer_problem.csp_correspondence
-        | `Ada -> Buffer_problem.ada_correspondence
-      in
-      let results =
-        Refine.sat ~strategy ~budget ~jobs:o.jobs ~problem ~map
-          x.x_computations
-      in
-      let verdicts =
-        List.map snd results
-        @ Option.to_list (deadlock_verdict ~spec_name:"buffer" x.x_deadlocks)
-      in
-      let status = combined_status ~explore_exhausted:x.x_exhausted verdicts in
-      let detail =
-        Printf.sprintf "%d computations, %d deadlocks"
-          (List.length x.x_computations)
-          x.x_deadlocks
-      in
-      finish_explored x status detail
-        (coverage ~explored:x.x_explored ~reduced:x.x_reduced
-           ~truncated:x.x_truncated verdicts)
-        (List.filter (fun (_, v) -> not (Verdict.ok v)) results)
-  | Rwd { lang; readers; writers; _ }, Some x ->
-      let rnames, wnames = Rw_distributed.user_names ~readers ~writers in
-      let problem =
-        with_restrict
-          (Rw_distributed.spec ~readers:rnames ~writers:wnames)
-          restrict
-      in
-      let map =
-        match lang with
-        | `Csp -> Rw_distributed.csp_correspondence
-        | `Ada -> Rw_distributed.ada_correspondence
-      in
-      let results =
-        Refine.sat ~strategy ~budget ~jobs:o.jobs ~problem ~map
-          x.x_computations
-      in
-      let verdicts =
-        List.map snd results
-        @ Option.to_list (deadlock_verdict ~spec_name:"rwd" x.x_deadlocks)
-      in
-      let status = combined_status ~explore_exhausted:x.x_exhausted verdicts in
-      let detail =
-        Printf.sprintf "%d computations, %d deadlocks"
-          (List.length x.x_computations)
-          x.x_deadlocks
-      in
-      finish_explored x status detail
-        (coverage ~explored:x.x_explored ~reduced:x.x_reduced
-           ~truncated:x.x_truncated verdicts)
-        (List.filter (fun (_, v) -> not (Verdict.ok v)) results)
   | Db { sites }, None ->
       let { reduction; exact_keys; audit_keys; jobs; resilience } = o in
       let r =

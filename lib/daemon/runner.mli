@@ -66,15 +66,29 @@ val has_exploration : load -> bool
 
 (** {1 Cache keying} *)
 
-val verdict_key :
-  load -> restrict:Gem_logic.Formula.t option -> Gem_syntax.Request.engine -> string
-(** Hex of a fingerprint over every verdict-relevant input: the
-    program's initial-configuration fingerprint (where the command
-    builds a program), the full workload parameters, the problem spec's
-    restriction set plus the client restriction, and the engine
-    configuration with environment defaults resolved. *)
+val program_fp : load -> Gem_order.Fingerprint.t
+(** The program's initial-configuration fingerprint (where the command
+    builds a program; [db] and [life] hash their parameters). Building
+    the program is most of a key's cost, so a caller that needs both
+    keys computes this once and passes it to both. *)
 
-val explore_key : load -> Gem_syntax.Request.engine -> string
+val verdict_key :
+  ?program:Gem_order.Fingerprint.t ->
+  load ->
+  restrict:Gem_logic.Formula.t option ->
+  Gem_syntax.Request.engine ->
+  string
+(** Hex of a fingerprint over every verdict-relevant input: the
+    program's fingerprint ([program], default {!program_fp}), the full
+    workload parameters, the problem spec's name and restriction set
+    plus the client restriction, and the engine configuration with
+    environment defaults resolved. A restriction enters by its name and
+    {!Gem_logic.Formula.fingerprint}, so two requests share a key
+    exactly when their restrictions print alike; nothing is
+    rendered. *)
+
+val explore_key :
+  ?program:Gem_order.Fingerprint.t -> load -> Gem_syntax.Request.engine -> string
 (** {!verdict_key} minus the restriction component — requests that agree
     on it can share one exploration. *)
 
@@ -106,8 +120,17 @@ val opts_of_engine : load -> Gem_syntax.Request.engine -> opts
 (** The daemon's options: bitstate per the engine record, no spill or
     checkpointing, {!stamp} of the resolved engine. *)
 
+type computations =
+  | Computations of Gem_model.Computation.t list
+      (** As explored: {!conclude} prepares each one just before it
+          checks it, so no more prepared forms are held at once than
+          are being checked. *)
+  | Prepared of Gem_check.Refine.prepared list
+      (** Prepared once by {!prepare}, for an exploration that several
+          requests conclude on. *)
+
 type exploration = {
-  x_computations : Gem_model.Computation.t list;
+  x_computations : computations;
   x_deadlocks : int;
   x_explored : int;
   x_reduced : int;
@@ -119,6 +142,15 @@ type exploration = {
 val explore :
   load -> opts -> budget:Gem_check.Budget.t -> exploration option
 (** The exploration phase; [None] when {!has_exploration} is false. *)
+
+val prepare : load -> opts -> exploration -> exploration
+(** Project every computation onto the problem, check its legality and
+    label its threads ({!Gem_check.Refine.prepare}), on [opts.jobs]
+    domains, and drop the program computations. This reads nothing of
+    the restrictions or the spec's name, so the result serves every
+    request that shares the exploration: all of rw's versions, and any
+    client restriction. {!conclude} on the result renders what it
+    renders on the unprepared exploration. *)
 
 type result = {
   status : Gem_check.Verdict.status;

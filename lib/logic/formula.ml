@@ -95,75 +95,229 @@ let free_vars f =
   in
   Sset.elements (go Sset.empty f)
 
-let pp_cmp ppf = function
-  | Eq -> Format.fprintf ppf "="
-  | Ne -> Format.fprintf ppf "!="
-  | Lt -> Format.fprintf ppf "<"
-  | Le -> Format.fprintf ppf "<="
-  | Gt -> Format.fprintf ppf ">"
-  | Ge -> Format.fprintf ppf ">="
+(* One printer for the concrete syntax, over an output: [text] prints a
+   piece of text, [space] a break hint (Format's "@ "), [open_box] and
+   [close_box] a box ("@[" and "@]"). [pp] drives it into a formatter
+   and [fingerprint] into a hash, so the key of a formula is always the
+   text it prints. The walk keeps its own stack of pieces still to print
+   and dispatches in tail calls, so a formula of any depth (a million
+   nested negations fit in a request line) prints without recursing. A
+   run of unary operators owes a run of closing parentheses, kept as
+   one count. *)
+type output = {
+  text : string -> unit;
+  space : unit -> unit;
+  open_box : unit -> unit;
+  close_box : unit -> unit;
+}
 
-let rec pp_texp ppf = function
-  | Const v -> Gem_model.Value.pp ppf v
-  | Param (x, p) -> Format.fprintf ppf "%s.%s" x p
-  | Index x -> Format.fprintf ppf "index(%s)" x
-  | Plus (t, n) -> Format.fprintf ppf "%a + %d" pp_texp t n
+type piece =
+  | Text of string
+  | Space
+  | Close_box
+  | Closing of int  (** That many [")"]. *)
+  | Formula of t
+  | Formulas of string * t list
+      (** A break hint and the separator, then the items joined that way. *)
+  | Domain of domain
+  | Domains of domain list  (** ["|"], then the items joined by it. *)
+  | Term of texp
 
-let rec pp_domain ppf = function
-  | Any -> Format.fprintf ppf "*"
-  | Cls c -> Format.fprintf ppf "%s" c
-  | At_elem e -> Format.fprintf ppf "%s.*" e
-  | Cls_at (e, c) -> Format.fprintf ppf "%s.%s" e c
-  | Union ds ->
-      Format.fprintf ppf "{%a}"
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "|") pp_domain)
-        ds
+let cmp_text = function
+  | Eq -> " = "
+  | Ne -> " != "
+  | Lt -> " < "
+  | Le -> " <= "
+  | Gt -> " > "
+  | Ge -> " >= "
 
-let pp_atom ppf = function
-  | Occurred x -> Format.fprintf ppf "occurred(%s)" x
-  | Enables (x, y) -> Format.fprintf ppf "%s |> %s" x y
-  | Elem_lt (x, y) -> Format.fprintf ppf "%s =>el %s" x y
-  | Temp_lt (x, y) -> Format.fprintf ppf "%s => %s" x y
-  | Same_event (x, y) -> Format.fprintf ppf "%s = %s" x y
-  | Same_element (x, y) -> Format.fprintf ppf "elem(%s) = elem(%s)" x y
-  | In_class (x, d) -> Format.fprintf ppf "%s : %a" x pp_domain d
-  | Cmp (c, t1, t2) -> Format.fprintf ppf "%a %a %a" pp_texp t1 pp_cmp c pp_texp t2
-  | At_class (x, d) -> Format.fprintf ppf "%s at %a" x pp_domain d
-  | New x -> Format.fprintf ppf "new(%s)" x
-  | Potential x -> Format.fprintf ppf "potential(%s)" x
-  | Same_thread (pi, x, y) -> Format.fprintf ppf "%s ~%s~ %s" x pi y
-  | Distinct_thread (pi, x, y) -> Format.fprintf ppf "%s !~%s~ %s" x pi y
-  | In_thread (pi, x) -> Format.fprintf ppf "%s in %s" x pi
-  | Sem (name, xs, _) ->
-      Format.fprintf ppf "%s(%a)" name
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") Format.pp_print_string)
-        xs
+let joined sep fs rest =
+  match fs with
+  | [] -> rest
+  | [ f ] -> Formula f :: rest
+  | f :: fs -> Formula f :: Formulas (sep, fs) :: rest
 
-let rec pp ppf = function
-  | True -> Format.fprintf ppf "true"
-  | False -> Format.fprintf ppf "false"
-  | Atom a -> pp_atom ppf a
-  | Not f -> Format.fprintf ppf "~(%a)" pp f
-  | And fs ->
-      Format.fprintf ppf "(%a)"
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "@ /\\ ") pp)
-        fs
-  | Or fs ->
-      Format.fprintf ppf "(%a)"
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "@ \\/ ") pp)
-        fs
-  | Implies (a, b) -> Format.fprintf ppf "(%a ->@ %a)" pp a pp b
-  | Iff (a, b) -> Format.fprintf ppf "(%a <->@ %a)" pp a pp b
-  | Forall (x, d, f) -> Format.fprintf ppf "@[(ALL %s:%a)@ %a@]" x pp_domain d pp f
-  | Exists (x, d, f) -> Format.fprintf ppf "@[(EX %s:%a)@ %a@]" x pp_domain d pp f
-  | Exists_unique (x, d, f) ->
-      Format.fprintf ppf "@[(EX! %s:%a)@ %a@]" x pp_domain d pp f
-  | At_most_one (x, d, f) ->
-      Format.fprintf ppf "@[(EX<=1 %s:%a)@ %a@]" x pp_domain d pp f
-  | Henceforth f -> Format.fprintf ppf "[](%a)" pp f
-  | Eventually f -> Format.fprintf ppf "<>(%a)" pp f
+let joined_domains ds rest =
+  match ds with
+  | [] -> rest
+  | [ d ] -> Domain d :: rest
+  | d :: ds -> Domain d :: Domains ds :: rest
+
+let print out f =
+  let text = out.text in
+  let rec walk = function
+    | [] -> ()
+    | Text s :: rest ->
+        text s;
+        walk rest
+    | Space :: rest ->
+        out.space ();
+        walk rest
+    | Close_box :: rest ->
+        out.close_box ();
+        walk rest
+    | Closing n :: rest ->
+        for _ = 1 to n do
+          text ")"
+        done;
+        walk rest
+    | Formula f :: rest -> formula f rest
+    | Formulas (sep, fs) :: rest ->
+        out.space ();
+        text sep;
+        walk (joined sep fs rest)
+    | Domain d :: rest -> domain d rest
+    | Domains ds :: rest ->
+        text "|";
+        walk (joined_domains ds rest)
+    | Term t :: rest -> term t rest
+  and formula f rest =
+    match f with
+    | True ->
+        text "true";
+        walk rest
+    | False ->
+        text "false";
+        walk rest
+    | Atom a -> atom a rest
+    | Not f -> unary "~(" f rest
+    | Henceforth f -> unary "[](" f rest
+    | Eventually f -> unary "<>(" f rest
+    | And fs ->
+        text "(";
+        walk (joined "/\\ " fs (Text ")" :: rest))
+    | Or fs ->
+        text "(";
+        walk (joined "\\/ " fs (Text ")" :: rest))
+    | Implies (a, c) ->
+        text "(";
+        formula a (Text " ->" :: Space :: Formula c :: Text ")" :: rest)
+    | Iff (a, c) ->
+        text "(";
+        formula a (Text " <->" :: Space :: Formula c :: Text ")" :: rest)
+    | Forall (x, d, f) -> binder "(ALL " x d f rest
+    | Exists (x, d, f) -> binder "(EX " x d f rest
+    | Exists_unique (x, d, f) -> binder "(EX! " x d f rest
+    | At_most_one (x, d, f) -> binder "(EX<=1 " x d f rest
+  and unary opening f rest =
+    text opening;
+    formula f
+      (match rest with
+      | Closing n :: rest -> Closing (n + 1) :: rest
+      | rest -> Closing 1 :: rest)
+  and binder quantifier x d f rest =
+    out.open_box ();
+    text quantifier;
+    text x;
+    text ":";
+    domain d (Text ")" :: Space :: Formula f :: Close_box :: rest)
+  and domain d rest =
+    match d with
+    | Any ->
+        text "*";
+        walk rest
+    | Cls c ->
+        text c;
+        walk rest
+    | At_elem e ->
+        text e;
+        text ".*";
+        walk rest
+    | Cls_at (e, c) ->
+        text e;
+        text ".";
+        text c;
+        walk rest
+    | Union ds ->
+        text "{";
+        walk (joined_domains ds (Text "}" :: rest))
+  and term t rest =
+    match t with
+    | Const v ->
+        text (Gem_model.Value.to_string v);
+        walk rest
+    | Param (x, p) ->
+        text x;
+        text ".";
+        text p;
+        walk rest
+    | Index x -> call "index" x rest
+    | Plus (t, n) -> term t (Text " + " :: Text (string_of_int n) :: rest)
+  and call name x rest =
+    text name;
+    text "(";
+    text x;
+    text ")";
+    walk rest
+  and infix x op y rest =
+    text x;
+    text op;
+    text y;
+    walk rest
+  and atom a rest =
+    match a with
+    | Occurred x -> call "occurred" x rest
+    | Enables (x, y) -> infix x " |> " y rest
+    | Elem_lt (x, y) -> infix x " =>el " y rest
+    | Temp_lt (x, y) -> infix x " => " y rest
+    | Same_event (x, y) -> infix x " = " y rest
+    | Same_element (x, y) ->
+        text "elem(";
+        text x;
+        text ") = elem(";
+        text y;
+        text ")";
+        walk rest
+    | In_class (x, d) ->
+        text x;
+        text " : ";
+        domain d rest
+    | Cmp (c, t1, t2) -> term t1 (Text (cmp_text c) :: Term t2 :: rest)
+    | At_class (x, d) ->
+        text x;
+        text " at ";
+        domain d rest
+    | New x -> call "new" x rest
+    | Potential x -> call "potential" x rest
+    | Same_thread (pi, x, y) ->
+        text x;
+        text " ~";
+        infix pi "~ " y rest
+    | Distinct_thread (pi, x, y) ->
+        text x;
+        text " !~";
+        infix pi "~ " y rest
+    | In_thread (pi, x) -> infix x " in " pi rest
+    | Sem (name, xs, _) ->
+        text name;
+        text "(";
+        List.iteri
+          (fun i x ->
+            if i > 0 then text ",";
+            text x)
+          xs;
+        text ")";
+        walk rest
+  in
+  formula f []
+
+let pp ppf f =
+  print
+    {
+      text = Format.pp_print_string ppf;
+      space = Format.pp_print_space ppf;
+      open_box = (fun () -> Format.pp_open_box ppf 0);
+      close_box = Format.pp_close_box ppf;
+    }
+    f
 
 let to_string f = Format.asprintf "%a" pp f
+
+let fingerprint f =
+  let b = Gem_order.Fingerprint.builder () in
+  let text = Gem_order.Fingerprint.add_string b in
+  print { text; space = (fun () -> text " "); open_box = ignore; close_box = ignore } f;
+  Gem_order.Fingerprint.finish b
 
 (* Constructors *)
 

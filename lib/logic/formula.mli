@@ -85,9 +85,19 @@ val pp : Format.formatter -> t -> unit
 (** Prints in the concrete syntax accepted by [Gem_syntax.Parser]
     (implication [->], iff [<->]; the temporal order atom is [=>], the
     element order [=>el], the enable relation [|>]); the round trip
-    [parse (to_string f) = f] holds for [Sem]-free formulae. *)
+    [parse (to_string f) = f] holds for [Sem]-free formulae. The walk
+    keeps its own stack, so a formula of any depth prints without
+    recursing. *)
 
 val to_string : t -> string
+
+val fingerprint : t -> Gem_order.Fingerprint.t
+(** A hash of exactly the text {!pp} prints, with every break hint
+    printed as one space: a semantic predicate counts by its name and
+    arguments, as printed. So two formulas get equal fingerprints
+    exactly when their {!to_string} renderings are equal (up to hash
+    collisions). It runs {!pp}'s walk into the hash instead of a
+    formatter: linear, no depth or size limit, and nothing rendered. *)
 
 (** {1 Concise constructors}
 

@@ -1,8 +1,10 @@
 (* 126-bit fingerprints: two 63-bit native-int lanes, each finalized by a
-   splitmix64-style avalanche. Native ints keep the hot path allocation
-   free on 64-bit platforms (the record is two immediate fields); the
-   multiplier constants are the splitmix64 ones truncated to fit an OCaml
-   int literal, which costs nothing but the top bit's avalanche. *)
+   splitmix64-style avalanche. The lanes are native ints, so the mixing
+   itself never allocates; the record holding them is a boxed two-field
+   block, so every fingerprint made ([of_int], [combine], ...) is one
+   small minor-heap allocation. The multiplier constants are the
+   splitmix64 ones truncated to fit an OCaml int literal, which costs
+   nothing but the top bit's avalanche. *)
 
 type t = { hi : int; lo : int }
 
@@ -26,16 +28,29 @@ let lo_salt = 0x1f123bb5159a55e5
 let of_int n = { hi = mix (n lxor hi_salt); lo = mix (n lxor lo_salt) }
 
 (* FNV-1a per lane (different offset bases), then the avalanche. The
-   64-bit FNV prime fits an int literal unchanged. *)
+   64-bit FNV prime fits an int literal unchanged. A builder holds the two
+   running lanes, so a text can be hashed piece by piece as it is
+   produced, without ever being materialized. *)
+type builder = { mutable fa : int; mutable fb : int }
+
+let builder () = { fa = 0x0bf29ce484222325; fb = 0x3579d9f44812f305 }
+
+let add_string b s =
+  let a = ref b.fa and c = ref b.fb in
+  for i = 0 to String.length s - 1 do
+    let x = Char.code (String.unsafe_get s i) in
+    a := (!a lxor x) * 0x100000001b3;
+    c := (!c lxor x) * 0x100000001b3
+  done;
+  b.fa <- !a;
+  b.fb <- !c
+
+let finish b = { hi = mix b.fa; lo = mix b.fb }
+
 let of_string s =
-  let a = ref 0x0bf29ce484222325 and b = ref 0x3579d9f44812f305 in
-  String.iter
-    (fun c ->
-      let x = Char.code c in
-      a := (!a lxor x) * 0x100000001b3;
-      b := (!b lxor x) * 0x100000001b3)
-    s;
-  { hi = mix !a; lo = mix !b }
+  let b = builder () in
+  add_string b s;
+  finish b
 
 (* Structural hash of an arbitrary (acyclic, handle-free) OCaml value:
    two independently seeded polymorphic hashes, spread over both lanes.

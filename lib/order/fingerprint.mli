@@ -2,7 +2,7 @@
 
     Two 63-bit native-int lanes with a splitmix64-style finalizer: wide
     enough that distinct interpreter states collide with negligible
-    probability, cheap enough (no allocation beyond the two-field record,
+    probability, cheap enough (one two-field block per fingerprint made,
     no marshalling) to extend incrementally on every interpreter step.
     Fingerprints replace the exact marshal-string canonical keys in the
     exploration seen tables; the exact keys remain available as a
@@ -19,6 +19,17 @@ val of_int : int -> t
 
 val of_string : string -> t
 (** Content hash of a string (FNV-1a per lane, then finalized). *)
+
+type builder
+(** An {!of_string} hash in progress: feeding pieces [s1], ..., [sn] and
+    finishing gives [of_string (s1 ^ ... ^ sn)], without building the
+    concatenation. *)
+
+val builder : unit -> builder
+val add_string : builder -> string -> unit
+
+val finish : builder -> t
+(** The fingerprint of everything added so far. *)
 
 val of_struct : 'a -> t
 (** Structural hash of an immutable OCaml value via two independently

@@ -594,11 +594,16 @@ let test_matrix_out_and_budget () =
    background, drive it with [client], check the daemon's body is
    byte-identical to the one-shot [--json] report (cold and cached),
    then SIGTERM it and verify the clean exit and socket removal. *)
-let test_serve_smoke () =
+let daemons = ref 0
+
+(* A [serve] daemon on a fresh socket for the duration of [f]; killed
+   on the way out unless [f] stopped it. *)
+let with_daemon f =
+  incr daemons;
   let socket =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gemcheck-cli-%d.sock" (Unix.getpid ()))
+      (Printf.sprintf "gemcheck-cli-%d-%d.sock" (Unix.getpid ()) !daemons)
   in
   if Sys.file_exists socket then Sys.remove socket;
   let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -621,7 +626,14 @@ let test_serve_smoke () =
         Unix.sleepf 0.05
       done;
       check Alcotest.bool "daemon came up" true (Sys.file_exists socket);
-      let client req = Printf.sprintf "client --socket %s %s" (Filename.quote socket) (Filename.quote req) in
+      f ~pid ~socket)
+
+let client_args socket req =
+  Printf.sprintf "client --socket %s %s" (Filename.quote socket) (Filename.quote req)
+
+let test_serve_smoke () =
+  with_daemon (fun ~pid ~socket ->
+      let client = client_args socket in
       (* Body (stdout) must be byte-identical to the one-shot report,
          cold and from the cache. *)
       let fresh, fresh_st = run_capture "db --sites 2 --json" in
@@ -656,6 +668,32 @@ let test_serve_smoke () =
       | _ -> Alcotest.fail "serve killed by signal");
       check Alcotest.bool "socket removed on shutdown" false
         (Sys.file_exists socket))
+
+(* A daemon that has served a workload answers its variants (client
+   restrictions and another rw version, which share the workload's
+   exploration) with the body the one-shot CLI prints under --json,
+   and with its exit code. *)
+let test_serve_variants () =
+  with_daemon (fun ~pid:_ ~socket ->
+      List.iter
+        (fun (request, args) ->
+          let fresh, fresh_st = run_capture (args ^ " --json") in
+          let served, served_st = run_capture (client_args socket ("check " ^ request)) in
+          check Alcotest.string (request ^ ": body == one-shot --json") fresh served;
+          check Alcotest.bool (request ^ ": exit codes agree") true (fresh_st = served_st))
+        [
+          ("rw readers=1 writers=1", "rw --readers 1 --writers 1");
+          ({|rw readers=1 writers=1 restrict="~false"|}, "rw --readers 1 --writers 1 --restrict '~false'");
+          ({|rw readers=1 writers=1 restrict="~~false"|}, "rw --readers 1 --writers 1 --restrict '~~false'");
+          ( {|rw readers=1 writers=1 restrict="[]((ALL x:*) occurred(x))"|},
+            "rw --readers 1 --writers 1 --restrict '[]((ALL x:*) occurred(x))'" );
+          ( "rw readers=1 writers=1 version=free-for-all",
+            "rw --readers 1 --writers 1 --version free-for-all" );
+          ("buffer lang=csp", "buffer --lang csp");
+          ({|buffer lang=csp restrict="~([](true))"|}, "buffer --lang csp --restrict '~([](true))'");
+          ("rwd lang=ada", "rwd --lang ada");
+          ({|rwd lang=ada restrict="(ALL x:*) occurred(x)"|}, "rwd --lang ada --restrict '(ALL x:*) occurred(x)'");
+        ])
 
 let test_client_no_daemon () =
   (* A client pointed at a dead socket is a usage-style failure (exit 3),
@@ -719,6 +757,7 @@ let () =
       ( "serve",
         [
           Alcotest.test_case "daemon smoke" `Quick test_serve_smoke;
+          Alcotest.test_case "variants == one-shot --json" `Quick test_serve_variants;
           Alcotest.test_case "client without daemon" `Quick
             test_client_no_daemon;
         ] );

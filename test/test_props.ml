@@ -1180,6 +1180,225 @@ let test_step_error_raises () =
       | exception Gem_lang.Expr.Eval_error _ -> ())
     [ Explore.Sleep_sets; Explore.Source_sets ]
 
+(* ------------------------------------------------------------------ *)
+(* Structural formula keys                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Formulas over a tiny alphabet, with every constructor, so that
+   distinct formulas often print alike: [And [f]] and [Or [f]] both
+   print "(f)", [Cls "S.A"] and [Cls_at ("S", "A")] both print "S.A",
+   and a semantic predicate named "occurred" prints as the atom. *)
+let printable_gen =
+  let open QCheck.Gen in
+  let name = oneofl [ "x"; "y" ] in
+  let domain =
+    fix
+      (fun self depth ->
+        let leaf =
+          oneof
+            [
+              return F.Any;
+              map (fun c -> F.Cls c) (oneofl [ "A"; "S.A" ]);
+              map (fun e -> F.At_elem e) (oneofl [ "S"; "T" ]);
+              map2 (fun e c -> F.Cls_at (e, c)) (oneofl [ "S"; "T" ]) (oneofl [ "A"; "B" ]);
+            ]
+        in
+        if depth = 0 then leaf
+        else frequency [ (3, leaf); (1, map (fun ds -> F.Union ds) (list_size (int_range 0 2) (self (depth - 1)))) ])
+      1
+  in
+  let value =
+    Gem_model.Value.(
+      oneof
+        [
+          return Unit;
+          map (fun b -> Bool b) bool;
+          map (fun n -> Int n) (int_range (-1) 2);
+          map (fun s -> Str s) (oneofl [ "x"; "a b"; "q\"\n" ]);
+          map (fun n -> Pair (Int n, Str "x")) (int_range 0 1);
+          map (fun ns -> List (List.map (fun n -> Int n) ns)) (list_size (int_range 0 2) (int_range 0 1));
+        ])
+  in
+  let rec texp depth =
+    let leaf =
+      oneof
+        [
+          map (fun v -> F.Const v) value;
+          map2 (fun x p -> F.Param (x, p)) name (oneofl [ "p"; "q" ]);
+          map (fun x -> F.Index x) name;
+        ]
+    in
+    if depth = 0 then leaf
+    else frequency [ (3, leaf); (1, map2 (fun t n -> F.Plus (t, n)) (texp (depth - 1)) (int_range 0 2)) ]
+  in
+  let sem_fn _ _ _ = true in
+  let atom =
+    oneof
+      [
+        map (fun x -> F.Occurred x) name;
+        map2 (fun x y -> F.Enables (x, y)) name name;
+        map2 (fun x y -> F.Elem_lt (x, y)) name name;
+        map2 (fun x y -> F.Temp_lt (x, y)) name name;
+        map2 (fun x y -> F.Same_event (x, y)) name name;
+        map2 (fun x y -> F.Same_element (x, y)) name name;
+        map2 (fun x d -> F.In_class (x, d)) name domain;
+        map3 (fun c a b -> F.Cmp (c, a, b)) (oneofl F.[ Eq; Ne; Lt; Le; Gt; Ge ]) (texp 2) (texp 1);
+        map2 (fun x d -> F.At_class (x, d)) name domain;
+        map (fun x -> F.New x) name;
+        map (fun x -> F.Potential x) name;
+        map3 (fun pi x y -> F.Same_thread (pi, x, y)) (oneofl [ "pi"; "rho" ]) name name;
+        map3 (fun pi x y -> F.Distinct_thread (pi, x, y)) (oneofl [ "pi"; "rho" ]) name name;
+        map2 (fun pi x -> F.In_thread (pi, x)) (oneofl [ "pi"; "rho" ]) name;
+        map2
+          (fun n xs -> F.Sem (n, xs, sem_fn))
+          (oneofl [ "occurred"; "p" ])
+          (list_size (int_range 0 2) name);
+      ]
+  in
+  let rec formula depth =
+    let leaf = oneof [ return F.True; return F.False; map (fun a -> F.Atom a) atom ] in
+    if depth = 0 then leaf
+    else
+      let sub = formula (depth - 1) in
+      let binder make = map3 make name domain sub in
+      frequency
+        [
+          (2, leaf);
+          (1, map (fun f -> F.Not f) sub);
+          (1, map (fun fs -> F.And fs) (list_size (int_range 0 2) sub));
+          (1, map (fun fs -> F.Or fs) (list_size (int_range 0 2) sub));
+          (1, map2 (fun a b -> F.Implies (a, b)) sub sub);
+          (1, map2 (fun a b -> F.Iff (a, b)) sub sub);
+          (1, binder (fun x d f -> F.Forall (x, d, f)));
+          (1, binder (fun x d f -> F.Exists (x, d, f)));
+          (1, binder (fun x d f -> F.Exists_unique (x, d, f)));
+          (1, binder (fun x d f -> F.At_most_one (x, d, f)));
+          (1, map (fun f -> F.Henceforth f) sub);
+          (1, map (fun f -> F.Eventually f) sub);
+        ]
+  in
+  int_range 0 5 >>= formula
+
+(* The old recursive [Format] printer's rendering with each line break
+   Format took (the newline and the indentation after it) read back as
+   the one space its break hint stands for: the text the fingerprint
+   hashes. No name here contains a line feed, and no piece printed after
+   a break hint starts with a space, so this undoes the layout
+   exactly. *)
+let unbroken f =
+  let s = Rendered_keys.to_string f in
+  let b = Buffer.create (String.length s) in
+  let i = ref 0 in
+  while !i < String.length s do
+    if s.[!i] = '\n' then begin
+      Buffer.add_char b ' ';
+      incr i;
+      while !i < String.length s && s.[!i] = ' ' do
+        incr i
+      done
+    end
+    else begin
+      Buffer.add_char b s.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+module Fp = Gem_order.Fingerprint
+
+let prop_fingerprint_is_rendering =
+  QCheck.Test.make ~name:"fingerprint hashes the rendering" ~count:2000
+    (QCheck.make printable_gen ~print:F.to_string)
+    (fun f -> Fp.equal (F.fingerprint f) (Fp.of_string (unbroken f)))
+
+(* [pp] and the fingerprint share one walk; [pp] must still lay out what
+   the recursive printer laid out, alone and inside another box (as a
+   spec listing and a witness report print it). The generated formulas
+   run past the margin, so both ways of taking a break are exercised. *)
+let prop_pp_as_before =
+  QCheck.Test.make ~name:"pp = the recursive printer" ~count:2000
+    (QCheck.make printable_gen ~print:F.to_string)
+    (fun f ->
+      let boxed pp = Format.asprintf "@[<v 2>RESTRICTIONS@,@[<hov 2>name:@ %a@]@]" pp f in
+      String.equal (F.to_string f) (Rendered_keys.to_string f)
+      && String.equal (boxed F.pp) (boxed Rendered_keys.pp))
+
+(* Within a batch, equal fingerprints exactly when equal renderings:
+   the batches are small formulas over a tiny alphabet, so many of the
+   pairs print alike. *)
+let prop_fingerprint_classes =
+  QCheck.Test.make ~name:"equal fingerprints iff equal to_string" ~count:40
+    (QCheck.make
+       QCheck.Gen.(list_size (return 150) printable_gen)
+       ~print:(fun fs -> String.concat "; " (List.map F.to_string fs)))
+    (fun fs ->
+      let keyed = List.map (fun f -> (Rendered_keys.to_string f, F.fingerprint f)) fs in
+      List.for_all
+        (fun (s, k) ->
+          List.for_all (fun (s', k') -> String.equal s s' = Fp.equal k k') keyed)
+        keyed)
+
+(* The problem specs' own restrictions, long enough to be laid out over
+   several lines, print as they did. *)
+let test_pp_specs_as_before () =
+  let module Rw = Gem_problems.Readers_writers in
+  let specs =
+    List.map (fun v -> Rw.spec v ~users:(Rw.user_names ~readers:2 ~writers:1)) Rw.all_versions
+    @ [
+        Gem_problems.Buffer.spec ~capacity:2;
+        Gem_problems.Rw_distributed.spec ~readers:[ "R1"; "R2" ] ~writers:[ "W1" ];
+        Gem_problems.Life.spec ~width:3 ~height:3;
+      ]
+  in
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun (name, f) ->
+          let boxed pp = Format.asprintf "@[<v 2>RESTRICTIONS@,@[<hov 2>%s:@ %a@]@]" name pp f in
+          Alcotest.(check string) name (Rendered_keys.to_string f) (F.to_string f);
+          Alcotest.(check string) (name ^ " in a box") (boxed Rendered_keys.pp) (boxed F.pp))
+        (Gem_spec.Spec.all_restrictions spec))
+    specs
+
+(* Formulas that differ in structure but print alike share a
+   fingerprint, as they shared a rendered key; a formula that prints
+   differently does not. *)
+let test_printing_twins () =
+  let sem_fn _ _ _ = true in
+  let x = F.Atom (F.Occurred "x") in
+  let same a b =
+    Alcotest.(check string) (F.to_string a) (F.to_string a) (F.to_string b);
+    Alcotest.(check string) (F.to_string a ^ " key") (Fp.to_hex (F.fingerprint a)) (Fp.to_hex (F.fingerprint b))
+  in
+  let differ a b =
+    Alcotest.(check bool) (F.to_string a ^ " vs " ^ F.to_string b) false
+      (Fp.equal (F.fingerprint a) (F.fingerprint b))
+  in
+  same (F.And [ x ]) (F.Or [ x ]);
+  same (F.And []) (F.Or []);
+  same (F.Atom (F.In_class ("x", F.Cls "S.A"))) (F.Atom (F.In_class ("x", F.Cls_at ("S", "A"))));
+  same x (F.Atom (F.Sem ("occurred", [ "x" ], sem_fn)));
+  same (F.Not (F.Henceforth (F.Not x))) (F.Not (F.Henceforth (F.Not x)));
+  differ (F.And [ x ]) x;
+  differ (F.And [ x; x ]) (F.Or [ x; x ]);
+  differ (F.Not (F.Not x)) (F.Henceforth (F.Not x));
+  differ (F.Not (F.And [ F.Not x ])) (F.Not (F.Not x))
+
+(* A 500,000-deep negation chain keys without growing the stack, in well
+   under a second, and hashes the text it prints. *)
+let test_deep_negation () =
+  let n = 500_000 in
+  let rec chain k acc = if k = 0 then acc else chain (k - 1) (F.Not acc) in
+  let f = chain n F.False in
+  let t0 = Unix.gettimeofday () in
+  let k = F.fingerprint f in
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "keyed in %.3f s" took) true (took < 1.0);
+  let text =
+    String.concat "" [ String.concat "" (List.init n (fun _ -> "~(")); "false"; String.make n ')' ]
+  in
+  Alcotest.(check string) "hashes the rendering" (Fp.to_hex (Fp.of_string text)) (Fp.to_hex k)
+
 let () =
   let to_alc = QCheck_alcotest.to_alcotest in
   Alcotest.run "gem_properties"
@@ -1234,5 +1453,14 @@ let () =
           to_alc prop_touched_elements;
           to_alc prop_renderer_ints;
           Alcotest.test_case "failing step raises" `Quick test_step_error_raises;
+        ] );
+      ( "structural-keys",
+        [
+          to_alc prop_fingerprint_is_rendering;
+          to_alc prop_pp_as_before;
+          Alcotest.test_case "pp of the problem specs" `Quick test_pp_specs_as_before;
+          to_alc prop_fingerprint_classes;
+          Alcotest.test_case "printing twins" `Quick test_printing_twins;
+          Alcotest.test_case "500,000-deep negation" `Quick test_deep_negation;
         ] );
     ]

@@ -428,6 +428,136 @@ let test_explore_key_sharing () =
         Runner.explore_key (rw ()) { deft with R.max_configs = Some 100 } );
     ]
 
+(* The structural keys put requests into the same classes as the
+   rendered keys they replaced ({!Rendered_keys}): two requests share a
+   verdict key, or an exploration key, exactly when they shared it
+   before. The requests are drawn from every command, every engine key
+   but [timeout] (a request with one bypasses the caches), every rw
+   version and monitor, and a pool of client restrictions that holds
+   different spellings of one formula and formulas that differ in
+   structure but print alike. *)
+let test_keys_partition_as_rendered () =
+  let sem_fn _ _ _ = true in
+  let x = Formula.Atom (Formula.Occurred "x") in
+  let under_all f = Formula.Forall ("x", Formula.Any, f) in
+  let restricts =
+    None
+    :: List.map
+         (fun f -> Some f)
+         ([
+            under_all x;
+            under_all (Formula.And [ x ]);
+            under_all (Formula.Or [ x ]);
+            under_all (Formula.Atom (Formula.Sem ("occurred", [ "x" ], sem_fn)));
+            under_all
+              (Formula.Atom (Formula.In_class ("x", Formula.Cls "control.StartRead")));
+            under_all
+              (Formula.Atom
+                 (Formula.In_class ("x", Formula.Cls_at ("control", "StartRead"))));
+          ]
+         @ List.map formula
+             [
+               "false";
+               "(false)";
+               "~false";
+               "~(false)";
+               "~~false";
+               "~(~(false))";
+               "[](true)";
+               "[]((true))";
+               "(ALL x:*) occurred(x)";
+               "((ALL x:*) occurred(x))";
+               "[]((ALL x:*) occurred(x))";
+               "~([](true))";
+               "([](true) \\/ [](false))";
+               "[]((ALL s:control.StartWrite) s.foo = 1)";
+             ])
+  in
+  let loads =
+    List.concat_map
+      (fun monitor ->
+        List.concat_map
+          (fun version ->
+            [ rw ~monitor ~version (); rw ~monitor ~version ~readers:2 () ])
+          Rw_prob.all_versions)
+      [ "paper"; "writers-priority"; "buggy"; "no-exclusion" ]
+    @ List.concat_map
+        (fun lang ->
+          List.map
+            (fun capacity ->
+              Runner.Buffer { lang; capacity; producers = 1; consumers = 1; items = 2 })
+            [ 1; 2 ])
+        [ `Monitor; `Csp; `Ada ]
+    @ List.concat_map
+        (fun lang ->
+          List.map
+            (fun broken -> Runner.Rwd { lang; readers = 1; writers = 1; broken })
+            [ false; true ])
+        [ `Csp; `Ada ]
+    @ [
+        Runner.Db { sites = 2 };
+        Runner.Db { sites = 3 };
+        Runner.Life { width = 3; height = 3; generations = 1 };
+        Runner.Life { width = 4; height = 3; generations = 1 };
+      ]
+  in
+  let rng = Random.State.make [| 21 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let engine () =
+    {
+      R.reduction =
+        pick
+          [ None; Some default_reduction_wire; Some R.Reduction_none; Some R.Reduction_sleep; Some R.Reduction_source ];
+      exact_keys = pick [ None; Some true; Some false ];
+      jobs = pick [ 1; 1; 2 ];
+      bitstate_bits = pick [ None; None; Some 16; Some 18 ];
+      timeout = None;
+      max_configs = pick [ None; None; Some 100 ];
+      max_runs = pick [ None; None; Some 5 ];
+    }
+  in
+  let requests =
+    List.init 3000 (fun _ ->
+        let load = pick loads in
+        let restrict = if Runner.supports_restrict load then pick restricts else None in
+        (load, restrict, engine ()))
+  in
+  let same_classes what keys =
+    let forward = Hashtbl.create 64 and backward = Hashtbl.create 64 in
+    List.iter
+      (fun (old_key, new_key) ->
+        (match Hashtbl.find_opt forward old_key with
+        | Some k -> check Alcotest.string (what ^ ": one old class, one new key") k new_key
+        | None -> Hashtbl.add forward old_key new_key);
+        match Hashtbl.find_opt backward new_key with
+        | Some k -> check Alcotest.string (what ^ ": one new class, one old key") k old_key
+        | None -> Hashtbl.add backward new_key old_key)
+      keys;
+    let classes = Hashtbl.length forward in
+    check Alcotest.bool
+      (Printf.sprintf "%s: %d requests share %d keys" what (List.length keys) classes)
+      true
+      (classes > 100 && classes < List.length keys)
+  in
+  same_classes "verdict keys"
+    (List.map
+       (fun (load, restrict, e) ->
+         (Rendered_keys.verdict_key load ~restrict e, Runner.verdict_key load ~restrict e))
+       requests);
+  same_classes "exploration keys"
+    (List.map
+       (fun (load, _, e) -> (Rendered_keys.explore_key load e, Runner.explore_key load e))
+       requests);
+  (* The program fingerprint handed in is the one computed inside. *)
+  List.iter
+    (fun (load, restrict, e) ->
+      let program = Runner.program_fp load in
+      check Alcotest.string "verdict key with the program given"
+        (Runner.verdict_key load ~restrict e) (Runner.verdict_key ~program load ~restrict e);
+      check Alcotest.string "exploration key with the program given"
+        (Runner.explore_key load e) (Runner.explore_key ~program load e))
+    (List.filteri (fun i _ -> i < 100) requests)
+
 (* ------------------------------------------------------------------ *)
 (* Byte-identity: daemon responses vs the one-shot pipeline            *)
 (* ------------------------------------------------------------------ *)
@@ -542,6 +672,92 @@ let test_shared_exploration_identity () =
       check (Alcotest.option Alcotest.int) "two explorations shared" (Some 2)
         (Client.field_int tail "hits")
 
+(* Conclude on a prepared exploration (projected, legality-checked and
+   thread-labelled once, as the daemon's exploration cache holds it)
+   renders what conclude on the explored computations renders: the
+   report, the failing computations with their witnesses, and the
+   restriction error of the first failing computation. rw is prepared
+   under one version and concluded under every version, as rw's
+   versions share one exploration line. The client restrictions are
+   immediate, decided on the history lattice, enumerated run by run,
+   and raising. *)
+let prepared_restricts =
+  None
+  :: List.map
+       (fun s -> Some (formula s))
+       [
+         "(ALL x:*) occurred(x)";
+         "~~false";
+         "[]((ALL x:*) occurred(x))";
+         "[](true)";
+         "~([](true))";
+         "([](true) \\/ [](false))";
+         "[]((ALL x:*) x.nosuch = 1)";
+         "(ALL x:*) x.nosuch = 1";
+       ]
+
+let concluded load opts ~restrict x =
+  let budget = Budget.make () in
+  Budget.restore budget ~configs:x.Runner.x_configs_used ~runs:0;
+  Option.iter (Budget.note budget) x.Runner.x_exhausted;
+  match Runner.conclude load opts ~budget ~restrict (Some x) with
+  | r ->
+      String.concat "\n"
+        (Runner.render_json ~command:(Runner.command_name load) r
+        :: List.map
+             (fun (i, v) ->
+               Format.asprintf "%d: %a" i (Gem_check.Verdict.pp None) v)
+             r.Runner.failures)
+  | exception Gem_check.Check.Restriction_error { restriction; message } ->
+      Gem_check.Check.restriction_error_message ~restriction ~message
+
+let test_prepared_conclude_identity () =
+  let explored load =
+    match Runner.explore load (Runner.opts_of_engine load deft) ~budget:(Budget.make ()) with
+    | Some x -> x
+    | None -> Alcotest.fail "no exploration"
+  in
+  let agree ~explored_as ~concluded_as =
+    let x = explored explored_as in
+    List.iter
+      (fun jobs ->
+        let opts = Runner.opts_of_engine concluded_as { deft with R.jobs } in
+        let prepared = Runner.prepare explored_as opts x in
+        List.iter
+          (fun restrict ->
+            let what =
+              Printf.sprintf "%s jobs=%d restrict=%s"
+                (R.to_line
+                   (R.Check { cmd = Runner.command_name concluded_as; params = []; restrict; engine = deft }))
+                jobs
+                (match concluded_as with
+                | Runner.Rw { monitor; version; _ } ->
+                    monitor ^ "/" ^ Rw_prob.version_name version
+                | Runner.Buffer _ | Runner.Rwd _ | Runner.Db _ | Runner.Life _ -> "")
+            in
+            check Alcotest.string what
+              (concluded concluded_as opts ~restrict x)
+              (concluded concluded_as opts ~restrict prepared))
+          prepared_restricts)
+      [ 1; 2 ]
+  in
+  List.iter
+    (fun monitor ->
+      List.iter
+        (fun version -> agree ~explored_as:(rw ~monitor ()) ~concluded_as:(rw ~monitor ~version ()))
+        Rw_prob.all_versions)
+    [ "paper"; "writers-priority"; "buggy"; "no-exclusion" ];
+  List.iter
+    (fun lang ->
+      let load = Runner.Buffer { lang; capacity = 1; producers = 1; consumers = 1; items = 2 } in
+      agree ~explored_as:load ~concluded_as:load)
+    [ `Monitor; `Csp; `Ada ];
+  List.iter
+    (fun (lang, broken) ->
+      let load = Runner.Rwd { lang; readers = 1; writers = 1; broken } in
+      agree ~explored_as:load ~concluded_as:load)
+    [ (`Csp, false); (`Csp, true); (`Ada, false); (`Ada, true) ]
+
 (* ------------------------------------------------------------------ *)
 (* Handler behaviour                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -631,6 +847,44 @@ let test_handler_timeout_uncached () =
       let tail = String.sub stats i (String.length stats - i) in
       check (Alcotest.option Alcotest.int) "no verdict misses" (Some 0)
         (Client.field_int tail "misses")
+
+(* With telemetry on, the stats reply carries the per-layer totals
+   beside the cache objects. A workload and two restriction variants
+   share one exploration, prepared once: the projection ran once per
+   computation, not once per request. *)
+let test_handler_stats_totals () =
+  let workload = "rw readers=1 writers=1" in
+  let computations =
+    let c = parse_check ("check " ^ workload) in
+    match Runner.of_request c with
+    | Ok load ->
+        (Runner.run load (Runner.opts_of_engine load c.R.engine) ~budget:(Budget.make ())
+           ~restrict:None)
+          .Runner.computations
+    | Error e -> Alcotest.fail e
+  in
+  Gem_obs.Telemetry.enable ();
+  Gem_obs.Telemetry.reset ();
+  Fun.protect ~finally:Gem_obs.Telemetry.disable (fun () ->
+      let h = Handler.create ~cache_size:8 () in
+      List.iter
+        (fun case -> ignore (handle_check h case))
+        [ workload; workload ^ {| restrict="~false"|}; workload ^ {| restrict="~~false"|} ];
+      let stats = Handler.stats_body h in
+      let after key =
+        match find_sub stats key with
+        | Some i -> String.sub stats i (String.length stats - i)
+        | None -> Alcotest.failf "no %s in %s" key stats
+      in
+      check Alcotest.bool "cache objects kept" true
+        (contains stats {|{"verdicts":{|} && contains stats {|"explorations":{|});
+      check (Alcotest.option Alcotest.int) "explorations shared" (Some 2)
+        (Client.field_int (after {|"serve":|}) "explorations_shared");
+      check (Alcotest.option Alcotest.int) "one projection per computation"
+        (Some computations)
+        (Client.field_int (after {|"project":|}) "count"));
+  let stats = Handler.stats_body (Handler.create ~cache_size:1 ()) in
+  check Alcotest.bool "no totals with telemetry off" false (contains stats "timings")
 
 let test_handler_survives_faults () =
   (* Under a GEM_FAULT alloc storm every frontier push is dropped (the
@@ -842,6 +1096,50 @@ let test_server_connection_cap () =
       check Alcotest.int "answered after one closes" 0 pong.Client.code;
       List.iter Unix.close (List.tl held))
 
+(* Idle connections up to the cap are each answered with a typed idle
+   timeout and closed within the bound (plus slack for a loaded host),
+   and the daemon then answers a ping. Each read below gives up on its
+   own after the bound plus slack, so a server without the timeout
+   fails this test rather than hanging it. *)
+let test_server_idle_timeout () =
+  with_server_t (fun srv socket ->
+      let started = Unix.gettimeofday () in
+      let slack = 5.0 in
+      let held = List.init Server.max_connections (fun _ -> raw_connect socket) in
+      List.iteri
+        (fun i fd ->
+          let left = started +. Server.idle_timeout_s +. slack -. Unix.gettimeofday () in
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO (Float.max left 0.01);
+          let ic = Unix.in_channel_of_descr fd in
+          let line =
+            match input_line ic with
+            | l -> l
+            | exception Sys_blocked_io ->
+                Alcotest.failf "connection %d: no reply within %.1f s" i
+                  (Server.idle_timeout_s +. slack)
+          in
+          check Alcotest.string "typed idle reply"
+            {|{"serve":1,"error":"idle timeout","code":3}|} line;
+          check Alcotest.bool "then closed" true
+            (match input_line ic with
+            | _ -> false
+            | exception End_of_file -> true
+            | exception Sys_blocked_io -> false);
+          close_in_noerr ic)
+        held;
+      let took = Unix.gettimeofday () -. started in
+      check Alcotest.bool
+        (Printf.sprintf "not before the bound (%.2f s)" took)
+        true
+        (took >= Server.idle_timeout_s -. 0.5);
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while Server.live_connections srv > 0 && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      check Alcotest.int "all forgotten" 0 (Server.live_connections srv);
+      let pong = request_ok socket "ping" in
+      check Alcotest.int "then a ping is answered" 0 pong.Client.code)
+
 let test_server_clean_shutdown () =
   incr socket_ctr;
   let socket =
@@ -934,6 +1232,8 @@ let () =
           Alcotest.test_case "exploration sharing" `Quick
             test_explore_key_sharing;
           Alcotest.test_case "checkpoint stamp" `Quick test_checkpoint_stamp;
+          Alcotest.test_case "classes as rendered keys" `Quick
+            test_keys_partition_as_rendered;
         ] );
       ( "identity",
         [
@@ -941,6 +1241,8 @@ let () =
             test_byte_identity;
           Alcotest.test_case "shared exploration bytes" `Quick
             test_shared_exploration_identity;
+          Alcotest.test_case "prepared conclude bytes" `Quick
+            test_prepared_conclude_identity;
         ] );
       ( "handler",
         [
@@ -949,6 +1251,8 @@ let () =
           Alcotest.test_case "restriction error" `Quick test_handler_restriction_error;
           Alcotest.test_case "timeout bypasses cache" `Quick
             test_handler_timeout_uncached;
+          Alcotest.test_case "stats carry layer totals" `Quick
+            test_handler_stats_totals;
           Alcotest.test_case "survives fault injection" `Quick
             test_handler_survives_faults;
         ] );
@@ -964,6 +1268,7 @@ let () =
           Alcotest.test_case "clean shutdown" `Quick test_server_clean_shutdown;
           Alcotest.test_case "request line cap" `Quick test_server_line_cap;
           Alcotest.test_case "connection cap" `Quick test_server_connection_cap;
+          Alcotest.test_case "idle timeout" `Quick test_server_idle_timeout;
         ] );
       ( "client",
         [
