@@ -1454,7 +1454,7 @@ let () =
           to_alc prop_renderer_ints;
           Alcotest.test_case "failing step raises" `Quick test_step_error_raises;
         ] );
-      ( "structural-keys",
+      ( "struct-keys",
         [
           to_alc prop_fingerprint_is_rendering;
           to_alc prop_pp_as_before;
