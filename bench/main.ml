@@ -866,7 +866,7 @@ let bitstate_report () =
 (* Differential fuzz throughput: BENCH_fuzz.json                       *)
 (* ------------------------------------------------------------------ *)
 
-(* How fast the 26-cell differential oracle chews through random
+(* How fast the 9-cell differential oracle chews through random
    instances — the number EXPERIMENTS.md quotes and the knob for sizing
    the CI fuzz leg's --time-budget. Seeds are fixed, so the instance
    streams (and the zero-disagreements assertion) are reproducible; only

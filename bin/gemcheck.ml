@@ -13,9 +13,11 @@
      client       send one request to a running serve daemon
 
    Every verification subcommand accepts a resource budget (--timeout,
-   --max-configs, --max-runs) and degrades gracefully: exhaustion yields a
-   three-valued INCONCLUSIVE outcome with a reason and coverage stats
-   instead of a crash or a silently truncated "verified".
+   --max-configs, --max-runs), bounds its heap at a watermark derived
+   from the process's own memory limits, and degrades gracefully:
+   exhaustion yields a three-valued INCONCLUSIVE outcome with a reason
+   and coverage stats instead of a crash or a silently truncated
+   "verified".
 
    The verification pipelines themselves live in Gem_daemon.Runner so
    that a one-shot run and a daemon response are the same code path —
@@ -94,7 +96,6 @@ let jobs_term =
 type resil_opts = {
   ro_bitstate : bool;
   ro_bits : int;
-  ro_spill_mb : int option;
   ro_ckpt : string option;
   ro_ckpt_every : int;
   ro_resume : string option;
@@ -140,15 +141,6 @@ let resilience_term =
                    (default 24 = 16M slots = 256 MiB). Each visited state \
                    costs one 16-byte slot; the table never grows.")
   in
-  let spill_mb =
-    Arg.(value & opt (some (positive "watermark")) None
-         & info [ "spill-mb" ] ~docv:"MB"
-             ~doc:"Page the exploration frontier to a temp file whenever \
-                   the major heap exceeds $(docv) MiB. An I/O failure \
-                   degrades to INCONCLUSIVE (spill-io-error), never a \
-                   crash; the report is byte-identical to an unspilled \
-                   run's.")
-  in
   let ckpt =
     Arg.(value & opt (some string) None
          & info [ "checkpoint" ] ~docv:"FILE"
@@ -171,9 +163,9 @@ let resilience_term =
                    stamp (command, workload and engine parameters) must \
                    match, else exit 3.")
   in
-  Term.(const (fun ro_bitstate ro_bits ro_spill_mb ro_ckpt ro_ckpt_every ro_resume ->
-          { ro_bitstate; ro_bits; ro_spill_mb; ro_ckpt; ro_ckpt_every; ro_resume })
-        $ bitstate $ bits $ spill_mb $ ckpt $ ckpt_every $ resume)
+  Term.(const (fun ro_bitstate ro_bits ro_ckpt ro_ckpt_every ro_resume ->
+          { ro_bitstate; ro_bits; ro_ckpt; ro_ckpt_every; ro_resume })
+        $ bitstate $ bits $ ckpt $ ckpt_every $ resume)
 
 (* The checkpoint stamp (Runner.stamp) pins the run identity: the
    resolved engine plus the workload parameters. *)
@@ -183,8 +175,6 @@ let resilience_of load ~reduction ~exact_keys ro =
     Explore.bitstate =
       (if ro.ro_bitstate then Some (Bitstate.create ~bits:ro.ro_bits ())
        else None);
-    spool =
-      Option.map (fun mb -> Spool.policy ~watermark_mb:mb ()) ro.ro_spill_mb;
     checkpoint =
       Option.map (fun f -> Checkpoint.ctl ~every:ro.ro_ckpt_every f) ro.ro_ckpt;
     resume = ro.ro_resume;
@@ -615,8 +605,8 @@ let fuzz_cmd =
              Monitor/CSP/ADA programs and restrictions, cross-checked \
              over {none,sleep} reduction x {fp,exact keys} x \
              {unbounded,bitstate} plus a source-DPOR cell (--reduction \
-             source) and a spilling-frontier cell; disagreements are \
-             shrunk and written to the reproducer corpus.")
+             source); disagreements are shrunk and written to the \
+             reproducer corpus.")
     Term.(const run $ seed $ iters $ time_budget $ corpus $ max_configs)
 
 (* ------------------------------------------------------------------ *)
@@ -878,7 +868,9 @@ let () =
         [
           `S Manpage.s_exit_status;
           `P "0 — verified; 1 — falsified (a violation or deadlock was found); \
-              2 — inconclusive (a resource budget was exhausted before \
+              2 — inconclusive (a resource budget was exhausted, or the \
+              heap reached 60% of the smallest of the address-space \
+              limit, the cgroup memory limit and physical memory, before \
               coverage finished); 3 — usage or internal error.";
           `S Manpage.s_environment;
           `P

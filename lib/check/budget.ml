@@ -5,7 +5,6 @@ type reason =
   | Memory_watermark
   | Interrupted
   | Bitstate_collision_risk
-  | Spill_io_error
 
 type coverage = {
   configs_explored : int;
@@ -31,11 +30,86 @@ type t = {
   until_poll : int Atomic.t;
 }
 
-(* Deadline/watermark probes cost a syscall (or a Gc stat); amortize them
+(* Deadline/watermark probes cost a syscall and a Gc stat; amortize them
    over counter charges. Small enough that tiny timeouts still bite. *)
 let poll_interval = 64
 
-let words_per_mb = 1024 * 1024 / (Sys.word_size / 8)
+let word_bytes = Sys.word_size / 8
+let words_per_mb = 1024 * 1024 / word_bytes
+
+(* ------------------------------------------------------------------ *)
+(* The derived heap watermark                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A limit value in bytes; [unlimited], [max] and values past [max_int]
+   (cgroup v1 spells "no limit" as 9223372036854771712) give no bound. *)
+let bytes_of s =
+  match int_of_string_opt (String.trim s) with
+  | Some n when n > 0 -> Some n
+  | Some _ | None -> None
+
+(* The first word after [prefix] on the line of [text] that starts with
+   it. *)
+let field prefix text =
+  List.find_map
+    (fun l ->
+      if String.starts_with ~prefix l then
+        let n = String.length prefix in
+        let rest = String.trim (String.sub l n (String.length l - n)) in
+        Some (List.hd (String.split_on_char ' ' rest))
+      else None)
+    (String.split_on_char '\n' text)
+
+let watermark_of_limits ~limits ~cgroup ~meminfo =
+  let ( let* ) = Option.bind in
+  let rlimit_as =
+    let* t = limits in
+    let* v = field "Max address space" t in
+    bytes_of v
+  in
+  let cgroup = Option.bind cgroup bytes_of in
+  let mem_total =
+    let* t = meminfo in
+    let* v = field "MemTotal:" t in
+    let* kb = bytes_of v in
+    if kb > max_int / 1024 then None else Some (kb * 1024)
+  in
+  match List.filter_map Fun.id [ rlimit_as; cgroup; mem_total ] with
+  | [] -> None
+  | l -> Some (List.fold_left min max_int l / 10 * 6)
+
+let read_file path =
+  try Some (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error _ -> None
+
+(* Read once per process, at the first poll: [Budget.make] stays free of
+   file reads, which would cost more than a small check's whole setup.
+   An atomic cell, not a [Lazy.t]: domains and daemon threads poll
+   concurrently, and forcing a lazy value that another domain is forcing
+   raises. Two first polls may both read; they store the same value. *)
+let unread = -1
+let derived_words = Atomic.make unread
+
+let derived_heap_words () =
+  let w = Atomic.get derived_words in
+  if w <> unread then w
+  else begin
+    let cgroup =
+      match read_file "/sys/fs/cgroup/memory.max" with
+      | Some _ as v2 -> v2
+      | None -> read_file "/sys/fs/cgroup/memory/memory.limit_in_bytes"
+    in
+    let w =
+      match
+        watermark_of_limits ~limits:(read_file "/proc/self/limits") ~cgroup
+          ~meminfo:(read_file "/proc/meminfo")
+      with
+      | Some bytes -> bytes / word_bytes
+      | None -> max_int
+    in
+    Atomic.set derived_words w;
+    w
+  end
 
 let make ?timeout ?max_configs ?max_runs ?max_heap_mb () =
   {
@@ -50,10 +124,6 @@ let make ?timeout ?max_configs ?max_runs ?max_heap_mb () =
   }
 
 let unlimited () = make ()
-
-let is_limited t =
-  t.deadline <> None || t.max_configs <> None || t.max_runs <> None
-  || t.max_heap_words <> None
 
 let max_configs t = t.max_configs
 let max_runs t = t.max_runs
@@ -71,9 +141,9 @@ let stop_counter = function
   | Config_budget -> Some Gem_obs.Telemetry.Budget_stop_configs
   | Run_cap _ -> Some Gem_obs.Telemetry.Budget_stop_runs
   | Memory_watermark -> Some Gem_obs.Telemetry.Budget_stop_memory
-  (* Resilience reasons are counted at their own injection/degradation
-     sites (spill, bitstate, fault counters) — no budget-stop counter. *)
-  | Interrupted | Bitstate_collision_risk | Spill_io_error -> None
+  (* Resilience reasons are counted at their own degradation sites
+     (bitstate, fault counters) — no budget-stop counter. *)
+  | Interrupted | Bitstate_collision_risk -> None
 
 let note t reason =
   if Atomic.compare_and_set t.stopped None (Some reason) then
@@ -84,11 +154,20 @@ let poll t =
   | Some d when Atomic.get t.stopped = None && Unix.gettimeofday () > d ->
       note t Deadline_exceeded
   | _ -> ());
-  match t.max_heap_words with
-  | Some w
-    when Atomic.get t.stopped = None && (Gc.quick_stat ()).Gc.heap_words > w ->
-      note t Memory_watermark
-  | _ -> ()
+  let limit =
+    match t.max_heap_words with Some w -> w | None -> derived_heap_words ()
+  in
+  (* [heap_words] counts garbage until a major cycle has swept it, such
+     as what an earlier run in the same daemon or matrix left behind, so
+     a crossing is confirmed on the live heap before it stops the run. *)
+  let over () = (Gc.quick_stat ()).Gc.heap_words > limit in
+  if
+    limit < max_int
+    && Atomic.get t.stopped = None
+    && over ()
+    && (Gc.full_major ();
+        over ())
+  then note t Memory_watermark
 
 let exhausted t =
   if Atomic.get t.stopped = None then poll t;
@@ -144,7 +223,6 @@ let reason_keyword = function
   | Memory_watermark -> "memory-watermark"
   | Interrupted -> "interrupted"
   | Bitstate_collision_risk -> "bitstate-collision-risk"
-  | Spill_io_error -> "spill-io-error"
 
 let pp_reason ppf = function
   | Deadline_exceeded -> Format.fprintf ppf "wall-clock deadline exceeded"
@@ -155,7 +233,6 @@ let pp_reason ppf = function
   | Bitstate_collision_risk ->
       Format.fprintf ppf
         "bitstate mode: unseen states may have hashed onto seen ones"
-  | Spill_io_error -> Format.fprintf ppf "frontier spill I/O failed"
 
 let reason_json r =
   match r with

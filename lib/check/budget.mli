@@ -4,8 +4,8 @@
     sequences grows combinatorially with concurrency (paper §6), and the
     language interpreters explore exponentially many schedules. A budget
     carries the resources a caller is willing to spend — a wall-clock
-    deadline, configuration/run counters, and an optional heap
-    watermark — and is threaded through the whole pipeline
+    deadline, configuration/run counters, and a heap watermark — and is
+    threaded through the whole pipeline
     ({!Gem_lang.Explore}, {!Strategy}, {!Check}, {!Refine}).
 
     Exhaustion never raises and never truncates silently: every entry
@@ -18,7 +18,10 @@ type reason =
   | Deadline_exceeded  (** The wall-clock deadline passed. *)
   | Config_budget  (** The configuration-visit budget ran out. *)
   | Run_cap of int  (** Run enumeration was cut at this cap. *)
-  | Memory_watermark  (** The major-heap watermark was crossed. *)
+  | Memory_watermark
+      (** The major-heap watermark was crossed: the caller's
+          [max_heap_mb], else the one derived from the process's own
+          memory limits (see {!make}). *)
   | Interrupted
       (** SIGINT/SIGTERM arrived; the run stopped at the next poll and
           reported partial coverage instead of dying. *)
@@ -27,9 +30,6 @@ type reason =
           mode: an unseen state may have hashed onto a seen slot, so a
           clean sweep cannot claim Verified. Falsified stays sound —
           every reported counterexample was actually executed. *)
-  | Spill_io_error
-      (** The disk-spilled frontier hit an I/O error; spilled tasks may
-          be unreachable, so coverage is partial. *)
 
 type coverage = {
   configs_explored : int;  (** Interpreter configurations visited. *)
@@ -65,13 +65,31 @@ val make :
     interpreter configuration visits (cumulative); [max_runs] caps run
     enumeration {e per temporal check} (it tightens strategy caps, and
     with them the history-lattice bound — checking many computations
-    does not exhaust it); [max_heap_mb] is a
-    major-heap watermark. Omitted dimensions are unlimited. *)
+    does not exhaust it); [max_heap_mb] is a major-heap watermark, and a
+    crossing is confirmed on the live heap (after a full major
+    collection) before it stops the run. Omitted dimensions are
+    unlimited, except the heap: without [max_heap_mb] the watermark is
+    60% of the smallest memory limit of the process (see
+    {!watermark_of_limits}), read once per process at the first poll —
+    [make] itself reads no file. *)
 
 val unlimited : unit -> t
-(** No limits; counters still accumulate (useful for coverage stats). *)
+(** No caller limits; counters still accumulate (useful for coverage
+    stats), and the derived heap watermark still applies. *)
 
-val is_limited : t -> bool
+val watermark_of_limits :
+  limits:string option ->
+  cgroup:string option ->
+  meminfo:string option ->
+  int option
+(** The derived heap watermark in bytes: 60% of the smallest limit the
+    three texts give. [limits] is [/proc/self/limits] (the soft
+    ["Max address space"], i.e. [RLIMIT_AS]); [cgroup] is the cgroup's
+    memory limit file (v2 [memory.max], else v1
+    [memory.limit_in_bytes]); [meminfo] is [/proc/meminfo]
+    (["MemTotal:"], in kB). A missing text or field, or an unlimited
+    value ([unlimited], [max], or one past [max_int] such as v1's
+    9223372036854771712), gives no bound; [None] when none does. *)
 
 val max_configs : t -> int option
 val max_runs : t -> int option
@@ -106,7 +124,7 @@ val pp_reason : Format.formatter -> reason -> unit
 val reason_keyword : reason -> string
 (** Stable machine-readable keyword: ["deadline-exceeded"],
     ["config-budget"], ["run-cap"], ["memory-watermark"],
-    ["interrupted"], ["bitstate-collision-risk"], ["spill-io-error"]. *)
+    ["interrupted"], ["bitstate-collision-risk"]. *)
 
 val reason_json : reason -> string
 val pp_coverage : Format.formatter -> coverage -> unit

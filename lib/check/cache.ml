@@ -77,7 +77,7 @@ let evict_lru t =
       t.evictions <- t.evictions + 1
   | None -> ()
 
-let find_or_compute t key f =
+let find_or_compute ?(keep = fun _ -> true) t key f =
   Mutex.lock t.lock;
   match Hashtbl.find_opt t.table key with
   | Some (Ready r) ->
@@ -114,12 +114,12 @@ let find_or_compute t key f =
       Mutex.lock t.lock;
       fl.outcome <- Some result;
       (match result with
-      | Value v ->
+      | Value v when keep v ->
           t.clock <- t.clock + 1;
           Hashtbl.replace t.table key (Ready { value = v; stamp = t.clock });
           t.n_ready <- t.n_ready + 1;
           if t.n_ready > t.cap then evict_lru t
-      | Raised _ -> Hashtbl.remove t.table key);
+      | Value _ | Raised _ -> Hashtbl.remove t.table key);
       t.misses <- t.misses + 1;
       Condition.broadcast t.done_cond;
       Mutex.unlock t.lock;

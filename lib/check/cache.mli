@@ -47,12 +47,15 @@ type provenance =
 val provenance_name : provenance -> string
 (** ["hit"], ["miss"] or ["coalesced"]. *)
 
-val find_or_compute : 'v t -> string -> (unit -> 'v) -> 'v * provenance
+val find_or_compute :
+  ?keep:('v -> bool) -> 'v t -> string -> (unit -> 'v) -> 'v * provenance
 (** [find_or_compute t key f] returns the cached value for [key], or
-    computes it with [f] exactly once per concurrent burst. Also counts
-    the outcome under the [Cache_hits] / [Cache_misses] /
-    [Requests_coalesced] telemetry counters and the cache's own
-    {!stats}. *)
+    computes it with [f] exactly once per concurrent burst. A computed
+    value for which [keep] (default: always) is false goes to the
+    computing caller and its coalesced waiters but is not stored, so the
+    next request for [key] computes again. Also counts the outcome under
+    the [Cache_hits] / [Cache_misses] / [Requests_coalesced] telemetry
+    counters and the cache's own {!stats}. *)
 
 val find : 'v t -> string -> 'v option
 (** Peek without computing; bumps recency on hit but counts nothing. *)

@@ -16,6 +16,27 @@
 
 module T = Gem_obs.Telemetry
 
+(* Temp-file registry: a FILE.tmp staging file is registered while it
+   exists, and one [at_exit] sweep removes whatever is still registered,
+   so no exit path (normal, budget stop, signal handler that re-raises,
+   injected fault) leaves litter behind. *)
+let temp_mutex = Mutex.create ()
+let temp_files : (string, unit) Hashtbl.t = Hashtbl.create 8
+
+let () =
+  at_exit (fun () ->
+      Mutex.protect temp_mutex (fun () ->
+          Hashtbl.iter
+            (fun f () -> try Sys.remove f with Sys_error _ -> ())
+            temp_files;
+          Hashtbl.reset temp_files))
+
+let register_temp f =
+  Mutex.protect temp_mutex (fun () -> Hashtbl.replace temp_files f ())
+
+let release_temp f =
+  Mutex.protect temp_mutex (fun () -> Hashtbl.remove temp_files f)
+
 type ctl = { file : string; every : int }
 
 let ctl ?(every = 50_000) file =
@@ -37,7 +58,7 @@ let write t ~stamp payload =
   try
     if Faults.fire Faults.Checkpoint_io then
       raise (Faults.Injected Faults.Checkpoint_io);
-    Spool.register_temp tmp;
+    register_temp tmp;
     let body = Marshal.to_string payload [] in
     let len n =
       let b = Bytes.create 8 in
@@ -54,7 +75,7 @@ let write t ~stamp payload =
        close_out_noerr oc;
        raise e);
     Sys.rename tmp t.file;
-    Spool.release_temp tmp;
+    release_temp tmp;
     T.hit T.Checkpoint_writes;
     Ok ()
   with
@@ -63,7 +84,7 @@ let write t ~stamp payload =
       Error "injected checkpoint fault"
   | Sys_error msg ->
       (try Sys.remove tmp with Sys_error _ -> ());
-      Spool.release_temp tmp;
+      release_temp tmp;
       Error msg
 
 exception Corrupt of string

@@ -1,20 +1,19 @@
 (* Deterministic fault injection. A single global arming keeps the call
-   sites trivial (`if Faults.fire Spill_io then ...`): the harness is a
+   sites trivial (`if Faults.fire Checkpoint_io then ...`): the harness is a
    test/CI instrument, not a per-run configuration, and arming happens
    once at process start before any domain is spawned. The draw counter
    is atomic so concurrent domains consume distinct draws; determinism
    is per-seed across the whole process, not per call site. *)
 
-type point = Alloc | Spill_io | Checkpoint_io
+type point = Alloc | Checkpoint_io
 
 exception Injected of point
 
 let point_name = function
   | Alloc -> "alloc"
-  | Spill_io -> "spill-io"
   | Checkpoint_io -> "checkpoint-io"
 
-let all_points = [ Alloc; Spill_io; Checkpoint_io ]
+let all_points = [ Alloc; Checkpoint_io ]
 
 type armed = { seed : int64; period : int; points : point list }
 
@@ -35,7 +34,6 @@ let default_period = 101
 let parse_points s =
   let name_to_point = function
     | "alloc" -> Some Alloc
-    | "spill-io" | "spill" -> Some Spill_io
     | "checkpoint-io" | "checkpoint" -> Some Checkpoint_io
     | _ -> None
   in
@@ -43,7 +41,7 @@ let parse_points s =
   let pts = List.filter_map name_to_point names in
   if List.length pts = List.length names && pts <> [] then Some pts else None
 
-(* "SEED[:PERIOD[:POINTS]]" — e.g. "42", "42:17", "42:17:spill,checkpoint".
+(* "SEED[:PERIOD[:POINTS]]" — e.g. "42", "42:17", "42:17:alloc,checkpoint".
    Malformed specs are a caller error, reported as [Error] so the CLI can
    exit 3 rather than silently running unfaulted. *)
 let parse spec =

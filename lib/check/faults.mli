@@ -1,6 +1,6 @@
 (** Deterministic fault injection for the resilience ladder.
 
-    The degradation machinery (bitstate seen sets, frontier spilling,
+    The degradation machinery (bitstate seen sets, the heap watermark,
     checkpointing) exists precisely for the paths that are hardest to
     reach in tests: allocation pressure, failing disks, interrupted
     writes. This
@@ -13,7 +13,7 @@
     wrong Verified/Falsified.
 
     Spec grammar: ["SEED[:PERIOD[:POINTS]]"], e.g. ["42"],
-    ["42:17"], ["42:17:spill-io,checkpoint-io"]. [PERIOD] (default 101)
+    ["42:17"], ["42:17:alloc,checkpoint-io"]. [PERIOD] (default 101)
     makes roughly one draw in [PERIOD] fire; [POINTS] restricts which
     sites are eligible (default all).
 
@@ -22,8 +22,8 @@
     (sequential) run, and a fixed fault {e rate} for parallel ones. *)
 
 type point =
-  | Alloc  (** Frontier-growth allocation (simulated [Out_of_memory]). *)
-  | Spill_io  (** Spool chunk write/read. *)
+  | Alloc
+      (** Frontier growth: a simulated crossing of the heap watermark. *)
   | Checkpoint_io  (** Checkpoint snapshot write. *)
 
 exception Injected of point

@@ -17,7 +17,7 @@
        (Unix-socket transport), {!Request} (wire requests), {!Runner}
        (the shared verification pipeline), {!Handler}, {!Client},
        {!Matrix} (the workload matrix);}
-    {- resilience: {!Bitstate}, {!Spool}, {!Checkpoint}, {!Faults};}
+    {- resilience: {!Bitstate}, {!Checkpoint}, {!Faults};}
     {- observability: {!Telemetry} (counters, spans, trace export);}
     {- the concrete syntax: {!Lexer}, {!Parser};}
     {- language substrates: {!Expr}, {!Trace}, {!Explore}, {!Monitor},
@@ -61,7 +61,6 @@ module Dyngroup = Gem_spec.Dyngroup
 module Telemetry = Gem_obs.Telemetry
 module Budget = Gem_check.Budget
 module Bitstate = Gem_check.Bitstate
-module Spool = Gem_check.Spool
 module Checkpoint = Gem_check.Checkpoint
 module Faults = Gem_check.Faults
 module Strategy = Gem_check.Strategy

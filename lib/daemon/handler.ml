@@ -3,10 +3,11 @@ module Cache = Gem_check.Cache
 module Server = Gem_check.Server
 module Faults = Gem_check.Faults
 module Budget = Gem_check.Budget
+module Verdict = Gem_check.Verdict
 module T = Gem_obs.Telemetry
 
 type t = {
-  verdicts : (int * string) Cache.t;  (* exit code, rendered report *)
+  verdicts : (Verdict.status * string) Cache.t;  (* status, rendered report *)
   explorations : Runner.exploration Cache.t;
 }
 
@@ -41,6 +42,12 @@ let stats_body t =
     caches ^ "," ^ String.sub totals 1 (String.length totals - 1)
   else caches ^ "}"
 
+(* A run stopped at the heap watermark depends on what else the process
+   held at the time, so neither cache keeps it or its exploration. *)
+let by_load = function
+  | Verdict.Inconclusive Budget.Memory_watermark -> true
+  | Verdict.Inconclusive _ | Verdict.Verified | Verdict.Falsified -> false
+
 (* Build the verdict for a cache miss: share the exploration if an
    equivalent one is cached (or in flight), then conclude on a second
    budget restored to the exploration's end state — the protocol
@@ -57,7 +64,9 @@ let compute_body t load ~program (c : R.check) =
     else begin
       let xkey = Runner.explore_key ~program load e in
       let x, prov =
-        Cache.find_or_compute t.explorations xkey (fun () ->
+        Cache.find_or_compute t.explorations xkey
+          ~keep:(fun x -> x.Runner.x_exhausted <> Some Budget.Memory_watermark)
+          (fun () ->
             let budget = mk_budget () in
             match Runner.explore load opts ~budget with
             | Some x -> Runner.prepare load opts x
@@ -76,7 +85,7 @@ let compute_body t load ~program (c : R.check) =
       Option.iter (Budget.note budget) x.Runner.x_exhausted)
     exploration;
   let r = Runner.conclude load opts ~budget ~restrict:c.R.restrict exploration in
-  (r.Runner.exit_code, Runner.render_json ~command:(Runner.command_name load) r)
+  (r.Runner.status, Runner.render_json ~command:(Runner.command_name load) r)
 
 let check_response t (c : R.check) =
   match Runner.of_request c with
@@ -91,13 +100,13 @@ let check_response t (c : R.check) =
       let started = Unix.gettimeofday () in
       let program = Runner.program_fp load in
       let key = Runner.verdict_key ~program load ~restrict:c.R.restrict c.R.engine in
-      let respond provenance (code, body) =
+      let respond provenance (status, body) =
         let header =
           Printf.sprintf
             {|{"serve":1,"command":"%s","cache":"%s","key":"%s","elapsed_ms":%.3f,"body":1,"code":%d}|}
             (Runner.command_name load) provenance key
             ((Unix.gettimeofday () -. started) *. 1000.)
-            code
+            (Verdict.exit_code status)
         in
         [ header; body ]
       in
@@ -113,13 +122,14 @@ let check_response t (c : R.check) =
           in
           let opts = Runner.opts_of_engine load e in
           let r = Runner.run load opts ~budget ~restrict:c.R.restrict in
-          ( ( r.Runner.exit_code,
+          ( ( r.Runner.status,
               Runner.render_json ~command:(Runner.command_name load) r ),
             "uncached" )
         else
           let v, prov =
-            Cache.find_or_compute t.verdicts key (fun () ->
-                compute_body t load ~program c)
+            Cache.find_or_compute t.verdicts key
+              ~keep:(fun (status, _) -> not (by_load status))
+              (fun () -> compute_body t load ~program c)
           in
           (v, Cache.provenance_name prov)
       with

@@ -117,7 +117,7 @@ type opts = {
 }
 
 val opts_of_engine : load -> Gem_syntax.Request.engine -> opts
-(** The daemon's options: bitstate per the engine record, no spill or
+(** The daemon's options: bitstate per the engine record, no
     checkpointing, {!stamp} of the resolved engine. *)
 
 type computations =

@@ -6,23 +6,15 @@ module Ada = Gem_lang.Ada
 module Explore = Gem_lang.Explore
 module Budget = Gem_check.Budget
 module Bitstate = Gem_check.Bitstate
-module Spool = Gem_check.Spool
 module Check = Gem_check.Check
 
-type cell = {
-  reduction : Explore.reduction;
-  exact : bool;
-  bitstate : bool;
-  spool : bool;
-}
+type cell = { reduction : Explore.reduction; exact : bool; bitstate : bool }
 
-let baseline =
-  { reduction = Explore.Sleep_sets; exact = true; bitstate = false; spool = false }
+let baseline = { reduction = Explore.Sleep_sets; exact = true; bitstate = false }
 
 (* The core grid is {plain, sleep} x {fp, exact} x {unbounded, bitstate};
-   the source-DPOR cell and the spool cell (sleep, fp keys, a frontier
-   that spills from the first check on) ride along, so every fuzz run
-   differentially tests both against the baseline. *)
+   the source-DPOR cell rides along, so every fuzz run differentially
+   tests it against the baseline. *)
 let lattice =
   (baseline
   :: List.filter
@@ -31,22 +23,16 @@ let lattice =
           (fun reduction ->
             List.concat_map
               (fun exact ->
-                List.map
-                  (fun bitstate -> { reduction; exact; bitstate; spool = false })
-                  [ false; true ])
+                List.map (fun bitstate -> { reduction; exact; bitstate }) [ false; true ])
               [ true; false ])
           [ Explore.Sleep_sets; Explore.No_reduction ]))
-  @ [
-      { reduction = Explore.Source_sets; exact = false; bitstate = false; spool = false };
-      { reduction = Explore.Sleep_sets; exact = false; bitstate = false; spool = true };
-    ]
+  @ [ { reduction = Explore.Source_sets; exact = false; bitstate = false } ]
 
 let cell_name c =
-  Printf.sprintf "reduction=%s keys=%s seen=%s frontier=%s"
+  Printf.sprintf "reduction=%s keys=%s seen=%s"
     (Explore.reduction_name c.reduction)
     (if c.exact then "exact" else "fp")
     (if c.bitstate then "bitstate" else "unbounded")
-    (if c.spool then "spool" else "memory")
 
 type run = {
   r_completed : string list;  (* canonical fps, sorted: a multiset *)
@@ -75,8 +61,6 @@ let resilience_of c =
     Explore.no_resilience with
     Explore.bitstate =
       (if c.bitstate then Some (Bitstate.create ~bits:16 ()) else None);
-    spool =
-      (if c.spool then Some (Spool.policy ~chunk:2 ~watermark_mb:0 ()) else None);
   }
 
 let explore_cell ~max_configs c prog =
@@ -139,7 +123,7 @@ let show_verdicts vs =
 
 let subset xs ys = List.for_all (fun x -> List.mem x ys) xs
 
-let compare_runs ~base ~twin c r : disagreement option =
+let compare_runs ~base c r : disagreement option =
   let fail kind expected actual =
     Some { d_cell = c; d_kind = kind; d_expected = expected; d_actual = actual }
   in
@@ -152,13 +136,7 @@ let compare_runs ~base ~twin c r : disagreement option =
       fail "exhausted" (show_exhausted base.r_exhausted) (show_exhausted r.r_exhausted)
     else if r.r_verdicts <> base.r_verdicts then
       fail "verdicts" (show_verdicts base.r_verdicts) (show_verdicts r.r_verdicts)
-    else
-      (* A spooled frontier only moves where pending tasks live: its walk
-         must match its in-memory twin configuration by configuration. *)
-      (match twin with
-      | Some t when t.r_explored <> r.r_explored ->
-          fail "explored" (string_of_int t.r_explored) (string_of_int r.r_explored)
-      | Some _ | None -> None)
+    else None
   else
     (* Lossy mode: a clean sweep is unconditionally downgraded, and
        whatever it did find must be a subset of the clean baseline. *)
@@ -193,21 +171,17 @@ let check ?(max_configs = 1_000_000) ?formula prog =
   | Error d -> Error d
   | Ok base when base.r_exhausted <> None -> Ok 0
   | Ok base ->
-      let rec go done_ explored = function
+      let rec go explored = function
         | [] -> Ok explored
         | c :: rest -> (
             match guarded c (fun () -> run_cell ~max_configs ~spec ~formula c prog) with
             | Error d -> Error d
             | Ok r -> (
-                let twin =
-                  if c.spool then List.assoc_opt { c with spool = false } done_
-                  else None
-                in
-                match compare_runs ~base ~twin c r with
+                match compare_runs ~base c r with
                 | Some d -> Error d
-                | None -> go ((c, r) :: done_) (explored + r.r_explored) rest))
+                | None -> go (explored + r.r_explored) rest))
       in
-      go [ (baseline, base) ] base.r_explored (List.tl lattice)
+      go base.r_explored (List.tl lattice)
 
 let skeys prog c =
   let comps, deads, _, _ = explore_cell ~max_configs:1_000_000 c prog in

@@ -1,6 +1,5 @@
 module Budget = Gem_check.Budget
 module Bitstate = Gem_check.Bitstate
-module Spool = Gem_check.Spool
 module Checkpoint = Gem_check.Checkpoint
 module Faults = Gem_check.Faults
 module T = Gem_obs.Telemetry
@@ -88,14 +87,12 @@ type 'c result = {
 
 type resilience = {
   bitstate : Bitstate.t option;
-  spool : Spool.policy option;
   checkpoint : Checkpoint.ctl option;
   resume : string option;
   stamp : string;
 }
 
-let no_resilience =
-  { bitstate = None; spool = None; checkpoint = None; resume = None; stamp = "" }
+let no_resilience = { bitstate = None; checkpoint = None; resume = None; stamp = "" }
 
 exception Resume_error of string
 
@@ -713,16 +710,16 @@ type 'c snapshot = {
   sn_counters : (string * int) list;
 }
 
-(* The frontier is always a {!Spool} (a plain in-memory stack under
-   [no_spill]), so spilling and checkpointing share the one code path,
-   and the seen store is either the exact subset-rule table (with empty
-   sleep sets the rule is plain add-if-absent memoization) or a bounded
-   {!Bitstate}. The seen store is probed when a task is popped, and
-   children are pushed last-first so the first child pops first: the
-   walk then visits, charges and counts exactly as a recursive DFS
-   would. After a stop the loop still drains the frontier through the
-   seen store — the recursive walk probed the pending siblings of every
-   open frame while unwinding, and the counters must agree with it. *)
+(* The frontier is a plain stack (head = next to pop), which a checkpoint
+   snapshots as it is, and the seen store is either the exact
+   subset-rule table (with empty sleep sets the rule is plain
+   add-if-absent memoization) or a bounded {!Bitstate}. The seen store
+   is probed when a task is popped, and children are pushed last-first
+   so the first child pops first: the walk then visits, charges and
+   counts exactly as a recursive DFS would. After a stop the loop still
+   drains the frontier through the seen store — the recursive walk
+   probed the pending siblings of every open frame while unwinding, and
+   the counters must agree with it. *)
 let run_tasks ~max_steps ~max_configs ~budget ~key ~audit ~expansion
     ~terminated ~res init =
   let w = new_walk () in
@@ -741,21 +738,20 @@ let run_tasks ~max_steps ~max_configs ~budget ~key ~audit ~expansion
     | `Bits b -> bitstate_covered b bit_audit k (exact_of c) sleep
     | `Table tbl -> covered tbl k (exact_of c) sleep
   in
-  let frontier = Spool.create (Option.value res.spool ~default:Spool.no_spill) in
-  (* An injected allocation fault is a simulated [Out_of_memory] at
-     frontier growth: the task is dropped and the walk stops with the
-     memory reason — coverage lost, verdict degraded, process alive.
-     Only runs that asked for a resilience option are eligible. *)
+  let frontier = ref [] in
+  (* An injected allocation fault is a simulated crossing of the heap
+     watermark at frontier growth: the task is dropped and the walk stops
+     with the memory reason — coverage lost, verdict degraded, process
+     alive. Only runs that asked for a resilience option are eligible. *)
   let faultable =
-    res.bitstate <> None || res.spool <> None || res.checkpoint <> None
-    || res.resume <> None
+    res.bitstate <> None || res.checkpoint <> None || res.resume <> None
   in
   let push task =
     if faultable && Faults.fire Faults.Alloc then begin
       Faults.survived ();
       if w.w_exhausted = None then w.w_exhausted <- Some Budget.Memory_watermark
     end
-    else Spool.push frontier task
+    else frontier := task :: !frontier
   in
   let child depth config sleep =
     { t_depth = depth; t_config = config; t_key = None; t_sleep = sleep }
@@ -818,7 +814,7 @@ let run_tasks ~max_steps ~max_configs ~budget ~key ~audit ~expansion
       sn_truncated = w.w_truncated;
       sn_explored = w.w_explored;
       sn_reduced = w.w_reduced;
-      sn_frontier = Spool.elements frontier;
+      sn_frontier = !frontier;
       sn_seen = (match !seen with `Table tbl -> Some tbl | `Bits _ -> None);
       sn_bits = (match !seen with `Bits b -> Some (Bitstate.snapshot b) | `Table _ -> None);
       sn_budget =
@@ -854,7 +850,7 @@ let run_tasks ~max_steps ~max_configs ~budget ~key ~audit ~expansion
           w.w_reduced <- s.sn_reduced;
           Option.iter (fun tbl -> seen := `Table tbl) s.sn_seen;
           Option.iter (fun b -> seen := `Bits (Bitstate.restore b)) s.sn_bits;
-          List.iter (Spool.push frontier) (List.rev s.sn_frontier);
+          frontier := s.sn_frontier;
           Option.iter
             (fun b ->
               Budget.restore b ~configs:(fst s.sn_budget) ~runs:(snd s.sn_budget))
@@ -883,9 +879,10 @@ let run_tasks ~max_steps ~max_configs ~budget ~key ~audit ~expansion
     end
   in
   let rec loop () =
-    match Spool.pop frontier with
-    | None -> ()
-    | Some task ->
+    match !frontier with
+    | [] -> ()
+    | task :: rest ->
+        frontier := rest;
         (match (key, task.t_key) with
         | Some k, None ->
             let d = k task.t_config in
@@ -898,16 +895,13 @@ let run_tasks ~max_steps ~max_configs ~budget ~key ~audit ~expansion
         loop ()
   in
   loop ();
-  (* Degradation ladder, most severe first: a recorded stop reason keeps
-     priority; then lost spilled tasks; then the blanket bitstate
-     downgrade — never Verified through a lossy seen set. *)
-  if Spool.error frontier && w.w_exhausted = None then
-    w.w_exhausted <- Some Budget.Spill_io_error;
+  (* Degradation ladder: a recorded stop reason keeps priority over the
+     blanket bitstate downgrade — never Verified through a lossy seen
+     set. *)
   (match !seen with
   | `Bits _ when w.w_exhausted = None ->
       w.w_exhausted <- Some Budget.Bitstate_collision_risk
   | `Bits _ | `Table _ -> ());
-  Spool.close frontier;
   finish ~keyed:(key <> None) w
 
 let run ?(max_steps = 10_000) ?(max_configs = 1_000_000) ?budget ?key ?audit
@@ -929,14 +923,13 @@ let run ?(max_steps = 10_000) ?(max_configs = 1_000_000) ?budget ?key ?audit
   (* Reduction is meaningful only when the caller supplies footprints;
      without them, or under an explicit [No_reduction], the walk is
      plain. Source-DPOR needs the in-order DFS stack and a faithful seen
-     table, which neither a spooled or checkpointed frontier nor a lossy
-     bitstate table provides, so it degrades to sleep sets under any of
-     them (documented in DESIGN.md). *)
+     table, which neither a checkpointed frontier nor a lossy bitstate
+     table provides, so it degrades to sleep sets under either
+     (documented in DESIGN.md). *)
   match (footprint, reduction) with
   | None, _ | Some _, Some No_reduction -> run_tasks (Plain moves)
   | Some footprint, Some Source_sets
-    when res.bitstate = None && res.spool = None && res.checkpoint = None
-         && res.resume = None ->
+    when res.bitstate = None && res.checkpoint = None && res.resume = None ->
       run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
         ~terminated init
   | Some footprint, (None | Some (Sleep_sets | Source_sets)) ->

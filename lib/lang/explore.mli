@@ -114,10 +114,10 @@ val reduction_default : unit -> reduction
 (** {1 Resilience}
 
     The degradation ladder: when a resource wall would otherwise kill
-    the run (seen set outgrowing RAM, frontier outgrowing RAM, the
-    process itself being killed), exploration degrades to a sound
-    partial result instead — Inconclusive with a machine-readable
-    reason, never a wrong Verified/Falsified. *)
+    the run (seen set outgrowing RAM, the heap reaching the budget's
+    watermark, the process itself being killed), exploration degrades
+    to a sound partial result instead — Inconclusive with a
+    machine-readable reason, never a wrong Verified/Falsified. *)
 
 type resilience = {
   bitstate : Gem_check.Bitstate.t option;
@@ -129,9 +129,6 @@ type resilience = {
           bitstate key covers the (state, sleep set) pair, a strict
           refinement of the subset rule — more exploration, never an
           unsound prune. *)
-  spool : Gem_check.Spool.policy option;
-      (** Page the frontier to disk under a heap watermark. I/O failure
-          degrades to [Spill_io_error]. *)
   checkpoint : Gem_check.Checkpoint.ctl option;
       (** Periodically snapshot the complete walk state. *)
   resume : string option;
@@ -216,14 +213,12 @@ val run :
     Mazurkiewicz trace, so verdicts are byte-identical to the other
     engines. Because race detection needs the recursive execution
     stack, [Source_sets] degrades to sleep sets under [bitstate],
-    [spool], [checkpoint] or [resume]; see DESIGN.md for the decision
-    record.
+    [checkpoint] or [resume]; see DESIGN.md for the decision record.
 
     The walk is sequential: the plain and sleep-set engines share one
-    task-stack walk over every seen store and frontier, so a [spool]
-    or a [checkpoint] never changes the explored, reduced or truncated
-    counts — only where the frontier lives. Parallelism lives in the
-    checking layer ({!Gem_check.Par}).
+    task-stack walk over every seen store, so a [checkpoint] never
+    changes the explored, reduced or truncated counts. Parallelism lives
+    in the checking layer ({!Gem_check.Par}).
 
     [resilience] (default {!no_resilience}) selects the degradation
     ladder. Any run through a bitstate seen set finishes Inconclusive

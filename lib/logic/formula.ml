@@ -311,12 +311,18 @@ let pp ppf f =
     }
     f
 
-let to_string f = Format.asprintf "%a" pp f
+(* [pp]'s text on one line: every break hint is one space. *)
+let flat text f =
+  print { text; space = (fun () -> text " "); open_box = ignore; close_box = ignore } f
+
+let to_string f =
+  let b = Buffer.create 64 in
+  flat (Buffer.add_string b) f;
+  Buffer.contents b
 
 let fingerprint f =
   let b = Gem_order.Fingerprint.builder () in
-  let text = Gem_order.Fingerprint.add_string b in
-  print { text; space = (fun () -> text " "); open_box = ignore; close_box = ignore } f;
+  flat (Gem_order.Fingerprint.add_string b) f;
   Gem_order.Fingerprint.finish b
 
 (* Constructors *)

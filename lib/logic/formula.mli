@@ -90,14 +90,16 @@ val pp : Format.formatter -> t -> unit
     recursing. *)
 
 val to_string : t -> string
+(** The text {!pp} prints, on one line: every break hint is one space,
+    however long the formula. *)
 
 val fingerprint : t -> Gem_order.Fingerprint.t
-(** A hash of exactly the text {!pp} prints, with every break hint
-    printed as one space: a semantic predicate counts by its name and
-    arguments, as printed. So two formulas get equal fingerprints
-    exactly when their {!to_string} renderings are equal (up to hash
-    collisions). It runs {!pp}'s walk into the hash instead of a
-    formatter: linear, no depth or size limit, and nothing rendered. *)
+(** A hash of exactly the text {!to_string} returns: a semantic
+    predicate counts by its name and arguments, as printed. So two
+    formulas get equal fingerprints exactly when their {!to_string}
+    renderings are equal (up to hash collisions). It runs {!pp}'s walk
+    into the hash instead of a buffer: linear, no depth or size limit,
+    and nothing rendered. *)
 
 (** {1 Concise constructors}
 

@@ -20,8 +20,6 @@ type counter =
   | Budget_stop_memory
   | Fingerprint_collisions
   | Footprint_checks
-  | Spill_bytes
-  | Spill_chunks
   | Checkpoint_writes
   | Faults_injected
   | Faults_survived
@@ -50,22 +48,20 @@ let counter_idx = function
   | Budget_stop_memory -> 11
   | Fingerprint_collisions -> 12
   | Footprint_checks -> 13
-  | Spill_bytes -> 14
-  | Spill_chunks -> 15
-  | Checkpoint_writes -> 16
-  | Faults_injected -> 17
-  | Faults_survived -> 18
-  | Bitstate_saturated_prunes -> 19
-  | Cache_hits -> 20
-  | Cache_misses -> 21
-  | Requests_coalesced -> 22
-  | Explorations_shared -> 23
-  | Races_detected -> 24
-  | Backtrack_points -> 25
-  | Source_prunes -> 26
-  | Lattice_histories -> 27
+  | Checkpoint_writes -> 14
+  | Faults_injected -> 15
+  | Faults_survived -> 16
+  | Bitstate_saturated_prunes -> 17
+  | Cache_hits -> 18
+  | Cache_misses -> 19
+  | Requests_coalesced -> 20
+  | Explorations_shared -> 21
+  | Races_detected -> 22
+  | Backtrack_points -> 23
+  | Source_prunes -> 24
+  | Lattice_histories -> 25
 
-let n_counters = 28
+let n_counters = 26
 
 let counter_name = function
   | Configs_explored -> "configs_explored"
@@ -82,8 +78,6 @@ let counter_name = function
   | Budget_stop_memory -> "memory-watermark"
   | Fingerprint_collisions -> "fingerprint_collisions"
   | Footprint_checks -> "footprint_checks"
-  | Spill_bytes -> "spill_bytes"
-  | Spill_chunks -> "spill_chunks"
   | Checkpoint_writes -> "checkpoint_writes"
   | Faults_injected -> "faults_injected"
   | Faults_survived -> "faults_survived"
@@ -239,9 +233,9 @@ let all_counters =
     Configs_explored; Configs_reduced; Memo_hits; Memo_misses; Sleep_prunes;
     Runs_enumerated; Formula_evals; Vhs_histories; Budget_stop_deadline;
     Budget_stop_configs; Budget_stop_runs; Budget_stop_memory;
-    Fingerprint_collisions; Footprint_checks; Spill_bytes; Spill_chunks;
-    Checkpoint_writes; Faults_injected; Faults_survived;
-    Bitstate_saturated_prunes; Cache_hits; Cache_misses; Requests_coalesced;
+    Fingerprint_collisions; Footprint_checks; Checkpoint_writes;
+    Faults_injected; Faults_survived; Bitstate_saturated_prunes; Cache_hits;
+    Cache_misses; Requests_coalesced;
     Explorations_shared; Races_detected; Backtrack_points; Source_prunes;
     Lattice_histories;
   ]
@@ -282,14 +276,13 @@ let stats_json ?(deterministic = false) () =
   else begin
     let schedule =
       Printf.sprintf
-        {|"schedule":{%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,"budget_stops":{%s,%s,%s,%s},"resilience":{%s,%s,%s,%s,%s,%s},"serve":{%s,%s,%s,%s}}|}
+        {|"schedule":{%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,"budget_stops":{%s,%s,%s,%s},"resilience":{%s,%s,%s,%s},"serve":{%s,%s,%s,%s}}|}
         (c Configs_explored) (c Configs_reduced) (c Memo_hits) (c Memo_misses)
         (c Sleep_prunes) (c Fingerprint_collisions) (c Footprint_checks)
         (c Races_detected) (c Backtrack_points) (c Source_prunes)
         (c Budget_stop_deadline) (c Budget_stop_configs) (c Budget_stop_runs)
-        (c Budget_stop_memory) (c Spill_bytes) (c Spill_chunks)
-        (c Checkpoint_writes) (c Faults_injected) (c Faults_survived)
-        (c Bitstate_saturated_prunes)
+        (c Budget_stop_memory) (c Checkpoint_writes) (c Faults_injected)
+        (c Faults_survived) (c Bitstate_saturated_prunes)
         (c Cache_hits) (c Cache_misses) (c Requests_coalesced)
         (c Explorations_shared)
     in

@@ -53,8 +53,6 @@ type counter =
           differs from the one recorded at first insert — a lossy
           fingerprint merge that would silently prune a distinct state. *)
   | Footprint_checks  (** Move-independence (footprint disjointness) tests. *)
-  | Spill_bytes  (** Bytes of frontier paged to the spool temp file. *)
-  | Spill_chunks  (** Frontier chunks written to the spool temp file. *)
   | Checkpoint_writes  (** Checkpoint snapshots successfully persisted. *)
   | Faults_injected  (** Faults fired by the {!Gem_check.Faults} harness. *)
   | Faults_survived

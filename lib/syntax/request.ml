@@ -293,7 +293,7 @@ let to_line = function
       let params = List.sort (fun (a, _) (b, _) -> compare a b) c.params in
       let restrict =
         match c.restrict with
-        | Some f -> [ ("restrict", Format.asprintf "%a" Gem_logic.Formula.pp f) ]
+        | Some f -> [ ("restrict", Gem_logic.Formula.to_string f) ]
         | None -> []
       in
       let pairs = params @ restrict @ engine_pairs c.engine in

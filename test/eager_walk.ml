@@ -4,8 +4,8 @@
    and the asleep successors are dropped after they are built. test_props
    holds the awake-only walks of {!Gem_lang.Explore} to this copy: same
    leaves, same counts, same telemetry. The resilience layers (bitstate,
-   spool, checkpoint) are left out: they only change where the seen
-   store and the frontier live. *)
+   checkpoint) are left out: they only change where the seen store
+   lives and what is snapshotted. *)
 
 module Explore = Gem_lang.Explore
 module Budget = Gem_check.Budget

@@ -253,6 +253,62 @@ let prop_strategy_truncation_exact =
         && not e.Strategy.complete
       else e.Strategy.truncated_at = None && e.Strategy.complete)
 
+(* ------------------------------------------------------------------ *)
+(* The derived heap watermark                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Fixture texts in the layouts of /proc/self/limits, the cgroup limit
+   files and /proc/meminfo. *)
+let limits address_space =
+  String.concat "\n"
+    [
+      "Limit                     Soft Limit           Hard Limit           Units     ";
+      "Max cpu time              unlimited            unlimited            seconds   ";
+      "Max stack size            8388608              unlimited            bytes     ";
+      Printf.sprintf "Max address space         %-20s %-20s bytes     " address_space
+        address_space;
+      "Max open files            20000                20000                files     ";
+    ]
+
+let meminfo = "MemTotal:        8222320 kB\nMemFree:         6173000 kB\n"
+let v1_unlimited = "9223372036854771712\n"
+
+let test_watermark_sources () =
+  let w ?limits ?cgroup ?meminfo () =
+    Budget.watermark_of_limits ~limits ~cgroup ~meminfo
+  in
+  let check what expected got = Alcotest.(check (option int)) what expected got in
+  check "no source, no bound" None (w ());
+  check "unlimited address space" None (w ~limits:(limits "unlimited") ());
+  check "cgroup v2 max" None (w ~cgroup:"max\n" ());
+  check "cgroup v1 unlimited" None (w ~cgroup:v1_unlimited ());
+  check "unreadable value" None (w ~cgroup:"banana" ~limits:"" ());
+  check "MemTotal in kB" (Some 5_051_793_408) (w ~meminfo ());
+  check "cgroup byte limit" (Some 600_000_000) (w ~cgroup:"1000000000\n" ());
+  check "address-space limit" (Some 921_600_000) (w ~limits:(limits "1536000000") ());
+  check "smallest of the three wins" (Some 921_600_000)
+    (w ~limits:(limits "1536000000") ~cgroup:v1_unlimited ~meminfo ());
+  check "a tighter cgroup wins" (Some 600_000_000)
+    (w ~limits:(limits "1536000000") ~cgroup:"1000000000" ~meminfo ());
+  check "unlimited sources drop out" (Some 5_051_793_408)
+    (w ~limits:(limits "unlimited") ~cgroup:"max" ~meminfo ())
+
+(* The watermark counts the live heap: garbage a finished run left
+   behind (here 1M dropped cells, about 32 MB) does not stop the next
+   budget, while the same cells held live do. *)
+let test_watermark_counts_live_heap () =
+  let cells () = List.init 1_000_000 (fun i -> ref i) in
+  let stop () =
+    Option.map Budget.reason_keyword (Budget.exhausted (Budget.make ~max_heap_mb:16 ()))
+  in
+  Gc.full_major ();
+  ignore (Sys.opaque_identity (cells ()));
+  Alcotest.(check (option string)) "garbage is not counted" None (stop ());
+  let live = cells () in
+  Alcotest.(check (option string))
+    "a live heap stops" (Some "memory-watermark") (stop ());
+  ignore (Sys.opaque_identity live)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "gem_budget"
@@ -277,4 +333,9 @@ let () =
             test_charge_config_across_domains;
         ] );
       ( "accounting", [ q prop_charge_config_exact; q prop_strategy_truncation_exact ] );
+      ( "watermark",
+        [
+          Alcotest.test_case "limit sources" `Quick test_watermark_sources;
+          Alcotest.test_case "live heap counted" `Quick test_watermark_counts_live_heap;
+        ] );
     ]

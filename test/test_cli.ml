@@ -139,6 +139,14 @@ let test_no_por_parity () =
   check Alcotest.int "--no-por rejected" 3 (run "rw --readers 1 --writers 1 --no-por");
   check Alcotest.int "--no-por rejected on db" 3 (run "db --sites 2 --no-por")
 
+(* The disk-paged frontier is gone: its flag is an unknown option and its
+   fault point a malformed GEM_FAULT spec, both usage errors. *)
+let test_retired_frontier_options () =
+  check Alcotest.int "--spill-mb rejected" 3
+    (run "rw --readers 1 --writers 1 --spill-mb 1");
+  check Alcotest.int "its fault point rejected" 3
+    (run ~env:"GEM_FAULT=1:1:spill-io" "rw --readers 1 --writers 1")
+
 (* --reduction contract: the engine choice must never change a verdict
    or exit code; invalid spellings — flag or GEM_REDUCTION env — are
    usage errors (exit 3). *)
@@ -490,7 +498,7 @@ let test_fuzz_deterministic () =
   | Unix.WEXITED 0 -> ()
   | _ -> Alcotest.fail "expected exit 0 on rerun");
   check Alcotest.string "same seed, byte-identical stdout" out1 out2;
-  check Alcotest.bool "reports the lattice" true (contains out1 "lattice=10 cells");
+  check Alcotest.bool "reports the lattice" true (contains out1 "lattice=9 cells");
   check Alcotest.bool "reports agreement" true (contains out1 "6/6 instances agreed");
   check Alcotest.bool "PASS marker" true (contains out1 "PASS");
   check Alcotest.bool "no wall-clock on stdout" false (contains out1 "configs/s")
@@ -714,6 +722,8 @@ let () =
           Alcotest.test_case "restriction error=3" `Quick test_restriction_error;
           Alcotest.test_case "GEMCKPT2 resume=3" `Quick test_old_checkpoint_refused;
           Alcotest.test_case "no-por-parity" `Quick test_no_por_parity;
+          Alcotest.test_case "retired frontier options=3" `Quick
+            test_retired_frontier_options;
         ] );
       ( "reduction",
         [

@@ -51,12 +51,12 @@ let reason_keywords =
   let all =
     Budget.
       [ Deadline_exceeded; Config_budget; Run_cap 0; Memory_watermark; Interrupted;
-        Bitstate_collision_risk; Spill_io_error ]
+        Bitstate_collision_risk ]
   in
   List.iter
     (function
       | Budget.Deadline_exceeded | Config_budget | Run_cap _ | Memory_watermark
-      | Interrupted | Bitstate_collision_risk | Spill_io_error -> ())
+      | Interrupted | Bitstate_collision_risk -> ())
     all;
   List.map Budget.reason_keyword all
 

@@ -228,7 +228,7 @@ let test_driver_agrees () =
   let o = Driver.run ~seed:5 ~iters:9 () in
   check Alcotest.int "all instances ran" 9 o.Driver.o_ran;
   check Alcotest.bool "no disagreement" true (o.Driver.o_failure = None);
-  check Alcotest.int "lattice size" 10 o.Driver.o_cells;
+  check Alcotest.int "lattice size" 9 o.Driver.o_cells;
   check Alcotest.bool "explored counted" true (o.Driver.o_explored > 0)
 
 let test_driver_time_budget () =

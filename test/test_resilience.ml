@@ -1,5 +1,5 @@
-(* The resilience ladder: bitstate degradation, disk-spilled frontiers,
-   checkpoint/resume and the deterministic fault-injection harness.
+(* The resilience ladder: bitstate degradation, checkpoint/resume and
+   the deterministic fault-injection harness.
 
    The contract under test is soundness under degradation — every rung
    may lose coverage, none may fabricate it:
@@ -8,9 +8,6 @@
      on workloads that fit exactly (parity matrix: POR on and off), and
      must always finish Inconclusive
      (Bitstate_collision_risk) rather than Verified;
-   - spilling must be invisible to the exploration order (LIFO parity),
-     and a spill I/O failure must degrade to Spill_io_error, never a
-     wrong verdict or a crash;
    - a run killed by budget and resumed from its checkpoint must end
      with the same leaves, counters and verdict as an uninterrupted
      run; a stamp mismatch must be refused;
@@ -18,10 +15,10 @@
      computations found are always a subset of the clean run's, any
      strict loss is reported as exhaustion, and every injected fault is
      survived;
-   - a spool that always spills and a run that checkpoints as it goes
-     explore exactly what the default run explores: same explored,
-     reduced and truncated counts and the same leaf fingerprints, on
-     every lib/problems workload and on random Monitor and CSP programs;
+   - a run that checkpoints as it goes explores exactly what the
+     default run explores: same explored, reduced and truncated counts
+     and the same leaf fingerprints, on every lib/problems workload and
+     on random Monitor and CSP programs;
    - a truncated, bit-flipped or old-format checkpoint is refused with
      an error, never a crash;
    - an exception in one checking domain reaches the caller. *)
@@ -32,7 +29,6 @@ module Db = Gem_problems.Db_update
 module Rwd = Gem_problems.Rw_distributed
 module Budget = Gem_check.Budget
 module Bitstate = Gem_check.Bitstate
-module Spool = Gem_check.Spool
 module Checkpoint = Gem_check.Checkpoint
 module Faults = Gem_check.Faults
 module Fp = Gem_order.Fingerprint
@@ -53,11 +49,6 @@ let arm_exn spec =
   match Faults.arm spec with
   | Ok () -> ()
   | Error e -> Alcotest.failf "Faults.arm %S: %s" spec e
-
-let no_stray_spools () =
-  let dir = Filename.get_temp_dir_name () in
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> String.length f >= 10 && String.sub f 0 10 = "gem-spool-")
 
 (* ------------------------------------------------------------------ *)
 (* Bitstate table                                                      *)
@@ -129,75 +120,6 @@ let test_bitstate_bits_validated () =
     [ 0; 7; 31; -1 ]
 
 (* ------------------------------------------------------------------ *)
-(* Spool                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let aggressive = Spool.policy ~chunk:4 ~watermark_mb:0 ()
-
-let test_spool_lifo_parity () =
-  let s = Spool.create aggressive in
-  for i = 0 to 999 do
-    Spool.push s i
-  done;
-  check Alcotest.bool "spilled" true (Spool.spilled s);
-  check Alcotest.bool "no error" false (Spool.error s);
-  check Alcotest.int "size" 1000 (Spool.size s);
-  let popped = List.init 1000 (fun _ -> Option.get (Spool.pop s)) in
-  check
-    Alcotest.(list int)
-    "pop order identical to an in-memory stack"
-    (List.rev (List.init 1000 Fun.id))
-    popped;
-  check Alcotest.bool "drained" true (Spool.pop s = None);
-  Spool.close s;
-  check Alcotest.(list string) "no stray spool files" [] (no_stray_spools ())
-
-let test_spool_elements_nondestructive () =
-  let s = Spool.create aggressive in
-  for i = 0 to 499 do
-    Spool.push s i
-  done;
-  let snap = Spool.elements s in
-  check Alcotest.(list int) "elements in pop order"
-    (List.rev (List.init 500 Fun.id))
-    snap;
-  let popped = List.init 500 (fun _ -> Option.get (Spool.pop s)) in
-  check Alcotest.(list int) "pops unaffected by the snapshot" snap popped;
-  Spool.close s
-
-let test_spool_no_spill_policy () =
-  let s = Spool.create Spool.no_spill in
-  for i = 0 to 999 do
-    Spool.push s i
-  done;
-  check Alcotest.bool "never touches the disk" false (Spool.spilled s);
-  let popped = List.init 1000 (fun _ -> Option.get (Spool.pop s)) in
-  check Alcotest.(list int) "plain stack order"
-    (List.rev (List.init 1000 Fun.id))
-    popped;
-  Spool.close s
-
-let test_spool_fault_degrades () =
-  with_disarmed (fun () ->
-      T.reset ();
-      arm_exn "11:1:spill-io";
-      let s = Spool.create aggressive in
-      for i = 0 to 999 do
-        Spool.push s i
-      done;
-      check Alcotest.bool "sticky error" true (Spool.error s);
-      (* Everything still in memory is served; nothing raises. *)
-      let rec drain n = match Spool.pop s with None -> n | Some _ -> drain (n + 1) in
-      let served = drain 0 in
-      check Alcotest.bool "serves the in-memory remainder" true (served > 0);
-      check Alcotest.bool "tasks may be lost, never duplicated" true (served <= 1000);
-      Spool.close s;
-      check Alcotest.(list string) "no stray spool files" [] (no_stray_spools ());
-      check Alcotest.int "every injected fault was survived"
-        (T.read T.Faults_injected) (T.read T.Faults_survived);
-      check Alcotest.bool "at least one fault fired" true (T.read T.Faults_injected > 0))
-
-(* ------------------------------------------------------------------ *)
 (* Faults                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -216,7 +138,7 @@ let test_faults_parse () =
       arm_exn "42";
       check Alcotest.bool "armed" true (Faults.armed ());
       arm_exn "42:17";
-      arm_exn "42:17:spill-io,checkpoint-io");
+      arm_exn "42:17:alloc,checkpoint-io");
   check Alcotest.bool "disarmed after protect" false (Faults.armed ())
 
 let test_faults_deterministic_stream () =
@@ -239,12 +161,13 @@ let test_faults_deterministic_stream () =
 
 let test_faults_point_filter () =
   with_disarmed (fun () ->
-      arm_exn "42:1:spill-io";
+      arm_exn "42:1:checkpoint-io";
       check Alcotest.bool "eligible point fires at period 1" true
-        (Faults.fire Faults.Spill_io);
+        (Faults.fire Faults.Checkpoint_io);
       check Alcotest.bool "ineligible point never fires" false
         (List.exists Fun.id (List.init 100 (fun _ -> Faults.fire Faults.Alloc))));
-  check Alcotest.bool "fire is false when disarmed" false (Faults.fire Faults.Spill_io)
+  check Alcotest.bool "fire is false when disarmed" false
+    (Faults.fire Faults.Checkpoint_io)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint                                                          *)
@@ -472,44 +395,6 @@ let test_bitstate_saturated_run_is_inconclusive () =
   check Alcotest.bool "saturation counted" true (T.read T.Bitstate_saturated_prunes > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Spilled-frontier engine parity                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_spool_engine_parity () =
-  (* Engine pinned to sleep: a spooled run degrades source -> sleep by
-     design, so under GEM_REDUCTION=source an unpinned baseline would
-     count source configurations against a sleep spool run. *)
-  let prog = Db.program ~sites:3 in
-  let base = Csp.explore ~reduction:Explore.Sleep_sets prog in
-  let res = { Explore.no_resilience with spool = Some aggressive } in
-  let o = Csp.explore ~reduction:Explore.Sleep_sets ~resilience:res prog in
-  check Alcotest.(list string) "computations" (fpset base.Csp.computations)
-    (fpset o.Csp.computations);
-  check Alcotest.(list string) "deadlocks" (fpset base.Csp.deadlocks)
-    (fpset o.Csp.deadlocks);
-  check Alcotest.(option string) "still a complete, clean run" None
-    (reason_opt o.Csp.exhausted);
-  check Alcotest.int "explored identical to the in-memory engine"
-    base.Csp.explored o.Csp.explored;
-  check Alcotest.(list string) "no stray spool files" [] (no_stray_spools ())
-
-let test_spool_engine_fault_is_inconclusive () =
-  with_disarmed (fun () ->
-      T.reset ();
-      arm_exn "3:1:spill-io";
-      let res = { Explore.no_resilience with spool = Some aggressive } in
-      let o = Csp.explore ~resilience:res (Db.program ~sites:3) in
-      check Alcotest.(option string) "degrades to spill-io-error"
-        (Some "spill-io-error")
-        (reason_opt o.Csp.exhausted);
-      check Alcotest.bool "found only real computations" true
-        (let clean = fpset (Csp.explore (Db.program ~sites:3)).Csp.computations in
-         List.for_all (fun fp -> List.mem fp clean) (fpset o.Csp.computations));
-      check Alcotest.int "every injected fault survived" (T.read T.Faults_injected)
-        (T.read T.Faults_survived);
-      check Alcotest.(list string) "no stray spool files" [] (no_stray_spools ()))
-
-(* ------------------------------------------------------------------ *)
 (* Checkpoint/resume at the engine level                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -591,12 +476,11 @@ let test_resume_refuses_foreign_stamp () =
 (* Resilience options do not change counts                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The default walk, a spool that spills from its first check on, and a
-   walk that checkpoints as it goes must agree configuration by
-   configuration: equal explored, reduced and truncated counts and
-   equal leaf fingerprint multisets. The engine is pinned to sleep sets,
-   the default — under a spool or a checkpoint the source engine would
-   degrade to them. *)
+(* The default walk and a walk that checkpoints as it goes must agree
+   configuration by configuration: equal explored, reduced and
+   truncated counts and equal leaf fingerprint multisets. The engine is
+   pinned to sleep sets, the default — under a checkpoint the source
+   engine would degrade to them. *)
 type counts = {
   c_explored : int;
   c_reduced : int;
@@ -607,37 +491,30 @@ type counts = {
 
 let fps comps = List.sort compare (List.map Explore.fingerprint comps)
 
-let always_spill () = Some (Spool.policy ~chunk:2 ~watermark_mb:0 ())
-
 (* [run resilience] explores one program; the result is compared across
-   the default, spilling and checkpointing resilience settings.
-   Returns the number of spill chunks written, so callers can check the
-   spool was really used. *)
+   the default and checkpointing resilience settings. Returns the
+   number of checkpoints written, so callers can check the checkpoint
+   leg really wrote one. *)
 let assert_same_counts ?(every = 500) name run =
   let ck = temp_ckpt () in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists ck then Sys.remove ck)
     (fun () ->
       let base = run Explore.no_resilience in
-      let spills0 = T.read T.Spill_chunks in
-      let spooled = run { Explore.no_resilience with spool = always_spill () } in
-      let spills = T.read T.Spill_chunks - spills0 in
-      let ckpt =
+      let writes0 = T.read T.Checkpoint_writes in
+      let o =
         run
           { Explore.no_resilience with
             checkpoint = Some (Checkpoint.ctl ~every ck)
           }
       in
-      List.iter
-        (fun (mode, o) ->
-          let tag what = Printf.sprintf "%s %s: %s" name mode what in
-          check Alcotest.int (tag "explored") base.c_explored o.c_explored;
-          check Alcotest.int (tag "reduced") base.c_reduced o.c_reduced;
-          check Alcotest.int (tag "truncated") base.c_truncated o.c_truncated;
-          check Alcotest.(list string) (tag "computations") base.c_comps o.c_comps;
-          check Alcotest.(list string) (tag "deadlocks") base.c_deads o.c_deads)
-        [ ("spool", spooled); ("checkpoint", ckpt) ];
-      spills)
+      let tag what = Printf.sprintf "%s checkpoint: %s" name what in
+      check Alcotest.int (tag "explored") base.c_explored o.c_explored;
+      check Alcotest.int (tag "reduced") base.c_reduced o.c_reduced;
+      check Alcotest.int (tag "truncated") base.c_truncated o.c_truncated;
+      check Alcotest.(list string) (tag "computations") base.c_comps o.c_comps;
+      check Alcotest.(list string) (tag "deadlocks") base.c_deads o.c_deads;
+      T.read T.Checkpoint_writes - writes0)
 
 let mon prog resilience =
   let o = Gem_lang.Monitor.explore ~reduction:Explore.Sleep_sets ~resilience prog in
@@ -675,7 +552,7 @@ let ada prog resilience =
 let test_workload_counts_unchanged () =
   let module RW = Gem_problems.Readers_writers in
   let module Buf = Gem_problems.Buffer in
-  let spills =
+  let writes =
     List.fold_left
       (fun n (name, run) -> n + assert_same_counts name run)
       0
@@ -700,19 +577,19 @@ let test_workload_counts_unchanged () =
         ("db-update-3-sites", csp (Db.program ~sites:3));
       ]
   in
-  check Alcotest.bool "the spool really spilled" true (spills > 0)
+  check Alcotest.bool "a checkpoint was really written" true (writes > 0)
 
 (* Random programs are small, so the checkpointing leg writes every 5
    configurations instead of every 500 — otherwise it would never
    write at all. *)
 let prop_random_monitor_counts =
-  QCheck.Test.make ~name:"random Monitor: spool and checkpoint keep counts"
+  QCheck.Test.make ~name:"random Monitor: checkpoint keeps counts"
     ~count:25 Gen_csp.monitor_arb (fun prog ->
       ignore (assert_same_counts ~every:5 "random monitor" (mon prog));
       true)
 
 let prop_random_csp_counts =
-  QCheck.Test.make ~name:"random CSP: spool and checkpoint keep counts" ~count:25
+  QCheck.Test.make ~name:"random CSP: checkpoint keeps counts" ~count:25
     Gen_csp.prog_arb (fun prog ->
       ignore (assert_same_counts ~every:5 "random csp" (csp prog));
       true)
@@ -756,14 +633,19 @@ let prop_faulted_runs_sound =
         (fun (seed, period) ->
           with_disarmed (fun () ->
               T.reset ();
-              arm_exn (Printf.sprintf "%d:%d:alloc,spill-io" seed period);
+              arm_exn (Printf.sprintf "%d:%d:alloc,checkpoint-io" seed period);
+              let ck = temp_ckpt () in
               let res =
                 { Explore.no_resilience with
                   bitstate = Some (Bitstate.create ~bits:14 ());
-                  spool = Some (Spool.policy ~chunk:4 ~watermark_mb:0 ())
+                  checkpoint = Some (Checkpoint.ctl ~every:5 ck)
                 }
               in
-              let o = Csp.explore ~resilience:res prog in
+              let o =
+                Fun.protect
+                  ~finally:(fun () -> if Sys.file_exists ck then Sys.remove ck)
+                  (fun () -> Csp.explore ~resilience:res prog)
+              in
               let comps = fpset o.Csp.computations in
               let dead = fpset o.Csp.deadlocks in
               let subset xs ys = List.for_all (fun x -> List.mem x ys) xs in
@@ -790,14 +672,6 @@ let () =
           Alcotest.test_case "snapshot round-trip" `Quick test_bitstate_snapshot_roundtrip;
           Alcotest.test_case "bits validated" `Quick test_bitstate_bits_validated;
         ] );
-      ( "spool",
-        [
-          Alcotest.test_case "LIFO parity across spills" `Quick test_spool_lifo_parity;
-          Alcotest.test_case "elements non-destructive" `Quick
-            test_spool_elements_nondestructive;
-          Alcotest.test_case "no-spill policy" `Quick test_spool_no_spill_policy;
-          Alcotest.test_case "I/O fault degrades" `Quick test_spool_fault_degrades;
-        ] );
       ( "faults",
         [
           Alcotest.test_case "spec parsing" `Quick test_faults_parse;
@@ -823,12 +697,6 @@ let () =
           Alcotest.test_case "parity matrix" `Quick test_bitstate_parity_matrix;
           Alcotest.test_case "saturated run inconclusive" `Quick
             test_bitstate_saturated_run_is_inconclusive;
-        ] );
-      ( "spool-engine",
-        [
-          Alcotest.test_case "parity" `Quick test_spool_engine_parity;
-          Alcotest.test_case "fault inconclusive" `Quick
-            test_spool_engine_fault_is_inconclusive;
         ] );
       ( "checkpoint-engine",
         [

@@ -913,6 +913,43 @@ let test_handler_survives_faults () =
   let header, _ = handle_check h "rw readers=1 writers=1" in
   check Alcotest.int "recovers after disarm" 0 (code_of header)
 
+(* A run stopped at the heap watermark depends on load, so the daemon
+   keeps it out of both caches. The alloc fault stands in for a crossing
+   (it fires because bitstate= is a resilience option): a repeat is
+   computed again, a miss and not a hit. Once the fault is gone, the
+   request is computed once and then served from the cache. *)
+let test_handler_memory_stop_uncached () =
+  let line = "rw readers=1 writers=1 bitstate=16" in
+  let h = Handler.create ~cache_size:4 () in
+  let entries cache =
+    let stats = Handler.stats_body h in
+    match find_sub stats (Printf.sprintf {|"%s"|} cache) with
+    | Some i -> Client.field_int (String.sub stats i (String.length stats - i)) "entries"
+    | None -> Alcotest.failf "no %s stats in %s" cache stats
+  in
+  (match Faults.arm "1:1:alloc" with
+  | Error e -> Alcotest.failf "arm: %s" e
+  | Ok () -> ());
+  Fun.protect ~finally:Faults.disarm (fun () ->
+      List.iter
+        (fun what ->
+          let header, body = handle_check h line in
+          check Alcotest.bool (what ^ ": memory-watermark") true
+            (contains body {|"kind":"memory-watermark"|});
+          check Alcotest.string (what ^ ": computed") "miss" (provenance_of header))
+        [ "first"; "repeat" ];
+      check (Alcotest.option Alcotest.int) "no verdict kept" (Some 0)
+        (entries "verdicts");
+      check (Alcotest.option Alcotest.int) "no exploration kept" (Some 0)
+        (entries "explorations"));
+  List.iter
+    (fun provenance ->
+      let header, body = handle_check h line in
+      check Alcotest.string "after disarm" provenance (provenance_of header);
+      check Alcotest.bool "bitstate verdict" true
+        (contains body "bitstate-collision-risk"))
+    [ "miss"; "hit" ]
+
 (* ------------------------------------------------------------------ *)
 (* Socket server, end to end                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1253,6 +1290,8 @@ let () =
             test_handler_timeout_uncached;
           Alcotest.test_case "stats carry layer totals" `Quick
             test_handler_stats_totals;
+          Alcotest.test_case "memory stop uncached" `Quick
+            test_handler_memory_stop_uncached;
           Alcotest.test_case "survives fault injection" `Quick
             test_handler_survives_faults;
         ] );

@@ -332,6 +332,13 @@ let prop_request_roundtrip =
     (QCheck.make request_gen ~print:R.to_line)
     (fun r -> R.parse (R.to_line r) = Ok r)
 
+(* A restriction renders on one line, however long: [Request.to_line]
+   writes it into a one-line request. *)
+let prop_formula_one_line =
+  QCheck.Test.make ~name:"to_string has no newline" ~count:500
+    (QCheck.make formula_gen ~print:(fun f -> Printf.sprintf "%S" (F.to_string f)))
+    (fun f -> not (String.contains (F.to_string f) '\n'))
+
 (* The daemon reads one request per line. *)
 let prop_request_one_line =
   QCheck.Test.make ~name:"to_line r has no newline" ~count:2000
@@ -562,6 +569,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_formula_total;
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
           QCheck_alcotest.to_alcotest prop_request_one_line;
+          QCheck_alcotest.to_alcotest prop_formula_one_line;
         ] );
       ( "spec",
         [

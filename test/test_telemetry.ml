@@ -167,53 +167,41 @@ let conservation_tests =
       ("source", Explore.Source_sets, [ (1, 1); (8, 64) ]);
     ]
 
-(* The same invariant on the walk's other frontiers: a spool that
-   spills every few tasks, and a checkpoint every 100 configurations.
-   Each grid point must really use its frontier. The plain walk runs on
-   rw 1r1w, which is large enough to spill and checkpoint without
-   reduction and keeps the cell fast. *)
+(* The same invariant on a walk that checkpoints every 100
+   configurations. Each grid point must really write a checkpoint. The
+   plain walk runs on rw 1r1w, which is large enough to checkpoint
+   without reduction and keeps the cell fast. *)
 let test_conservation_grid () =
   let ck = Filename.temp_file "gem_telemetry" ".ckpt" in
+  let resilience =
+    {
+      Explore.no_resilience with
+      checkpoint = Some (Gem_check.Checkpoint.ctl ~every:100 ck);
+    }
+  in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists ck then Sys.remove ck)
     (fun () ->
       List.iter
         (fun (name, reduction, prog) ->
-          List.iter
-            (fun (frontier, resilience, used) ->
-              with_telemetry (fun () ->
-                  let o = Monitor.explore ~reduction ~resilience prog in
-                  let tag what = Printf.sprintf "%s %s: %s" name frontier what in
-                  Alcotest.(check int)
-                    (tag "telemetry explored = result explored")
-                    o.Monitor.explored
-                    (T.read T.Configs_explored);
-                  Alcotest.(check int)
-                    (tag "telemetry reduced = result reduced")
-                    o.Monitor.reduced
-                    (T.read T.Configs_reduced);
-                  Alcotest.(check int)
-                    (tag "reduced = sleep prunes + memo hits + source prunes")
-                    (T.read T.Sleep_prunes + T.read T.Memo_hits
-                   + T.read T.Source_prunes)
-                    (T.read T.Configs_reduced);
-                  Alcotest.(check bool) (tag "frontier used") true
-                    (T.read used > 0)))
-            [
-              ( "spool",
-                {
-                  Explore.no_resilience with
-                  spool =
-                    Some (Gem_check.Spool.policy ~chunk:2 ~watermark_mb:0 ());
-                },
-                T.Spill_chunks );
-              ( "checkpoint",
-                {
-                  Explore.no_resilience with
-                  checkpoint = Some (Gem_check.Checkpoint.ctl ~every:100 ck);
-                },
-                T.Checkpoint_writes );
-            ])
+          with_telemetry (fun () ->
+              let o = Monitor.explore ~reduction ~resilience prog in
+              let tag what = Printf.sprintf "%s checkpoint: %s" name what in
+              Alcotest.(check int)
+                (tag "telemetry explored = result explored")
+                o.Monitor.explored
+                (T.read T.Configs_explored);
+              Alcotest.(check int)
+                (tag "telemetry reduced = result reduced")
+                o.Monitor.reduced
+                (T.read T.Configs_reduced);
+              Alcotest.(check int)
+                (tag "reduced = sleep prunes + memo hits + source prunes")
+                (T.read T.Sleep_prunes + T.read T.Memo_hits
+               + T.read T.Source_prunes)
+                (T.read T.Configs_reduced);
+              Alcotest.(check bool) (tag "checkpoint written") true
+                (T.read T.Checkpoint_writes > 0)))
         [
           ("por=true", Explore.Sleep_sets, rw 2 1);
           ("por=false", Explore.No_reduction, rw 1 1);
