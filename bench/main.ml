@@ -1,23 +1,26 @@
-(* Benchmark harness: one Bechamel test per reproduction experiment
-   (DESIGN.md §4 / EXPERIMENTS.md). The paper reports no performance
-   tables, so these benches measure the cost of each mechanized
-   claim-check — workload generation is done up front, the timed kernel is
-   the exploration/checking work.
+(* Benchmark harness: the gates that hold the exploration and checking
+   layers to their counts and overhead bounds. Each mode writes one
+   BENCH_*.json in the current directory; a run with no flag runs every
+   mode.
 
-   Run with: dune exec bench/main.exe
+   Run with: dune exec bench/main.exe [-- MODE]
 
-   `dune exec bench/main.exe -- --budget-only` skips the Bechamel suite
-   and only measures budget-accounting overhead (writes BENCH_budget.json
-   in the current directory) — cheap enough for CI.
-
-   `dune exec bench/main.exe -- --dpor-only` only compares states
-   explored across the three reduction engines (--reduction
-   none/sleep/source; writes BENCH_dpor.json, which the CI bench gate
-   reads: source must never explore more than sleep, with identical
-   fingerprint multisets on completed rows). *)
-
-open Bechamel
-open Toolkit
+   --budget-only     budget-accounting overhead on the E14 check
+                     (BENCH_budget.json) — cheap enough for CI
+   --dpor-only       states explored by the three reduction engines
+                     (--reduction none/sleep/source; BENCH_dpor.json,
+                     which the CI bench gate reads: source must never
+                     explore more than sleep, with identical fingerprint
+                     multisets on completed rows, and the rows must equal
+                     the committed file's)
+   --keys-only       exact keys vs fingerprints, and the collisions the
+                     exact-key audit finds (BENCH_keys.json)
+   --stats-only, --quick --stats
+                     the deterministic telemetry counters
+                     (BENCH_stats.json, BENCH_stats_golden.json)
+   --telemetry-only  telemetry overhead (BENCH_telemetry.json)
+   --bitstate-only   bitstate capacity (BENCH_bitstate.json)
+   --serve-only      the daemon's cache speedup (BENCH_serve.json) *)
 
 (* [open Gem] shadows the systhreads [Thread] with the specification
    layer's event-thread module; keep the OS one reachable for the serve
@@ -58,70 +61,16 @@ let provenance_fields =
   Printf.sprintf {|"schema_version":%d,"git_rev":"%s"|} bench_schema_version
     git_rev
 
-(* The bench budget replaces the old hard-coded
-   [Strategy.Linearizations (Some 200)]: the run cap is now a budget knob
-   and the strategy is derived from it. *)
-let bench_budget = Budget.make ~max_runs:200 ()
-let strategy = Strategy.of_budget bench_budget
-
 (* ------------------------------------------------------------------ *)
 (* Pre-built workloads                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let tick_etype = Etype.make "Tick" ~events:[ { Etype.klass = "Tick"; schema = [] } ] ()
-
-let random_computation n =
-  let rng = Random.State.make [| 7; n |] in
-  let b = Build.create () in
-  let handles =
-    Array.init n (fun _ ->
-        Build.emit b ~element:(Printf.sprintf "X%d" (Random.State.int rng 4)) ~klass:"Tick" ())
-  in
-  for j = 1 to n - 1 do
-    if Random.State.int rng 3 = 0 then
-      Build.enable b handles.(Random.State.int rng j) handles.(j)
-  done;
-  for i = 0 to 3 do
-    Build.declare_element b (Printf.sprintf "X%d" i)
-  done;
-  Build.finish b
-
-let legality_spec =
-  Spec.make "random" ~elements:(List.init 4 (fun i -> (Printf.sprintf "X%d" i, tick_etype))) ()
-
-let rand10 = random_computation 10
-let rand50 = random_computation 50
-let rand100 = random_computation 100
-
-let diamond =
-  let b = Build.create () in
-  let e1 = Build.emit b ~element:"E1" ~klass:"A" () in
-  let e2 = Build.emit_enabled_by b ~by:e1 ~element:"E2" ~klass:"B" () in
-  let e3 = Build.emit_enabled_by b ~by:e1 ~element:"E3" ~klass:"C" () in
-  let e4 = Build.emit_enabled_by b ~by:e2 ~element:"E4" ~klass:"D" () in
-  Build.enable b e3 e4;
-  Build.finish b
-
-let chains k =
-  let b = Build.create () in
-  for i = 0 to k - 1 do
-    let a = Build.emit b ~element:(Printf.sprintf "C%d" i) ~klass:"Tick" () in
-    ignore (Build.emit_enabled_by b ~by:a ~element:(Printf.sprintf "C%d" i) ~klass:"Tick" ())
-  done;
-  Build.finish b
-
-let chains4 = chains 4
 
 let rw_program readers writers =
   Readers_writers.program ~monitor:Readers_writers.paper_monitor ~readers ~writers
 
 let rw11 = rw_program 1 1
-let rw21 = rw_program 2 1
-let rw11_comps = (Monitor.explore rw11).Monitor.computations
 let rw11_spec = Monitor.language_spec rw11
-
-let rw11_problem v =
-  Readers_writers.spec v ~users:(Readers_writers.user_names ~readers:1 ~writers:1)
+let rw_one_comp = Explore.run_one ~seed:5 (Monitor.lang rw11)
 
 let buffer_monitor_program =
   Buffer_problem.monitor_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2
@@ -132,12 +81,6 @@ let buffer_csp_program =
 let buffer_ada_program =
   Buffer_problem.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2
 
-let bounded2_program =
-  Buffer_problem.monitor_solution ~capacity:2 ~producers:2 ~consumers:1 ~items_each:1
-
-let rw_one_comp = Monitor.run_one ~seed:5 rw11
-let blinker = [ (1, 0); (1, 1); (1, 2) ]
-
 let rwd_csp = Rw_distributed.csp_program ~readers:1 ~writers:1
 let rwd_ada = Rw_distributed.ada_program ~readers:1 ~writers:1
 
@@ -147,143 +90,9 @@ let rwd_ada = Rw_distributed.ada_program ~readers:1 ~writers:1
 let fp_move_a = { Explore.label = "a"; touches = [ "A"; "C"; "E"; "G" ] }
 let fp_move_b = { Explore.label = "b"; touches = [ "B"; "D"; "F"; "H" ] }
 
-let rwd_problem =
-  let rnames, wnames = Rw_distributed.user_names ~readers:1 ~writers:1 in
-  Rw_distributed.spec ~readers:rnames ~writers:wnames
 let finish_write = Formula.(eventually (exists [ ("x", Cls "FinishWrite") ] (occurred "x")))
 
-let priority_text =
-  Formula.to_string
-    (Gem.Abbrev.priority ~thread:"piRW"
-       ~req_hi:(Formula.Cls_at ("control", "ReqRead"))
-       ~start_hi:(Formula.Cls_at ("control", "StartRead"))
-       ~req_lo:(Formula.Cls_at ("control", "ReqWrite"))
-       ~start_lo:(Formula.Cls_at ("control", "StartWrite")))
-
-let life_poset =
-  Computation.temporal_exn (Life.build ~width:4 ~height:4 ~generations:2 ~alive:blinker)
-
-(* ------------------------------------------------------------------ *)
-(* One test per experiment                                             *)
-(* ------------------------------------------------------------------ *)
-
-let t name f = Test.make ~name (Staged.stage f)
-
-let tests =
-  [
-    (* E1 *)
-    t "legality/random-10" (fun () -> ignore (Legality.check legality_spec rand10));
-    t "legality/random-50" (fun () -> ignore (Legality.check legality_spec rand50));
-    t "legality/random-100" (fun () -> ignore (Legality.check legality_spec rand100));
-    (* E2 *)
-    t "vhs/diamond-enumerate" (fun () -> ignore (Vhs.all diamond));
-    t "vhs/count-4-chains" (fun () ->
-        ignore (Linext.count_step_sequences (Computation.temporal_exn chains4)));
-    t "vhs/histories-diamond" (fun () -> ignore (History.all diamond));
-    (* E3 *)
-    t "monitor/explore-rw-1r1w" (fun () -> ignore (Monitor.explore rw11));
-    t "monitor/entries-seq-check" (fun () ->
-        List.iter (fun c -> ignore (Check.check rw11_spec c)) rw11_comps);
-    (* E4 *)
-    t "csp/io-sync" (fun () ->
-        let o = Csp.explore buffer_csp_program in
-        let spec = Csp.language_spec buffer_csp_program in
-        List.iter (fun c -> ignore (Check.check spec c)) o.Csp.computations);
-    (* E5 *)
-    t "ada/rendezvous" (fun () ->
-        let o = Ada.explore buffer_ada_program in
-        let spec = Ada.language_spec buffer_ada_program in
-        List.iter (fun c -> ignore (Check.check spec c)) o.Ada.computations);
-    (* E6 *)
-    t "buffer/one-slot-monitor" (fun () ->
-        let o = Monitor.explore buffer_monitor_program in
-        ignore
-          (Refine.sat_ok ~strategy ~problem:(Buffer_problem.spec ~capacity:1)
-             ~map:Buffer_problem.monitor_correspondence o.Monitor.computations));
-    t "buffer/one-slot-csp" (fun () ->
-        let o = Csp.explore buffer_csp_program in
-        ignore
-          (Refine.sat_ok ~strategy ~problem:(Buffer_problem.spec ~capacity:1)
-             ~map:Buffer_problem.csp_correspondence o.Csp.computations));
-    t "buffer/one-slot-ada" (fun () ->
-        let o = Ada.explore buffer_ada_program in
-        ignore
-          (Refine.sat_ok ~strategy ~problem:(Buffer_problem.spec ~capacity:1)
-             ~map:Buffer_problem.ada_correspondence o.Ada.computations));
-    (* E7 *)
-    t "buffer/bounded-2" (fun () ->
-        let o = Monitor.explore bounded2_program in
-        ignore
-          (Refine.sat_ok ~strategy ~problem:(Buffer_problem.spec ~capacity:2)
-             ~map:Buffer_problem.monitor_correspondence o.Monitor.computations));
-    (* E8 *)
-    t "rw/spec-free-for-all" (fun () ->
-        ignore
-          (Refine.sat_ok ~strategy ~edges:Refine.Actor_paths
-             ~problem:(rw11_problem Readers_writers.Free_for_all)
-             ~map:Readers_writers.correspondence rw11_comps));
-    (* E9 *)
-    t "rw/readers-priority" (fun () ->
-        ignore
-          (Refine.sat_ok ~strategy ~edges:Refine.Actor_paths
-             ~problem:(rw11_problem Readers_writers.Readers_priority)
-             ~map:Readers_writers.correspondence rw11_comps));
-    t "rw/explore-2r1w" (fun () -> ignore (Monitor.explore rw21));
-    (* E10 *)
-    t "db/update-2-sites" (fun () -> ignore (Db_update.check ~sites:2 ()));
-    (* E11 *)
-    t "life/async-4x4x2" (fun () ->
-        let comp = Life.build ~width:4 ~height:4 ~generations:2 ~alive:blinker in
-        ignore
-          (Check.holds (Life.spec ~width:4 ~height:4) comp
-             (Life.matches_reference ~width:4 ~height:4 ~generations:2 ~alive:blinker)));
-    (* E12 *)
-    t "thread/label-rw" (fun () ->
-        List.iter
-          (fun c ->
-            ignore (Spec.label_threads (rw11_problem Readers_writers.Free_for_all) c))
-          (List.filter_map
-             (fun c ->
-               Result.to_option
-                 (Refine.project ~edges:Refine.Actor_paths Readers_writers.correspondence c
-                    ~elements:(rw11_problem Readers_writers.Free_for_all).Spec.elements
-                    ~groups:[]))
-             rw11_comps));
-    (* E15 *)
-    t "rwd/csp-readers-priority" (fun () ->
-        let o = Csp.explore rwd_csp in
-        ignore
-          (Refine.sat_ok ~strategy ~problem:rwd_problem
-             ~map:Rw_distributed.csp_correspondence o.Csp.computations));
-    t "rwd/ada-readers-priority" (fun () ->
-        let o = Ada.explore rwd_ada in
-        ignore
-          (Refine.sat_ok ~strategy ~problem:rwd_problem
-             ~map:Rw_distributed.ada_correspondence o.Ada.computations));
-    (* concrete syntax *)
-    t "syntax/parse-priority" (fun () ->
-        match Parser.parse_formula priority_text with
-        | Ok _ -> ()
-        | Error m -> failwith m);
-    (* order substrate *)
-    t "order/width-life-4x4x2" (fun () -> ignore (Poset.width life_poset));
-    (* search-key substrate *)
-    t "explore/footprint-checks" (fun () ->
-        ignore (Explore.independent fp_move_a fp_move_b));
-    (* E14 *)
-    t "ablate/exhaustive-vhs" (fun () ->
-        ignore
-          (Check.check_formula ~strategy:(Strategy.Exhaustive_vhs (Some 2000)) rw11_spec
-             rw_one_comp ~name:"p" finish_write));
-    t "ablate/linearizations" (fun () ->
-        ignore
-          (Check.check_formula ~strategy:(Strategy.Linearizations (Some 2000)) rw11_spec
-             rw_one_comp ~name:"p" finish_write));
-    t "ablate/sampled-50" (fun () ->
-        ignore
-          (Check.check_formula ~strategy:(Strategy.Sampled { seed = 3; count = 50 })
-             rw11_spec rw_one_comp ~name:"p" finish_write));
-  ]
+let fps comps = List.map Explore.fingerprint comps
 
 (* ------------------------------------------------------------------ *)
 (* Budget-accounting overhead (E14 workload)                           *)
@@ -362,39 +171,25 @@ let dpor_cap = 200_000
 let dpor_wide_cap = 1_000_000
 
 let dpor_workloads =
-  let mon name cap program =
+  let row name cap lang =
     ( name, cap,
       fun reduction max_configs ->
-        let o = Monitor.explore ~reduction ~max_configs program in
-        ( o.Monitor.explored, o.Monitor.reduced,
-          List.sort compare (List.map Explore.fingerprint o.Monitor.computations),
-          o.Monitor.exhausted = None ) )
-  and csp name cap program =
-    ( name, cap,
-      fun reduction max_configs ->
-        let o = Csp.explore ~reduction ~max_configs program in
-        ( o.Csp.explored, o.Csp.reduced,
-          List.sort compare (List.map Explore.fingerprint o.Csp.computations),
-          o.Csp.exhausted = None ) )
-  and ada name cap program =
-    ( name, cap,
-      fun reduction max_configs ->
-        let o = Ada.explore ~reduction ~max_configs program in
-        ( o.Ada.explored, o.Ada.reduced,
-          List.sort compare (List.map Explore.fingerprint o.Ada.computations),
-          o.Ada.exhausted = None ) )
+        let o = Explore.explore ~reduction ~max_configs lang in
+        ( o.Explore.explored, o.Explore.reduced,
+          List.sort compare (fps o.Explore.computations),
+          o.Explore.exhausted = None ) )
   in
   [
-    mon "rw-monitor-1r1w" dpor_cap (rw_program 1 1);
-    mon "rw-monitor-2r1w" dpor_cap (rw_program 2 1);
-    mon "rw-monitor-3r1w" dpor_cap (rw_program 3 1);
-    mon "buffer-monitor-1p1c2i" dpor_cap buffer_monitor_program;
-    csp "buffer-csp-1p1c2i" dpor_cap buffer_csp_program;
-    ada "buffer-ada-1p1c2i" dpor_cap buffer_ada_program;
-    csp "rwd-csp-1r1w" dpor_cap rwd_csp;
-    ada "rwd-ada-1r1w" dpor_cap rwd_ada;
-    ada "rwd-ada-2r1w" dpor_wide_cap
-      (Rw_distributed.ada_program ~readers:2 ~writers:1);
+    row "rw-monitor-1r1w" dpor_cap (Monitor.lang (rw_program 1 1));
+    row "rw-monitor-2r1w" dpor_cap (Monitor.lang (rw_program 2 1));
+    row "rw-monitor-3r1w" dpor_cap (Monitor.lang (rw_program 3 1));
+    row "buffer-monitor-1p1c2i" dpor_cap (Monitor.lang buffer_monitor_program);
+    row "buffer-csp-1p1c2i" dpor_cap (Csp.lang buffer_csp_program);
+    row "buffer-ada-1p1c2i" dpor_cap (Ada.lang buffer_ada_program);
+    row "rwd-csp-1r1w" dpor_cap (Csp.lang rwd_csp);
+    row "rwd-ada-1r1w" dpor_cap (Ada.lang rwd_ada);
+    row "rwd-ada-2r1w" dpor_wide_cap
+      (Ada.lang (Rw_distributed.ada_program ~readers:2 ~writers:1));
     ( "db-update-2-sites", dpor_cap,
       fun reduction max_configs ->
         (* Db_update reports computation counts, not fingerprints; the
@@ -464,43 +259,21 @@ let dpor_report () =
 module T = Telemetry
 
 let keys_workloads =
+  let row name lang =
+    ( name,
+      fun ~exact ~audit ->
+        let o =
+          Explore.explore ~reduction:Explore.Sleep_sets ~exact_keys:exact
+            ~audit_keys:audit lang
+        in
+        ( o.Explore.explored, o.Explore.exhausted = None,
+          fps o.Explore.computations @ fps o.Explore.deadlocks ) )
+  in
   [
-    ( "rw-monitor-2r1w",
-      fun ~exact ~audit ->
-        let o =
-          Monitor.explore ~reduction:Explore.Sleep_sets ~exact_keys:exact
-            ~audit_keys:audit (rw_program 2 1)
-        in
-        (o.Monitor.explored, o.Monitor.exhausted = None,
-         List.map Explore.fingerprint o.Monitor.computations
-         @ List.map Explore.fingerprint o.Monitor.deadlocks) );
-    ( "buffer-ada-1p1c2i",
-      fun ~exact ~audit ->
-        let o =
-          Ada.explore ~reduction:Explore.Sleep_sets ~exact_keys:exact ~audit_keys:audit
-            buffer_ada_program
-        in
-        (o.Ada.explored, o.Ada.exhausted = None,
-         List.map Explore.fingerprint o.Ada.computations
-         @ List.map Explore.fingerprint o.Ada.deadlocks) );
-    ( "rwd-ada-1r1w",
-      fun ~exact ~audit ->
-        let o =
-          Ada.explore ~reduction:Explore.Sleep_sets ~exact_keys:exact ~audit_keys:audit
-            rwd_ada
-        in
-        (o.Ada.explored, o.Ada.exhausted = None,
-         List.map Explore.fingerprint o.Ada.computations
-         @ List.map Explore.fingerprint o.Ada.deadlocks) );
-    ( "buffer-csp-1p1c2i",
-      fun ~exact ~audit ->
-        let o =
-          Csp.explore ~reduction:Explore.Sleep_sets ~exact_keys:exact ~audit_keys:audit
-            buffer_csp_program
-        in
-        (o.Csp.explored, o.Csp.exhausted = None,
-         List.map Explore.fingerprint o.Csp.computations
-         @ List.map Explore.fingerprint o.Csp.deadlocks) );
+    row "rw-monitor-2r1w" (Monitor.lang (rw_program 2 1));
+    row "buffer-ada-1p1c2i" (Ada.lang buffer_ada_program);
+    row "rwd-ada-1r1w" (Ada.lang rwd_ada);
+    row "buffer-csp-1p1c2i" (Csp.lang buffer_csp_program);
   ]
 
 let keys_report () =
@@ -589,43 +362,28 @@ let keys_report () =
    to catch silent search-space or enumeration drift. *)
 
 let stats_workloads =
+  let row name lang ?edges ~problem ~map () =
+    ( name,
+      fun () ->
+        let o = Explore.explore ~reduction:Explore.Sleep_sets lang in
+        ignore
+          (Refine.sat_ok ~strategy:(Strategy.Linearizations (Some 200)) ~jobs:1 ?edges
+             ~problem ~map o.Explore.computations);
+        (List.length o.Explore.computations, List.length o.Explore.deadlocks) )
+  in
+  let buffer_problem = Buffer_problem.spec ~capacity:1 in
   [
-    ( "rw-monitor-2r1w",
-      fun () ->
-        let o = Monitor.explore ~reduction:Explore.Sleep_sets (rw_program 2 1) in
-        let problem =
-          Readers_writers.spec Readers_writers.Free_for_all
-            ~users:(Readers_writers.user_names ~readers:2 ~writers:1)
-        in
-        ignore
-          (Refine.sat_ok ~strategy:(Strategy.Linearizations (Some 200)) ~jobs:1
-             ~edges:Refine.Actor_paths ~problem
-             ~map:Readers_writers.correspondence o.Monitor.computations);
-        (List.length o.Monitor.computations, List.length o.Monitor.deadlocks) );
-    ( "buffer-monitor-1p1c2i",
-      fun () ->
-        let o = Monitor.explore ~reduction:Explore.Sleep_sets buffer_monitor_program in
-        ignore
-          (Refine.sat_ok ~strategy:(Strategy.Linearizations (Some 200)) ~jobs:1
-             ~problem:(Buffer_problem.spec ~capacity:1)
-             ~map:Buffer_problem.monitor_correspondence o.Monitor.computations);
-        (List.length o.Monitor.computations, List.length o.Monitor.deadlocks) );
-    ( "buffer-csp-1p1c2i",
-      fun () ->
-        let o = Csp.explore ~reduction:Explore.Sleep_sets buffer_csp_program in
-        ignore
-          (Refine.sat_ok ~strategy:(Strategy.Linearizations (Some 200)) ~jobs:1
-             ~problem:(Buffer_problem.spec ~capacity:1)
-             ~map:Buffer_problem.csp_correspondence o.Csp.computations);
-        (List.length o.Csp.computations, List.length o.Csp.deadlocks) );
-    ( "buffer-ada-1p1c2i",
-      fun () ->
-        let o = Ada.explore ~reduction:Explore.Sleep_sets buffer_ada_program in
-        ignore
-          (Refine.sat_ok ~strategy:(Strategy.Linearizations (Some 200)) ~jobs:1
-             ~problem:(Buffer_problem.spec ~capacity:1)
-             ~map:Buffer_problem.ada_correspondence o.Ada.computations);
-        (List.length o.Ada.computations, List.length o.Ada.deadlocks) );
+    row "rw-monitor-2r1w" (Monitor.lang (rw_program 2 1)) ~edges:Refine.Actor_paths
+      ~problem:
+        (Readers_writers.spec Readers_writers.Free_for_all
+           ~users:(Readers_writers.user_names ~readers:2 ~writers:1))
+      ~map:Readers_writers.correspondence ();
+    row "buffer-monitor-1p1c2i" (Monitor.lang buffer_monitor_program)
+      ~problem:buffer_problem ~map:Buffer_problem.monitor_correspondence ();
+    row "buffer-csp-1p1c2i" (Csp.lang buffer_csp_program) ~problem:buffer_problem
+      ~map:Buffer_problem.csp_correspondence ();
+    row "buffer-ada-1p1c2i" (Ada.lang buffer_ada_program) ~problem:buffer_problem
+      ~map:Buffer_problem.ada_correspondence ();
   ]
 
 let stats_report () =
@@ -840,14 +598,12 @@ let bitstate_report () =
       ~terminated:(fun c -> c = (w * w) - 1)
       0
   in
-  let db4 = Db_update.program ~sites:4 in
+  let db4 = Csp.lang (Db_update.program ~sites:4) in
   let _, db_row =
     bitstate_row ~name:"db-update-4-sites" ~bits:22 ~max_configs:2_000_000
       ~max_steps:10_000
-      ~key:(fun c -> Explore.Fp (Csp.config_fp db4 c))
-      ~moves:(fun c -> List.map snd (Csp.config_moves c))
-      ~terminated:Csp.config_terminated
-      (Csp.initial_config db4)
+      ~key:(fun c -> Explore.Fp (db4.fp_key c))
+      ~moves:(Explore.moves db4) ~terminated:db4.terminated db4.init
   in
   let met = grid_explored >= bitstate_target in
   Printf.printf "capacity target: %d configs through a bounded table — %s\n%!"
@@ -861,48 +617,6 @@ let bitstate_report () =
        (String.concat ",\n  " [ grid_row; db_row ]));
   close_out oc;
   Printf.printf "wrote BENCH_bitstate.json\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* Differential fuzz throughput: BENCH_fuzz.json                       *)
-(* ------------------------------------------------------------------ *)
-
-(* How fast the 9-cell differential oracle chews through random
-   instances — the number EXPERIMENTS.md quotes and the knob for sizing
-   the CI fuzz leg's --time-budget. Seeds are fixed, so the instance
-   streams (and the zero-disagreements assertion) are reproducible; only
-   the wall numbers vary by host. *)
-let fuzz_report () =
-  let row seed iters =
-    let o = Fuzz.Driver.run ~seed ~iters () in
-    (match o.Fuzz.Driver.o_failure with
-    | None -> ()
-    | Some f ->
-        Printf.eprintf "fuzz bench found a real disagreement (seed %d):\n  %s\n%!"
-          seed
-          (Fuzz.Case.to_string f.Fuzz.Driver.f_shrunk);
-        exit 1);
-    let per_instance = o.Fuzz.Driver.o_elapsed /. float_of_int o.Fuzz.Driver.o_ran in
-    Printf.printf
-      "fuzz seed=%d: %d instances x %d cells in %.2fs (%.1f inst/s, %.0f configs/s)\n%!"
-      seed o.Fuzz.Driver.o_ran o.Fuzz.Driver.o_cells o.Fuzz.Driver.o_elapsed
-      (1. /. per_instance)
-      (float_of_int o.Fuzz.Driver.o_explored /. o.Fuzz.Driver.o_elapsed);
-    Printf.sprintf
-      {|{"seed":%d,"iters":%d,"cells":%d,"explored":%d,"disagreements":0,"wall_s":%.6f,"instances_per_sec":%.2f,"configs_per_sec":%.1f}|}
-      seed o.Fuzz.Driver.o_ran o.Fuzz.Driver.o_cells o.Fuzz.Driver.o_explored
-      o.Fuzz.Driver.o_elapsed
-      (float_of_int o.Fuzz.Driver.o_ran /. o.Fuzz.Driver.o_elapsed)
-      (float_of_int o.Fuzz.Driver.o_explored /. o.Fuzz.Driver.o_elapsed)
-  in
-  let r42 = row 42 100 in
-  let r7 = row 7 100 in
-  let rows = [ r42; r7 ] in
-  let oc = open_out "BENCH_fuzz.json" in
-  output_string oc
-    (Printf.sprintf "{%s,\"rows\":[\n  %s\n]}\n" provenance_fields
-       (String.concat ",\n  " rows));
-  close_out oc;
-  Printf.printf "wrote BENCH_fuzz.json\n%!"
 
 (* ------------------------------------------------------------------ *)
 (* Checking-daemon round trips: BENCH_serve.json                       *)
@@ -1004,33 +718,6 @@ let serve_report () =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run_bechamel () =
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false () in
-  Printf.printf "%-28s %16s %10s\n" "benchmark" "time/run" "r^2";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let time_ns =
-            match Analyze.OLS.estimates ols_result with
-            | Some [ estimate ] -> estimate
-            | Some _ | None -> nan
-          in
-          let r2 = Option.value ~default:nan (Analyze.OLS.r_square ols_result) in
-          let pretty =
-            if time_ns >= 1e9 then Printf.sprintf "%10.3f s " (time_ns /. 1e9)
-            else if time_ns >= 1e6 then Printf.sprintf "%9.3f ms " (time_ns /. 1e6)
-            else if time_ns >= 1e3 then Printf.sprintf "%9.3f us " (time_ns /. 1e3)
-            else Printf.sprintf "%9.1f ns " time_ns
-          in
-          Printf.printf "%-28s %16s %10.4f\n%!" name pretty r2)
-        analyzed)
-    tests
-
 let () =
   let has flag = Array.exists (String.equal flag) Sys.argv in
   if has "--telemetry-only" then telemetry_overhead_report ()
@@ -1040,16 +727,13 @@ let () =
   else if has "--keys-only" then keys_report ()
   else if has "--bitstate-only" then bitstate_report ()
   else if has "--budget-only" then budget_overhead_report ()
-  else if has "--fuzz-only" then fuzz_report ()
   else if has "--serve-only" then serve_report ()
   else begin
-    run_bechamel ();
     budget_overhead_report ();
     dpor_report ();
     keys_report ();
     stats_report ();
     telemetry_overhead_report ();
     bitstate_report ();
-    fuzz_report ();
     serve_report ()
   end

@@ -36,9 +36,20 @@ open Gem
 (* Budget flags, shared by every verification subcommand               *)
 (* ------------------------------------------------------------------ *)
 
+(* Seconds >= 0. NaN fails the comparison, so it is refused too: a
+   deadline of now + NaN would never pass. *)
+let seconds_conv =
+  let parse s =
+    match float_of_string_opt (String.trim s) with
+    | Some f when f >= 0. -> Ok f
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "%S is not a valid duration (expected seconds >= 0)" s))
+  in
+  Arg.conv ~docv:"SECS" (parse, Format.pp_print_float)
+
 let budget_term =
   let timeout =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some seconds_conv) None
          & info [ "timeout" ] ~docv:"SECS"
              ~doc:"Wall-clock budget in seconds. Exhaustion degrades to an \
                    inconclusive verdict (exit 2) instead of running forever.")
@@ -355,6 +366,15 @@ let restrict_term =
 let runner_opts ~reduction ~exact_keys ~audit_keys ~jobs ~resilience =
   { Runner.reduction; exact_keys; audit_keys; jobs; resilience }
 
+(* A count outside what its program builder accepts is a usage error
+   (exit 3) with the message the daemon replies; nothing runs. *)
+let with_load load k =
+  match Runner.validate load with
+  | Ok load -> k load
+  | Error m ->
+      Printf.eprintf "gemcheck: %s\n" m;
+      3
+
 (* ------------------------------------------------------------------ *)
 (* experiments                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -422,9 +442,9 @@ let rw_cmd =
   let readers = Arg.(value & opt int 2 & info [ "readers" ] ~docv:"N") in
   let writers = Arg.(value & opt int 1 & info [ "writers" ] ~docv:"N") in
   let run monitor version readers writers restrict reduction (exact_keys, audit_keys) jobs budget resil json obs =
+    with_load (Runner.Rw { monitor; version; readers; writers }) @@ fun load ->
     obs_init obs;
     install_signals budget;
-    let load = Runner.Rw { monitor; version; readers; writers } in
     let resilience =
       resilience_of load ~reduction ~exact_keys resil
     in
@@ -457,9 +477,10 @@ let buffer_cmd =
   let consumers = Arg.(value & opt int 1 & info [ "consumers" ] ~docv:"N") in
   let items = Arg.(value & opt int 2 & info [ "items" ] ~docv:"N" ~doc:"Items per producer.") in
   let run lang capacity producers consumers items restrict reduction (exact_keys, audit_keys) jobs budget resil json obs =
+    with_load (Runner.Buffer { lang; capacity; producers; consumers; items })
+    @@ fun load ->
     obs_init obs;
     install_signals budget;
-    let load = Runner.Buffer { lang; capacity; producers; consumers; items } in
     let resilience =
       resilience_of load ~reduction ~exact_keys resil
     in
@@ -489,9 +510,9 @@ let rwd_cmd =
     Arg.(value & flag & info [ "no-priority" ] ~doc:"Use the priority-less mutant.")
   in
   let run lang readers writers broken restrict reduction (exact_keys, audit_keys) jobs budget resil json obs =
+    with_load (Runner.Rwd { lang; readers; writers; broken }) @@ fun load ->
     obs_init obs;
     install_signals budget;
-    let load = Runner.Rwd { lang; readers; writers; broken } in
     let resilience =
       resilience_of load ~reduction ~exact_keys resil
     in
@@ -523,15 +544,6 @@ let positive_conv name =
         Error (`Msg (Printf.sprintf "%S is not a valid %s (expected a positive integer)" s name))
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-
-let seconds_conv =
-  let parse s =
-    match float_of_string_opt (String.trim s) with
-    | Some f when f >= 0. -> Ok f
-    | Some _ | None ->
-        Error (`Msg (Printf.sprintf "%S is not a valid duration (expected seconds >= 0)" s))
-  in
-  Arg.conv ~docv:"SECS" (parse, Format.pp_print_float)
 
 let fuzz_cmd =
   let seed =
@@ -735,9 +747,9 @@ let parse_cmd =
 let db_cmd =
   let sites = Arg.(value & opt int 3 & info [ "sites" ] ~docv:"N") in
   let run sites reduction (exact_keys, audit_keys) jobs budget resil json obs =
+    with_load (Runner.Db { sites }) @@ fun load ->
     obs_init obs;
     install_signals budget;
-    let load = Runner.Db { sites } in
     let resilience =
       resilience_of load ~reduction ~exact_keys resil
     in
@@ -756,8 +768,8 @@ let life_cmd =
   let height = Arg.(value & opt int 4 & info [ "height" ] ~docv:"N") in
   let generations = Arg.(value & opt int 2 & info [ "generations" ] ~docv:"N") in
   let run width height generations budget json obs =
+    with_load (Runner.Life { width; height; generations }) @@ fun load ->
     obs_init obs;
-    let load = Runner.Life { width; height; generations } in
     let r =
       Runner.run load
         (runner_opts ~reduction:None ~exact_keys:None ~audit_keys:None ~jobs:1

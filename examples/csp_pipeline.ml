@@ -11,10 +11,10 @@ let () =
   Printf.printf "CSP bounded buffer: capacity=%d, %d producers x %d items, %d consumer\n\n"
     capacity producers items_each consumers;
   let program = Buffer_problem.csp_solution ~capacity ~producers ~consumers ~items_each in
-  let outcome = Csp.explore program in
+  let outcome = Explore.explore (Csp.lang program) in
   Printf.printf "schedules explored: %d distinct computations, %d deadlocks\n"
-    (List.length outcome.Csp.computations)
-    (List.length outcome.Csp.deadlocks);
+    (List.length outcome.Explore.computations)
+    (List.length outcome.Explore.deadlocks);
 
   (* Every computation satisfies CSP's own semantics restrictions
      (simultaneity of I/O exchange, matching, value transfer). *)
@@ -22,7 +22,7 @@ let () =
   let lang_ok =
     List.for_all
       (fun comp -> Verdict.ok (Check.check lang_spec comp))
-      outcome.Csp.computations
+      outcome.Explore.computations
   in
   Printf.printf "CSP language restrictions (io-simultaneity, matching, value): %s\n"
     (if lang_ok then "SAT" else "VIOLATED");
@@ -32,13 +32,13 @@ let () =
   let ok =
     Refine.sat_ok
       ~strategy:(Strategy.Linearizations (Some 200))
-      ~problem ~map:Buffer_problem.csp_correspondence outcome.Csp.computations
+      ~problem ~map:Buffer_problem.csp_correspondence outcome.Explore.computations
   in
   Printf.printf "bounded-buffer-%d problem (value-fifo + capacity): %s\n" capacity
     (if ok then "SAT" else "VIOLATED");
 
   (* Show one computation. *)
-  match outcome.Csp.computations with
+  match outcome.Explore.computations with
   | comp :: _ ->
       Printf.printf "\nfirst computation (%d events):\n" (Computation.n_events comp);
       Format.printf "%a@." Computation.pp comp

@@ -10,10 +10,10 @@ let () =
   let sites = 3 in
   Printf.printf "Distributed database update, %d sites, full mesh, Thomas write rule\n\n" sites;
   let program = Db_update.program ~sites in
-  let outcome = Csp.explore program in
+  let outcome = Explore.explore (Csp.lang program) in
   Printf.printf "distinct computations: %d, deadlocks: %d\n"
-    (List.length outcome.Csp.computations)
-    (List.length outcome.Csp.deadlocks);
+    (List.length outcome.Explore.computations)
+    (List.length outcome.Explore.deadlocks);
 
   let spec = Csp.language_spec ~name:"db-update" program in
   let converge = Db_update.convergence in
@@ -21,12 +21,12 @@ let () =
   let all_ok =
     List.for_all
       (fun comp -> Check.holds spec comp Formula.(converge &&& to_max))
-      outcome.Csp.computations
+      outcome.Explore.computations
   in
   Printf.printf "all executions converge to the newest update (%d): %b\n" (100 + sites)
     all_ok;
 
-  match outcome.Csp.computations with
+  match outcome.Explore.computations with
   | comp :: _ ->
       let finals = Computation.events_of_class comp "Final" in
       Printf.printf "\nfinal values in one computation:\n";

@@ -11,13 +11,13 @@ let strategy = Strategy.Linearizations (Some 400)
 
 let verdict_of monitor version ~readers ~writers =
   let program = RW.program ~monitor ~readers ~writers in
-  let outcome = Monitor.explore program in
+  let outcome = Explore.explore (Monitor.lang program) in
   let problem = RW.spec version ~users:(RW.user_names ~readers ~writers) in
   let ok =
     Refine.sat_ok ~strategy ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
-      outcome.Monitor.computations
+      outcome.Explore.computations
   in
-  (List.length outcome.Monitor.computations, List.length outcome.Monitor.deadlocks, ok)
+  (List.length outcome.Explore.computations, List.length outcome.Explore.deadlocks, ok)
 
 let () =
   let readers = 2 and writers = 1 in

@@ -98,7 +98,7 @@ let check_spec spec comp = Verdict.ok (Check.check spec comp)
     computation's projection against the problem specification. Returns
     [(n_computations, n_deadlocks, all_satisfied)]. *)
 let verify_monitor_program ?strategy ?budget ?edges ~problem ~map program =
-  let outcome = Monitor.explore ?budget program in
-  ( List.length outcome.Monitor.computations,
-    List.length outcome.Monitor.deadlocks,
-    Refine.sat_ok ?strategy ?budget ?edges ~problem ~map outcome.Monitor.computations )
+  let outcome = Explore.explore ?budget (Monitor.lang program) in
+  ( List.length outcome.Explore.computations,
+    List.length outcome.Explore.deadlocks,
+    Refine.sat_ok ?strategy ?budget ?edges ~problem ~map outcome.Explore.computations )

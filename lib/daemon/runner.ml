@@ -119,7 +119,38 @@ let check_keys ~allowed params k =
 
 let ( let* ) = Result.bind
 
-let of_request (c : R.check) =
+(* The ranges the program builders accept. Both front ends check a load
+   here before anything is built, so an out-of-range count is a usage
+   error naming its key rather than an exception from deep inside a
+   builder — or, for life's generations, a loop. *)
+let validate load =
+  let minima =
+    match load with
+    | Rw { readers; writers; _ } | Rwd { readers; writers; _ } ->
+        [ ("readers", readers, 0); ("writers", writers, 0) ]
+    | Buffer { capacity; producers; consumers; items; _ } ->
+        [
+          ("capacity", capacity, 0);
+          ("producers", producers, 1);
+          ("consumers", consumers, 1);
+          ("items", items, 0);
+        ]
+    | Db { sites } -> [ ("sites", sites, 2) ]
+    | Life { width; height; generations } ->
+        [ ("width", width, 0); ("height", height, 0); ("generations", generations, 0) ]
+  in
+  match (List.find_opt (fun (_, n, min) -> n < min) minima, load) with
+  | Some (key, n, min), _ ->
+      Error (Printf.sprintf "%s expects an integer >= %d, got %d" key min n)
+  | None, Buffer { producers; consumers; items; _ }
+    when producers * items mod consumers <> 0 ->
+      Error
+        (Printf.sprintf
+           "consumers expects a divisor of producers x items (%d), got %d"
+           (producers * items) consumers)
+  | None, _ -> Ok load
+
+let parse_request (c : R.check) =
   let p = c.R.params in
   let int key default = lookup p key default (int_param key) in
   match c.R.cmd with
@@ -180,6 +211,8 @@ let of_request (c : R.check) =
         (Printf.sprintf
            "unknown command %S (expected rw, buffer, rwd, db or life)" cmd)
 
+let of_request c = Result.bind (parse_request c) validate
+
 let supports_restrict = function
   | Rw _ | Buffer _ | Rwd _ -> true
   | Db _ | Life _ -> false
@@ -197,50 +230,51 @@ let rw_monitor name =
   | Ok m -> m
   | Error e -> invalid_arg ("Runner: " ^ e)
 
-let program_fp load =
+(* An explored load's program, as the exploration driver sees it. *)
+type lang = Lang : 'c Explore.lang -> lang
+
+let lang_of load =
   match load with
   | Rw { monitor; readers; writers; _ } ->
-      let program =
-        Readers_writers.program ~monitor:(rw_monitor monitor) ~readers ~writers
-      in
-      Monitor.config_fp program (Monitor.initial_config program)
+      Lang
+        (Monitor.lang
+           (Readers_writers.program ~monitor:(rw_monitor monitor) ~readers ~writers))
   | Buffer { lang; capacity; producers; consumers; items } -> (
       match lang with
       | `Monitor ->
-          let program =
-            Buffer_problem.monitor_solution ~capacity ~producers ~consumers
-              ~items_each:items
-          in
-          Monitor.config_fp program (Monitor.initial_config program)
+          Lang
+            (Monitor.lang
+               (Buffer_problem.monitor_solution ~capacity ~producers ~consumers
+                  ~items_each:items))
       | `Csp ->
-          let program =
-            Buffer_problem.csp_solution ~capacity ~producers ~consumers
-              ~items_each:items
-          in
-          Csp.config_fp program (Csp.initial_config program)
+          Lang
+            (Csp.lang
+               (Buffer_problem.csp_solution ~capacity ~producers ~consumers
+                  ~items_each:items))
       | `Ada ->
-          let program =
-            Buffer_problem.ada_solution ~capacity ~producers ~consumers
-              ~items_each:items
-          in
-          Ada.config_fp program (Ada.initial_config program))
-  | Rwd { lang; readers; writers; broken } -> (
-      match lang with
-      | `Csp ->
-          let program =
-            if broken then Rw_distributed.csp_program_no_priority ~readers ~writers
-            else Rw_distributed.csp_program ~readers ~writers
-          in
-          Csp.config_fp program (Csp.initial_config program)
-      | `Ada ->
-          let program =
-            if broken then Rw_distributed.ada_program_no_priority ~readers ~writers
-            else Rw_distributed.ada_program ~readers ~writers
-          in
-          Ada.config_fp program (Ada.initial_config program))
+          Lang
+            (Ada.lang
+               (Buffer_problem.ada_solution ~capacity ~producers ~consumers
+                  ~items_each:items)))
+  | Rwd { lang = `Csp; readers; writers; broken } ->
+      Lang
+        (Csp.lang
+           (if broken then Rw_distributed.csp_program_no_priority ~readers ~writers
+            else Rw_distributed.csp_program ~readers ~writers))
+  | Rwd { lang = `Ada; readers; writers; broken } ->
+      Lang
+        (Ada.lang
+           (if broken then Rw_distributed.ada_program_no_priority ~readers ~writers
+            else Rw_distributed.ada_program ~readers ~writers))
+  | Db _ | Life _ -> invalid_arg "Runner: the command has no exploration"
+
+let program_fp load =
+  match load with
+  | Rw _ | Buffer _ | Rwd _ -> (
+      match lang_of load with Lang l -> l.Explore.fp_key l.Explore.init)
   | Db { sites } ->
-      (* sites < 2 is rejected by Db_update.program; key on the
-         parameter alone so a bad request still gets a (failing) key. *)
+      (* Key on the parameter alone: db's program is built inside
+         Db_update.check. *)
       Fingerprint.of_string (Printf.sprintf "db-update sites=%d" sites)
   | Life { width; height; generations } ->
       Fingerprint.of_string
@@ -420,86 +454,26 @@ type exploration = {
 
 let explore load o ~budget =
   let { reduction; exact_keys; audit_keys; resilience; _ } = o in
-  let of_monitor (x : Monitor.outcome) =
-    {
-      x_computations = Computations x.Monitor.computations;
-      x_deadlocks = List.length x.Monitor.deadlocks;
-      x_explored = x.Monitor.explored;
-      x_reduced = x.Monitor.reduced;
-      x_truncated = x.Monitor.truncated;
-      x_exhausted = x.Monitor.exhausted;
-      x_configs_used = Budget.configs_used budget;
-    }
-  in
-  let of_csp (x : Csp.outcome) =
-    {
-      x_computations = Computations x.Csp.computations;
-      x_deadlocks = List.length x.Csp.deadlocks;
-      x_explored = x.Csp.explored;
-      x_reduced = x.Csp.reduced;
-      x_truncated = x.Csp.truncated;
-      x_exhausted = x.Csp.exhausted;
-      x_configs_used = Budget.configs_used budget;
-    }
-  in
-  let of_ada (x : Ada.outcome) =
-    {
-      x_computations = Computations x.Ada.computations;
-      x_deadlocks = List.length x.Ada.deadlocks;
-      x_explored = x.Ada.explored;
-      x_reduced = x.Ada.reduced;
-      x_truncated = x.Ada.truncated;
-      x_exhausted = x.Ada.exhausted;
-      x_configs_used = Budget.configs_used budget;
-    }
-  in
-  match load with
-  | Rw { monitor; readers; writers; _ } ->
-      Some
-        (of_monitor
-           (Monitor.explore ?reduction ?exact_keys ?audit_keys ~budget ~resilience
-              (Readers_writers.program ~monitor:(rw_monitor monitor) ~readers
-                 ~writers)))
-  | Buffer { lang; capacity; producers; consumers; items } ->
-      Some
-        (match lang with
-        | `Monitor ->
-            of_monitor
-              (Monitor.explore ?reduction ?exact_keys ?audit_keys ~budget ~resilience
-                 (Buffer_problem.monitor_solution ~capacity ~producers
-                    ~consumers ~items_each:items))
-        | `Csp ->
-            of_csp
-              (Csp.explore ?reduction ?exact_keys ?audit_keys ~budget ~resilience
-                 (Buffer_problem.csp_solution ~capacity ~producers ~consumers
-                    ~items_each:items))
-        | `Ada ->
-            of_ada
-              (Ada.explore ?reduction ?exact_keys ?audit_keys ~budget ~resilience
-                 (Buffer_problem.ada_solution ~capacity ~producers ~consumers
-                    ~items_each:items)))
-  | Rwd { lang; readers; writers; broken } ->
-      Some
-        (match lang with
-        | `Csp ->
-            let program =
-              if broken then
-                Rw_distributed.csp_program_no_priority ~readers ~writers
-              else Rw_distributed.csp_program ~readers ~writers
-            in
-            of_csp
-              (Csp.explore ?reduction ?exact_keys ?audit_keys
-                 ~max_configs:20_000_000 ~budget ~resilience program)
-        | `Ada ->
-            let program =
-              if broken then
-                Rw_distributed.ada_program_no_priority ~readers ~writers
-              else Rw_distributed.ada_program ~readers ~writers
-            in
-            of_ada
-              (Ada.explore ?reduction ?exact_keys ?audit_keys
-                 ~max_configs:20_000_000 ~budget ~resilience program))
-  | Db _ | Life _ -> None
+  if not (has_exploration load) then None
+  else
+    (* rwd's state spaces outgrow the driver's default cap. *)
+    let max_configs = match load with Rwd _ -> Some 20_000_000 | _ -> None in
+    let x =
+      match lang_of load with
+      | Lang l ->
+          Explore.explore ?reduction ?exact_keys ?audit_keys ?max_configs ~budget
+            ~resilience l
+    in
+    Some
+      {
+        x_computations = Computations x.Explore.computations;
+        x_deadlocks = List.length x.Explore.deadlocks;
+        x_explored = x.Explore.explored;
+        x_reduced = x.Explore.reduced;
+        x_truncated = x.Explore.truncated;
+        x_exhausted = x.Explore.exhausted;
+        x_configs_used = Budget.configs_used budget;
+      }
 
 let prepare load o x =
   match x.x_computations with

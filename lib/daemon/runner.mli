@@ -49,9 +49,18 @@ type load =
 
 val command_name : load -> string
 
+val validate : load -> (load, string) result
+(** The load itself when every count is in the range its program builder
+    accepts: counts [>= 0], [producers] and [consumers] [>= 1], [sites]
+    [>= 2], and [producers * items] divisible by [consumers]. Otherwise a
+    one-line error naming the key, e.g.
+    ["readers expects an integer >= 0, got -1"]. Both front ends apply it
+    before anything is built. *)
+
 val of_request : Gem_syntax.Request.check -> (load, string) result
-(** Interpret a wire request's workload parameters. Unknown commands,
-    unknown keys and malformed values are one-line errors. *)
+(** Interpret a wire request's workload parameters, then {!validate}
+    them. Unknown commands, unknown keys, malformed and out-of-range
+    values are one-line errors. *)
 
 val monitor_of_name :
   string -> (Gem_lang.Monitor.monitor, string) result

@@ -130,10 +130,10 @@ let e03_monitor_language () =
   let program =
     Readers_writers.program ~monitor:Readers_writers.paper_monitor ~readers:2 ~writers:1
   in
-  let o = Monitor.explore program in
+  let o = Explore.explore (Monitor.lang program) in
   let spec = Monitor.language_spec program in
   let all_ok =
-    List.for_all (fun c -> Verdict.ok (Check.check spec c)) o.Monitor.computations
+    List.for_all (fun c -> Verdict.ok (Check.check spec c)) o.Explore.computations
   in
   let getvals =
     (* With Getval emission on, the Variable restriction is exercised. *)
@@ -145,37 +145,37 @@ let e03_monitor_language () =
                 [ Monitor.PCall { monitor = "RW"; entry = "StartRead"; args = []; bind = None };
                   Monitor.PCall { monitor = "RW"; entry = "EndRead"; args = []; bind = None } ] } ] }
     in
-    let o = Monitor.explore ~emit_getvals:true small_program in
+    let o = Explore.explore (Monitor.lang ~emit_getvals:true small_program) in
     let small_spec = Monitor.language_spec small_program in
-    List.for_all (fun c -> Verdict.ok (Check.check small_spec c)) o.Monitor.computations
+    List.for_all (fun c -> Verdict.ok (Check.check small_spec c)) o.Explore.computations
   in
   [
     row "monitor semantics restrictions hold on all RW computations" all_ok
       (Printf.sprintf "%d computations x (lock-alternation, release-needs-signal, total order)"
-         (List.length o.Monitor.computations));
+         (List.length o.Explore.computations));
     row "variable restrictions hold with Getval emission" getvals "1 reader, getvals on";
   ]
 
 let e04_csp_language () =
   let program = Buffer_problem.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
-  let o = Csp.explore program in
+  let o = Explore.explore (Csp.lang program) in
   let spec = Csp.language_spec program in
-  let all_ok = List.for_all (fun c -> Verdict.ok (Check.check spec c)) o.Csp.computations in
+  let all_ok = List.for_all (fun c -> Verdict.ok (Check.check spec c)) o.Explore.computations in
   [
     row "CSP io-simultaneity / matching / value-transfer hold" all_ok
-      (Printf.sprintf "%d computations" (List.length o.Csp.computations));
-    row "no deadlock in the pipeline" (o.Csp.deadlocks = []) "";
+      (Printf.sprintf "%d computations" (List.length o.Explore.computations));
+    row "no deadlock in the pipeline" (o.Explore.deadlocks = []) "";
   ]
 
 let e05_ada_language () =
   let program = Buffer_problem.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
-  let o = Ada.explore program in
+  let o = Explore.explore (Ada.lang program) in
   let spec = Ada.language_spec program in
-  let all_ok = List.for_all (fun c -> Verdict.ok (Check.check spec c)) o.Ada.computations in
+  let all_ok = List.for_all (fun c -> Verdict.ok (Check.check spec c)) o.Explore.computations in
   [
     row "ADA rendezvous-matching / entry-addressing / caller-suspension hold" all_ok
-      (Printf.sprintf "%d computations" (List.length o.Ada.computations));
-    row "no deadlock" (o.Ada.deadlocks = []) "";
+      (Printf.sprintf "%d computations" (List.length o.Explore.computations));
+    row "no deadlock" (o.Explore.deadlocks = []) "";
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -184,30 +184,30 @@ let e05_ada_language () =
 
 let e06_one_slot_buffer () =
   let problem = Buffer_problem.spec ~capacity:1 in
-  let mon = Monitor.explore (Buffer_problem.monitor_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2) in
-  let csp = Csp.explore (Buffer_problem.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2) in
-  let ada = Ada.explore (Buffer_problem.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2) in
-  let buggy = Monitor.explore (Buffer_problem.buggy_monitor_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2) in
+  let mon = Explore.explore (Monitor.lang (Buffer_problem.monitor_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2)) in
+  let csp = Explore.explore (Csp.lang (Buffer_problem.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2)) in
+  let ada = Explore.explore (Ada.lang (Buffer_problem.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2)) in
+  let buggy = Explore.explore (Monitor.lang (Buffer_problem.buggy_monitor_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2)) in
   [
     row "Monitor solution sat one-slot"
-      (mon.Monitor.deadlocks = []
+      (mon.Explore.deadlocks = []
       && Refine.sat_ok ~strategy ~problem ~map:Buffer_problem.monitor_correspondence
-           mon.Monitor.computations)
-      (Printf.sprintf "%d computations" (List.length mon.Monitor.computations));
+           mon.Explore.computations)
+      (Printf.sprintf "%d computations" (List.length mon.Explore.computations));
     row "CSP solution sat one-slot"
-      (csp.Csp.deadlocks = []
+      (csp.Explore.deadlocks = []
       && Refine.sat_ok ~strategy ~problem ~map:Buffer_problem.csp_correspondence
-           csp.Csp.computations)
-      (Printf.sprintf "%d computations" (List.length csp.Csp.computations));
+           csp.Explore.computations)
+      (Printf.sprintf "%d computations" (List.length csp.Explore.computations));
     row "ADA solution sat one-slot"
-      (ada.Ada.deadlocks = []
+      (ada.Explore.deadlocks = []
       && Refine.sat_ok ~strategy ~problem ~map:Buffer_problem.ada_correspondence
-           ada.Ada.computations)
-      (Printf.sprintf "%d computations" (List.length ada.Ada.computations));
+           ada.Explore.computations)
+      (Printf.sprintf "%d computations" (List.length ada.Explore.computations));
     row "unguarded monitor refuted"
       (not
          (Refine.sat_ok ~strategy ~problem ~map:Buffer_problem.monitor_correspondence
-            buggy.Monitor.computations))
+            buggy.Explore.computations))
       "capacity violated";
   ]
 
@@ -215,30 +215,30 @@ let e07_bounded_buffer () =
   List.map
     (fun capacity ->
       let o =
-        Monitor.explore
-          (Buffer_problem.monitor_solution ~capacity ~producers:2 ~consumers:1 ~items_each:1)
+        Explore.explore
+          (Monitor.lang (Buffer_problem.monitor_solution ~capacity ~producers:2 ~consumers:1 ~items_each:1))
       in
       let ok =
-        o.Monitor.deadlocks = []
+        o.Explore.deadlocks = []
         && Refine.sat_ok ~strategy
              ~problem:(Buffer_problem.spec ~capacity)
-             ~map:Buffer_problem.monitor_correspondence o.Monitor.computations
+             ~map:Buffer_problem.monitor_correspondence o.Explore.computations
       in
       row
         (Printf.sprintf "Monitor bounded buffer capacity=%d (2 producers)" capacity)
         ok
-        (Printf.sprintf "%d computations" (List.length o.Monitor.computations)))
+        (Printf.sprintf "%d computations" (List.length o.Explore.computations)))
     [ 2; 3 ]
   @ [
       (let o =
-         Monitor.explore
-           (Buffer_problem.monitor_solution ~capacity:2 ~producers:1 ~consumers:1 ~items_each:3)
+         Explore.explore
+           (Monitor.lang (Buffer_problem.monitor_solution ~capacity:2 ~producers:1 ~consumers:1 ~items_each:3))
        in
        row "capacity-2 implementation refuted against one-slot spec"
          (not
             (Refine.sat_ok ~strategy
                ~problem:(Buffer_problem.spec ~capacity:1)
-               ~map:Buffer_problem.monitor_correspondence o.Monitor.computations))
+               ~map:Buffer_problem.monitor_correspondence o.Explore.computations))
          "cross-capacity check");
     ]
 
@@ -248,14 +248,14 @@ let e07_bounded_buffer () =
 
 let rw_sat monitor version ~readers ~writers =
   let program = Readers_writers.program ~monitor ~readers ~writers in
-  let o = Monitor.explore program in
+  let o = Explore.explore (Monitor.lang program) in
   let problem =
     Readers_writers.spec version ~users:(Readers_writers.user_names ~readers ~writers)
   in
   ( Refine.sat_ok ~strategy ~edges:Refine.Actor_paths ~problem
-      ~map:Readers_writers.correspondence o.Monitor.computations,
-    List.length o.Monitor.computations,
-    List.length o.Monitor.deadlocks )
+      ~map:Readers_writers.correspondence o.Explore.computations,
+    List.length o.Explore.computations,
+    List.length o.Explore.deadlocks )
 
 let e08_rw_versions () =
   let expected =
@@ -355,7 +355,7 @@ let e12_threads () =
   let program =
     Readers_writers.program ~monitor:Readers_writers.paper_monitor ~readers:1 ~writers:1
   in
-  let o = Monitor.explore program in
+  let o = Explore.explore (Monitor.lang program) in
   let problem =
     Readers_writers.spec Readers_writers.Free_for_all
       ~users:(Readers_writers.user_names ~readers:1 ~writers:1)
@@ -378,11 +378,11 @@ let e12_threads () =
                      (Thread.events_of_instance labelled Readers_writers.thread_name i)
                    = 6)
                  instances)
-      o.Monitor.computations
+      o.Explore.computations
   in
   [
     row "piRW labels each transaction with a 6-event chain" ok
-      (Printf.sprintf "over %d computations" (List.length o.Monitor.computations));
+      (Printf.sprintf "over %d computations" (List.length o.Explore.computations));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -446,7 +446,7 @@ let e14_ablation () =
   let program =
     Readers_writers.program ~monitor:Readers_writers.paper_monitor ~readers:2 ~writers:1
   in
-  let comp = Monitor.run_one ~seed:5 program in
+  let comp = Explore.run_one ~seed:5 (Monitor.lang program) in
   let spec = Monitor.language_spec program in
   let prop =
     (* Temporal sanity property: once a Rel occurred, eventually another
@@ -501,20 +501,20 @@ let e14_ablation () =
 let e15_rw_distributed () =
   let module RWD = Rw_distributed in
   let sat_csp program ~readers:rn ~writers:wn =
-    let o = Csp.explore ~max_configs:10_000_000 program in
+    let o = Explore.explore ~max_configs:10_000_000 (Csp.lang program) in
     let rnames, wnames = RWD.user_names ~readers:rn ~writers:wn in
     let problem = RWD.spec ~readers:rnames ~writers:wnames in
-    ( Refine.sat_ok ~strategy ~problem ~map:RWD.csp_correspondence o.Csp.computations,
-      List.length o.Csp.computations,
-      List.length o.Csp.deadlocks )
+    ( Refine.sat_ok ~strategy ~problem ~map:RWD.csp_correspondence o.Explore.computations,
+      List.length o.Explore.computations,
+      List.length o.Explore.deadlocks )
   in
   let sat_ada program ~readers:rn ~writers:wn =
-    let o = Ada.explore ~max_configs:10_000_000 program in
+    let o = Explore.explore ~max_configs:10_000_000 (Ada.lang program) in
     let rnames, wnames = RWD.user_names ~readers:rn ~writers:wn in
     let problem = RWD.spec ~readers:rnames ~writers:wnames in
-    ( Refine.sat_ok ~strategy ~problem ~map:RWD.ada_correspondence o.Ada.computations,
-      List.length o.Ada.computations,
-      List.length o.Ada.deadlocks )
+    ( Refine.sat_ok ~strategy ~problem ~map:RWD.ada_correspondence o.Explore.computations,
+      List.length o.Explore.computations,
+      List.length o.Explore.deadlocks )
   in
   let c1, cc1, cd1 = sat_csp (RWD.csp_program ~readers:1 ~writers:1) ~readers:1 ~writers:1 in
   let c0, _, _ =

@@ -64,26 +64,14 @@ let resilience_of c =
   }
 
 let explore_cell ~max_configs c prog =
-  let resilience = resilience_of c in
+  let explore lang =
+    Explore.explore ~reduction:c.reduction ~exact_keys:c.exact ~audit_keys:false
+      ~max_configs ~resilience:(resilience_of c) lang
+  in
   match prog with
-  | Case.P_csp p ->
-      let o =
-        Csp.explore ~reduction:c.reduction ~exact_keys:c.exact ~audit_keys:false
-          ~max_configs ~resilience p
-      in
-      (o.Csp.computations, o.Csp.deadlocks, o.Csp.exhausted, o.Csp.explored)
-  | Case.P_monitor p ->
-      let o =
-        Monitor.explore ~reduction:c.reduction ~exact_keys:c.exact ~audit_keys:false
-          ~max_configs ~resilience p
-      in
-      (o.Monitor.computations, o.Monitor.deadlocks, o.Monitor.exhausted, o.Monitor.explored)
-  | Case.P_ada p ->
-      let o =
-        Ada.explore ~reduction:c.reduction ~exact_keys:c.exact ~audit_keys:false
-          ~max_configs ~resilience p
-      in
-      (o.Ada.computations, o.Ada.deadlocks, o.Ada.exhausted, o.Ada.explored)
+  | Case.P_csp p -> explore (Csp.lang p)
+  | Case.P_monitor p -> explore (Monitor.lang p)
+  | Case.P_ada p -> explore (Ada.lang p)
 
 let language_spec = function
   | Case.P_csp p -> Csp.language_spec p
@@ -93,7 +81,9 @@ let language_spec = function
 let fps comps = List.sort compare (List.map Explore.fingerprint comps)
 
 let run_cell ~max_configs ~spec ~formula c prog =
-  let comps, deads, exhausted, explored = explore_cell ~max_configs c prog in
+  let { Explore.computations = comps; deadlocks = deads; exhausted; explored; _ } =
+    explore_cell ~max_configs c prog
+  in
   let verdicts =
     match (formula, spec) with
     | Some f, Some spec ->
@@ -184,5 +174,5 @@ let check ?(max_configs = 1_000_000) ?formula prog =
       go base.r_explored (List.tl lattice)
 
 let skeys prog c =
-  let comps, deads, _, _ = explore_cell ~max_configs:1_000_000 c prog in
-  (fps comps, fps deads)
+  let o = explore_cell ~max_configs:1_000_000 c prog in
+  (fps o.Explore.computations, fps o.Explore.deadlocks)

@@ -239,21 +239,18 @@ let footprint before after =
       (fun acc (n, r) (_, r') -> if r == r' then acc else element_of_task n :: acc)
       touches before.tasks after.tasks
   in
-  let touches =
-    if before.queues == after.queues then touches
-    else
-      List.fold_left
-        (fun acc ((callee, entry), q) ->
-          if queue before callee entry = q then acc
-          else element_of_task callee :: acc)
-        (List.fold_left
-           (fun acc ((callee, entry), q) ->
-             if queue after callee entry = q then acc
-             else element_of_task callee :: acc)
-           touches before.queues)
-        after.queues
-  in
-  List.sort_uniq String.compare touches
+  if before.queues == after.queues then touches
+  else
+    List.fold_left
+      (fun acc ((callee, entry), q) ->
+        if queue before callee entry = q then acc
+        else element_of_task callee :: acc)
+      (List.fold_left
+         (fun acc ((callee, entry), q) ->
+           if queue after callee entry = q then acc
+           else element_of_task callee :: acc)
+         touches before.queues)
+      after.queues
 
 (* The enabled moves, listed without stepping: Active tasks, accepts with
    a queued caller, and open select branches with one (guards are
@@ -291,17 +288,6 @@ let steps cfg =
     cfg.tasks;
   List.rev !ms
 
-let moves_fp cfg : config Explore.successor list =
-  List.map
-    (fun (label, step) ->
-      ( label,
-        fun () ->
-          let cfg' = step () in
-          ({ Explore.label; touches = footprint cfg cfg' }, cfg') ))
-    (steps cfg)
-
-let moves cfg = List.map (fun (_, step) -> step ()) (steps cfg)
-
 let terminated cfg =
   List.for_all
     (fun (_, rt) ->
@@ -328,15 +314,6 @@ let initial (program : program) =
   in
   { trace; tasks = List.rev tasks; queues = [] }
 
-type outcome = {
-  computations : Gem_model.Computation.t list;
-  deadlocks : Gem_model.Computation.t list;
-  explored : int;
-  truncated : int;
-  reduced : int;
-  exhausted : Gem_check.Budget.reason option;
-}
-
 let all_elements (program : program) =
   main_element :: List.map (fun t -> element_of_task t.task_name) program
 
@@ -349,12 +326,7 @@ let seal program =
    key order with empty queues elided, and marshalling disables sharing —
    so interleavings of commuting moves that converge on structurally
    equal states yield byte-equal keys. *)
-let sorted_store (s : Expr.store) =
-  List.sort (fun (a, _) (b, _) -> String.compare a b) s
-
-let canon x = Marshal.to_string x [ Marshal.No_sharing ]
-
-let state_key_sealed seal cfg =
+let state_key seal cfg =
   let span = Gem_obs.Telemetry.(span_begin Canon_key) in
   let comp = seal cfg in
   let buf = Buffer.create 1024 in
@@ -369,25 +341,25 @@ let state_key_sealed seal cfg =
       (match rt.t_state with
       | Active items ->
           Buffer.add_char buf 'A';
-          Buffer.add_string buf (canon items)
+          Buffer.add_string buf (Expr.canon items)
       | Blocked_call -> Buffer.add_char buf 'B'
       | Blocked_accept (acc, rest) ->
           Buffer.add_char buf 'W';
-          Buffer.add_string buf (canon (acc, rest))
+          Buffer.add_string buf (Expr.canon (acc, rest))
       | Blocked_select (branches, rest) ->
           Buffer.add_char buf 'S';
-          Buffer.add_string buf (canon (branches, rest))
+          Buffer.add_string buf (Expr.canon (branches, rest))
       | Tdone -> Buffer.add_char buf 'D');
-      Buffer.add_string buf (canon (sorted_store rt.t_locals)))
+      Buffer.add_string buf (Expr.canon (Expr.sorted_store rt.t_locals)))
     cfg.tasks;
   List.iter
     (fun (qkey, pendings) ->
       if pendings <> [] then begin
-        Buffer.add_string buf (canon qkey);
+        Buffer.add_string buf (Expr.canon qkey);
         List.iter
           (fun p ->
             Buffer.add_string buf
-              (canon (p.q_caller, p.q_args, p.q_bind, p.q_cont));
+              (Expr.canon (p.q_caller, p.q_args, p.q_bind, p.q_cont));
             id p.q_call_event;
             id p.q_enqueue_event)
           pendings
@@ -397,8 +369,6 @@ let state_key_sealed seal cfg =
   Gem_obs.Telemetry.(span_end Canon_key) span;
   key
 
-let state_key program = state_key_sealed (seal program)
-
 (* Incremental fingerprint mirroring [state_key] — see Monitor.fp_key for
    the construction rationale. Local stores and the queue association
    list are folded commutatively (their insertion orders vary across
@@ -407,11 +377,6 @@ let state_key program = state_key_sealed (seal program)
    rendering with empty queues elided); each queue's pendings are FIFO
    and hashed in order. Event handles are replaced by their stable
    identity fingerprints. *)
-let store_fp s =
-  List.fold_left
-    (fun acc (x, v) -> Fp.cadd acc (Fp.combine (Fp.of_string x) (Fp.of_struct v)))
-    (Fp.of_int 0x57) s
-
 let fp_key cfg =
   let span = Gem_obs.Telemetry.(span_begin Canon_key) in
   let idf = Trace.id_fp cfg.trace in
@@ -429,7 +394,7 @@ let fp_key cfg =
       | Blocked_select (branches, rest) ->
           mix (Fp.combine (Fp.of_int 4) (Fp.of_struct (branches, rest)))
       | Tdone -> mix (Fp.of_int 5));
-      mix (store_fp rt.t_locals))
+      mix (Expr.store_fp rt.t_locals))
     cfg.tasks;
   mix
     (List.fold_left
@@ -448,59 +413,20 @@ let fp_key cfg =
   Gem_obs.Telemetry.(span_end Canon_key) span;
   !acc
 
-let explore ?reduction ?exact_keys ?audit_keys ?max_steps ?max_configs
-    ?budget ?(resilience = Explore.no_resilience) program =
-  let reduction =
-    Option.value reduction ~default:(Explore.reduction_default ())
-  in
-  let exact =
-    match exact_keys with Some b -> b | None -> Explore.exact_keys_default ()
-  in
-  let auditing =
-    match audit_keys with Some b -> b | None -> Explore.audit_keys_default ()
-  in
-  let state_key = state_key program and seal = seal program in
-  let result =
-    let key c =
-      if exact then Explore.Exact (state_key c) else Explore.Fp (fp_key c)
-    in
-    let audit = if auditing && not exact then Some state_key else None in
-    if reduction <> Explore.No_reduction then
-      Explore.run ?max_steps ?max_configs ?budget ~key ?audit ~footprint:moves_fp
-        ~reduction ~resilience ~moves ~terminated (initial program)
-    else
-      (* Keyless plain walk, except bitstate mode needs a state key to
-         memoize on (see {!Monitor.explore}). *)
-      let key = if resilience.Explore.bitstate = None then None else Some key in
-      let audit = if key = None then None else audit in
-      Explore.run ?max_steps ?max_configs ?budget ?key ?audit ~resilience
-        ~moves ~terminated (initial program)
-  in
+(* The element list is built at the first seal: a caller that only keys
+   the initial configuration never builds it. *)
+let lang program =
+  let sealer = lazy (seal program) in
+  let seal cfg = Lazy.force sealer cfg in
   {
-    computations = Explore.dedup_computations seal result.completed;
-    deadlocks = Explore.dedup_computations seal result.deadlocked;
-    explored = result.explored;
-    truncated = result.truncated;
-    reduced = result.reduced;
-    exhausted = result.exhausted;
+    Explore.init = initial program;
+    steps;
+    footprint;
+    terminated;
+    fp_key;
+    exact_key = state_key seal;
+    seal;
   }
-
-(* Small-step interface for the POR differential harness. *)
-let initial_config program = initial program
-let config_successors cfg = moves_fp cfg
-let config_moves cfg = List.map (fun (_, fire) -> fire ()) (moves_fp cfg)
-let config_key = state_key
-let config_fp _program cfg = fp_key cfg
-let config_terminated = terminated
-
-let run_one ?(seed = 42) program =
-  let rng = Random.State.make [| seed |] in
-  let rec loop cfg =
-    match moves cfg with
-    | [] -> cfg
-    | ms -> loop (List.nth ms (Random.State.int rng (List.length ms)))
-  in
-  seal program (loop (initial program))
 
 (* ------------------------------------------------------------------ *)
 (* GEM description of ADA tasking                                      *)

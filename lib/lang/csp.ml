@@ -172,13 +172,10 @@ let communicate cfg ~sender ~value ~s_req ~s_next ~receiver ~bind ~r_req ~r_next
    termination) can enable a termination move but never disable it, so
    disjoint footprints guarantee commutation. *)
 let footprint before after =
-  let touches = Trace.touched_elements ~before:before.trace after.trace in
-  let touches =
-    List.fold_left2
-      (fun acc (n, r) (_, r') -> if r == r' then acc else element_of_process n :: acc)
-      touches before.procs after.procs
-  in
-  List.sort_uniq String.compare touches
+  List.fold_left2
+    (fun acc (n, r) (_, r') -> if r == r' then acc else element_of_process n :: acc)
+    (Trace.touched_elements ~before:before.trace after.trace)
+    before.procs after.procs
 
 (* The enabled moves, listed without stepping: guard-true boolean
    branches, matched offers and distributed terminations. Guards are
@@ -265,17 +262,6 @@ let steps cfg =
     procs;
   List.rev !ms
 
-let moves_fp cfg : config Explore.successor list =
-  List.map
-    (fun (label, step) ->
-      ( label,
-        fun () ->
-          let cfg' = step () in
-          ({ Explore.label; touches = footprint cfg cfg' }, cfg') ))
-    (steps cfg)
-
-let moves cfg = List.map (fun (_, step) -> step ()) (steps cfg)
-
 let terminated cfg =
   List.for_all
     (fun (_, rt) ->
@@ -298,17 +284,8 @@ let initial (program : program) =
   normalize { trace; procs = List.rev procs }
 
 (* ------------------------------------------------------------------ *)
-(* Exploration                                                         *)
+(* Sealing and state keys                                              *)
 (* ------------------------------------------------------------------ *)
-
-type outcome = {
-  computations : Gem_model.Computation.t list;
-  deadlocks : Gem_model.Computation.t list;
-  explored : int;
-  truncated : int;
-  reduced : int;
-  exhausted : Gem_check.Budget.reason option;
-}
 
 let all_elements (program : program) =
   main_element :: List.map (fun p -> element_of_process p.proc_name) program
@@ -321,12 +298,7 @@ let seal program =
    Local stores are sorted ([Expr.update] prepends) and marshalling
    disables sharing, so interleavings of commuting moves that converge on
    structurally equal states yield byte-equal keys. *)
-let sorted_store (s : Expr.store) =
-  List.sort (fun (a, _) (b, _) -> String.compare a b) s
-
-let canon x = Marshal.to_string x [ Marshal.No_sharing ]
-
-let state_key_sealed seal cfg =
+let state_key seal cfg =
   let span = Gem_obs.Telemetry.(span_begin Canon_key) in
   let comp = seal cfg in
   let buf = Buffer.create 1024 in
@@ -341,33 +313,26 @@ let state_key_sealed seal cfg =
       (match rt.p_state with
       | Active stmts ->
           Buffer.add_char buf 'A';
-          Buffer.add_string buf (canon stmts)
+          Buffer.add_string buf (Expr.canon stmts)
       | At_comm { comm; cont; req } ->
           Buffer.add_char buf 'P';
-          Buffer.add_string buf (canon (comm, cont));
+          Buffer.add_string buf (Expr.canon (comm, cont));
           id req
       | At_choice { branches; cont; loop } ->
           Buffer.add_char buf 'C';
-          Buffer.add_string buf (canon (branches, cont, loop))
+          Buffer.add_string buf (Expr.canon (branches, cont, loop))
       | Cdone -> Buffer.add_char buf 'D');
-      Buffer.add_string buf (canon (sorted_store rt.p_locals)))
+      Buffer.add_string buf (Expr.canon (Expr.sorted_store rt.p_locals)))
     cfg.procs;
   let key = Buffer.contents buf in
   Gem_obs.Telemetry.(span_end Canon_key) span;
   key
-
-let state_key program = state_key_sealed (seal program)
 
 (* Incremental fingerprint mirroring [state_key] — see Monitor.fp_key for
    the construction rationale. Local stores are folded commutatively
    (insertion order varies across interleavings; names are unique);
    everything else is order-stable and hashed structurally, with event
    handles replaced by their stable identity fingerprints. *)
-let store_fp s =
-  List.fold_left
-    (fun acc (x, v) -> Fp.cadd acc (Fp.combine (Fp.of_string x) (Fp.of_struct v)))
-    (Fp.of_int 0x57) s
-
 let fp_key cfg =
   let span = Gem_obs.Telemetry.(span_begin Canon_key) in
   let idf = Trace.id_fp cfg.trace in
@@ -385,64 +350,25 @@ let fp_key cfg =
       | At_choice { branches; cont; loop } ->
           mix (Fp.combine (Fp.of_int 3) (Fp.of_struct (branches, cont, loop)))
       | Cdone -> mix (Fp.of_int 4));
-      mix (store_fp rt.p_locals))
+      mix (Expr.store_fp rt.p_locals))
     cfg.procs;
   Gem_obs.Telemetry.(span_end Canon_key) span;
   !acc
 
-let explore ?reduction ?exact_keys ?audit_keys ?max_steps ?max_configs
-    ?budget ?(resilience = Explore.no_resilience) program =
-  let reduction =
-    Option.value reduction ~default:(Explore.reduction_default ())
-  in
-  let exact =
-    match exact_keys with Some b -> b | None -> Explore.exact_keys_default ()
-  in
-  let auditing =
-    match audit_keys with Some b -> b | None -> Explore.audit_keys_default ()
-  in
-  let state_key = state_key program and seal = seal program in
-  let result =
-    let key c =
-      if exact then Explore.Exact (state_key c) else Explore.Fp (fp_key c)
-    in
-    let audit = if auditing && not exact then Some state_key else None in
-    if reduction <> Explore.No_reduction then
-      Explore.run ?max_steps ?max_configs ?budget ~key ?audit ~footprint:moves_fp
-        ~reduction ~resilience ~moves ~terminated (initial program)
-    else
-      (* Keyless plain walk, except bitstate mode needs a state key to
-         memoize on (see {!Monitor.explore}). *)
-      let key = if resilience.Explore.bitstate = None then None else Some key in
-      let audit = if key = None then None else audit in
-      Explore.run ?max_steps ?max_configs ?budget ?key ?audit ~resilience
-        ~moves ~terminated (initial program)
-  in
+(* The element list is built at the first seal: a caller that only keys
+   the initial configuration never builds it. *)
+let lang program =
+  let sealer = lazy (seal program) in
+  let seal cfg = Lazy.force sealer cfg in
   {
-    computations = Explore.dedup_computations seal result.completed;
-    deadlocks = Explore.dedup_computations seal result.deadlocked;
-    explored = result.explored;
-    truncated = result.truncated;
-    reduced = result.reduced;
-    exhausted = result.exhausted;
+    Explore.init = initial program;
+    steps;
+    footprint;
+    terminated;
+    fp_key;
+    exact_key = state_key seal;
+    seal;
   }
-
-(* Small-step interface for the POR differential harness. *)
-let initial_config program = initial program
-let config_successors cfg = moves_fp cfg
-let config_moves cfg = List.map (fun (_, fire) -> fire ()) (moves_fp cfg)
-let config_key = state_key
-let config_fp _program cfg = fp_key cfg
-let config_terminated = terminated
-
-let run_one ?(seed = 42) program =
-  let rng = Random.State.make [| seed |] in
-  let rec loop cfg =
-    match moves cfg with
-    | [] -> cfg
-    | ms -> loop (List.nth ms (Random.State.int rng (List.length ms)))
-  in
-  seal program (loop (initial program))
 
 (* ------------------------------------------------------------------ *)
 (* GEM description of CSP                                              *)

@@ -44,67 +44,16 @@ type process = {
 
 type program = process list
 
-type outcome = {
-  computations : Gem_model.Computation.t list;
-  deadlocks : Gem_model.Computation.t list;
-  explored : int;
-  truncated : int;  (** Branches cut by [max_steps]. *)
-  reduced : int;  (** Configurations pruned by partial-order reduction. *)
-  exhausted : Gem_check.Budget.reason option;
-      (** [Some _] iff exploration was cut short — the computation set is
-          then a sound but incomplete sample. *)
-}
-
-val explore :
-  ?reduction:Explore.reduction ->
-  ?exact_keys:bool ->
-  ?audit_keys:bool ->
-  ?max_steps:int ->
-  ?max_configs:int ->
-  ?budget:Gem_check.Budget.t ->
-  ?resilience:Explore.resilience ->
-  program ->
-  outcome
-(** Resource exhaustion never raises; it is reported in [exhausted].
-    [reduction] (default {!Explore.reduction_default}) picks the
-    reduction engine.
-    [exact_keys] (default {!Explore.exact_keys_default}) keys the reduced
-    search on exact canonical strings instead of incremental
-    fingerprints; [audit_keys] (default {!Explore.audit_keys_default})
-    runs fingerprint keys with the exact key as a collision oracle. The
-    canonically ordered [computations]/[deadlocks] are identical for
-    every engine and either key mode. *)
-
-val run_one : ?seed:int -> program -> Gem_model.Computation.t
-
-(** {1 Small-step interface}
-
-    Exposed for the POR differential harness. *)
+(** {1 Exploration} *)
 
 type config
 
-val initial_config : program -> config
-
-val config_successors : config -> config Explore.successor list
-(** The enabled moves as the exploration walks see them — guard-true
-    boolean branches, matched offers, distributed terminations — each a
-    labelled thunk that takes the step. Listing them steps nothing. *)
-
-val config_moves : config -> (Explore.move * config) list
-(** Every scheduler choice, labeled (acting process, branch/offer
-    indices) and carrying its element footprint: {!config_successors},
-    all forced in list order. *)
-
-val config_key : program -> config -> string
-(** Canonical state key: byte-equal for configurations reached by
-    different interleavings of commuting moves. *)
-
-val config_fp : program -> config -> Gem_order.Fingerprint.t
-(** Incremental fingerprint of the configuration — equal whenever
-    {!config_key} is byte-equal; distinct keys collide with negligible
-    probability. *)
-
-val config_terminated : config -> bool
+val lang : program -> config Explore.lang
+(** CSP as {!Explore.explore} and {!Explore.run_one} drive it. Its steps
+    are the guard-true boolean branches, the matched offers (labelled by
+    the pair of offer indices) and the distributed terminations. Building
+    it builds the initial configuration only; the program's element list
+    is built at the first seal. *)
 
 val language_spec : ?name:string -> program -> Gem_spec.Spec.t
 (** The GEM description of CSP applied to this program: one typed element

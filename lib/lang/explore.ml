@@ -14,7 +14,7 @@ type move = { label : string; touches : string list }
    the successors they fire. *)
 type 'c successor = string * (unit -> move * 'c)
 
-(* [touches] lists are sorted and duplicate-free (the interpreters build
+(* [touches] lists are sorted and duplicate-free ({!successors} builds
    them with [List.sort_uniq]), so disjointness is one merge walk — the
    sleep-set filter calls this for every (sleeping, fired) move pair, and
    the old nested [List.mem] scan was quadratic in footprint size. *)
@@ -71,6 +71,18 @@ let audit_keys_default () =
   match Sys.getenv_opt "GEM_AUDIT_KEYS" with
   | Some ("1" | "true" | "yes") -> true
   | Some _ | None -> false
+
+(* What [explore] returns. It is declared before [result], whose field
+   names it shares, so an unannotated [r.explored] still reads a walk's
+   result. *)
+type outcome = {
+  computations : Gem_model.Computation.t list;
+  deadlocks : Gem_model.Computation.t list;
+  explored : int;
+  truncated : int;
+  reduced : int;
+  exhausted : Budget.reason option;
+}
 
 type 'c result = {
   completed : 'c list;
@@ -1061,3 +1073,75 @@ let dedup_computations seal leaves =
   in
   T.span_end T.Merge span;
   sorted
+
+(* ------------------------------------------------------------------ *)
+(* The exploration driver                                              *)
+(* ------------------------------------------------------------------ *)
+
+type 'c lang = {
+  init : 'c;
+  steps : 'c -> (string * (unit -> 'c)) list;
+  footprint : 'c -> 'c -> string list;
+  terminated : 'c -> bool;
+  fp_key : 'c -> Fp.t;
+  exact_key : 'c -> string;
+  seal : 'c -> Gem_model.Computation.t;
+}
+
+(* Each move's footprint is sorted here and nowhere else, which is what
+   {!independent}'s merge walk relies on. *)
+let successors lang c =
+  List.map
+    (fun (label, step) ->
+      ( label,
+        fun () ->
+          let c' = step () in
+          ({ label; touches = List.sort_uniq String.compare (lang.footprint c c') }, c')
+      ))
+    (lang.steps c)
+
+let moves lang c = List.map (fun (_, step) -> step ()) (lang.steps c)
+
+let explore ?reduction ?exact_keys ?audit_keys ?max_steps ?max_configs ?budget
+    ?(resilience = no_resilience) lang =
+  let reduction = match reduction with Some r -> r | None -> reduction_default () in
+  let exact = match exact_keys with Some b -> b | None -> exact_keys_default () in
+  let auditing = match audit_keys with Some b -> b | None -> audit_keys_default () in
+  let key c = if exact then Exact (lang.exact_key c) else Fp (lang.fp_key c) in
+  let audit = if auditing && not exact then Some lang.exact_key else None in
+  let moves = moves lang and terminated = lang.terminated in
+  let result =
+    if reduction <> No_reduction then
+      run ?max_steps ?max_configs ?budget ~key ?audit ~footprint:(successors lang)
+        ~reduction ~resilience ~moves ~terminated lang.init
+    else
+      (* Without reduction the plain walk is keyless — except in bitstate
+         mode, where the bounded seen set needs a state key to memoize on
+         (state keys identify computation-prefix classes, so the pruning
+         stays sound; dedup collapses the interleavings either way). *)
+      let key = if resilience.bitstate = None then None else Some key in
+      let audit = if key = None then None else audit in
+      run ?max_steps ?max_configs ?budget ?key ?audit ~resilience ~moves ~terminated
+        lang.init
+  in
+  {
+    computations = dedup_computations lang.seal result.completed;
+    deadlocks = dedup_computations lang.seal result.deadlocked;
+    explored = result.explored;
+    truncated = result.truncated;
+    reduced = result.reduced;
+    exhausted = result.exhausted;
+  }
+
+(* One draw per step over the enabled moves, in [steps] order; only the
+   drawn move is taken. *)
+let run_one ?(seed = 42) lang =
+  let rng = Random.State.make [| seed |] in
+  let rec loop c =
+    match lang.steps c with
+    | [] -> c
+    | steps ->
+        let _, step = List.nth steps (Random.State.int rng (List.length steps)) in
+        loop (step ())
+  in
+  lang.seal (loop lang.init)

@@ -1,10 +1,13 @@
 (** Generic exhaustive scheduler exploration.
 
-    Language interpreters expose their operational semantics as a [moves]
-    function (all configurations reachable in one scheduler choice); this
-    module walks the choice tree depth-first, within bounds, and classifies
-    the leaves. Configurations carry their own traces, so a completed leaf
-    can be sealed into a computation by the caller.
+    Each language interpreter describes itself by one {!lang} record: its
+    initial configuration, its enabled steps, the footprint of a step,
+    termination, its two state keys and how a leaf is sealed into a
+    computation. {!explore} is the one driver over it: it walks the
+    choice tree depth-first ({!run}), within bounds, classifies the
+    leaves, and seals and deduplicates them into the computation set.
+    Monitor, CSP and ADA programs are explored, keyed and sealed the same
+    way.
 
     Exploration never raises on resource exhaustion: exceeding
     [max_configs], a budget deadline, or a memory watermark stops the walk
@@ -19,10 +22,11 @@ type move = { label : string; touches : string list }
     reads or writes — the elements of the events it emits plus a
     representative element for each runtime component it changes or whose
     state its enabledness depends on. [touches] {b must be sorted
-    (ascending [String.compare]) and duplicate-free} — the interpreters
-    build it with [List.sort_uniq] — so {!independent} can intersect
-    footprints in one linear merge walk. Two moves with disjoint
-    [touches] commute and can neither enable nor disable one another. *)
+    (ascending [String.compare]) and duplicate-free} so {!independent} can
+    intersect footprints in one linear merge walk; {!successors} sorts
+    each interpreter's footprint with [List.sort_uniq], so every move the
+    driver builds has that form. Two moves with disjoint [touches]
+    commute and can neither enable nor disable one another. *)
 
 type 'c successor = string * (unit -> move * 'c)
 (** An enabled move as the walks first see it: its label, and a thunk
@@ -69,6 +73,23 @@ val audit_keys_default : unit -> bool
 (** Same reading of [GEM_AUDIT_KEYS]: run fingerprint-keyed exploration
     with the exact key recorded at first insert and compared on every
     hit, counting mismatches under [Fingerprint_collisions]. *)
+
+(** What {!explore} returns: the walk's counts and its leaves sealed into
+    computations. It is declared before {!result}, whose field names it
+    shares, so an unannotated [r.explored] reads a walk's result. *)
+type outcome = {
+  computations : Gem_model.Computation.t list;
+      (** Distinct partial orders of completed executions, canonically
+          ordered ({!dedup_computations}). *)
+  deadlocks : Gem_model.Computation.t list;
+      (** Distinct partial orders of executions that got stuck. *)
+  explored : int;
+  truncated : int;  (** Branches cut by [max_steps]. *)
+  reduced : int;  (** Configurations pruned by partial-order reduction. *)
+  exhausted : Gem_check.Budget.reason option;
+      (** [Some _] iff exploration was cut short — the computation set is
+          then a sound but incomplete sample. *)
+}
 
 type 'c result = {
   completed : 'c list;  (** Leaves with no moves that satisfy [terminated]. *)
@@ -161,7 +182,12 @@ val run :
   terminated:('c -> bool) ->
   'c ->
   'c result
-(** [max_steps] bounds each branch's depth (default 10_000);
+(** The walk itself, over plain functions. {!explore} calls it with a
+    {!lang}'s parts; tests and benches drive it directly. [moves] lists
+    every successor of a configuration, in order; [terminated] tells a
+    completed leaf from a deadlocked one.
+
+    [max_steps] bounds each branch's depth (default 10_000);
     [max_configs] bounds the total visit budget (default 1_000_000) —
     exceeding it stops the walk with [exhausted = Some Config_budget]
     rather than raising, since an incomplete computation set makes
@@ -196,7 +222,9 @@ val run :
     a state is skipped only when it was previously visited under a sleep
     set no larger than the current one, which keeps the combination
     sound. The successor configurations of [footprint]'s thunks must
-    enumerate exactly [moves config], in the same order. The sleep-set
+    enumerate exactly [moves config], in the same order, and each move's
+    [touches] must be sorted and duplicate-free; {!successors} and
+    {!moves} of one {!lang} satisfy both by construction. The sleep-set
     walk forces the awake thunks of a configuration in list order, under
     one [Interp_step] span; source-DPOR forces a thunk only when it
     executes the move, so a step that raises is raised only if its move
@@ -247,3 +275,69 @@ val dedup_computations :
     fingerprint, so the list is identical however the leaves were
     discovered — the anchor for byte-identical verdicts across POR
     on/off, re-runs, and resumed runs. *)
+
+(** {1 The exploration driver} *)
+
+type 'c lang = {
+  init : 'c;  (** The initial configuration. *)
+  steps : 'c -> (string * (unit -> 'c)) list;
+      (** The enabled moves, listed without stepping: each a label,
+          distinct within the configuration and stable for as long as the
+          move stays enabled, and a thunk that takes the step. *)
+  footprint : 'c -> 'c -> string list;
+      (** [footprint c c'] lists the elements the step from [c] to [c']
+          reads or writes (see {!move}), in any order, duplicates
+          allowed. *)
+  terminated : 'c -> bool;  (** A leaf that completed, not deadlocked. *)
+  fp_key : 'c -> Gem_order.Fingerprint.t;
+      (** Incremental fingerprint of the configuration: equal whenever
+          [exact_key] is byte-equal; distinct keys collide with
+          negligible probability. The default search key. *)
+  exact_key : 'c -> string;
+      (** Canonical state key: byte-equal for configurations reached by
+          different interleavings of commuting moves. The
+          [--exact-keys] search key and the collision audit's oracle. *)
+  seal : 'c -> Gem_model.Computation.t;
+      (** The computation a configuration's trace records. *)
+}
+(** What differs between the languages: everything else about exploring
+    a program is {!explore}'s. *)
+
+val successors : 'c lang -> 'c -> 'c successor list
+(** [lang.steps], each thunk returning its move with the footprint
+    sorted and deduplicated. Listing them steps nothing. *)
+
+val moves : 'c lang -> 'c -> 'c list
+(** Every successor configuration: [lang.steps], all taken, in order —
+    exactly the configurations {!successors}' thunks return. *)
+
+val explore :
+  ?reduction:reduction ->
+  ?exact_keys:bool ->
+  ?audit_keys:bool ->
+  ?max_steps:int ->
+  ?max_configs:int ->
+  ?budget:Gem_check.Budget.t ->
+  ?resilience:resilience ->
+  'c lang ->
+  outcome
+(** Explore every schedule of a program and seal its leaves. Resource
+    exhaustion (configuration budget, deadline, memory watermark) never
+    raises: it is reported in [exhausted]. A step's own error
+    ([Expr.Eval_error] on a runtime type error) still raises.
+
+    [reduction] (default {!reduction_default}) picks the engine: the
+    reducing engines walk {!successors} keyed on the state key, and
+    [No_reduction] runs the plain walk over {!moves} without keys, except
+    under bitstate, whose bounded seen set needs one. [exact_keys]
+    (default {!exact_keys_default}) keys the search on [lang.exact_key]
+    instead of [lang.fp_key]; [audit_keys] (default
+    {!audit_keys_default}) keeps fingerprint keys and runs the exact key
+    alongside as a collision oracle. [max_steps], [max_configs],
+    [budget] and [resilience] are {!run}'s. [computations] and
+    [deadlocks] are identical for every engine and either key mode. *)
+
+val run_one : ?seed:int -> 'c lang -> Gem_model.Computation.t
+(** One pseudo-randomly scheduled complete or stuck run (default seed
+    42): at each configuration one move is drawn uniformly from
+    [lang.steps] and taken. *)

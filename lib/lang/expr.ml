@@ -39,6 +39,19 @@ let lookup store x =
 
 let update store x v = (x, v) :: List.remove_assoc x store
 
+(* The interpreters' state keys. [update] prepends, so insertion order
+   varies across interleavings: the exact key sorts a store and marshals
+   it without sharing, and the fingerprint folds its bindings
+   commutatively (names are unique within a store). *)
+let sorted_store (s : store) = List.sort (fun (a, _) (b, _) -> String.compare a b) s
+let canon x = Marshal.to_string x [ Marshal.No_sharing ]
+
+let store_fp s =
+  let module Fp = Gem_order.Fingerprint in
+  List.fold_left
+    (fun acc (x, v) -> Fp.cadd acc (Fp.combine (Fp.of_string x) (Fp.of_struct v)))
+    (Fp.of_int 0x57) s
+
 let rec eval ?queue_test ?queue_len store e =
   let eval' e = eval ?queue_test ?queue_len store e in
   let int e = match eval' e with

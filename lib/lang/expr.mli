@@ -45,6 +45,18 @@ val lookup : store -> string -> Gem_model.Value.t
 
 val update : store -> string -> Gem_model.Value.t -> store
 
+val sorted_store : store -> store
+(** The bindings sorted by name — what the exact state keys render, since
+    {!update} prepends and insertion order varies across interleavings. *)
+
+val canon : 'a -> string
+(** Marshalled without sharing: structurally equal values give
+    byte-equal strings. *)
+
+val store_fp : store -> Gem_order.Fingerprint.t
+(** Fingerprint of a store, folded commutatively over its bindings: equal
+    for stores that {!sorted_store} renders alike. *)
+
 val eval :
   ?queue_test:(string -> bool) ->
   ?queue_len:(string -> int) ->

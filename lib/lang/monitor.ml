@@ -448,17 +448,14 @@ let footprint before after =
       (fun acc (n, m) (_, m') -> if m == m' then acc else element_of_lock n :: acc)
       touches before.mons after.mons
   in
-  let touches =
-    if before.shared_store == after.shared_store then touches
-    else
-      List.fold_left
-        (fun acc (v, value) ->
-          match List.assoc_opt v before.shared_store with
-          | Some old when old == value -> acc
-          | _ -> v :: acc)
-        touches after.shared_store
-  in
-  List.sort_uniq String.compare touches
+  if before.shared_store == after.shared_store then touches
+  else
+    List.fold_left
+      (fun acc (v, value) ->
+        match List.assoc_opt v before.shared_store with
+        | Some old when old == value -> acc
+        | _ -> v :: acc)
+      touches after.shared_store
 
 (* The enabled moves, one per Active process and labelled by it, listed
    without stepping. *)
@@ -469,17 +466,6 @@ let steps ctx cfg =
       | Active stmts -> Some (pname, fun () -> step_proc ctx cfg pname stmts)
       | In_monitor | Proc_done -> None)
     cfg.procs
-
-let moves_fp ctx cfg : config Explore.successor list =
-  List.map
-    (fun (label, step) ->
-      ( label,
-        fun () ->
-          let cfg' = step () in
-          ({ Explore.label; touches = footprint cfg cfg' }, cfg') ))
-    (steps ctx cfg)
-
-let moves ctx cfg = List.map (fun (_, step) -> step ()) (steps ctx cfg)
 
 let terminated cfg =
   List.for_all
@@ -564,17 +550,8 @@ let initial ctx =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Exploration                                                         *)
+(* Sealing and state keys                                              *)
 (* ------------------------------------------------------------------ *)
-
-type outcome = {
-  computations : Gem_model.Computation.t list;
-  deadlocks : Gem_model.Computation.t list;
-  explored : int;
-  truncated : int;
-  reduced : int;
-  exhausted : Gem_check.Budget.reason option;
-}
 
 let groups_of_program program =
   List.map
@@ -619,17 +596,13 @@ let seal program =
    prepends, [set_cond_queue] reorders) are sorted by name, and
    marshalling disables sharing, so structurally equal states — in
    particular those reached by different interleavings of commuting moves
-   — serialize to byte-equal keys. *)
-let sorted_store (s : Expr.store) =
-  List.sort (fun (a, _) (b, _) -> String.compare a b) s
+   — serialize to byte-equal keys.
 
-let canon x = Marshal.to_string x [ Marshal.No_sharing ]
-
-(* Exact canonical keys seal and marshal the whole configuration — the
+   Exact canonical keys seal and marshal the whole configuration — the
    [--exact-keys] fallback path and the collision-audit oracle; the hot
    default is the incremental [fp_key] below. Both constructions share
    the Canon_key telemetry span. *)
-let state_key_sealed seal cfg =
+let state_key seal cfg =
   let span = Gem_obs.Telemetry.(span_begin Canon_key) in
   let comp = seal cfg in
   let buf = Buffer.create 1024 in
@@ -644,25 +617,23 @@ let state_key_sealed seal cfg =
       (match rt.p_state with
       | Active stmts ->
           Buffer.add_char buf 'A';
-          Buffer.add_string buf (canon stmts)
+          Buffer.add_string buf (Expr.canon stmts)
       | In_monitor -> Buffer.add_char buf 'M'
       | Proc_done -> Buffer.add_char buf 'D');
-      Buffer.add_string buf (canon (sorted_store rt.p_locals)))
+      Buffer.add_string buf (Expr.canon (Expr.sorted_store rt.p_locals)))
     cfg.procs;
   List.iter
     (fun (n, m) ->
       Buffer.add_string buf n;
       let conds = List.sort (fun (a, _) (b, _) -> String.compare a b) m.m_conds in
       Buffer.add_string buf
-        (canon (sorted_store m.m_store, conds, m.m_urgent, m.m_entryq, m.m_busy));
+        (Expr.canon (Expr.sorted_store m.m_store, conds, m.m_urgent, m.m_entryq, m.m_busy));
       match m.m_last_rel with Some h -> id h | None -> Buffer.add_char buf '-')
     cfg.mons;
-  Buffer.add_string buf (canon (sorted_store cfg.shared_store));
+  Buffer.add_string buf (Expr.canon (Expr.sorted_store cfg.shared_store));
   let key = Buffer.contents buf in
   Gem_obs.Telemetry.(span_end Canon_key) span;
   key
-
-let state_key program = state_key_sealed (seal program)
 
 (* Incremental 126-bit state fingerprint — same equivalence classes as
    [state_key] up to hash collisions, built without sealing or
@@ -673,11 +644,6 @@ let state_key program = state_key_sealed (seal program)
    interleavings, are folded commutatively ([Fp.cadd]); binding and
    condition names are unique within one store/monitor, so multiset
    equality coincides with sorted-list equality. *)
-let store_fp s =
-  List.fold_left
-    (fun acc (x, v) -> Fp.cadd acc (Fp.combine (Fp.of_string x) (Fp.of_struct v)))
-    (Fp.of_int 0x57) s
-
 let proc_key idf n rt =
   {
     k_name = Fp.of_string n;
@@ -687,7 +653,7 @@ let proc_key idf n rt =
       | Active stmts -> Fp.combine (Fp.of_int 1) (Fp.of_struct stmts)
       | In_monitor -> Fp.of_int 2
       | Proc_done -> Fp.of_int 3);
-    k_locals = store_fp rt.p_locals;
+    k_locals = Expr.store_fp rt.p_locals;
   }
 
 (* [reuse] takes the components of a runtime from [cfg.proc_keys] when it
@@ -724,78 +690,29 @@ let fp_key ?(reuse = true) cfg =
            (Fp.of_int 0xc0) m.m_conds);
       mix (Fp.of_struct (m.m_urgent, m.m_entryq, m.m_busy));
       mix (match m.m_last_rel with Some h -> idf h | None -> Fp.of_int 0x4e);
-      mix (store_fp m.m_store))
+      mix (Expr.store_fp m.m_store))
     cfg.mons;
-  mix (store_fp cfg.shared_store);
+  mix (Expr.store_fp cfg.shared_store);
   Gem_obs.Telemetry.(span_end Canon_key) span;
   !acc
 
-let explore ?(emit_getvals = false) ?reduction ?exact_keys ?audit_keys
-    ?max_steps ?max_configs ?budget ?(resilience = Explore.no_resilience)
-    program =
-  let reduction =
-    Option.value reduction ~default:(Explore.reduction_default ())
-  in
-  let exact =
-    match exact_keys with Some b -> b | None -> Explore.exact_keys_default ()
-  in
-  let auditing =
-    match audit_keys with Some b -> b | None -> Explore.audit_keys_default ()
-  in
-  let ctx = { program; emit_getvals } in
-  let state_key = state_key program and seal = seal program in
-  let result =
-    let key c =
-      if exact then Explore.Exact (state_key c) else Explore.Fp (fp_key c)
-    in
-    let audit = if auditing && not exact then Some state_key else None in
-    if reduction <> Explore.No_reduction then
-      Explore.run ?max_steps ?max_configs ?budget ~key ?audit
-        ~footprint:(moves_fp ctx) ~reduction ~resilience
-        ~moves:(moves ctx) ~terminated (initial ctx)
-    else
-      (* Without POR the plain walk is keyless — except in bitstate mode,
-         where the bounded seen set needs a state key to memoize on (state
-         keys identify computation-prefix classes, so the pruning stays
-         sound; dedup collapses the interleavings either way). *)
-      let key = if resilience.Explore.bitstate = None then None else Some key in
-      let audit = if key = None then None else audit in
-      Explore.run ?max_steps ?max_configs ?budget ?key ?audit ~resilience
-        ~moves:(moves ctx) ~terminated (initial ctx)
-  in
-  {
-    computations = Explore.dedup_computations seal result.completed;
-    deadlocks = Explore.dedup_computations seal result.deadlocked;
-    explored = result.explored;
-    truncated = result.truncated;
-    reduced = result.reduced;
-    exhausted = result.exhausted;
-  }
-
-(* Small-step interface for the POR differential harness. *)
-let initial_config ?(emit_getvals = false) program =
-  initial { program; emit_getvals }
-
-let config_successors ?(emit_getvals = false) program cfg =
-  moves_fp { program; emit_getvals } cfg
-
-let config_moves ?emit_getvals program cfg =
-  List.map (fun (_, fire) -> fire ()) (config_successors ?emit_getvals program cfg)
-
-let config_key = state_key
-let config_fp _program cfg = fp_key cfg
 let config_fp_uncached _program cfg = fp_key ~reuse:false cfg
-let config_terminated = terminated
 
-let run_one ?(emit_getvals = false) ?(seed = 42) program =
+(* The element and group lists are built at the first seal: a caller
+   that only keys the initial configuration never builds them. *)
+let lang ?(emit_getvals = false) program =
   let ctx = { program; emit_getvals } in
-  let rng = Random.State.make [| seed |] in
-  let rec loop cfg =
-    match moves ctx cfg with
-    | [] -> cfg
-    | ms -> loop (List.nth ms (Random.State.int rng (List.length ms)))
-  in
-  seal program (loop (initial ctx))
+  let sealer = lazy (seal program) in
+  let seal cfg = Lazy.force sealer cfg in
+  {
+    Explore.init = initial ctx;
+    steps = steps ctx;
+    footprint;
+    terminated;
+    fp_key = (fun cfg -> fp_key cfg);
+    exact_key = state_key seal;
+    seal;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Mechanical translation to a GEM program specification               *)

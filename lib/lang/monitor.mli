@@ -84,89 +84,23 @@ type program = {
 
 (** {1 Exploration} *)
 
-type outcome = {
-  computations : Gem_model.Computation.t list;
-      (** Distinct partial orders of completed executions. *)
-  deadlocks : Gem_model.Computation.t list;
-      (** Traces of executions that got stuck. *)
-  explored : int;
-  truncated : int;  (** Branches cut by [max_steps]. *)
-  reduced : int;  (** Configurations pruned by partial-order reduction. *)
-  exhausted : Gem_check.Budget.reason option;
-      (** [Some _] iff exploration was cut short — the computation set is
-          then a sound but incomplete sample. *)
-}
-
-val explore :
-  ?emit_getvals:bool ->
-  ?reduction:Explore.reduction ->
-  ?exact_keys:bool ->
-  ?audit_keys:bool ->
-  ?max_steps:int ->
-  ?max_configs:int ->
-  ?budget:Gem_check.Budget.t ->
-  ?resilience:Explore.resilience ->
-  program ->
-  outcome
-(** Exhaustively explore all schedules. Resource exhaustion (config
-    budget, deadline, memory watermark) never raises: it is reported in
-    [exhausted]. [Expr.Eval_error] still raises on runtime type errors.
-    [reduction] (default {!Explore.reduction_default}) picks the
-    reduction engine; every engine reaches the same completed/deadlocked
-    computation sets. [exact_keys] (default
-    {!Explore.exact_keys_default}) keys the reduced search on exact
-    marshal-string canonical keys instead of incremental 126-bit
-    fingerprints; [audit_keys] (default {!Explore.audit_keys_default})
-    keeps fingerprint keys but computes the exact key alongside as a
-    collision oracle, counting mismatches under the
-    [Fingerprint_collisions] telemetry counter. [computations] and
-    [deadlocks] are canonically ordered, so the outcome's
-    verdict-relevant content is identical for every engine and either
-    key mode. *)
-
-val run_one : ?emit_getvals:bool -> ?seed:int -> program -> Gem_model.Computation.t
-(** One (pseudo-randomly scheduled) complete or stuck run — handy for
-    examples and smoke tests. *)
-
-(** {1 Small-step interface}
-
-    Exposed for the POR differential harness: single configurations,
-    labeled moves with element footprints, and the canonical state key. *)
-
 type config
 
-val initial_config : ?emit_getvals:bool -> program -> config
+val lang : ?emit_getvals:bool -> program -> config Explore.lang
+(** The Monitor language as {!Explore.explore} and {!Explore.run_one}
+    drive it. Its steps are one per Active process, labelled by it.
+    [emit_getvals] (default [false]) also emits a [Getval] event for
+    every monitor-variable read. Building it builds the initial
+    configuration only; the program's element and group lists are built
+    at the first seal.
 
-val config_successors :
-  ?emit_getvals:bool -> program -> config -> config Explore.successor list
-(** The enabled moves of [config] as the exploration walks see them: one
-    per Active process, labelled by it, each a thunk that takes the step.
-    Listing them steps nothing. *)
-
-val config_moves :
-  ?emit_getvals:bool -> program -> config -> (Explore.move * config) list
-(** Every scheduler choice from [config], labeled by the acting process
-    and carrying its element footprint: {!config_successors}, all
-    forced in list order. *)
-
-val config_key : program -> config -> string
-(** Canonical state key: byte-equal for configurations reached by
-    different interleavings of commuting moves. *)
-
-val config_fp : program -> config -> Gem_order.Fingerprint.t
-(** Incremental fingerprint of the configuration — equal whenever
-    {!config_key} is byte-equal; distinct keys collide with negligible
-    probability. This is what the default (fingerprint-keyed) search keys
-    its seen tables on. It reuses the key components of every process
-    runtime it shares with the configuration it was stepped from, when
-    that one was keyed first (the walks key a configuration before they
-    step it). *)
+    Its [fp_key] reuses the key components of every process runtime it
+    shares with the configuration it was stepped from, when that one was
+    keyed first (the walks key a configuration before they step it). *)
 
 val config_fp_uncached : program -> config -> Gem_order.Fingerprint.t
-(** {!config_fp} with every component recomputed: the same value, the
-    reference the reuse is tested against. *)
-
-val config_terminated : config -> bool
+(** [(lang program).fp_key] with every component recomputed: the same
+    value, the reference the reuse is tested against. *)
 
 (** {1 Mechanical GEM translation (paper §9: "simple and mechanical enough
     to lend itself to automation")} *)

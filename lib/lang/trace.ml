@@ -86,7 +86,7 @@ let touched_elements ~before after =
     | (e : Event.t) :: rest when k > 0 -> added (k - 1) rest (e.id.element :: acc)
     | _ -> acc
   in
-  List.sort_uniq String.compare (added (after.n - before.n) after.rev_events [])
+  added (after.n - before.n) after.rev_events []
 
 let to_computation ?(extra_elements = []) ?(groups = []) t =
   let events = Array.of_list (List.rev t.rev_events) in

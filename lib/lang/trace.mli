@@ -56,8 +56,10 @@ val id_fp : t -> int -> Gem_order.Fingerprint.t
 val touched_elements : before:t -> t -> string list
 (** Elements that gained at least one event between [before] and the
     (extended) trace — the event-footprint of the step that produced it —
-    sorted and duplicate-free. It reads only the events the step added.
-    Only meaningful when the second trace extends [before]. *)
+    one entry per added event, in emission order, so an element can
+    repeat ({!Explore.successors} sorts and deduplicates the footprint).
+    It reads only the events the step added. Only meaningful when the
+    second trace extends [before]. *)
 
 val to_computation :
   ?extra_elements:string list ->

@@ -73,16 +73,17 @@ type report = {
 
 let check ?reduction ?exact_keys ?audit_keys ?max_configs ?budget ?jobs
     ?resilience ~sites () =
+  let program = program ~sites in
   let o =
-    Csp.explore ?reduction ?exact_keys ?audit_keys ?max_configs ?budget
-      ?resilience (program ~sites)
+    Gem_lang.Explore.explore ?reduction ?exact_keys ?audit_keys ?max_configs ?budget
+      ?resilience (Csp.lang program)
   in
-  let spec = Csp.language_spec ~name:"db-update" (program ~sites) in
+  let spec = Csp.language_spec ~name:"db-update" program in
   let prop = F.conj [ convergence; converges_to ~sites ] in
   let verdicts =
     Gem_check.Par.map ?jobs
       (fun comp -> Gem_check.Check.check_formula ?budget spec comp ~name:"convergence" prop)
-      o.computations
+      o.Gem_lang.Explore.computations
   in
   let exhausted =
     match o.exhausted with

@@ -16,6 +16,7 @@ let neighbours ~width ~height (x, y) =
     [ (-1, -1); (0, -1); (1, -1); (-1, 0); (1, 0); (-1, 1); (0, 1); (1, 1) ]
 
 let reference ~width ~height ~generations ~alive =
+  if generations < 0 then invalid_arg "Life.reference: negative generations";
   let initial = Array.init height (fun y -> Array.init width (fun x -> List.mem (x, y) alive)) in
   let step grid =
     Array.init height (fun y ->

@@ -26,7 +26,8 @@ val build :
 val reference :
   width:int -> height:int -> generations:int -> alive:cell list -> bool array array list
 (** Synchronous reference: the grid at each generation [0..generations];
-    [(grid).(y).(x)]. *)
+    [(grid).(y).(x)]. Raises [Invalid_argument] when [generations] is
+    negative. *)
 
 val spec : width:int -> height:int -> Gem_spec.Spec.t
 (** Cell elements with their [State] event class. *)

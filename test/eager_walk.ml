@@ -1,7 +1,8 @@
 (* The plain-memory sleep-set and source-DPOR walks as they were when
    every configuration's successors were built before the walk looked at
-   their labels: [footprint] is an interpreter's eager [config_moves],
-   and the asleep successors are dropped after they are built. test_props
+   their labels: [footprint] is the eager list of a language's
+   successors ({!Gem_lang.Explore.successors}, every thunk forced), and
+   the asleep successors are dropped after they are built. test_props
    holds the awake-only walks of {!Gem_lang.Explore} to this copy: same
    leaves, same counts, same telemetry. The resilience layers (bitstate,
    checkpoint) are left out: they only change where the seen store

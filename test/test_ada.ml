@@ -22,7 +22,7 @@ let caller name v =
         AMark { klass = "Got"; params = [ E.Var "r" ] } ] }
 
 let test_rendezvous () =
-  let o = explore [ echo_server; caller "C" 42 ] in
+  let o = Gem_lang.Explore.explore (lang [ echo_server; caller "C" 42 ]) in
   check Alcotest.int "one computation" 1 (List.length o.computations);
   check Alcotest.int "no deadlock" 0 (List.length o.deadlocks);
   let comp = List.hd o.computations in
@@ -47,7 +47,7 @@ let test_caller_blocked_during_rendezvous () =
   let c = { task_name = "C"; locals = [];
             code = [ ACall { task = "S"; entry = "E"; args = []; bind = None };
                      AMark { klass = "After"; params = [] } ] } in
-  let o = explore [ server; c ] in
+  let o = Gem_lang.Explore.explore (lang [ server; c ]) in
   let comp = List.hd o.computations in
   let mid = List.hd (C.events_of_class comp "Mid") in
   let after = List.hd (C.events_of_class comp "After") in
@@ -71,7 +71,7 @@ let test_select_explores_choices () =
   let cb = { task_name = "CB"; locals = [];
              code = [ ACall { task = "S"; entry = "B"; args = []; bind = None };
                       AMark { klass = "DoneB"; params = [] } ] } in
-  let o = explore [ server; ca; cb ] in
+  let o = Gem_lang.Explore.explore (lang [ server; ca; cb ]) in
   check Alcotest.int "no deadlock" 0 (List.length o.deadlocks);
   (* Both acceptance orders are explored; the partial orders differ by the
      order of AcceptBegins at S. *)
@@ -87,7 +87,7 @@ let test_select_guard_closed () =
   in
   let c = { task_name = "C"; locals = [];
             code = [ ACall { task = "S"; entry = "A"; args = []; bind = None } ] } in
-  let o = explore [ server; c ] in
+  let o = Gem_lang.Explore.explore (lang [ server; c ]) in
   check Alcotest.int "deadlock (closed guard)" 1 (List.length o.deadlocks)
 
 let test_entry_queue_fifo () =
@@ -103,7 +103,7 @@ let test_entry_queue_fifo () =
   in
   let c name v = { task_name = name; locals = [];
                    code = [ ACall { task = "S"; entry = "E"; args = [ E.Int v ]; bind = None } ] } in
-  let o = explore [ server; c "C1" 1; c "C2" 2 ] in
+  let o = Gem_lang.Explore.explore (lang [ server; c "C1" 1; c "C2" 2 ]) in
   check Alcotest.int "no deadlock" 0 (List.length o.deadlocks);
   List.iter
     (fun comp ->
@@ -137,7 +137,7 @@ let test_nested_rendezvous () =
   let c = { task_name = "C"; locals = [ ("x", V.Int 0) ];
             code = [ ACall { task = "S"; entry = "Outer"; args = []; bind = Some "x" };
                      AMark { klass = "Got"; params = [ E.Var "x" ] } ] } in
-  let o = explore [ t; s; c ] in
+  let o = Gem_lang.Explore.explore (lang [ t; s; c ]) in
   check Alcotest.int "no deadlock" 0 (List.length o.deadlocks);
   let comp = List.hd o.computations in
   match C.events_of_class comp "Got" with
@@ -149,7 +149,7 @@ let test_call_cycle_deadlock () =
             code = [ ACall { task = "B"; entry = "E"; args = []; bind = None } ] } in
   let b = { task_name = "B"; locals = [];
             code = [ ACall { task = "A"; entry = "E"; args = []; bind = None } ] } in
-  let o = explore [ a; b ] in
+  let o = Gem_lang.Explore.explore (lang [ a; b ]) in
   (* Two distinct deadlocked partial orders: queue insertion is an event at
      the callee's element, so "A called first" and "B called first" differ
      in the callees' element orders. *)
@@ -159,7 +159,7 @@ let test_call_cycle_deadlock () =
 let test_language_spec () =
   let program = [ echo_server; caller "C" 7 ] in
   let spec = language_spec program in
-  let o = explore program in
+  let o = Gem_lang.Explore.explore (lang program) in
   List.iter
     (fun comp ->
       Alcotest.(check bool) "ada spec ok" true

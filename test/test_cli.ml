@@ -50,6 +50,14 @@ let test_inconclusive_configs () =
 let test_inconclusive_timeout () =
   check Alcotest.int "zero deadline" 2 (run "rw --timeout 0.0")
 
+let stderr_and_code args =
+  let ic =
+    Unix.open_process_in
+      (Printf.sprintf "%s %s 2>&1 >/dev/null" (Filename.quote gemcheck) args)
+  in
+  let err = In_channel.input_all ic in
+  (err, Unix.close_process_in ic)
+
 let test_usage_error () =
   check Alcotest.int "unknown flag" 3 (run "rw --no-such-flag");
   check Alcotest.int "unknown subcommand" 3 (run "frobnicate");
@@ -68,15 +76,23 @@ let test_usage_error () =
         (contains err "not a valid bit width"
         && contains err "8..30"
         && not (contains err "internal")))
-    [ "rw --bitstate --bitstate-bits 100"; "db --bitstate --bitstate-bits 7" ]
-
-let stderr_and_code args =
-  let ic =
-    Unix.open_process_in
-      (Printf.sprintf "%s %s 2>&1 >/dev/null" (Filename.quote gemcheck) args)
-  in
-  let err = In_channel.input_all ic in
-  (err, Unix.close_process_in ic)
+    [ "rw --bitstate --bitstate-bits 100"; "db --bitstate --bitstate-bits 7" ];
+  (* Out-of-range counts and durations are usage errors too, refused
+     before anything runs: no internal error, no loop on
+     --generations=-1, no deadline-free run on --timeout=nan. *)
+  List.iter
+    (fun (args, expect) ->
+      let err, st = stderr_and_code args in
+      check Alcotest.bool (args ^ " exits 3") true (st = Unix.WEXITED 3);
+      check Alcotest.bool (args ^ " is a usage error: " ^ err) true
+        (contains err expect && not (contains err "internal error")))
+    [
+      ("db --sites 1", "sites expects an integer >= 2");
+      ("rw --readers=-1", "readers expects an integer >= 0");
+      ("life --generations=-1", "generations expects an integer >= 0");
+      ("buffer --producers 2 --consumers 2 --timeout=nan", "not a valid duration");
+      ("rw --timeout=-1", "not a valid duration");
+    ]
 
 (* A --restrict formula that cannot be evaluated is a usage error naming
    the restriction, with one message for every --jobs value. *)

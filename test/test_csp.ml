@@ -19,7 +19,7 @@ let receiver ?(from_ = "P") () =
              CMark { klass = "Got"; params = [ E.Var "x" ] } ] }
 
 let test_basic_communication () =
-  let o = explore [ sender 42; receiver () ] in
+  let o = Gem_lang.Explore.explore (lang [ sender 42; receiver () ]) in
   check Alcotest.int "one computation" 1 (List.length o.computations);
   check Alcotest.int "no deadlock" 0 (List.length o.deadlocks);
   let comp = List.hd o.computations in
@@ -36,7 +36,7 @@ let test_basic_communication () =
 
 let test_mismatched_partners_deadlock () =
   (* P sends to Q, Q expects from R: no match, both stuck. *)
-  let o = explore [ sender ~to_:"Q" 1; receiver ~from_:"R" () ] in
+  let o = Gem_lang.Explore.explore (lang [ sender ~to_:"Q" 1; receiver ~from_:"R" () ]) in
   check Alcotest.int "no completion" 0 (List.length o.computations);
   check Alcotest.int "deadlock" 1 (List.length o.deadlocks)
 
@@ -56,7 +56,7 @@ let test_choice_both_ways () =
               { guard = E.Bool true; comm = Some (Recv { from_ = "B"; bind = "x" }); body = [] } ];
         ] }
   in
-  let o = explore [ s "A" 1; s "B" 2; q ] in
+  let o = Gem_lang.Explore.explore (lang [ s "A" 1; s "B" 2; q ]) in
   check Alcotest.int "no deadlock" 0 (List.length o.deadlocks);
   let firsts =
     List.map
@@ -75,7 +75,7 @@ let test_guard_false_blocks_branch () =
         [ CIf
             [ { guard = E.Bool false; comm = Some (Recv { from_ = "P"; bind = "x" }); body = [] } ] ] }
   in
-  let o = explore [ sender 1; q ] in
+  let o = Gem_lang.Explore.explore (lang [ sender 1; q ]) in
   check Alcotest.int "deadlocked" 1 (List.length o.deadlocks)
 
 let test_repetition_terminates () =
@@ -95,7 +95,7 @@ let test_repetition_terminates () =
                 body = [ CLocal ("n", E.Add (E.Var "n", E.Int 1)) ] } ];
           CMark { klass = "Count"; params = [ E.Var "n" ] } ] }
   in
-  let o = explore [ producer; consumer ] in
+  let o = Gem_lang.Explore.explore (lang [ producer; consumer ]) in
   check Alcotest.int "no deadlock" 0 (List.length o.deadlocks);
   check Alcotest.int "one computation" 1 (List.length o.computations);
   let comp = List.hd o.computations in
@@ -113,7 +113,7 @@ let test_boolean_only_branch () =
                          CLocal ("done_", E.Int 1) ] } ];
           CMark { klass = "Fin"; params = [] } ] }
   in
-  let o = explore [ p ] in
+  let o = Gem_lang.Explore.explore (lang [ p ]) in
   check Alcotest.int "one run" 1 (List.length o.computations);
   let comp = List.hd o.computations in
   check Alcotest.int "ticked once" 1 (List.length (C.events_of_class comp "Tick"));
@@ -122,7 +122,7 @@ let test_boolean_only_branch () =
 let test_language_spec () =
   let program = [ sender 7; receiver () ] in
   let spec = language_spec program in
-  let o = explore program in
+  let o = Gem_lang.Explore.explore (lang program) in
   List.iter
     (fun comp ->
       Alcotest.(check bool) "csp spec ok" true
@@ -157,7 +157,7 @@ let test_same_partial_order_deduped () =
                      code = [ CComm (Send { to_; value = E.Int 1 }) ] } in
   let r name from_ = { proc_name = name; locals = [ ("x", V.Int 0) ];
                        code = [ CComm (Recv { from_; bind = "x" }) ] } in
-  let o = explore [ s "A" "B"; r "B" "A"; s "C" "D"; r "D" "C" ] in
+  let o = Gem_lang.Explore.explore (lang [ s "A" "B"; r "B" "A"; s "C" "D"; r "D" "C" ]) in
   check Alcotest.int "one partial order" 1 (List.length o.computations)
 
 let () =

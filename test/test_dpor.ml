@@ -40,32 +40,18 @@ type outcome = {
   o_explored : int;
 }
 
-let mon_outcome ?max_configs prog reduction =
-  let o = Monitor.explore ~reduction ?max_configs prog in
+let outcome ?exact_keys ?max_configs lang reduction =
+  let o = Explore.explore ~reduction ?exact_keys ?max_configs lang in
   {
-    o_comps = fps o.Monitor.computations;
-    o_deads = fps o.Monitor.deadlocks;
-    o_exh = reason_opt o.Monitor.exhausted;
-    o_explored = o.Monitor.explored;
+    o_comps = fps o.Explore.computations;
+    o_deads = fps o.Explore.deadlocks;
+    o_exh = reason_opt o.Explore.exhausted;
+    o_explored = o.Explore.explored;
   }
 
-let csp_outcome ?max_configs prog reduction =
-  let o = Csp.explore ~reduction ?max_configs prog in
-  {
-    o_comps = fps o.Csp.computations;
-    o_deads = fps o.Csp.deadlocks;
-    o_exh = reason_opt o.Csp.exhausted;
-    o_explored = o.Csp.explored;
-  }
-
-let ada_outcome ?max_configs prog reduction =
-  let o = Ada.explore ~reduction ?max_configs prog in
-  {
-    o_comps = fps o.Ada.computations;
-    o_deads = fps o.Ada.deadlocks;
-    o_exh = reason_opt o.Ada.exhausted;
-    o_explored = o.Ada.explored;
-  }
+let mon_outcome ?max_configs prog = outcome ?max_configs (Monitor.lang prog)
+let csp_outcome ?max_configs prog = outcome ?max_configs (Csp.lang prog)
+let ada_outcome ?max_configs prog = outcome ?max_configs (Ada.lang prog)
 
 (* The core differential: none, sleep and source agree on every leaf
    multiset and on the exhaustion status, and source visits no more
@@ -188,9 +174,9 @@ let test_verdicts_byte_identical () =
     let prog = RW.program ~monitor ~readers ~writers in
     let problem = RW.spec version ~users:(RW.user_names ~readers ~writers) in
     let render reduction =
-      let o = Monitor.explore ~reduction prog in
+      let o = Explore.explore ~reduction (Monitor.lang prog) in
       render_sat ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
-        o.Monitor.computations
+        o.Explore.computations
     in
     match List.map render engines with
     | [ a; b; c ] ->
@@ -233,11 +219,11 @@ let test_source_beats_sleep () =
    engine's computation and deadlock multisets. *)
 let grid = [ false; true ]
 
-let source_matches_plain ~explore_fn prog =
-  let base = explore_fn ~reduction:Explore.No_reduction ~exact_keys:false prog in
+let source_matches_plain lang =
+  let base = outcome ~exact_keys:false lang Explore.No_reduction in
   List.for_all
     (fun exact ->
-      let src = explore_fn ~reduction:Explore.Source_sets ~exact_keys:exact prog in
+      let src = outcome ~exact_keys:exact lang Explore.Source_sets in
       src.o_comps = base.o_comps
       && src.o_deads = base.o_deads
       && src.o_exh = None && base.o_exh = None)
@@ -246,44 +232,17 @@ let source_matches_plain ~explore_fn prog =
 let prop_csp_random =
   QCheck.Test.make ~name:"random CSP: source matches plain on the grid"
     ~count:40 Gen.csp_arb (fun prog ->
-      source_matches_plain
-        ~explore_fn:(fun ~reduction ~exact_keys prog ->
-          let o = Csp.explore ~reduction ~exact_keys prog in
-          {
-            o_comps = fps o.Csp.computations;
-            o_deads = fps o.Csp.deadlocks;
-            o_exh = reason_opt o.Csp.exhausted;
-            o_explored = o.Csp.explored;
-          })
-        prog)
+      source_matches_plain (Csp.lang prog))
 
 let prop_monitor_random =
   QCheck.Test.make ~name:"random Monitor: source matches plain on the grid"
     ~count:30 Gen.monitor_arb (fun prog ->
-      source_matches_plain
-        ~explore_fn:(fun ~reduction ~exact_keys prog ->
-          let o = Monitor.explore ~reduction ~exact_keys prog in
-          {
-            o_comps = fps o.Monitor.computations;
-            o_deads = fps o.Monitor.deadlocks;
-            o_exh = reason_opt o.Monitor.exhausted;
-            o_explored = o.Monitor.explored;
-          })
-        prog)
+      source_matches_plain (Monitor.lang prog))
 
 let prop_ada_random =
   QCheck.Test.make ~name:"random ADA: source matches plain on the grid"
     ~count:30 Gen.ada_arb (fun prog ->
-      source_matches_plain
-        ~explore_fn:(fun ~reduction ~exact_keys prog ->
-          let o = Ada.explore ~reduction ~exact_keys prog in
-          {
-            o_comps = fps o.Ada.computations;
-            o_deads = fps o.Ada.deadlocks;
-            o_exh = reason_opt o.Ada.exhausted;
-            o_explored = o.Ada.explored;
-          })
-        prog)
+      source_matches_plain (Ada.lang prog))
 
 (* Engine selection has one switch: the retired GEM_NO_POR no longer
    moves the default, and the spellings round-trip. *)

@@ -142,12 +142,12 @@ let test_corpus_bitstate_downgrade () =
           bitstate = Some (Gem.Bitstate.create ~bits:16 ())
         }
       in
-      let o = Gem.Csp.explore ~resilience:bitstate program in
+      let o = Gem.Explore.explore ~resilience:bitstate (Gem.Csp.lang program) in
       check
         Alcotest.(option string)
         "bitstate run downgrades"
         (Some "bitstate-collision-risk")
-        (Option.map Gem.Budget.reason_keyword o.Gem.Csp.exhausted)
+        (Option.map Gem.Budget.reason_keyword o.Gem.Explore.exhausted)
   | _ -> Alcotest.fail "csp-bitstate-downgrade is not a CSP case"
 
 (* The hand-seeded source-DPOR case: rendezvous chains racing against

@@ -37,20 +37,24 @@ let fps comps = List.sort compare (List.map Explore.fingerprint comps)
 
 (* Bounded DFS harvesting configurations (duplicates included — revisits
    must agree under both keys too). *)
-let collect ~moves ~max_configs ~max_depth init =
+let collect (lang : _ Explore.lang) ~max_configs ~max_depth =
   let out = ref [] and n = ref 0 in
   let rec go depth c =
     if !n < max_configs && depth <= max_depth then begin
       incr n;
       out := c :: !out;
-      List.iter (fun (_, c') -> go (depth + 1) c') (moves c)
+      List.iter (go (depth + 1)) (Explore.moves lang c)
     end
   in
-  go 0 init;
+  go 0 lang.init;
   !out
 
-let check_partition ~name ~key ~fp configs =
-  let keyed = List.map (fun c -> (key c, fp c)) configs in
+let check_partition ~name (lang : _ Explore.lang) ~max_configs ~max_depth =
+  let keyed =
+    List.map
+      (fun c -> (lang.exact_key c, lang.fp_key c))
+      (collect lang ~max_configs ~max_depth)
+  in
   List.iteri
     (fun i (ki, fi) ->
       List.iteri
@@ -71,36 +75,21 @@ let check_partition ~name ~key ~fp configs =
 
 let test_monitor_partition () =
   let prog = RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1 in
-  check_partition ~name:"rw-monitor-1r1w"
-    ~key:(Monitor.config_key prog)
-    ~fp:(Monitor.config_fp prog)
-    (collect
-       ~moves:(Monitor.config_moves prog)
-       ~max_configs:200 ~max_depth:25
-       (Monitor.initial_config prog))
+  check_partition ~name:"rw-monitor-1r1w" (Monitor.lang prog) ~max_configs:200
+    ~max_depth:25
 
 let test_ada_partition () =
   let prog = Buffer_p.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
-  check_partition ~name:"buffer-ada-1p1c2i"
-    ~key:(Ada.config_key prog)
-    ~fp:(Ada.config_fp prog)
-    (collect ~moves:Ada.config_moves ~max_configs:200 ~max_depth:25
-       (Ada.initial_config prog));
+  check_partition ~name:"buffer-ada-1p1c2i" (Ada.lang prog) ~max_configs:200
+    ~max_depth:25;
   let prog = Rwd.ada_program ~readers:1 ~writers:1 in
-  check_partition ~name:"rwd-ada-1r1w"
-    ~key:(Ada.config_key prog)
-    ~fp:(Ada.config_fp prog)
-    (collect ~moves:Ada.config_moves ~max_configs:150 ~max_depth:20
-       (Ada.initial_config prog))
+  check_partition ~name:"rwd-ada-1r1w" (Ada.lang prog) ~max_configs:150 ~max_depth:20
 
 let prop_csp_random_partition =
   QCheck.Test.make ~name:"random CSP: fp partition = exact partition" ~count:40
     Gen_csp.prog_arb (fun prog ->
-      check_partition ~name:"csp-random"
-        ~key:(Csp.config_key prog)
-        ~fp:(Csp.config_fp prog)
-        (collect ~moves:Csp.config_moves ~max_configs:120 ~max_depth:20
-           (Csp.initial_config prog));
+      check_partition ~name:"csp-random" (Csp.lang prog) ~max_configs:120
+        ~max_depth:20;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -144,30 +133,30 @@ let test_parity_matrix () =
   in
   let rw = RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1 in
   matrix "rw-monitor-1r1w" (fun ~exact_keys ~reduction ->
-      let o = Monitor.explore ~reduction ~exact_keys rw in
-      (Monitor.language_spec rw, o.Monitor.computations, o.Monitor.deadlocks));
+      let o = Explore.explore ~reduction ~exact_keys (Monitor.lang rw) in
+      (Monitor.language_spec rw, o.Explore.computations, o.Explore.deadlocks));
   let csp = Buffer_p.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
   matrix "buffer-csp-1p1c2i" (fun ~exact_keys ~reduction ->
-      let o = Csp.explore ~reduction ~exact_keys csp in
-      (Csp.language_spec csp, o.Csp.computations, o.Csp.deadlocks));
+      let o = Explore.explore ~reduction ~exact_keys (Csp.lang csp) in
+      (Csp.language_spec csp, o.Explore.computations, o.Explore.deadlocks));
   let ada = Buffer_p.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
   matrix "buffer-ada-1p1c2i" (fun ~exact_keys ~reduction ->
-      let o = Ada.explore ~reduction ~exact_keys ada in
-      (Ada.language_spec ada, o.Ada.computations, o.Ada.deadlocks))
+      let o = Explore.explore ~reduction ~exact_keys (Ada.lang ada) in
+      (Ada.language_spec ada, o.Explore.computations, o.Explore.deadlocks))
 
 (* Fingerprint and exact keys induce the same partition, so the reduced
    search must also visit exactly the same number of configurations. *)
 let test_explored_counts_agree () =
   let rw = RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1 in
   let me e =
-    let o = Monitor.explore ~reduction:Explore.Sleep_sets ~exact_keys:e rw in
-    (o.Monitor.explored, o.Monitor.reduced)
+    let o = Explore.explore ~reduction:Explore.Sleep_sets ~exact_keys:e (Monitor.lang rw) in
+    (o.Explore.explored, o.Explore.reduced)
   in
   check Alcotest.(pair int int) "rw-2r1w: counters" (me true) (me false);
   let csp = Buffer_p.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
   let ce e =
-    let o = Csp.explore ~reduction:Explore.Sleep_sets ~exact_keys:e csp in
-    (o.Csp.explored, o.Csp.reduced)
+    let o = Explore.explore ~reduction:Explore.Sleep_sets ~exact_keys:e (Csp.lang csp) in
+    (o.Explore.explored, o.Explore.reduced)
   in
   check Alcotest.(pair int int) "buffer-csp: counters" (ce true) (ce false)
 
@@ -190,15 +179,15 @@ let test_audited_runs_collision_free () =
   with_telemetry (fun () ->
       let rw = RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1 in
       let reduction = Explore.Sleep_sets in
-      ignore (Monitor.explore ~reduction ~exact_keys:false ~audit_keys:true rw);
+      ignore (Explore.explore ~reduction ~exact_keys:false ~audit_keys:true (Monitor.lang rw));
       let ada =
         Buffer_p.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2
       in
-      ignore (Ada.explore ~reduction ~exact_keys:false ~audit_keys:true ada);
+      ignore (Explore.explore ~reduction ~exact_keys:false ~audit_keys:true (Ada.lang ada));
       let csp =
         Buffer_p.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2
       in
-      ignore (Csp.explore ~reduction ~exact_keys:false ~audit_keys:true csp);
+      ignore (Explore.explore ~reduction ~exact_keys:false ~audit_keys:true (Csp.lang csp));
       check Alcotest.int "audited workloads: fingerprint_collisions"
         0
         (T.read T.Fingerprint_collisions))

@@ -49,7 +49,7 @@ let test_counter_final_values () =
     { monitors = [ counter_monitor ]; shared = [];
       processes = [ incrementer "P1" 2; incrementer "P2" 3 ] }
   in
-  let o = explore program in
+  let o = Gem_lang.Explore.explore (lang program) in
   check Alcotest.bool "no deadlocks" true (o.deadlocks = []);
   (* Both interleavings produce the same set of assignments {2,5} or {3,5}. *)
   List.iter
@@ -72,7 +72,7 @@ let test_get_returns_count () =
     { monitors = [ counter_monitor ]; shared = [];
       processes = [ incrementer "P1" 2; getter "G" ] }
   in
-  let o = explore program in
+  let o = Gem_lang.Explore.explore (lang program) in
   let results =
     List.map
       (fun comp ->
@@ -91,7 +91,7 @@ let test_lock_serialization_events () =
     { monitors = [ counter_monitor ]; shared = [];
       processes = [ incrementer "P1" 1; incrementer "P2" 1 ] }
   in
-  let o = explore program in
+  let o = Gem_lang.Explore.explore (lang program) in
   List.iter
     (fun comp ->
       let lock = C.events_at comp "M.lock" in
@@ -111,7 +111,7 @@ let test_language_spec_accepts () =
       processes = [ incrementer "P1" 2; getter "G" ] }
   in
   let spec = language_spec program in
-  let o = explore program in
+  let o = Gem_lang.Explore.explore (lang program) in
   List.iter
     (fun comp ->
       let v = Gem_check.Check.check spec comp in
@@ -176,7 +176,7 @@ let test_wait_signal_release () =
         ];
     }
   in
-  let o = explore program in
+  let o = Gem_lang.Explore.explore (lang program) in
   check Alcotest.bool "no deadlock" true (o.deadlocks = []);
   List.iter
     (fun comp ->
@@ -213,7 +213,7 @@ let test_deadlock_detected () =
         [ { proc_name = "P"; locals = [];
             code = [ PCall { monitor = "M"; entry = "block"; args = []; bind = None } ] } ] }
   in
-  let o = explore program in
+  let o = Gem_lang.Explore.explore (lang program) in
   check Alcotest.int "no completion" 0 (List.length o.computations);
   check Alcotest.int "one deadlock" 1 (List.length o.deadlocks)
 
@@ -221,9 +221,9 @@ let test_getvals_emitted () =
   let program =
     { monitors = [ counter_monitor ]; shared = []; processes = [ incrementer "P1" 2 ] }
   in
-  let with_g = explore ~emit_getvals:true program in
-  let without = explore program in
-  let count_getvals o =
+  let with_g = Gem_lang.Explore.explore (lang ~emit_getvals:true program) in
+  let without = Gem_lang.Explore.explore (lang program) in
+  let count_getvals (o : Gem_lang.Explore.outcome) =
     List.fold_left
       (fun acc comp -> acc + List.length (C.events_of_class comp "Getval"))
       0 o.computations
@@ -248,7 +248,7 @@ let test_shared_variable_events () =
             code = [ PRead { var = "x"; bind = "v" };
                      PMark { klass = "Saw"; params = [ E.Var "v" ] } ] } ] }
   in
-  let o = explore program in
+  let o = Gem_lang.Explore.explore (lang program) in
   (* Both orders of the race are distinct computations. *)
   check Alcotest.int "two computations" 2 (List.length o.computations);
   let seen =
@@ -266,7 +266,7 @@ let test_run_one_smoke () =
     { monitors = [ counter_monitor ]; shared = [];
       processes = [ incrementer "P1" 1; getter "G" ] }
   in
-  let comp = run_one ~seed:3 program in
+  let comp = Gem_lang.Explore.run_one ~seed:3 (lang program) in
   check Alcotest.bool "nonempty" true (C.n_events comp > 0);
   check Alcotest.bool "acyclic" true (C.temporal comp <> None)
 
@@ -295,7 +295,7 @@ let test_mwhile_and_mskip () =
               [ PCall { monitor = "M"; entry = "sum"; args = [ E.Int 4 ]; bind = Some "r" };
                 PMark { klass = "Sum"; params = [ E.Var "r" ] } ] } ] }
   in
-  let o = explore program in
+  let o = Gem_lang.Explore.explore (lang program) in
   let comp = List.hd o.computations in
   match C.events_of_class comp "Sum" with
   | [ h ] -> check Alcotest.int "1+2+3+4" 10 (V.as_int (Event.param (C.event comp h) "p0"))
@@ -316,7 +316,7 @@ let test_process_control_flow () =
                           [ PCall { monitor = "M"; entry = "inc"; args = [ E.Int 1 ]; bind = None } ] );
                       PLocal ("k", E.Add (E.Var "k", E.Int 1)) ] ) ] } ] }
   in
-  let o = explore program in
+  let o = Gem_lang.Explore.explore (lang program) in
   let comp = List.hd o.computations in
   (* inc(10), inc(1), inc(10): final count = 21. *)
   let finals =
@@ -347,7 +347,7 @@ let test_multiple_monitors () =
           PMark { klass = "Done"; params = [ E.Var "t" ] } ] }
   in
   let program = { monitors = [ cell "A" 42; cell "B" 0 ]; shared = []; processes = [ mover ] } in
-  let o = explore program in
+  let o = Gem_lang.Explore.explore (lang program) in
   check Alcotest.int "one computation" 1 (List.length o.computations);
   let comp = List.hd o.computations in
   (match C.events_of_class comp "Done" with
@@ -370,7 +370,7 @@ let test_umbrella_helpers () =
   check Alcotest.bool "computations" true (comps > 0);
   check Alcotest.int "no deadlock" 0 deadlocks;
   check Alcotest.bool "sat" true ok;
-  let comp = run_one program in
+  let comp = Gem_lang.Explore.run_one (lang program) in
   check Alcotest.bool "check_spec" true (Gem.check_spec (language_spec program) comp)
 
 let test_runtime_errors () =
@@ -381,7 +381,7 @@ let test_runtime_errors () =
             code = [ PCall { monitor = "M"; entry = "nope"; args = []; bind = None } ] } ] }
   in
   (try
-     ignore (explore program);
+     ignore (Gem_lang.Explore.explore (lang program));
      Alcotest.fail "expected unknown-entry error"
    with E.Eval_error _ -> ());
   let bad_arity =
@@ -391,7 +391,7 @@ let test_runtime_errors () =
             code = [ PCall { monitor = "M"; entry = "inc"; args = []; bind = None } ] } ] }
   in
   try
-    ignore (explore bad_arity);
+    ignore (Gem_lang.Explore.explore (lang bad_arity));
     Alcotest.fail "expected arity error"
   with E.Eval_error _ -> ()
 

@@ -69,15 +69,15 @@ let assert_parity name explore =
 let mon_parity name prog =
   assert_parity name (fun ~reduction ->
       ( Monitor.language_spec prog,
-        (Monitor.explore ~reduction prog).Monitor.computations ))
+        (Explore.explore ~reduction (Monitor.lang prog)).Explore.computations ))
 
 let csp_parity name prog =
   assert_parity name (fun ~reduction ->
-      (Csp.language_spec prog, (Csp.explore ~reduction prog).Csp.computations))
+      (Csp.language_spec prog, (Explore.explore ~reduction (Csp.lang prog)).Explore.computations))
 
 let ada_parity name prog =
   assert_parity name (fun ~reduction ->
-      (Ada.language_spec prog, (Ada.explore ~reduction prog).Ada.computations))
+      (Ada.language_spec prog, (Explore.explore ~reduction (Ada.lang prog)).Explore.computations))
 
 let test_rw_monitor_workloads () =
   mon_parity "rw-paper-1r1w" (RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1);
@@ -129,7 +129,7 @@ let refined ~jobs ~problem ~map ?edges comps =
 
 let test_verdicts_byte_identical () =
   let rw_case name monitor version ~readers ~writers =
-    let comps = (Monitor.explore (RW.program ~monitor ~readers ~writers)).Monitor.computations in
+    let comps = (Explore.explore (Monitor.lang (RW.program ~monitor ~readers ~writers))).Explore.computations in
     let problem = RW.spec version ~users:(RW.user_names ~readers ~writers) in
     let rendered jobs =
       refined ~jobs ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence comps
@@ -147,9 +147,9 @@ let test_verdicts_byte_identical () =
   rw_case "rw-no-exclusion-falsified" RW.no_exclusion_monitor RW.Free_for_all
     ~readers:2 ~writers:1;
   let comps =
-    (Csp.explore
-       (Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2))
-      .Csp.computations
+    (Explore.explore
+       (Csp.lang (Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2)))
+      .Explore.computations
   in
   let rendered jobs =
     refined ~jobs ~problem:(Buffer.spec ~capacity:1) ~map:Buffer.csp_correspondence
@@ -177,10 +177,10 @@ let test_acceptance_grid () =
   let rendered reduction jobs =
     ( refined ~jobs ~edges:Refine.Actor_paths ~problem:rw_problem
         ~map:RW.correspondence
-        (Monitor.explore ~reduction rw_prog).Monitor.computations,
+        (Explore.explore ~reduction (Monitor.lang rw_prog)).Explore.computations,
       refined ~jobs ~problem:(Buffer.spec ~capacity:1)
         ~map:Buffer.csp_correspondence
-        (Csp.explore ~reduction buf_prog).Csp.computations )
+        (Explore.explore ~reduction (Csp.lang buf_prog)).Explore.computations )
   in
   let base = rendered Explore.Sleep_sets 1 in
   List.iter
@@ -206,7 +206,7 @@ let test_sequential_runs_identical () =
   let problem = RW.spec RW.Readers_priority ~users:(RW.user_names ~readers:2 ~writers:1) in
   let rendered jobs =
     refined ~jobs ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
-      (Monitor.explore prog).Monitor.computations
+      (Explore.explore (Monitor.lang prog)).Explore.computations
   in
   check Alcotest.string "two sequential runs render identically" (rendered 1)
     (rendered 1);
@@ -388,7 +388,7 @@ let prop_csp_random_parallel_parity =
       in
       List.for_all
         (fun reduction ->
-          let comps = (Csp.explore ~reduction prog).Csp.computations in
+          let comps = (Explore.explore ~reduction (Csp.lang prog)).Explore.computations in
           let base = render (Check.check_all ~strategy ~jobs:1 spec comps) in
           List.for_all
             (fun jobs -> render (Check.check_all ~strategy ~jobs spec comps) = base)

@@ -53,26 +53,16 @@ let assert_same_outcomes name (c1, d1, x1) (c2, d2, x2) =
     Alcotest.(option string)
     (name ^ ": exhaustion") (reason_opt x1) (reason_opt x2)
 
-let mon_diff name prog =
+let lang_diff name lang =
   let run reduction =
-    let o = Monitor.explore ~reduction prog in
-    (o.Monitor.computations, o.Monitor.deadlocks, o.Monitor.exhausted)
+    let o = Explore.explore ~reduction lang in
+    (o.Explore.computations, o.Explore.deadlocks, o.Explore.exhausted)
   in
   assert_same_outcomes name (run sleep) (run none)
 
-let csp_diff name prog =
-  let run reduction =
-    let o = Csp.explore ~reduction prog in
-    (o.Csp.computations, o.Csp.deadlocks, o.Csp.exhausted)
-  in
-  assert_same_outcomes name (run sleep) (run none)
-
-let ada_diff name prog =
-  let run reduction =
-    let o = Ada.explore ~reduction prog in
-    (o.Ada.computations, o.Ada.deadlocks, o.Ada.exhausted)
-  in
-  assert_same_outcomes name (run sleep) (run none)
+let mon_diff name prog = lang_diff name (Monitor.lang prog)
+let csp_diff name prog = lang_diff name (Csp.lang prog)
+let ada_diff name prog = lang_diff name (Ada.lang prog)
 
 let test_rw_monitor_workloads () =
   mon_diff "rw-paper-1r1w" (RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1);
@@ -109,7 +99,7 @@ let test_db_report_agrees () =
    two modes under a shared cap: both must degrade to the same reason. *)
 let test_rwd_ada_capped () =
   let prog = Rwd.ada_program ~readers:1 ~writers:1 in
-  let run reduction = (Ada.explore ~reduction ~max_configs:500 prog).Ada.exhausted in
+  let run reduction = (Explore.explore ~reduction ~max_configs:500 (Ada.lang prog)).Explore.exhausted in
   check
     Alcotest.(option string)
     "both report config-budget" (Some "config-budget") (reason_opt (run sleep));
@@ -122,7 +112,7 @@ let test_rwd_ada_capped () =
 let test_budget_truncation_agrees () =
   let prog = RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1 in
   let run reduction =
-    (Monitor.explore ~reduction ~max_configs:30 prog).Monitor.exhausted
+    (Explore.explore ~reduction ~max_configs:30 (Monitor.lang prog)).Explore.exhausted
   in
   check
     Alcotest.(option string)
@@ -157,9 +147,9 @@ let test_verdicts_byte_identical () =
     let prog = RW.program ~monitor ~readers ~writers in
     let problem = RW.spec version ~users:(RW.user_names ~readers ~writers) in
     let render reduction =
-      let o = Monitor.explore ~reduction prog in
+      let o = Explore.explore ~reduction (Monitor.lang prog) in
       render_sat ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
-        o.Monitor.computations
+        o.Explore.computations
     in
     check Alcotest.string (name ^ ": verdicts byte-identical") (render sleep)
       (render none)
@@ -170,11 +160,11 @@ let test_verdicts_byte_identical () =
     ~readers:2 ~writers:1;
   let buffer_render reduction =
     let o =
-      Csp.explore ~reduction
-        (Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2)
+      Explore.explore ~reduction
+        (Csp.lang (Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2))
     in
     render_sat ~problem:(Buffer.spec ~capacity:1) ~map:Buffer.csp_correspondence
-      o.Csp.computations
+      o.Explore.computations
   in
   check Alcotest.string "buffer-csp: verdicts byte-identical" (buffer_render sleep)
     (buffer_render none)
@@ -185,16 +175,16 @@ let test_verdicts_byte_identical () =
 
 let test_reduction_at_least_2x () =
   let p = RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1 in
-  let on = Monitor.explore ~reduction:sleep p
-  and off = Monitor.explore ~reduction:none p in
+  let on = Explore.explore ~reduction:sleep (Monitor.lang p)
+  and off = Explore.explore ~reduction:none (Monitor.lang p) in
   check Alcotest.bool "rw-2r1w reduced >= 2x" true
-    (off.Monitor.explored >= 2 * on.Monitor.explored);
-  check Alcotest.bool "rw-2r1w reports pruning" true (on.Monitor.reduced > 0);
+    (off.Explore.explored >= 2 * on.Explore.explored);
+  check Alcotest.bool "rw-2r1w reports pruning" true (on.Explore.reduced > 0);
   let b = Buffer.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
-  let on = Ada.explore ~reduction:sleep b and off = Ada.explore ~reduction:none b in
+  let on = Explore.explore ~reduction:sleep (Ada.lang b) and off = Explore.explore ~reduction:none (Ada.lang b) in
   check Alcotest.bool "buffer-ada reduced >= 2x" true
-    (off.Ada.explored >= 2 * on.Ada.explored);
-  check Alcotest.bool "buffer-ada reports pruning" true (on.Ada.reduced > 0)
+    (off.Explore.explored >= 2 * on.Explore.explored);
+  check Alcotest.bool "buffer-ada reports pruning" true (on.Explore.reduced > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Random loop-free CSP programs (qcheck)                              *)
@@ -208,12 +198,12 @@ let prog_arb = Gen_csp.prog_arb
 let prop_csp_random_differential =
   QCheck.Test.make ~name:"random CSP: POR on/off agree" ~count:60 prog_arb
     (fun prog ->
-      let on = Csp.explore ~reduction:sleep prog
-      and off = Csp.explore ~reduction:none prog in
-      fps on.Csp.computations = fps off.Csp.computations
-      && fps on.Csp.deadlocks = fps off.Csp.deadlocks
-      && on.Csp.exhausted = None
-      && off.Csp.exhausted = None)
+      let on = Explore.explore ~reduction:sleep (Csp.lang prog)
+      and off = Explore.explore ~reduction:none (Csp.lang prog) in
+      fps on.Explore.computations = fps off.Explore.computations
+      && fps on.Explore.deadlocks = fps off.Explore.deadlocks
+      && on.Explore.exhausted = None
+      && off.Explore.exhausted = None)
 
 (* ------------------------------------------------------------------ *)
 (* Commutation of independent moves (qcheck)                           *)
@@ -224,7 +214,9 @@ let prop_csp_random_differential =
    (b) commute: firing them in either order reaches configurations with
    equal canonical keys. This is exactly the soundness obligation of the
    independence oracle the sleep sets consume. *)
-let check_swaps ~name ~moves ~key ~max_steps rng init =
+let check_swaps ~name (lang : _ Explore.lang) ~max_steps rng =
+  let moves c = List.map (fun (_, fire) -> fire ()) (Explore.successors lang c) in
+  let key = lang.exact_key in
   let find_label l c lost =
     match List.find_opt (fun (m, _) -> String.equal m.Explore.label l) (moves c) with
     | Some (_, c') -> c'
@@ -251,7 +243,7 @@ let check_swaps ~name ~moves ~key ~max_steps rng init =
           let _, c' = List.nth succs (Random.State.int rng (List.length succs)) in
           go c' (steps - 1)
   in
-  go init max_steps
+  go lang.init max_steps
 
 let seed_arb = QCheck.make QCheck.Gen.(int_range 0 99_999) ~print:string_of_int
 
@@ -259,30 +251,23 @@ let prop_monitor_swap =
   let prog = RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1 in
   QCheck.Test.make ~name:"monitor: independent moves commute" ~count:50 seed_arb
     (fun seed ->
-      check_swaps ~name:"monitor"
-        ~moves:(Monitor.config_moves prog)
-        ~key:(Monitor.config_key prog) ~max_steps:40
-        (Random.State.make [| seed |])
-        (Monitor.initial_config prog);
+      check_swaps ~name:"monitor" (Monitor.lang prog) ~max_steps:40
+        (Random.State.make [| seed |]);
       true)
 
 let prop_ada_swap =
   let prog = Buffer.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
   QCheck.Test.make ~name:"ada: independent moves commute" ~count:50 seed_arb
     (fun seed ->
-      check_swaps ~name:"ada" ~moves:Ada.config_moves ~key:(Ada.config_key prog)
-        ~max_steps:40
-        (Random.State.make [| seed |])
-        (Ada.initial_config prog);
+      check_swaps ~name:"ada" (Ada.lang prog) ~max_steps:40
+        (Random.State.make [| seed |]);
       true)
 
 let prop_csp_random_swap =
   QCheck.Test.make ~name:"random CSP: independent moves commute" ~count:60
     (QCheck.pair prog_arb seed_arb) (fun (prog, seed) ->
-      check_swaps ~name:"csp" ~moves:Csp.config_moves ~key:(Csp.config_key prog)
-        ~max_steps:25
-        (Random.State.make [| seed |])
-        (Csp.initial_config prog);
+      check_swaps ~name:"csp" (Csp.lang prog) ~max_steps:25
+        (Random.State.make [| seed |]);
       true)
 
 let () =

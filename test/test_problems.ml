@@ -14,48 +14,48 @@ let strategy = Strategy.Linearizations (Some 200)
 (* ------------------------------------------------------------------ *)
 
 let test_one_slot_monitor () =
-  let o = Gem_lang.Monitor.explore
-      (Buffer.monitor_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2) in
+  let o = Gem_lang.Explore.explore
+      (Gem_lang.Monitor.lang (Buffer.monitor_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2)) in
   check Alcotest.bool "no deadlock" true (o.deadlocks = []);
   check Alcotest.bool "sat" true
     (Refine.sat_ok ~strategy ~problem:(Buffer.spec ~capacity:1)
        ~map:Buffer.monitor_correspondence o.computations)
 
 let test_one_slot_csp () =
-  let o = Gem_lang.Csp.explore
-      (Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2) in
+  let o = Gem_lang.Explore.explore
+      (Gem_lang.Csp.lang (Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2)) in
   check Alcotest.bool "no deadlock" true (o.deadlocks = []);
   check Alcotest.bool "sat" true
     (Refine.sat_ok ~strategy ~problem:(Buffer.spec ~capacity:1)
        ~map:Buffer.csp_correspondence o.computations)
 
 let test_one_slot_ada () =
-  let o = Gem_lang.Ada.explore
-      (Buffer.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2) in
+  let o = Gem_lang.Explore.explore
+      (Gem_lang.Ada.lang (Buffer.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2)) in
   check Alcotest.bool "no deadlock" true (o.deadlocks = []);
   check Alcotest.bool "sat" true
     (Refine.sat_ok ~strategy ~problem:(Buffer.spec ~capacity:1)
        ~map:Buffer.ada_correspondence o.computations)
 
 let test_bounded_two_producers () =
-  let o = Gem_lang.Monitor.explore
-      (Buffer.monitor_solution ~capacity:2 ~producers:2 ~consumers:1 ~items_each:1) in
+  let o = Gem_lang.Explore.explore
+      (Gem_lang.Monitor.lang (Buffer.monitor_solution ~capacity:2 ~producers:2 ~consumers:1 ~items_each:1)) in
   check Alcotest.bool "no deadlock" true (o.deadlocks = []);
   check Alcotest.bool "sat" true
     (Refine.sat_ok ~strategy ~problem:(Buffer.spec ~capacity:2)
        ~map:Buffer.monitor_correspondence o.computations)
 
 let test_buggy_buffer_refuted () =
-  let o = Gem_lang.Monitor.explore
-      (Buffer.buggy_monitor_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2) in
+  let o = Gem_lang.Explore.explore
+      (Gem_lang.Monitor.lang (Buffer.buggy_monitor_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2)) in
   check Alcotest.bool "capacity violated somewhere" false
     (Refine.sat_ok ~strategy ~problem:(Buffer.spec ~capacity:1)
        ~map:Buffer.monitor_correspondence o.computations)
 
 let test_wrong_capacity_spec_refuted () =
   (* A capacity-2 implementation does NOT satisfy the 1-slot problem. *)
-  let o = Gem_lang.Monitor.explore
-      (Buffer.monitor_solution ~capacity:2 ~producers:1 ~consumers:1 ~items_each:2) in
+  let o = Gem_lang.Explore.explore
+      (Gem_lang.Monitor.lang (Buffer.monitor_solution ~capacity:2 ~producers:1 ~consumers:1 ~items_each:2)) in
   check Alcotest.bool "2-slot fails 1-slot spec" false
     (Refine.sat_ok ~strategy ~problem:(Buffer.spec ~capacity:1)
        ~map:Buffer.monitor_correspondence o.computations)
@@ -71,7 +71,7 @@ let test_buffer_counts_validation () =
 
 let rw_sat monitor version ~readers ~writers =
   let program = RW.program ~monitor ~readers ~writers in
-  let o = Gem_lang.Monitor.explore program in
+  let o = Gem_lang.Explore.explore (Gem_lang.Monitor.lang program) in
   Alcotest.(check bool) "no deadlock" true (o.deadlocks = []);
   let problem = RW.spec version ~users:(RW.user_names ~readers ~writers) in
   Refine.sat_ok ~strategy ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
@@ -107,7 +107,7 @@ let test_buggy_monitor_loses_priority () =
 
 let test_no_exclusion_monitor_refuted () =
   let program = RW.program ~monitor:RW.no_exclusion_monitor ~readers:2 ~writers:1 in
-  let o = Gem_lang.Monitor.explore program in
+  let o = Gem_lang.Explore.explore (Gem_lang.Monitor.lang program) in
   let problem = RW.spec RW.Free_for_all ~users:(RW.user_names ~readers:2 ~writers:1) in
   check Alcotest.bool "mutual exclusion violated" false
     (Refine.sat_ok ~strategy ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
@@ -115,7 +115,7 @@ let test_no_exclusion_monitor_refuted () =
 
 let test_rw_threads_label_transactions () =
   let program = RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1 in
-  let comp = List.hd (Gem_lang.Monitor.explore program).computations in
+  let comp = List.hd (Gem_lang.Explore.explore (Gem_lang.Monitor.lang program)).computations in
   let problem = RW.spec RW.Free_for_all ~users:(RW.user_names ~readers:1 ~writers:1) in
   match
     Refine.project ~edges:Refine.Actor_paths RW.correspondence comp

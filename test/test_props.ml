@@ -966,19 +966,22 @@ let observe ~state_key walk =
    engines, on one interpreter's program. A small configuration cap
    keeps generated programs quick; both walks stop at the same
    configuration. *)
-let awake_matches_eager ~initial ~successors ~eager ~fp ~state_key ~terminated =
+let awake_matches_eager (lang : _ Explore.lang) =
+  let state_key = lang.exact_key and terminated = lang.terminated in
+  let eager c = List.map (fun (_, fire) -> fire ()) (Explore.successors lang c) in
   List.for_all
     (fun reduction ->
-      let key c = Explore.Fp (fp c) in
+      let key c = Explore.Fp (lang.fp_key c) in
       let lazy_ =
         observe ~state_key (fun () ->
-            Explore.run ~max_configs:2000 ~key ~footprint:successors ~reduction
-              ~moves:(fun _ -> invalid_arg "plain moves") ~terminated (initial ()))
+            Explore.run ~max_configs:2000 ~key ~footprint:(Explore.successors lang)
+              ~reduction
+              ~moves:(fun _ -> invalid_arg "plain moves") ~terminated lang.init)
       in
       let eager_ =
         observe ~state_key (fun () ->
             Eager_walk.run ~max_configs:2000 ~key ~footprint:eager ~reduction ~terminated
-              (initial ()))
+              lang.init)
       in
       lazy_ = eager_
       || QCheck.Test.fail_reportf "%s: the awake-only walk differs from the eager one"
@@ -987,71 +990,38 @@ let awake_matches_eager ~initial ~successors ~eager ~fp ~state_key ~terminated =
 
 let prop_awake_monitor =
   QCheck.Test.make ~name:"awake-only walk = eager walk (Monitor)" ~count:40
-    Gem_fuzz.Gen.monitor_arb (fun prog ->
-      awake_matches_eager
-        ~initial:(fun () -> Monitor.initial_config prog)
-        ~successors:(Monitor.config_successors prog) ~eager:(Monitor.config_moves prog)
-        ~fp:(Monitor.config_fp prog) ~state_key:(Monitor.config_key prog)
-        ~terminated:Monitor.config_terminated)
+    Gem_fuzz.Gen.monitor_arb (fun prog -> awake_matches_eager (Monitor.lang prog))
 
 let prop_awake_csp =
   QCheck.Test.make ~name:"awake-only walk = eager walk (Csp)" ~count:40
-    Gem_fuzz.Gen.csp_arb (fun prog ->
-      awake_matches_eager
-        ~initial:(fun () -> Csp.initial_config prog)
-        ~successors:Csp.config_successors ~eager:Csp.config_moves
-        ~fp:(Csp.config_fp prog) ~state_key:(Csp.config_key prog)
-        ~terminated:Csp.config_terminated)
+    Gem_fuzz.Gen.csp_arb (fun prog -> awake_matches_eager (Csp.lang prog))
 
 let prop_awake_ada =
   QCheck.Test.make ~name:"awake-only walk = eager walk (Ada)" ~count:40
-    Gem_fuzz.Gen.ada_arb (fun prog ->
-      awake_matches_eager
-        ~initial:(fun () -> Ada.initial_config prog)
-        ~successors:Ada.config_successors ~eager:Ada.config_moves
-        ~fp:(Ada.config_fp prog) ~state_key:(Ada.config_key prog)
-        ~terminated:Ada.config_terminated)
+    Gem_fuzz.Gen.ada_arb (fun prog -> awake_matches_eager (Ada.lang prog))
 
 (* The generated programs are small (most CSP ones have no matching
    offers), so the walks are also compared on the problem workloads,
    each of whose walks takes hundreds to thousands of configurations. *)
 let test_awake_workloads () =
   let module P = Gem_problems in
-  let check_one name ok = if not ok then Alcotest.failf "%s: walks differ" name in
-  let monitor name prog =
-    check_one name
-      (awake_matches_eager
-         ~initial:(fun () -> Monitor.initial_config prog)
-         ~successors:(Monitor.config_successors prog) ~eager:(Monitor.config_moves prog)
-         ~fp:(Monitor.config_fp prog) ~state_key:(Monitor.config_key prog)
-         ~terminated:Monitor.config_terminated)
+  let check_one name lang =
+    if not (awake_matches_eager lang) then Alcotest.failf "%s: walks differ" name
   in
-  let csp name prog =
-    check_one name
-      (awake_matches_eager
-         ~initial:(fun () -> Csp.initial_config prog)
-         ~successors:Csp.config_successors ~eager:Csp.config_moves
-         ~fp:(Csp.config_fp prog) ~state_key:(Csp.config_key prog)
-         ~terminated:Csp.config_terminated)
-  in
-  let ada name prog =
-    check_one name
-      (awake_matches_eager
-         ~initial:(fun () -> Ada.initial_config prog)
-         ~successors:Ada.config_successors ~eager:Ada.config_moves
-         ~fp:(Ada.config_fp prog) ~state_key:(Ada.config_key prog)
-         ~terminated:Ada.config_terminated)
-  in
-  monitor "rw 1r1w"
-    (P.Readers_writers.program ~monitor:P.Readers_writers.paper_monitor ~readers:1
-       ~writers:1);
-  monitor "buffer monitor"
-    (P.Buffer.monitor_solution ~capacity:1 ~producers:1 ~consumers:2 ~items_each:2);
-  csp "buffer csp" (P.Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:2 ~items_each:2);
-  csp "db 2 sites" (P.Db_update.program ~sites:2);
-  csp "rwd csp 1r1w" (P.Rw_distributed.csp_program ~readers:1 ~writers:1);
-  ada "buffer ada" (P.Buffer.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2);
-  ada "rwd ada 1r1w" (P.Rw_distributed.ada_program ~readers:1 ~writers:1)
+  check_one "rw 1r1w"
+    (Monitor.lang
+       (P.Readers_writers.program ~monitor:P.Readers_writers.paper_monitor ~readers:1
+          ~writers:1));
+  check_one "buffer monitor"
+    (Monitor.lang
+       (P.Buffer.monitor_solution ~capacity:1 ~producers:1 ~consumers:2 ~items_each:2));
+  check_one "buffer csp"
+    (Csp.lang (P.Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:2 ~items_each:2));
+  check_one "db 2 sites" (Csp.lang (P.Db_update.program ~sites:2));
+  check_one "rwd csp 1r1w" (Csp.lang (P.Rw_distributed.csp_program ~readers:1 ~writers:1));
+  check_one "buffer ada"
+    (Ada.lang (P.Buffer.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2));
+  check_one "rwd ada 1r1w" (Ada.lang (P.Rw_distributed.ada_program ~readers:1 ~writers:1))
 
 (* The key components a monitor configuration reuses from the one it
    was stepped from give the key a from-scratch computation gives, on
@@ -1060,8 +1030,9 @@ let prop_fp_key_reuse =
   QCheck.Test.make ~name:"reused fp_key = from-scratch fp_key" ~count:60
     Gem_fuzz.Gen.monitor_arb (fun prog ->
       let keyed = ref 0 in
+      let lang = Monitor.lang prog in
       let key c =
-        let k = Monitor.config_fp prog c in
+        let k = lang.fp_key c in
         incr keyed;
         if not (Gem_order.Fingerprint.equal k (Monitor.config_fp_uncached prog c)) then
           QCheck.Test.fail_reportf "configuration %d: reused key differs" !keyed;
@@ -1070,10 +1041,10 @@ let prop_fp_key_reuse =
       List.iter
         (fun reduction ->
           ignore
-            (Explore.run ~max_configs:2000 ~key
-               ~footprint:(Monitor.config_successors prog) ~reduction
+            (Explore.run ~max_configs:2000 ~key ~footprint:(Explore.successors lang)
+               ~reduction
                ~moves:(fun _ -> invalid_arg "plain moves")
-               ~terminated:Monitor.config_terminated (Monitor.initial_config prog)))
+               ~terminated:lang.terminated lang.init))
         [ Explore.Sleep_sets; Explore.Source_sets ];
       !keyed > 0)
 
@@ -1102,7 +1073,7 @@ let prop_touched_elements =
       in
       let before = emit_all Trace.empty prefix in
       let after = emit_all before step in
-      Trace.touched_elements ~before after
+      List.sort_uniq String.compare (Trace.touched_elements ~before after)
       = List.sort String.compare (old_touched_elements ~before after))
 
 (* The renderer against [Event.pp] over the whole int range: negative
@@ -1173,7 +1144,7 @@ let test_step_error_raises () =
   in
   List.iter
     (fun reduction ->
-      match Monitor.explore ~reduction prog with
+      match Explore.explore ~reduction (Monitor.lang prog) with
       | _ ->
           Alcotest.failf "%s: the failing step did not raise"
             (Explore.reduction_name reduction)

@@ -246,13 +246,13 @@ let with_engine_snapshot f =
     ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
     (fun () ->
       ignore
-        (Csp.explore ~max_configs:1000
+        (Explore.explore ~max_configs:1000
            ~resilience:
              { Explore.no_resilience with
                checkpoint = Some (Checkpoint.ctl ~every:500 file);
                stamp = "run/db3"
              }
-           (Db.program ~sites:3));
+           (Csp.lang (Db.program ~sites:3)));
       let ic = open_in_bin file in
       let bytes = really_input_string ic (in_channel_length ic) in
       close_in ic;
@@ -330,10 +330,10 @@ let test_checkpoint_previous_format () =
           check Alcotest.bool "the error names GEMCKPT2 and says to rerun" true
             (contains e "GEMCKPT2" && contains e "rerun"));
       match
-        Csp.explore ~max_configs:1000
+        Explore.explore ~max_configs:1000
           ~resilience:
             { Explore.no_resilience with resume = Some file; stamp = "run/db3" }
-          (Db.program ~sites:3)
+          (Csp.lang (Db.program ~sites:3))
       with
       | _ -> Alcotest.fail "resumed from a GEMCKPT2 file"
       | exception Explore.Resume_error e ->
@@ -350,27 +350,27 @@ let bitstate_parity name prog =
   List.iter
     (fun reduction ->
       let engine = Explore.reduction_name reduction in
-      let base = Csp.explore ~reduction prog in
+      let base = Explore.explore ~reduction (Csp.lang prog) in
       check Alcotest.(option string)
         (Printf.sprintf "%s %s: exact baseline is clean" name engine)
-        None (reason_opt base.Csp.exhausted);
-      let o = Csp.explore ~reduction ~resilience:(bitstate_res ()) prog in
+        None (reason_opt base.Explore.exhausted);
+      let o = Explore.explore ~reduction ~resilience:(bitstate_res ()) (Csp.lang prog) in
       let tag = Printf.sprintf "%s %s bitstate" name engine in
       check
         Alcotest.(list string)
         (tag ^ ": computation set")
-        (fpset base.Csp.computations)
-        (fpset o.Csp.computations);
+        (fpset base.Explore.computations)
+        (fpset o.Explore.computations);
       check
         Alcotest.(list string)
         (tag ^ ": deadlock set")
-        (fpset base.Csp.deadlocks)
-        (fpset o.Csp.deadlocks);
+        (fpset base.Explore.deadlocks)
+        (fpset o.Explore.deadlocks);
       check
         Alcotest.(option string)
         (tag ^ ": Verified downgraded")
         (Some "bitstate-collision-risk")
-        (reason_opt o.Csp.exhausted))
+        (reason_opt o.Explore.exhausted))
     [ Explore.Sleep_sets; Explore.No_reduction ]
 
 let test_bitstate_parity_matrix () =
@@ -386,12 +386,12 @@ let test_bitstate_saturated_run_is_inconclusive () =
       bitstate = Some (Bitstate.create ~shards:1 ~bits:8 ())
     }
   in
-  let o = Csp.explore ~resilience:res (Db.program ~sites:3) in
+  let o = Explore.explore ~resilience:res (Csp.lang (Db.program ~sites:3)) in
   check Alcotest.(option string) "inconclusive"
     (Some "bitstate-collision-risk")
-    (reason_opt o.Csp.exhausted);
+    (reason_opt o.Explore.exhausted);
   check Alcotest.bool "found a subset of the real computations" true
-    (List.length o.Csp.computations <= 720);
+    (List.length o.Explore.computations <= 720);
   check Alcotest.bool "saturation counted" true (T.read T.Bitstate_saturated_prunes > 0)
 
 (* ------------------------------------------------------------------ *)
@@ -409,39 +409,39 @@ let test_resume_reaches_identical_verdict () =
       List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ ck_a; ck_b ])
     (fun () ->
       (* Uninterrupted run through the same (checkpointing) engine. *)
-      let full = Csp.explore ~resilience:(stamp_res ck_a) prog in
+      let full = Explore.explore ~resilience:(stamp_res ck_a) (Csp.lang prog) in
       check Alcotest.(option string) "uninterrupted run is clean" None
-        (reason_opt full.Csp.exhausted);
+        (reason_opt full.Explore.exhausted);
       (* Interrupted: stop on a config budget aligned with [every]. *)
       let cut =
-        Csp.explore ~max_configs:2000 ~resilience:(stamp_res ck_b) prog
+        Explore.explore ~max_configs:2000 ~resilience:(stamp_res ck_b) (Csp.lang prog)
       in
       check Alcotest.(option string) "interrupted run reports the budget"
         (Some "config-budget")
-        (reason_opt cut.Csp.exhausted);
+        (reason_opt cut.Explore.exhausted);
       check Alcotest.bool "checkpoint file exists" true (Sys.file_exists ck_b);
       (* Resumed: must reproduce the uninterrupted run exactly. *)
       let resumed =
-        Csp.explore
+        Explore.explore
           ~resilience:{ (stamp_res ck_b) with resume = Some ck_b }
-          prog
+          (Csp.lang prog)
       in
       check Alcotest.(option string) "resumed run is clean" None
-        (reason_opt resumed.Csp.exhausted);
+        (reason_opt resumed.Explore.exhausted);
       check
         Alcotest.(list string)
         "identical computation multiset"
-        (List.sort compare (List.map Explore.fingerprint full.Csp.computations))
-        (List.sort compare (List.map Explore.fingerprint resumed.Csp.computations));
+        (List.sort compare (List.map Explore.fingerprint full.Explore.computations))
+        (List.sort compare (List.map Explore.fingerprint resumed.Explore.computations));
       check
         Alcotest.(list string)
         "identical deadlock multiset"
-        (List.sort compare (List.map Explore.fingerprint full.Csp.deadlocks))
-        (List.sort compare (List.map Explore.fingerprint resumed.Csp.deadlocks));
-      check Alcotest.int "identical explored counter" full.Csp.explored
-        resumed.Csp.explored;
-      check Alcotest.int "identical reduced counter" full.Csp.reduced
-        resumed.Csp.reduced;
+        (List.sort compare (List.map Explore.fingerprint full.Explore.deadlocks))
+        (List.sort compare (List.map Explore.fingerprint resumed.Explore.deadlocks));
+      check Alcotest.int "identical explored counter" full.Explore.explored
+        resumed.Explore.explored;
+      check Alcotest.int "identical reduced counter" full.Explore.reduced
+        resumed.Explore.reduced;
       check Alcotest.bool "no staging litter" false (Sys.file_exists (ck_b ^ ".tmp")))
 
 let test_resume_refuses_foreign_stamp () =
@@ -460,15 +460,15 @@ let test_resume_refuses_foreign_stamp () =
         }
       in
       ignore
-        (Csp.explore ~max_configs:2000 ~resilience:(res "run/db3")
-           (Db.program ~sites:3));
+        (Explore.explore ~max_configs:2000 ~resilience:(res "run/db3")
+           (Csp.lang (Db.program ~sites:3)));
       check Alcotest.bool "checkpoint written" true (Sys.file_exists ck);
       check Alcotest.bool "foreign stamp refused" true
         (try
            ignore
-             (Csp.explore
+             (Explore.explore
                 ~resilience:{ (res "run/db4") with resume = Some ck }
-                (Db.program ~sites:4));
+                (Csp.lang (Db.program ~sites:4)));
            false
          with Explore.Resume_error _ -> true))
 
@@ -516,38 +516,19 @@ let assert_same_counts ?(every = 500) name run =
       check Alcotest.(list string) (tag "deadlocks") base.c_deads o.c_deads;
       T.read T.Checkpoint_writes - writes0)
 
-let mon prog resilience =
-  let o = Gem_lang.Monitor.explore ~reduction:Explore.Sleep_sets ~resilience prog in
-  Gem_lang.Monitor.
-    {
-      c_explored = o.explored;
-      c_reduced = o.reduced;
-      c_truncated = o.truncated;
-      c_comps = fps o.computations;
-      c_deads = fps o.deadlocks;
-    }
+let counts lang resilience =
+  let o = Explore.explore ~reduction:Explore.Sleep_sets ~resilience lang in
+  {
+    c_explored = o.explored;
+    c_reduced = o.reduced;
+    c_truncated = o.truncated;
+    c_comps = fps o.computations;
+    c_deads = fps o.deadlocks;
+  }
 
-let csp prog resilience =
-  let o = Csp.explore ~reduction:Explore.Sleep_sets ~resilience prog in
-  Csp.
-    {
-      c_explored = o.explored;
-      c_reduced = o.reduced;
-      c_truncated = o.truncated;
-      c_comps = fps o.computations;
-      c_deads = fps o.deadlocks;
-    }
-
-let ada prog resilience =
-  let o = Gem_lang.Ada.explore ~reduction:Explore.Sleep_sets ~resilience prog in
-  Gem_lang.Ada.
-    {
-      c_explored = o.explored;
-      c_reduced = o.reduced;
-      c_truncated = o.truncated;
-      c_comps = fps o.computations;
-      c_deads = fps o.deadlocks;
-    }
+let mon prog = counts (Gem_lang.Monitor.lang prog)
+let csp prog = counts (Csp.lang prog)
+let ada prog = counts (Gem_lang.Ada.lang prog)
 
 let test_workload_counts_unchanged () =
   let module RW = Gem_problems.Readers_writers in
@@ -625,10 +606,10 @@ let prop_faulted_runs_sound =
   QCheck.Test.make
     ~name:"random CSP under GEM_FAULT: subset of clean, loss reported, faults survived"
     ~count:30 Gen_csp.prog_arb (fun prog ->
-      let clean = Csp.explore prog in
-      QCheck.assume (clean.Csp.exhausted = None);
-      let clean_comps = fpset clean.Csp.computations in
-      let clean_dead = fpset clean.Csp.deadlocks in
+      let clean = Explore.explore (Csp.lang prog) in
+      QCheck.assume (clean.Explore.exhausted = None);
+      let clean_comps = fpset clean.Explore.computations in
+      let clean_dead = fpset clean.Explore.deadlocks in
       List.for_all
         (fun (seed, period) ->
           with_disarmed (fun () ->
@@ -644,16 +625,16 @@ let prop_faulted_runs_sound =
               let o =
                 Fun.protect
                   ~finally:(fun () -> if Sys.file_exists ck then Sys.remove ck)
-                  (fun () -> Csp.explore ~resilience:res prog)
+                  (fun () -> Explore.explore ~resilience:res (Csp.lang prog))
               in
-              let comps = fpset o.Csp.computations in
-              let dead = fpset o.Csp.deadlocks in
+              let comps = fpset o.Explore.computations in
+              let dead = fpset o.Explore.deadlocks in
               let subset xs ys = List.for_all (fun x -> List.mem x ys) xs in
               (* Never fabricate: every leaf found is a real one. *)
               subset comps clean_comps && subset dead clean_dead
               (* Never overclaim: bitstate alone forces Inconclusive, so a
                  clean exhaustion here would be an unsound Verified. *)
-              && o.Csp.exhausted <> None
+              && o.Explore.exhausted <> None
               (* Every injected fault was handled. *)
               && T.read T.Faults_injected = T.read T.Faults_survived))
         [ (1, 3); (2, 25); (3, 101) ])

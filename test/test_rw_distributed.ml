@@ -10,12 +10,12 @@ let check = Alcotest.check
 let strategy = Strategy.Linearizations (Some 300)
 
 let sat_csp program ~readers ~writers =
-  let o = Gem_lang.Csp.explore ~max_configs:10_000_000 program in
+  let o = Gem_lang.Explore.explore ~max_configs:10_000_000 (Gem_lang.Csp.lang program) in
   let rnames, wnames = RWD.user_names ~readers ~writers in
   let problem = RWD.spec ~readers:rnames ~writers:wnames in
-  ( Refine.sat_ok ~strategy ~problem ~map:RWD.csp_correspondence o.Gem_lang.Csp.computations,
-    List.length o.Gem_lang.Csp.computations,
-    List.length o.Gem_lang.Csp.deadlocks )
+  ( Refine.sat_ok ~strategy ~problem ~map:RWD.csp_correspondence o.Gem_lang.Explore.computations,
+    List.length o.Gem_lang.Explore.computations,
+    List.length o.Gem_lang.Explore.deadlocks )
 
 let sat_ada program ~readers ~writers =
   (* POR pinned on: the server tasks loop, so the state space is cyclic
@@ -23,14 +23,14 @@ let sat_ada program ~readers ~writers =
      bound. test_por compares the two modes on this workload under a
      shared configuration cap instead. *)
   let o =
-    Gem_lang.Ada.explore ~reduction:Gem_lang.Explore.Sleep_sets
-      ~max_configs:10_000_000 program
+    Gem_lang.Explore.explore ~reduction:Gem_lang.Explore.Sleep_sets
+      ~max_configs:10_000_000 (Gem_lang.Ada.lang program)
   in
   let rnames, wnames = RWD.user_names ~readers ~writers in
   let problem = RWD.spec ~readers:rnames ~writers:wnames in
-  ( Refine.sat_ok ~strategy ~problem ~map:RWD.ada_correspondence o.Gem_lang.Ada.computations,
-    List.length o.Gem_lang.Ada.computations,
-    List.length o.Gem_lang.Ada.deadlocks )
+  ( Refine.sat_ok ~strategy ~problem ~map:RWD.ada_correspondence o.Gem_lang.Explore.computations,
+    List.length o.Gem_lang.Explore.computations,
+    List.length o.Gem_lang.Explore.deadlocks )
 
 let test_csp_1r1w () =
   let ok, comps, dead = sat_csp (RWD.csp_program ~readers:1 ~writers:1) ~readers:1 ~writers:1 in
@@ -71,7 +71,7 @@ let test_csp_2r1w () =
    written one, never garbage; functional correctness of the data chain is
    covered by the data element's Variable restriction inside the spec. *)
 let test_csp_data_values () =
-  let o = Gem_lang.Csp.explore ~max_configs:10_000_000 (RWD.csp_program ~readers:1 ~writers:1) in
+  let o = Gem_lang.Explore.explore ~max_configs:10_000_000 (Gem_lang.Csp.lang (RWD.csp_program ~readers:1 ~writers:1)) in
   List.iter
     (fun comp ->
       List.iter
@@ -81,7 +81,7 @@ let test_csp_data_values () =
             let v = Gem_model.Value.as_int (Gem_model.Event.param e "p0") in
             Alcotest.(check bool) "read 0 or 101" true (v = 0 || v = 101))
         (Gem_model.Computation.all_events comp))
-    o.Gem_lang.Csp.computations
+    o.Gem_lang.Explore.computations
 
 let () =
   Alcotest.run "gem_rw_distributed"

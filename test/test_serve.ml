@@ -270,6 +270,38 @@ let test_request_errors () =
   bad "check rw monitor=\"bad \\x\"" "unknown escape";
   bad "check rw monitor=\"dangling\\" "dangling backslash";
   bad "check rw mon\"itor=x" "misplaced quote";
+  (* Counts outside what the program builders accept parse, but the
+     workload is refused with a message naming the key: nothing is built,
+     so none of these loops, allocates without bound or raises. *)
+  let load line =
+    match R.parse line with
+    | Ok (R.Check c) -> Runner.of_request c
+    | Ok _ | Error _ -> Alcotest.failf "%S is not a check request" line
+  in
+  List.iter
+    (fun (line, expect) ->
+      match load line with
+      | Ok _ -> Alcotest.failf "%S accepted" line
+      | Error e ->
+          check Alcotest.bool
+            (Printf.sprintf "%S -> %s (got: %s)" line expect e)
+            true (contains e expect))
+    [
+      ("check life generations=-1", "generations expects an integer >= 0");
+      ("check rw readers=-1", "readers expects an integer >= 0");
+      ("check rwd lang=ada writers=-1", "writers expects an integer >= 0");
+      ("check life width=-1", "width expects an integer >= 0");
+      ("check db sites=1", "sites expects an integer >= 2");
+      ("check buffer consumers=0", "consumers expects an integer >= 1");
+      ("check buffer producers=2 consumers=3", "consumers expects a divisor");
+    ];
+  (* Zero readers or writers stay valid. *)
+  List.iter
+    (fun line ->
+      match load line with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%S refused: %s" line e)
+    [ "check rw readers=2 writers=0"; "check rwd readers=0 writers=0" ];
   (* Errors must be single-line so the daemon can embed them in a JSON
      header verbatim. *)
   List.iter

@@ -521,12 +521,12 @@ let test_gem_file_verifies_monitor () =
         Gem_problems.Readers_writers.program
           ~monitor:Gem_problems.Readers_writers.paper_monitor ~readers:2 ~writers:1
       in
-      let o = Gem_lang.Monitor.explore program in
+      let o = Gem_lang.Explore.explore (Gem_lang.Monitor.lang program) in
       check Alcotest.bool "paper monitor satisfies the .gem spec" true
         (Gem_check.Refine.sat_ok
            ~strategy:(Gem_check.Strategy.Linearizations (Some 400))
            ~edges:Gem_check.Refine.Actor_paths ~problem
-           ~map:Gem_problems.Readers_writers.correspondence o.Gem_lang.Monitor.computations);
+           ~map:Gem_problems.Readers_writers.correspondence o.Gem_lang.Explore.computations);
       (* The mutant must be refuted at the same 2R+1W population the .gem
          file declares (a different population would fail trivially on
          legality). *)
@@ -534,12 +534,12 @@ let test_gem_file_verifies_monitor () =
         Gem_problems.Readers_writers.program
           ~monitor:Gem_problems.Readers_writers.no_exclusion_monitor ~readers:2 ~writers:1
       in
-      let ob = Gem_lang.Monitor.explore buggy in
+      let ob = Gem_lang.Explore.explore (Gem_lang.Monitor.lang buggy) in
       check Alcotest.bool "no-exclusion monitor violates the .gem spec" false
         (Gem_check.Refine.sat_ok
            ~strategy:(Gem_check.Strategy.Linearizations (Some 400))
            ~edges:Gem_check.Refine.Actor_paths ~problem
-           ~map:Gem_problems.Readers_writers.correspondence ob.Gem_lang.Monitor.computations)
+           ~map:Gem_problems.Readers_writers.correspondence ob.Gem_lang.Explore.computations)
 
 let () =
   Alcotest.run "gem_syntax"

@@ -101,12 +101,12 @@ let delta f check =
 
 let check_conservation reduction ~jobs ~batch () =
   with_telemetry (fun () ->
-      let o = Monitor.explore ~reduction (rw 2 1) in
+      let o = Explore.explore ~reduction (Monitor.lang (rw 2 1)) in
       Alcotest.(check int)
-        "telemetry explored = result explored" o.Monitor.explored
+        "telemetry explored = result explored" o.Explore.explored
         (T.read T.Configs_explored);
       Alcotest.(check int)
-        "telemetry reduced = result reduced" o.Monitor.reduced
+        "telemetry reduced = result reduced" o.Explore.reduced
         (T.read T.Configs_reduced);
       Alcotest.(check int)
         "reduced = sleep prunes + memo hits + source prunes"
@@ -130,7 +130,7 @@ let check_conservation reduction ~jobs ~batch () =
           Alcotest.(check bool) "races seed backtrack points" true
             (T.read T.Backtrack_points > 0));
       let explored = exploration_counters () in
-      let comps = o.Monitor.computations in
+      let comps = o.Explore.computations in
       let ok_ref, ref_counts =
         delta checking_counters (fun () -> sat_rw ~jobs:1 comps)
       in
@@ -185,15 +185,15 @@ let test_conservation_grid () =
       List.iter
         (fun (name, reduction, prog) ->
           with_telemetry (fun () ->
-              let o = Monitor.explore ~reduction ~resilience prog in
+              let o = Explore.explore ~reduction ~resilience (Monitor.lang prog) in
               let tag what = Printf.sprintf "%s checkpoint: %s" name what in
               Alcotest.(check int)
                 (tag "telemetry explored = result explored")
-                o.Monitor.explored
+                o.Explore.explored
                 (T.read T.Configs_explored);
               Alcotest.(check int)
                 (tag "telemetry reduced = result reduced")
-                o.Monitor.reduced
+                o.Explore.reduced
                 (T.read T.Configs_reduced);
               Alcotest.(check int)
                 (tag "reduced = sleep prunes + memo hits + source prunes")
@@ -210,9 +210,9 @@ let test_conservation_grid () =
 (* Cross-language: the CSP interpreter feeds the same sink. *)
 let test_conservation_csp () =
   with_telemetry (fun () ->
-      let o = Csp.explore ~reduction:Explore.Sleep_sets buffer_csp in
-      Alcotest.(check int) "csp explored" o.Csp.explored (T.read T.Configs_explored);
-      Alcotest.(check int) "csp reduced" o.Csp.reduced (T.read T.Configs_reduced))
+      let o = Explore.explore ~reduction:Explore.Sleep_sets (Csp.lang buffer_csp) in
+      Alcotest.(check int) "csp explored" o.Explore.explored (T.read T.Configs_explored);
+      Alcotest.(check int) "csp reduced" o.Explore.reduced (T.read T.Configs_reduced))
 
 (* ------------------------------------------------------------------ *)
 (* Observational transparency                                          *)
@@ -228,16 +228,16 @@ let sat_buffer comps =
 let test_transparency () =
   T.disable ();
   T.reset ();
-  let o_off = Monitor.explore ~reduction:Explore.Sleep_sets buffer_monitor in
-  let verdict_off = sat_buffer o_off.Monitor.computations in
+  let o_off = Explore.explore ~reduction:Explore.Sleep_sets (Monitor.lang buffer_monitor) in
+  let verdict_off = sat_buffer o_off.Explore.computations in
   let fps_off =
-    List.sort compare (List.map Explore.fingerprint o_off.Monitor.computations)
+    List.sort compare (List.map Explore.fingerprint o_off.Explore.computations)
   in
   let verdict_on, fps_on =
     with_telemetry (fun () ->
-        let o = Monitor.explore ~reduction:Explore.Sleep_sets buffer_monitor in
-        ( sat_buffer o.Monitor.computations,
-          List.sort compare (List.map Explore.fingerprint o.Monitor.computations)
+        let o = Explore.explore ~reduction:Explore.Sleep_sets (Monitor.lang buffer_monitor) in
+        ( sat_buffer o.Explore.computations,
+          List.sort compare (List.map Explore.fingerprint o.Explore.computations)
         ))
   in
   Alcotest.(check bool) "verdict identical" verdict_off verdict_on;
@@ -250,7 +250,7 @@ let test_transparency () =
 let test_deterministic_stats () =
   let snapshot ?(reduction = Explore.Sleep_sets) jobs =
     with_telemetry (fun () ->
-        let o = Monitor.explore ~reduction (rw 2 1) in
+        let o = Explore.explore ~reduction (Monitor.lang (rw 2 1)) in
         let problem =
           Readers_writers.spec Readers_writers.Free_for_all
             ~users:(Readers_writers.user_names ~readers:2 ~writers:1)
@@ -259,7 +259,7 @@ let test_deterministic_stats () =
           (Refine.sat_ok
              ~strategy:(Strategy.Linearizations (Some 200))
              ~jobs ~edges:Refine.Actor_paths ~problem
-             ~map:Readers_writers.correspondence o.Monitor.computations);
+             ~map:Readers_writers.correspondence o.Explore.computations);
         T.stats_json ~deterministic:true ())
   in
   let s1 = snapshot 1 in
@@ -280,9 +280,9 @@ let test_deterministic_stats () =
 let test_budget_stop_counter () =
   with_telemetry (fun () ->
       let budget = Budget.make ~max_configs:5 () in
-      let o = Monitor.explore ~budget ~reduction:Explore.Sleep_sets (rw 2 1) in
+      let o = Explore.explore ~budget ~reduction:Explore.Sleep_sets (Monitor.lang (rw 2 1)) in
       Alcotest.(check bool) "exploration was cut" true
-        (o.Monitor.exhausted <> None);
+        (o.Explore.exhausted <> None);
       Alcotest.(check int) "config-budget stop recorded once" 1
         (T.read T.Budget_stop_configs);
       Alcotest.(check int) "no other stop reasons" 0
@@ -359,7 +359,7 @@ let test_race_analysis_span () =
   List.iter
     (fun (reduction, expect_races) ->
       T.reset ();
-      let o = Monitor.explore ~reduction buffer_monitor in
+      let o = Explore.explore ~reduction (Monitor.lang buffer_monitor) in
       let name = Explore.reduction_name reduction in
       Alcotest.(check bool)
         (Printf.sprintf "%s: race_analysis spans" name)
@@ -367,7 +367,7 @@ let test_race_analysis_span () =
         (T.span_count T.Race_analysis > 0);
       Alcotest.(check int)
         (Printf.sprintf "%s: one interp_step per expanded configuration" name)
-        (o.Monitor.explored - o.Monitor.truncated)
+        (o.Explore.explored - o.Explore.truncated)
         (T.span_count T.Interp_step))
     [ (Explore.Sleep_sets, false); (Explore.Source_sets, true) ];
   T.disable ();
@@ -376,8 +376,8 @@ let test_race_analysis_span () =
 let test_disabled_noop () =
   T.disable ();
   T.reset ();
-  let o = Monitor.explore ~reduction:Explore.Sleep_sets buffer_monitor in
-  ignore (sat_buffer o.Monitor.computations);
+  let o = Explore.explore ~reduction:Explore.Sleep_sets (Monitor.lang buffer_monitor) in
+  ignore (sat_buffer o.Explore.computations);
   List.iter
     (fun c ->
       Alcotest.(check int)
@@ -407,7 +407,7 @@ let test_trace_export () =
       Fun.protect
         ~finally:(fun () -> T.disable ())
         (fun () ->
-          ignore (Monitor.explore ~reduction:Explore.Sleep_sets buffer_monitor);
+          ignore (Explore.explore ~reduction:Explore.Sleep_sets (Monitor.lang buffer_monitor));
           T.flush_trace ());
       let ic = open_in file in
       let lines = ref [] in
