@@ -1,27 +1,41 @@
 (* Transport only: newline-framed requests over a Unix-domain socket,
-   one thread per connection. Checking semantics (parsing, caching,
-   verdicts) live behind the [handler]; this module owns the sockets,
-   the framing, the drain-on-stop choreography and nothing else. *)
+   served by reused worker threads. Checking semantics (parsing,
+   caching, verdicts) live behind the [handler]; this module owns the
+   sockets, the framing, the workers, the drain-on-stop choreography and
+   nothing else. *)
 
 type handler = string -> string list
 
-type conn = { c_fd : Unix.file_descr; mutable c_thread : Thread.t option }
+(* A worker thread's hand-off slot, guarded by [s_lock]. The accept loop
+   hands a connection ([w_conn]) to, or retires ([w_retired]), only a
+   worker it takes off the idle list, then signals [w_wake]; so an idle
+   worker gets one or the other, never both. *)
+type worker = {
+  w_wake : Condition.t;
+  mutable w_conn : Unix.file_descr option;
+      (* The connection handed over and not yet taken. *)
+  mutable w_idle_since : float;
+  mutable w_retired : bool;
+}
 
 type t = {
   s_path : string;
   s_listen : Unix.file_descr;
   s_stop : bool Atomic.t;
   s_lock : Mutex.t;
-  mutable s_conns : conn list;
+  mutable s_conns : Unix.file_descr list;
       (* Guarded by [s_lock]: the open connections. A connection leaves
          the list as its descriptor is closed, which the OS may then
          reuse, so the drain never touches a closed one. *)
+  mutable s_idle : worker list;
+      (* Guarded by [s_lock]: the workers waiting for a connection, the
+         most recently idle first. *)
 }
 
-(* The most connections served at once, one thread each: the listen
-   backlog. A connection over it is answered and closed by the accept
-   loop, so a flood of idle connections cannot make the daemon start
-   threads without limit. *)
+(* The most connections served at once, and so the most workers: the
+   listen backlog. A connection over it is answered and closed by the
+   accept loop, so a flood of idle connections cannot make the daemon
+   start threads without limit. *)
 let max_connections = 64
 
 let busy = {|{"serve":1,"error":"busy","code":3}|}
@@ -47,6 +61,7 @@ let create ~socket () =
     s_stop = Atomic.make false;
     s_lock = Mutex.create ();
     s_conns = [];
+    s_idle = [];
   }
 
 let socket_path t = t.s_path
@@ -158,11 +173,20 @@ let read_line r =
   in
   go ()
 
-let serve_conn t ~handler conn =
-  let ic = Unix.in_channel_of_descr conn.c_fd in
+(* Under [s_lock], as the worker's connection closes: the worker waits
+   for the next one, or retires if the server is draining. *)
+let park t w =
+  if Atomic.get t.s_stop then w.w_retired <- true
+  else begin
+    w.w_idle_since <- Unix.gettimeofday ();
+    t.s_idle <- w :: t.s_idle
+  end
+
+let serve_conn t ~handler w fd =
+  let ic = Unix.in_channel_of_descr fd in
   let reader =
     {
-      fd = conn.c_fd;
+      fd;
       ic;
       chunk = Bytes.create 512;
       pos = 0;
@@ -175,7 +199,10 @@ let serve_conn t ~handler conn =
     Mutex.protect t.s_lock (fun () ->
         (* close_in closes the underlying descriptor too. *)
         close_in_noerr ic;
-        t.s_conns <- List.filter (fun c -> c != conn) t.s_conns)
+        t.s_conns <- List.filter (fun c -> c != fd) t.s_conns;
+        (* Idle as its connection leaves the list, so a client that has
+           seen its connection closed finds this worker ready. *)
+        park t w)
   in
   (try
      let continue = ref true in
@@ -184,11 +211,11 @@ let serve_conn t ~handler conn =
        | exception End_of_file -> continue := false
        | exception Sys_error _ -> continue := false
        | exception Idle ->
-           (try write_all conn.c_fd (idle_timeout ^ "\n")
+           (try write_all fd (idle_timeout ^ "\n")
             with Unix.Unix_error _ | Sys_error _ -> ());
            continue := false
        | None ->
-           (try write_all conn.c_fd (line_too_long ^ "\n")
+           (try write_all fd (line_too_long ^ "\n")
             with Unix.Unix_error _ | Sys_error _ -> ());
            continue := false
        | Some line ->
@@ -207,7 +234,7 @@ let serve_conn t ~handler conn =
                Buffer.add_string buf r;
                Buffer.add_char buf '\n')
              replies;
-           (try write_all conn.c_fd (Buffer.contents buf)
+           (try write_all fd (Buffer.contents buf)
             with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
             | Sys_error _ ->
               continue := false);
@@ -217,52 +244,121 @@ let serve_conn t ~handler conn =
            if Atomic.get t.s_stop then continue := false
      done
    with e ->
-     (* Nothing may escape a connection thread — a lost connection must
-        never take the daemon down. *)
+     (* Nothing may escape a worker — a lost connection must never take
+        the daemon down. *)
      ignore e);
   close ()
+
+(* A worker's life: serve a connection, wait for the next, until the
+   accept loop or the drain retires it. *)
+let rec work t ~handler w fd =
+  serve_conn t ~handler w fd;
+  let next =
+    Mutex.protect t.s_lock (fun () ->
+        while Option.is_none w.w_conn && not w.w_retired do
+          Condition.wait w.w_wake t.s_lock
+        done;
+        let next = w.w_conn in
+        w.w_conn <- None;
+        next)
+  in
+  match next with Some fd -> work t ~handler w fd | None -> ()
+
+let retire w =
+  w.w_retired <- true;
+  Condition.signal w.w_wake
+
+(* A fresh socket's send buffer takes the short reply without blocking
+   the accept loop. *)
+let refuse fd =
+  (try write_all fd (busy ^ "\n") with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
 
 let run t ~handler =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
+  (* Every worker started and not yet retired, with its thread. Only
+     this loop starts, hands out to and retires workers. *)
+  let workers = ref [] in
+  let admit fd =
+    let decision =
+      Mutex.protect t.s_lock (fun () ->
+          if List.compare_length_with t.s_conns max_connections >= 0 then `Refuse
+          else begin
+            t.s_conns <- fd :: t.s_conns;
+            match t.s_idle with
+            | w :: rest ->
+                t.s_idle <- rest;
+                w.w_conn <- Some fd;
+                Condition.signal w.w_wake;
+                `Handed
+            | [] -> `Start
+          end)
+    in
+    match decision with
+    | `Handed -> ()
+    | `Refuse -> refuse fd
+    | `Start -> (
+        let w =
+          {
+            w_wake = Condition.create ();
+            w_conn = None;
+            w_idle_since = 0.;
+            w_retired = false;
+          }
+        in
+        match Thread.create (fun fd -> work t ~handler w fd) fd with
+        | th -> workers := (w, th) :: !workers
+        | exception (Sys_error _ | Out_of_memory) ->
+            (* No thread can start (the address space or the process's
+               thread limit is spent): refuse this connection, keep
+               serving the others. *)
+            Mutex.protect t.s_lock (fun () ->
+                t.s_conns <- List.filter (fun c -> c != fd) t.s_conns);
+            refuse fd)
+  in
+  (* Retire the workers idle for [idle_timeout_s], so a burst's workers
+     do not keep their stacks' address space after it. *)
+  let sweep () =
+    let now = Unix.gettimeofday () in
+    let expired =
+      Mutex.protect t.s_lock (fun () ->
+          let expired, fresh =
+            List.partition (fun w -> now -. w.w_idle_since >= idle_timeout_s) t.s_idle
+          in
+          t.s_idle <- fresh;
+          List.iter retire expired;
+          expired)
+    in
+    match expired with
+    | [] -> ()
+    | _ ->
+        let gone, live = List.partition (fun (w, _) -> List.memq w expired) !workers in
+        workers := live;
+        List.iter (fun (_, th) -> Thread.join th) gone
+  in
   while not (Atomic.get t.s_stop) do
-    match Unix.select [ t.s_listen ] [] [] 0.25 with
+    (match Unix.select [ t.s_listen ] [] [] 0.25 with
     | [], _, _ -> ()
     | _ :: _, _, _ -> (
         match Unix.accept t.s_listen with
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-        | fd, _ ->
-            let conn = { c_fd = fd; c_thread = None } in
-            let admitted =
-              Mutex.protect t.s_lock (fun () ->
-                  List.compare_length_with t.s_conns max_connections < 0
-                  && begin
-                       t.s_conns <- conn :: t.s_conns;
-                       true
-                     end)
-            in
-            if admitted then
-              conn.c_thread <- Some (Thread.create (serve_conn t ~handler) conn)
-            else begin
-              (* A fresh socket's send buffer takes the short reply
-                 without blocking the accept loop. *)
-              (try write_all fd (busy ^ "\n") with Unix.Unix_error _ -> ());
-              try Unix.close fd with Unix.Unix_error _ -> ()
-            end)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        | fd, _ -> admit fd)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    sweep ()
   done;
   (try Unix.close t.s_listen with Unix.Unix_error _ -> ());
   (* Drain: shut the read side of every connection so idle readers see
-     EOF, while a thread inside [handler] finishes and flushes its
-     response first; then wait for them all. *)
-  let conns =
-    Mutex.protect t.s_lock (fun () ->
-        List.iter
-          (fun c ->
-            try Unix.shutdown c.c_fd Unix.SHUTDOWN_RECEIVE
-            with Unix.Unix_error _ | Invalid_argument _ -> ())
-          t.s_conns;
-        t.s_conns)
-  in
-  List.iter (fun c -> match c.c_thread with Some th -> Thread.join th | None -> ()) conns;
+     EOF, while a worker inside [handler] finishes and flushes its
+     response first; retire the idle workers (a busy one retires itself
+     as its connection closes); then wait for them all. *)
+  Mutex.protect t.s_lock (fun () ->
+      List.iter
+        (fun fd ->
+          try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
+          with Unix.Unix_error _ | Invalid_argument _ -> ())
+        t.s_conns;
+      List.iter retire t.s_idle;
+      t.s_idle <- []);
+  List.iter (fun (_, th) -> Thread.join th) !workers;
   try Unix.unlink t.s_path with Unix.Unix_error _ | Sys_error _ -> ()

@@ -5,18 +5,26 @@ type response = {
   error : string option;
 }
 
+(* Whether [header] holds [name] at [i], from its [k]th character on. *)
+let rec same header name i k =
+  k = String.length name || (header.[i + k] = name.[k] && same header name i (k + 1))
+
 (* The daemon writes headers itself (Handler), so a targeted scan for
    ["name":value] is enough — no JSON parser needed, and the body (which
-   may embed arbitrary report text) is never scanned. *)
-let field_start header name =
-  let pat = Printf.sprintf "\"%s\":" name in
-  let n = String.length header and m = String.length pat in
-  let rec scan i =
-    if i + m > n then None
-    else if String.sub header i m = pat then Some (i + m)
-    else scan (i + 1)
-  in
-  scan 0
+   may embed arbitrary report text) is never scanned. The first match
+   wins; each position is compared in place, allocating nothing. *)
+let rec field_from header name i =
+  let m = String.length name in
+  if i + m + 3 > String.length header then None
+  else if
+    header.[i] = '"'
+    && header.[i + m + 1] = '"'
+    && header.[i + m + 2] = ':'
+    && same header name (i + 1) 0
+  then Some (i + m + 3)
+  else field_from header name (i + 1)
+
+let field_start header name = field_from header name 0
 
 let field_int header name =
   match field_start header name with

@@ -53,7 +53,7 @@ let by_load = function
    budget restored to the exploration's end state — the protocol
    documented in {!Runner}. A cached exploration is prepared inside the
    cache's compute, once for every request that shares it. *)
-let compute_body t load ~program (c : R.check) =
+let compute_body t load (c : R.check) =
   let e = c.R.engine in
   let opts = Runner.opts_of_engine load e in
   let mk_budget () =
@@ -62,7 +62,7 @@ let compute_body t load ~program (c : R.check) =
   let exploration =
     if not (Runner.has_exploration load) then None
     else begin
-      let xkey = Runner.explore_key ~program load e in
+      let xkey = Runner.explore_key load e in
       let x, prov =
         Cache.find_or_compute t.explorations xkey
           ~keep:(fun x -> x.Runner.x_exhausted <> Some Budget.Memory_watermark)
@@ -98,8 +98,7 @@ let check_response t (c : R.check) =
       ]
   | Ok load -> (
       let started = Unix.gettimeofday () in
-      let program = Runner.program_fp load in
-      let key = Runner.verdict_key ~program load ~restrict:c.R.restrict c.R.engine in
+      let key = Runner.verdict_key load ~restrict:c.R.restrict c.R.engine in
       let respond provenance (status, body) =
         let header =
           Printf.sprintf
@@ -129,7 +128,7 @@ let check_response t (c : R.check) =
           let v, prov =
             Cache.find_or_compute t.verdicts key
               ~keep:(fun (status, _) -> not (by_load status))
-              (fun () -> compute_body t load ~program c)
+              (fun () -> compute_body t load c)
           in
           (v, Cache.provenance_name prov)
       with

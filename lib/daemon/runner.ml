@@ -221,7 +221,7 @@ let has_exploration = function
   | Rw _ | Buffer _ | Rwd _ -> true
   | Db _ | Life _ -> false
 
-(* --- cache keying --------------------------------------------------- *)
+(* --- programs and problem specs -------------------------------------- *)
 
 (* A monitor value cannot be constructed from a bad name once a load
    exists; [of_request] already vetted it. *)
@@ -268,20 +268,6 @@ let lang_of load =
             else Rw_distributed.ada_program ~readers ~writers))
   | Db _ | Life _ -> invalid_arg "Runner: the command has no exploration"
 
-let program_fp load =
-  match load with
-  | Rw _ | Buffer _ | Rwd _ -> (
-      match lang_of load with Lang l -> l.Explore.fp_key l.Explore.init)
-  | Db { sites } ->
-      (* Key on the parameter alone: db's program is built inside
-         Db_update.check. *)
-      Fingerprint.of_string (Printf.sprintf "db-update sites=%d" sites)
-  | Life { width; height; generations } ->
-      Fingerprint.of_string
-        (Printf.sprintf "life %dx%d g=%d alive=%s" width height generations
-           (String.concat ","
-              (List.map (fun (x, y) -> Printf.sprintf "%d:%d" x y) life_alive)))
-
 (* What an explored load is refined against: the problem spec (before
    any client restriction), the correspondence and the edge rule. *)
 let refinement load =
@@ -307,42 +293,14 @@ let refinement load =
         Refine.Causal_paths )
   | Db _ | Life _ -> invalid_arg "Runner: the command has no refinement"
 
-let problem_spec load =
-  match load with
-  | Rw _ | Buffer _ | Rwd _ ->
-      let problem, _, _ = refinement load in
-      Some problem
-  | Db _ -> None
-  | Life { width; height; _ } -> Some (Life.spec ~width ~height)
-
-(* One restriction: its name, then its formula's structural
-   fingerprint, which is equal exactly when the formulas print alike. *)
-let named_fp acc (name, f) =
-  Fingerprint.combine acc
-    (Fingerprint.combine (Fingerprint.of_string name) (Formula.fingerprint f))
-
-(* The spec's name and its explicit restrictions, then the client
-   restriction if there is one. *)
-let restriction_fp load restrict =
-  let base =
-    match problem_spec load with
-    | Some s ->
-        List.fold_left named_fp (Fingerprint.of_string s.Spec.spec_name)
-          s.Spec.restrictions
-    | None ->
-        (* db's two properties are baked into Db_update.check. *)
-        Fingerprint.of_string "db-update:convergence+deadlock-freedom"
-  in
-  match restrict with
-  | Some f -> named_fp base (R.restriction_name, f)
-  | None -> base
+(* --- cache keying --------------------------------------------------- *)
 
 (* The program-determining workload parameters — unlike the checkpoint
    stamp, the cache key must see every one of them (e.g. rw's monitor).
    rw's version is deliberately absent: it picks the problem spec's
    scheduling restriction and nothing about the explored program, so two
    versions of the same program share an exploration-cache line (the
-   verdict key separates them through the restriction component). *)
+   verdict key adds the version). *)
 let key_params_string load =
   match load with
   | Rw { monitor; readers; writers; _ } ->
@@ -379,21 +337,34 @@ let engine_string (e : R.engine) =
     (opt_int e.R.max_runs)
     (Explore.reduction_name (engine_reduction e))
 
-let setting_fp load engine =
+(* Within one process the program, and the problem spec's name and
+   fixed restrictions, are functions of the workload parameters, so the
+   keys hash the parameters and build neither. *)
+let explore_fp load engine =
   Fingerprint.combine
     (Fingerprint.of_string (key_params_string load))
     (Fingerprint.of_string (engine_string engine))
 
-let explore_key ?program load engine =
-  let program = match program with Some p -> p | None -> program_fp load in
-  Fingerprint.to_hex (Fingerprint.combine program (setting_fp load engine))
+let explore_key load engine = Fingerprint.to_hex (explore_fp load engine)
 
-let verdict_key ?program load ~restrict engine =
-  let program = match program with Some p -> p | None -> program_fp load in
+(* A verdict also depends on rw's version, which picks the problem spec,
+   and on the client restriction: its name, then its formula's
+   structural fingerprint, which is equal exactly when the formulas
+   print alike. *)
+let verdict_key load ~restrict engine =
+  let version =
+    match load with
+    | Rw { version; _ } -> Readers_writers.version_name version
+    | Buffer _ | Rwd _ | Db _ | Life _ -> ""
+  in
+  let fp = Fingerprint.combine (explore_fp load engine) (Fingerprint.of_string version) in
   Fingerprint.to_hex
-    (Fingerprint.combine
-       (Fingerprint.combine program (restriction_fp load restrict))
-       (setting_fp load engine))
+    (match restrict with
+    | None -> fp
+    | Some f ->
+        Fingerprint.combine fp
+          (Fingerprint.combine (Fingerprint.of_string R.restriction_name)
+             (Formula.fingerprint f)))
 
 (* --- running -------------------------------------------------------- *)
 

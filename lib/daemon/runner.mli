@@ -75,31 +75,27 @@ val has_exploration : load -> bool
 
 (** {1 Cache keying} *)
 
-val program_fp : load -> Gem_order.Fingerprint.t
-(** The program's initial-configuration fingerprint (where the command
-    builds a program; [db] and [life] hash their parameters). Building
-    the program is most of a key's cost, so a caller that needs both
-    keys computes this once and passes it to both. *)
-
 val verdict_key :
-  ?program:Gem_order.Fingerprint.t ->
   load ->
   restrict:Gem_logic.Formula.t option ->
   Gem_syntax.Request.engine ->
   string
 (** Hex of a fingerprint over every verdict-relevant input: the
-    program's fingerprint ([program], default {!program_fp}), the full
-    workload parameters, the problem spec's name and restriction set
-    plus the client restriction, and the engine configuration with
-    environment defaults resolved. A restriction enters by its name and
+    {!explore_key} inputs, rw's [version] (which picks the problem
+    spec), and the client restriction by its name and
     {!Gem_logic.Formula.fingerprint}, so two requests share a key
-    exactly when their restrictions print alike; nothing is
-    rendered. *)
+    exactly when their restrictions print alike. Nothing is built or
+    rendered: within one process the program and the problem spec's
+    name and fixed restrictions are functions of the hashed parameters,
+    so requests share a key exactly when they would share one over the
+    built program and spec. *)
 
-val explore_key :
-  ?program:Gem_order.Fingerprint.t -> load -> Gem_syntax.Request.engine -> string
-(** {!verdict_key} minus the restriction component — requests that agree
-    on it can share one exploration. *)
+val explore_key : load -> Gem_syntax.Request.engine -> string
+(** Hex of a fingerprint over the program-determining workload
+    parameters (every one but rw's [version]) and the engine
+    configuration with environment defaults resolved — {!verdict_key}
+    minus the version and the restriction, so requests that agree on it
+    can share one exploration. *)
 
 (** {1 Running} *)
 

@@ -4,8 +4,10 @@
    restriction as "+client-restriction=formula", joined by line feeds
    and hashed as one string. test_serve holds {!Gem_daemon.Runner}'s
    structural keys to this copy: the two must put any set of requests
-   into the same classes. The program fingerprint is
-   {!Gem_daemon.Runner.program_fp}, which the change left as it was.
+   into the same classes. The program fingerprint is a copy of the
+   [program_fp] the daemon then had: the initial configuration's
+   fingerprint of the built program, or for db and life a hash of the
+   parameters.
 
    The rendering is the recursive [Format] printer the formula syntax
    had then; test_props holds {!Gem_logic.Formula.pp}, which now shares
@@ -14,6 +16,9 @@
 module R = Gem_syntax.Request
 module Runner = Gem_daemon.Runner
 module Explore = Gem_lang.Explore
+module Monitor = Gem_lang.Monitor
+module Csp = Gem_lang.Csp
+module Ada = Gem_lang.Ada
 module Fingerprint = Gem_order.Fingerprint
 module Formula = Gem_logic.Formula
 module Spec = Gem_spec.Spec
@@ -172,9 +177,46 @@ let engine_string (e : R.engine) =
     (opt_int e.R.max_runs)
     (Explore.reduction_name (engine_reduction e))
 
+let program_fp load =
+  let fp l = l.Explore.fp_key l.Explore.init in
+  match load with
+  | Runner.Rw { monitor; readers; writers; _ } ->
+      let monitor = Result.get_ok (Runner.monitor_of_name monitor) in
+      fp (Monitor.lang (Readers_writers.program ~monitor ~readers ~writers))
+  | Runner.Buffer { lang = `Monitor; capacity; producers; consumers; items } ->
+      fp
+        (Monitor.lang
+           (Buffer_problem.monitor_solution ~capacity ~producers ~consumers
+              ~items_each:items))
+  | Runner.Buffer { lang = `Csp; capacity; producers; consumers; items } ->
+      fp
+        (Csp.lang
+           (Buffer_problem.csp_solution ~capacity ~producers ~consumers
+              ~items_each:items))
+  | Runner.Buffer { lang = `Ada; capacity; producers; consumers; items } ->
+      fp
+        (Ada.lang
+           (Buffer_problem.ada_solution ~capacity ~producers ~consumers
+              ~items_each:items))
+  | Runner.Rwd { lang = `Csp; readers; writers; broken } ->
+      fp
+        (Csp.lang
+           (if broken then Rw_distributed.csp_program_no_priority ~readers ~writers
+            else Rw_distributed.csp_program ~readers ~writers))
+  | Runner.Rwd { lang = `Ada; readers; writers; broken } ->
+      fp
+        (Ada.lang
+           (if broken then Rw_distributed.ada_program_no_priority ~readers ~writers
+            else Rw_distributed.ada_program ~readers ~writers))
+  | Runner.Db { sites } ->
+      Fingerprint.of_string (Printf.sprintf "db-update sites=%d" sites)
+  | Runner.Life { width; height; generations } ->
+      Fingerprint.of_string
+        (Printf.sprintf "life %dx%d g=%d alive=1:0,1:1,1:2" width height generations)
+
 let explore_key load engine =
   Fingerprint.to_hex
-    (Fingerprint.combine (Runner.program_fp load)
+    (Fingerprint.combine (program_fp load)
        (Fingerprint.combine
           (Fingerprint.of_string (key_params_string load))
           (Fingerprint.of_string (engine_string engine))))
@@ -182,7 +224,7 @@ let explore_key load engine =
 let verdict_key load ~restrict engine =
   Fingerprint.to_hex
     (Fingerprint.combine
-       (Fingerprint.combine (Runner.program_fp load) (restriction_fp load restrict))
+       (Fingerprint.combine (program_fp load) (restriction_fp load restrict))
        (Fingerprint.combine
           (Fingerprint.of_string (key_params_string load))
           (Fingerprint.of_string (engine_string engine))))

@@ -460,10 +460,10 @@ let test_explore_key_sharing () =
         Runner.explore_key (rw ()) { deft with R.max_configs = Some 100 } );
     ]
 
-(* The structural keys put requests into the same classes as the
-   rendered keys they replaced ({!Rendered_keys}): two requests share a
-   verdict key, or an exploration key, exactly when they shared it
-   before. The requests are drawn from every command, every engine key
+(* The parameter keys put requests into the same classes as the
+   rendered keys over the built program ({!Rendered_keys}): two requests
+   share a verdict key, or an exploration key, exactly when they shared
+   it before. The requests are drawn from every command, every engine key
    but [timeout] (a request with one bypasses the caches), every rw
    version and monitor, and a pool of client restrictions that holds
    different spellings of one formula and formulas that differ in
@@ -579,16 +579,7 @@ let test_keys_partition_as_rendered () =
   same_classes "exploration keys"
     (List.map
        (fun (load, _, e) -> (Rendered_keys.explore_key load e, Runner.explore_key load e))
-       requests);
-  (* The program fingerprint handed in is the one computed inside. *)
-  List.iter
-    (fun (load, restrict, e) ->
-      let program = Runner.program_fp load in
-      check Alcotest.string "verdict key with the program given"
-        (Runner.verdict_key load ~restrict e) (Runner.verdict_key ~program load ~restrict e);
-      check Alcotest.string "exploration key with the program given"
-        (Runner.explore_key load e) (Runner.explore_key ~program load e))
-    (List.filteri (fun i _ -> i < 100) requests)
+       requests)
 
 (* ------------------------------------------------------------------ *)
 (* Byte-identity: daemon responses vs the one-shot pipeline            *)
@@ -988,18 +979,20 @@ let test_handler_memory_stop_uncached () =
 
 let socket_ctr = ref 0
 
-let with_server_t f =
+let with_server_t ?handler f =
   incr socket_ctr;
   let socket =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "gem-serve-%d-%d.sock" (Unix.getpid ()) !socket_ctr)
   in
-  let h = Handler.create ~cache_size:8 () in
-  let srv = Server.create ~socket () in
-  let thread =
-    Thread.create (fun () -> Server.run srv ~handler:(Handler.handle h)) ()
+  let handler =
+    match handler with
+    | Some h -> h
+    | None -> Handler.handle (Handler.create ~cache_size:8 ())
   in
+  let srv = Server.create ~socket () in
+  let thread = Thread.create (fun () -> Server.run srv ~handler) () in
   Fun.protect
     ~finally:(fun () ->
       Server.request_stop srv;
@@ -1209,6 +1202,68 @@ let test_server_idle_timeout () =
       let pong = request_ok socket "ping" in
       check Alcotest.int "then a ping is answered" 0 pong.Client.code)
 
+(* A handler that answers every line with a pong and records the thread
+   that served it; [served ()] lists those threads in request order. *)
+let thread_recorder () =
+  let lock = Mutex.create () and ids = ref [] in
+  let handler _ =
+    Mutex.protect lock (fun () -> ids := Thread.id (Thread.self ()) :: !ids);
+    [ {|{"serve":1,"pong":true,"body":0,"code":0}|} ]
+  in
+  (handler, fun () -> Mutex.protect lock (fun () -> List.rev !ids))
+
+(* The server closes its end once it reads the client's EOF; its worker
+   is idle from then on. *)
+let await_no_connection srv =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Server.live_connections srv > 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done
+
+let n_distinct l = List.length (List.sort_uniq compare l)
+
+(* 50 one-request connections, each after the previous one closed, are
+   served by one thread; then 8 connections held open at once by 8. The
+   burst's threads are returned. *)
+let sequential_then_burst srv socket served =
+  for _ = 1 to 50 do
+    ignore (request_ok socket "ping");
+    await_no_connection srv
+  done;
+  let sequential = served () in
+  check Alcotest.int "50 answered" 50 (List.length sequential);
+  check Alcotest.int "one thread for 50 sequential connections" 1 (n_distinct sequential);
+  let held = List.init 8 (fun _ -> raw_connect socket) in
+  List.iter (fun fd -> raw_send fd "ping") held;
+  let ics = List.map Unix.in_channel_of_descr held in
+  List.iter (fun ic -> ignore (input_line ic)) ics;
+  let burst = List.filteri (fun i _ -> i >= 50) (served ()) in
+  check Alcotest.int "8 threads for 8 open connections" 8 (n_distinct burst);
+  List.iter close_in_noerr ics;
+  await_no_connection srv;
+  burst
+
+let test_server_reuses_workers () =
+  let handler, served = thread_recorder () in
+  with_server_t ~handler (fun srv socket ->
+      ignore (sequential_then_burst srv socket served))
+
+(* Right after the burst an idle burst worker serves the next request;
+   after [idle_timeout_s] + 1 s of quiet every burst worker has retired
+   and a new thread serves it. *)
+let test_server_retires_idle_workers () =
+  let handler, served = thread_recorder () in
+  with_server_t ~handler (fun srv socket ->
+      let burst = sequential_then_burst srv socket served in
+      let last () = List.hd (List.rev (served ())) in
+      ignore (request_ok socket "ping");
+      check Alcotest.bool "served by a burst worker" true (List.mem (last ()) burst);
+      await_no_connection srv;
+      Thread.delay (Server.idle_timeout_s +. 1.0);
+      ignore (request_ok socket "ping");
+      check Alcotest.bool "after the quiet, served by a new thread" false
+        (List.mem (last ()) burst))
+
 let test_server_clean_shutdown () =
   incr socket_ctr;
   let socket =
@@ -1264,7 +1319,21 @@ let test_client_fields () =
     "escapes undone" (Some "a\"b\\c\nd")
     (Client.field_string {|{"error":"a\"b\\c\nd"}|} "error");
   check (Alcotest.option Alcotest.int) "negative" (Some (-3))
-    (Client.field_int {|{"code":-3}|} "code")
+    (Client.field_int {|{"code":-3}|} "code");
+  (* A field at the header's first and at its last position. *)
+  let edges = {|"first":7,"mid":"m","last":"z"|} in
+  check (Alcotest.option Alcotest.int) "first position" (Some 7)
+    (Client.field_int edges "first");
+  check (Alcotest.option Alcotest.string) "last position" (Some "z")
+    (Client.field_string edges "last");
+  check (Alcotest.option Alcotest.int) "last position, int" (Some 9)
+    (Client.field_int {|{"body":0,"code":9|} "code");
+  check (Alcotest.option Alcotest.int) "name at the end, no colon" None
+    (Client.field_int {|{"body":0,"code"|} "code");
+  check (Alcotest.option Alcotest.int) "a longer name does not match" (Some 2)
+    (Client.field_int {|{"xcode":1,"code":2}|} "code");
+  check (Alcotest.option Alcotest.int) "first match wins" (Some 1)
+    (Client.field_int {|{"code":1,"code":2}|} "code")
 
 (* A raw line feed would reach the daemon as two requests. *)
 let test_client_refuses_line_feed () =
@@ -1340,6 +1409,10 @@ let () =
           Alcotest.test_case "request line cap" `Quick test_server_line_cap;
           Alcotest.test_case "connection cap" `Quick test_server_connection_cap;
           Alcotest.test_case "idle timeout" `Quick test_server_idle_timeout;
+          Alcotest.test_case "sequential connections share a worker" `Quick
+            test_server_reuses_workers;
+          Alcotest.test_case "idle workers retire" `Quick
+            test_server_retires_idle_workers;
         ] );
       ( "client",
         [
