@@ -2,15 +2,15 @@
 
     A long exploration should survive its process: every [every] visited
     configurations the engine marshals its complete resumable state —
-    seen set, frontier, accumulated leaves and counters, budget usage,
-    telemetry totals — to a file, atomically (write to [FILE.tmp], then
+    seen set, the stack of open frames, accumulated leaves and counters,
+    budget usage, telemetry totals — to a file, atomically (write to [FILE.tmp], then
     rename), so the file always holds either the previous complete
     snapshot or the new one, never a torn write. A killed run resumed
     from the snapshot replays to a {e byte-identical} verdict, because
-    the resilient engine is sequential-deterministic and the canonical
+    the walk is sequential-deterministic and the canonical
     merge anchors the output.
 
-    {b Format}: ["GEMCKPT3"] magic, the [stamp] (8-byte big-endian
+    {b Format}: ["GEMCKPT4"] magic, the [stamp] (8-byte big-endian
     length, then its bytes), the payload length (8 bytes, big-endian),
     an MD5 {!Digest} of the payload, then the payload (the marshalled
     walk state). The stamp encodes the full run identity (command,
@@ -19,9 +19,9 @@
     verdict, the one thing this subsystem exists to protect. {!read}
     checks both lengths and the digest before it unmarshals anything,
     so a truncated or bit-flipped file, or one in an older format
-    (["GEMCKPT1"], or ["GEMCKPT2"], whose payload has the walk state's
-    previous layout), is an [Error] that says to rerun, and never a
-    crash.
+    (["GEMCKPT1"], or ["GEMCKPT2"] and ["GEMCKPT3"], whose payloads have
+    earlier layouts of the walk state), is an [Error] that says to
+    rerun, and never a crash.
 
     Write failures (real, or injected at {!Faults.Checkpoint_io})
     return [Error] and the run continues without that snapshot; a

@@ -51,13 +51,15 @@ let buffer_lang_name = function
 
 let rwd_lang_name = function `Csp -> "csp" | `Ada -> "ada"
 
-(* These strings are the workload half of the checkpoint stamp; they must
-   stay char-for-char what the CLI has always written, or existing
-   checkpoints stop resuming. Note rw's stamp predates --monitor entering
-   the cache key and does not include it — the cache keys below do. *)
+(* The program-determining workload parameters: the workload half of
+   the checkpoint stamp and of the cache keys. rw's version is
+   deliberately absent: it picks the problem spec's scheduling
+   restriction and nothing about the explored program, so two versions
+   of the same program share an exploration (the verdict key adds the
+   version). *)
 let params_string = function
-  | Rw { readers; writers; _ } ->
-      Printf.sprintf "readers=%d writers=%d" readers writers
+  | Rw { monitor; readers; writers; _ } ->
+      Printf.sprintf "monitor=%s readers=%d writers=%d" monitor readers writers
   | Buffer { lang; capacity; producers; consumers; items } ->
       Printf.sprintf "lang=%s capacity=%d producers=%d consumers=%d items=%d"
         (buffer_lang_name lang) capacity producers consumers items
@@ -119,6 +121,18 @@ let check_keys ~allowed params k =
 
 let ( let* ) = Result.bind
 
+(* The largest Life board a load may ask for, in cell states (one
+   event each, beside the start event): sealing n events fills n x n bit
+   tables. [Life.build] loops over every side and generation, so each
+   counts as at least 1, and each product is checked before it is taken. *)
+let life_max_states = 10_000
+
+let life_fits ~width ~height ~generations =
+  let w = max 1 width and h = max 1 height in
+  h <= life_max_states / w
+  && generations < life_max_states
+  && generations + 1 <= life_max_states / (w * h)
+
 (* The ranges the program builders accept. Both front ends check a load
    here before anything is built, so an out-of-range count is a usage
    error naming its key rather than an exception from deep inside a
@@ -142,6 +156,13 @@ let validate load =
   match (List.find_opt (fun (_, n, min) -> n < min) minima, load) with
   | Some (key, n, min), _ ->
       Error (Printf.sprintf "%s expects an integer >= %d, got %d" key min n)
+  | None, Life { width; height; generations }
+    when not (life_fits ~width ~height ~generations) ->
+      Error
+        (Printf.sprintf
+           "width x height x (generations + 1) expects at most %d cell states, got \
+            %d x %d x (%d + 1)"
+           life_max_states width height generations)
   | None, Buffer { producers; consumers; items; _ }
     when producers * items mod consumers <> 0 ->
       Error
@@ -295,19 +316,7 @@ let refinement load =
 
 (* --- cache keying --------------------------------------------------- *)
 
-(* The program-determining workload parameters — unlike the checkpoint
-   stamp, the cache key must see every one of them (e.g. rw's monitor).
-   rw's version is deliberately absent: it picks the problem spec's
-   scheduling restriction and nothing about the explored program, so two
-   versions of the same program share an exploration-cache line (the
-   verdict key adds the version). *)
-let key_params_string load =
-  match load with
-  | Rw { monitor; readers; writers; _ } ->
-      Printf.sprintf "rw monitor=%s readers=%d writers=%d" monitor readers
-        writers
-  | Buffer _ | Rwd _ | Db _ | Life _ ->
-      command_name load ^ " " ^ params_string load
+let key_params_string load = command_name load ^ " " ^ params_string load
 
 (* The engine's effective reduction: the [reduction=] key, else the
    environment default. *)
@@ -369,18 +378,15 @@ let verdict_key load ~restrict engine =
 (* --- running -------------------------------------------------------- *)
 
 (* The checkpoint stamp pins the run identity: the resolved engine (a
-   resumed run must resolve to the same one) plus the workload
-   parameters. Its bytes predate the reduction engines: the engine is
-   named by [por=%b], which is exact because checkpointed runs degrade
-   source-DPOR to sleep sets, so checkpoints written by older builds
-   still resume. *)
+   resumed run must resolve to the same one, since each engine's frames
+   hold its own scheduling state) plus the workload parameters. *)
 let stamp load ~reduction ~exact_keys ~bitstate_bits =
   let reduction =
     Option.value reduction ~default:(Explore.reduction_default ())
   in
-  Printf.sprintf "gemcheck/1 %s %s por=%b exact=%b bitstate=%s"
+  Printf.sprintf "gemcheck/1 %s %s reduction=%s exact=%b bitstate=%s"
     (command_name load) (params_string load)
-    (reduction <> Explore.No_reduction)
+    (Explore.reduction_name reduction)
     (resolve_exact exact_keys) (bits_string bitstate_bits)
 
 type opts = {

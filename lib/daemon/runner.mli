@@ -52,8 +52,11 @@ val command_name : load -> string
 val validate : load -> (load, string) result
 (** The load itself when every count is in the range its program builder
     accepts: counts [>= 0], [producers] and [consumers] [>= 1], [sites]
-    [>= 2], and [producers * items] divisible by [consumers]. Otherwise a
-    one-line error naming the key, e.g.
+    [>= 2], [producers * items] divisible by [consumers], and a Life
+    board of at most 10,000 cell states ([width x height x (generations
+    + 1)], each side counted as at least 1, computed without overflow):
+    sealing n events fills n x n bit tables, about 56 MB at the bound.
+    Otherwise a one-line error naming the key, e.g.
     ["readers expects an integer >= 0, got -1"]. Both front ends apply it
     before anything is built. *)
 
@@ -107,9 +110,10 @@ val stamp :
   string
 (** The checkpoint stamp of a run: command, workload parameters and the
     engine with environment defaults resolved, e.g.
-    ["gemcheck/1 db sites=3 por=true exact=false bitstate=off"]. The
-    engine is spelled [por=true|false] (reduction other than none), the
-    bytes checkpoints have always carried, so they keep resuming. *)
+    ["gemcheck/1 db sites=3 reduction=sleep exact=false bitstate=off"].
+    The engine is named ([reduction=none|sleep|source]) because a
+    checkpoint holds that engine's frames: a source checkpoint keeps
+    backtrack sets and summaries that a sleep run has no use for. *)
 
 type opts = {
   reduction : Gem_lang.Explore.reduction option;

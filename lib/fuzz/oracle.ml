@@ -13,8 +13,9 @@ type cell = { reduction : Explore.reduction; exact : bool; bitstate : bool }
 let baseline = { reduction = Explore.Sleep_sets; exact = true; bitstate = false }
 
 (* The core grid is {plain, sleep} x {fp, exact} x {unbounded, bitstate};
-   the source-DPOR cell rides along, so every fuzz run differentially
-   tests it against the baseline. *)
+   two source-DPOR cells ride along, with the exact seen table and with a
+   bitstate one, so every fuzz run differentially tests source against
+   the baseline under both stores. *)
 let lattice =
   (baseline
   :: List.filter
@@ -26,7 +27,9 @@ let lattice =
                 List.map (fun bitstate -> { reduction; exact; bitstate }) [ false; true ])
               [ true; false ])
           [ Explore.Sleep_sets; Explore.No_reduction ]))
-  @ [ { reduction = Explore.Source_sets; exact = false; bitstate = false } ]
+  @ List.map
+      (fun bitstate -> { reduction = Explore.Source_sets; exact = false; bitstate })
+      [ false; true ]
 
 let cell_name c =
   Printf.sprintf "reduction=%s keys=%s seen=%s"

@@ -48,24 +48,29 @@ let new_walk () =
     w_exhausted = None;
   }
 
-(* Sticky stop: once any dimension is exhausted the walk unwinds without
-   visiting further configurations, keeping the leaves found so far. *)
-let stop w ~max_configs ~budget () =
+(* The one stop rule: the budget is charged once per configuration, when
+   it is visited ([charge]); before the next move is taken the walk only
+   checks, without charging, whether it has stopped or reached its own
+   cap ([stopped]). Once stopped it takes and probes nothing more. *)
+let stopped w ~max_configs () =
   w.w_exhausted <> None
-  ||
-  if w.w_explored >= max_configs then begin
-    w.w_exhausted <- Some Budget.Config_budget;
-    true
-  end
-  else
-    match budget with
-    | None -> false
-    | Some b ->
-        if Budget.charge_config b then false
-        else begin
-          w.w_exhausted <- Budget.exhausted b;
+  || w.w_explored >= max_configs
+     && begin
+          w.w_exhausted <- Some Budget.Config_budget;
           true
         end
+
+let charge w ~max_configs ~budget () =
+  (not (stopped w ~max_configs ()))
+  &&
+  match budget with
+  | None -> true
+  | Some b ->
+      Budget.charge_config b
+      || begin
+           w.w_exhausted <- Budget.exhausted b;
+           false
+         end
 
 (* Audit support: when an exact-key oracle is given, the seen tables store
    the oracle key recorded at first insert next to each entry; a hit whose
@@ -198,7 +203,7 @@ let run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
      a hit on one of these is a cycle, not a completed-subtree prune. *)
   let open_depths : int list Ktbl.t = Ktbl.create 64 in
   let exact_of c = match audit with None -> None | Some a -> Some (a c) in
-  let stop = stop w ~max_configs ~budget in
+  let stopped = stopped w ~max_configs and charge = charge w ~max_configs ~budget in
   let entries : sentry option array ref = ref (Array.make 64 None) in
   let frames = ref (Array.make 64 None) in
   let grow r d =
@@ -321,7 +326,7 @@ let run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
   in
   (* [dfs] returns the subtree summary for the parent to absorb. *)
   let rec dfs depth kc config sleep =
-    if stop () then Moves []
+    if not (charge ()) then Moves []
     else begin
       w.w_explored <- w.w_explored + 1;
       T.hit T.Configs_explored;
@@ -373,7 +378,7 @@ let run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
                 | None -> ());
                 backtrack_add fr m0.label;
                 let rec loop () =
-                  if not (stop ()) then
+                  if not (stopped ()) then
                     match next_pick fr with
                     | None -> ()
                     | Some (m, _) ->
@@ -389,7 +394,7 @@ let run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
                           List.iter
                             (fun (m, c') ->
                               if
-                                String.equal m.label l && not (stop ())
+                                String.equal m.label l && not (stopped ())
                               then begin
                                 grow entries depth;
                                 (!entries).(depth) <-
@@ -513,12 +518,15 @@ let run_source ~max_steps ~max_configs ~budget ~key ~audit ~footprint
 
 
 (* The sleep-set half of the task-stack walk, with the exact seen table
-   and an in-memory frontier. *)
+   and an in-memory frontier. A child's sleep set is computed when its
+   task is popped, and no task is popped once the walk has stopped: the
+   frame walk computes a child's sleep set only when it fires the
+   child, and fires nothing after a stop. *)
 type 'c task = {
   t_depth : int;
   t_config : 'c;
   t_key : Explore.skey option;
-  t_sleep : move Smap.t;
+  t_sleep : move Smap.t Lazy.t;
 }
 
 let run_sleep ~max_steps ~max_configs ~budget ~key ~audit ~footprint ~terminated
@@ -545,8 +553,9 @@ let run_sleep ~max_steps ~max_configs ~budget ~key ~audit ~footprint ~terminated
     match succs with
     | [] -> leaf kc task
     | succs ->
+        let sleep = Lazy.force task.t_sleep in
         let awake, asleep =
-          List.partition (fun (m, _) -> not (Smap.mem m.label task.t_sleep)) succs
+          List.partition (fun (m, _) -> not (Smap.mem m.label sleep)) succs
         in
         w.w_reduced <- w.w_reduced + List.length asleep;
         T.add T.Sleep_prunes (List.length asleep);
@@ -555,9 +564,9 @@ let run_sleep ~max_steps ~max_configs ~budget ~key ~audit ~footprint ~terminated
           List.fold_left
             (fun (sleep, acc) (m, c') ->
               ( Smap.add m.label m sleep,
-                child depth c' (Smap.filter (fun _ z -> independent z m) sleep)
+                child depth c' (lazy (Smap.filter (fun _ z -> independent z m) sleep))
                 :: acc ))
-            (task.t_sleep, []) awake
+            (sleep, []) awake
         in
         List.iter push children
   in
@@ -569,10 +578,10 @@ let run_sleep ~max_steps ~max_configs ~budget ~key ~audit ~footprint ~terminated
         d)
       key
   in
-  push { t_depth = 0; t_config = init; t_key = k0; t_sleep = Smap.empty };
-  let stop = stop w ~max_configs ~budget in
+  push { t_depth = 0; t_config = init; t_key = k0; t_sleep = Lazy.from_val Smap.empty };
+  let stopped = stopped w ~max_configs and charge = charge w ~max_configs ~budget in
   let visit kc task =
-    if not (stop ()) then begin
+    if charge () then begin
       w.w_explored <- w.w_explored + 1;
       T.hit T.Configs_explored;
       if task.t_depth > max_steps then w.w_truncated <- w.w_truncated + 1
@@ -581,19 +590,19 @@ let run_sleep ~max_steps ~max_configs ~budget ~key ~audit ~footprint ~terminated
   in
   let rec loop () =
     match !frontier with
-    | [] -> ()
-    | task :: rest ->
+    | task :: rest when not (stopped ()) ->
         frontier := rest;
         (match (key, task.t_key) with
         | Some k, None ->
             let d = k task.t_config in
-            if probe d task.t_config task.t_sleep then begin
+            if probe d task.t_config (Lazy.force task.t_sleep) then begin
               w.w_reduced <- w.w_reduced + 1;
               T.hit T.Configs_reduced
             end
             else visit (Some d) task
         | _ -> visit task.t_key task);
         loop ()
+    | _ -> ()
   in
   loop ();
   finish ~keyed:(key <> None) w

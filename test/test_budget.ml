@@ -205,6 +205,31 @@ let test_budget_cap_replaces_default () =
       Alcotest.(check int) (what ^ ": at the default") 1_000_000 r.Explore.explored)
     [ ("no budget", None); ("uncapped budget", Some (Budget.make ~timeout:600.0 ())) ]
 
+(* Every engine charges the budget once per configuration, when it is
+   visited: a cap of N visits exactly N configurations of a larger state
+   space (buffer 2p2c needs 12,584 under source-DPOR, more under the
+   others), and only the one visit the cap refuses is charged beyond
+   it. *)
+let test_one_charge_per_configuration () =
+  let lang =
+    Gem_lang.Monitor.lang
+      (Gem_problems.Buffer.monitor_solution ~capacity:1 ~producers:2 ~consumers:2
+         ~items_each:2)
+  in
+  List.iter
+    (fun reduction ->
+      let what = Explore.reduction_name reduction in
+      let budget = Budget.make ~max_configs:3_000 () in
+      let o = Explore.explore ~reduction ~budget lang in
+      Alcotest.(check int) (what ^ ": visits the cap") 3_000 o.Explore.explored;
+      Alcotest.(check (option string))
+        (what ^ ": stopped by it") (Some "config-budget")
+        (Option.map Budget.reason_keyword o.Explore.exhausted);
+      Alcotest.(check int)
+        (what ^ ": charged once each")
+        3_001 (Budget.configs_used budget))
+    [ Explore.No_reduction; Explore.Sleep_sets; Explore.Source_sets ]
+
 (* Concurrent charging from many domains grants exactly the cap in
    total: the counters are fetch-and-add atomics, not read-modify-write
    races. *)
@@ -326,6 +351,8 @@ let () =
           q prop_explore_conservation;
           Alcotest.test_case "budget cap replaces the default" `Quick
             test_budget_cap_replaces_default;
+          Alcotest.test_case "one charge per configuration" `Quick
+            test_one_charge_per_configuration;
         ] );
       ( "parallel",
         [

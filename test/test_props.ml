@@ -965,23 +965,27 @@ let observe ~state_key walk =
 (* The awake-only walk against the eager one, under both reducing
    engines, on one interpreter's program. A small configuration cap
    keeps generated programs quick; both walks stop at the same
-   configuration. *)
-let awake_matches_eager (lang : _ Explore.lang) =
+   configuration. [budget_cap] caps the walks with a fresh budget each
+   instead. *)
+let awake_matches_eager ?(max_configs = 2000) ?budget_cap (lang : _ Explore.lang) =
   let state_key = lang.exact_key and terminated = lang.terminated in
   let eager c = List.map (fun (_, fire) -> fire ()) (Explore.successors lang c) in
   List.for_all
     (fun reduction ->
       let key c = Explore.Fp (lang.fp_key c) in
+      let budget () =
+        Option.map (fun n -> Gem_check.Budget.make ~max_configs:n ()) budget_cap
+      in
       let lazy_ =
         observe ~state_key (fun () ->
-            Explore.run ~max_configs:2000 ~key ~footprint:(Explore.successors lang)
-              ~reduction
+            Explore.run ~max_configs ?budget:(budget ()) ~key
+              ~footprint:(Explore.successors lang) ~reduction
               ~moves:(fun _ -> invalid_arg "plain moves") ~terminated lang.init)
       in
       let eager_ =
         observe ~state_key (fun () ->
-            Eager_walk.run ~max_configs:2000 ~key ~footprint:eager ~reduction ~terminated
-              lang.init)
+            Eager_walk.run ~max_configs ?budget:(budget ()) ~key ~footprint:eager ~reduction
+              ~terminated lang.init)
       in
       lazy_ = eager_
       || QCheck.Test.fail_reportf "%s: the awake-only walk differs from the eager one"
@@ -1002,11 +1006,19 @@ let prop_awake_ada =
 
 (* The generated programs are small (most CSP ones have no matching
    offers), so the walks are also compared on the problem workloads,
-   each of whose walks takes hundreds to thousands of configurations. *)
+   each of whose walks takes hundreds to thousands of configurations —
+   whole, and stopped early by a cap of 100 configurations, the walk's
+   own and a budget's. *)
 let test_awake_workloads () =
   let module P = Gem_problems in
   let check_one name lang =
-    if not (awake_matches_eager lang) then Alcotest.failf "%s: walks differ" name
+    List.iter
+      (fun (cap, ok) -> if not ok then Alcotest.failf "%s%s: walks differ" name cap)
+      [
+        ("", awake_matches_eager lang);
+        (" at 100", awake_matches_eager ~max_configs:100 lang);
+        (" at a budget of 100", awake_matches_eager ~budget_cap:100 lang);
+      ]
   in
   check_one "rw 1r1w"
     (Monitor.lang

@@ -291,6 +291,13 @@ let test_request_errors () =
       ("check rw readers=-1", "readers expects an integer >= 0");
       ("check rwd lang=ada writers=-1", "writers expects an integer >= 0");
       ("check life width=-1", "width expects an integer >= 0");
+      ( "check life width=2000 height=2000 generations=2",
+        "width x height x (generations + 1) expects at most 10000 cell states, got 2000 x \
+         2000 x (2 + 1)" );
+      (* Each side counts as at least 1, so an empty board cannot loop
+         for ever over its generations. *)
+      ( "check life width=0 height=3 generations=4611686018427387903",
+        "expects at most 10000 cell states" );
       ("check db sites=1", "sites expects an integer >= 2");
       ("check buffer consumers=0", "consumers expects an integer >= 1");
       ("check buffer producers=2 consumers=3", "consumers expects a divisor");
@@ -401,22 +408,37 @@ let test_verdict_key_resolves_defaults () =
     (Runner.verdict_key (rw ()) ~restrict:None
        { deft with R.reduction = Some default_reduction_wire })
 
-(* The checkpoint stamp keeps the bytes checkpoints have always carried:
-   the engine spelled por=true|false, so a checkpoint written before the
-   reduction engines existed still resumes. *)
+(* The checkpoint stamp names the resolved engine: each engine's frames
+   hold its own scheduling state, so a source checkpoint must not resume
+   as a sleep run, nor the other way round. *)
 let test_checkpoint_stamp () =
   let stamp ?(exact_keys = false) ?bitstate_bits reduction =
     Runner.stamp (Runner.Db { sites = 3 }) ~reduction:(Some reduction)
       ~exact_keys:(Some exact_keys) ~bitstate_bits
   in
   check Alcotest.string "sleep sets"
-    "gemcheck/1 db sites=3 por=true exact=false bitstate=off"
+    "gemcheck/1 db sites=3 reduction=sleep exact=false bitstate=off"
     (stamp Explore.Sleep_sets);
   check Alcotest.string "plain DFS, exact keys, bitstate"
-    "gemcheck/1 db sites=3 por=false exact=true bitstate=20"
+    "gemcheck/1 db sites=3 reduction=none exact=true bitstate=20"
     (stamp ~exact_keys:true ~bitstate_bits:20 Explore.No_reduction);
-  check Alcotest.string "source is stamped as sleep (checkpointed runs degrade)"
-    (stamp Explore.Sleep_sets) (stamp Explore.Source_sets);
+  check Alcotest.string "source-DPOR"
+    "gemcheck/1 db sites=3 reduction=source exact=false bitstate=off"
+    (stamp Explore.Source_sets);
+  check Alcotest.bool "source and sleep stamps differ" true
+    (stamp Explore.Source_sets <> stamp Explore.Sleep_sets);
+  check Alcotest.bool "rw's stamp names the monitor" true
+    (Runner.stamp
+       (Runner.Rw
+          {
+            monitor = "paper";
+            version = Gem_problems.Readers_writers.Readers_priority;
+            readers = 1;
+            writers = 1;
+          })
+       ~reduction:(Some Explore.Sleep_sets) ~exact_keys:(Some false) ~bitstate_bits:None
+    = "gemcheck/1 rw monitor=paper readers=1 writers=1 reduction=sleep exact=false \
+       bitstate=off");
   check Alcotest.string "the daemon stamps through the same function"
     (Runner.stamp (rw ()) ~reduction:(Some Explore.No_reduction)
        ~exact_keys:(Some true) ~bitstate_bits:(Some 16))
@@ -823,6 +845,10 @@ let test_handler_errors () =
   (* Refused by the parser, not by the table's constructor mid-run. *)
   error_reply "check rw bitstate=100" "parse: bitstate expects off or bits in 8..30";
   error_reply "check db sites=2 restrict=true" "does not take a restrict";
+  (* A board whose tables would outgrow memory is refused before it is
+     built. *)
+  error_reply "check life width=2000 height=2000 generations=2"
+    "width x height x (generations + 1) expects at most 10000 cell states";
   (* Junk must never crash the handler. *)
   List.iter
     (fun line -> ignore (Handler.handle h line))
@@ -972,6 +998,19 @@ let test_handler_memory_stop_uncached () =
       check Alcotest.bool "bitstate verdict" true
         (contains body "bitstate-collision-risk"))
     [ "miss"; "hit" ]
+
+(* The daemon charges a configuration cap once per configuration under
+   source-DPOR too: buffer 2p2c needs 12,584 configurations there, so a
+   13,000 cap verifies it, as the one-shot run does. *)
+let test_handler_source_budget () =
+  let line = "buffer producers=2 consumers=2 reduction=source max-configs=13000" in
+  let code, fresh = one_shot ("check " ^ line) in
+  let header, body = handle_check (Handler.create ~cache_size:4 ()) line in
+  check Alcotest.int "code 0" 0 (code_of header);
+  check Alcotest.int "one-shot code 0" 0 code;
+  check Alcotest.string "body == one-shot" fresh body;
+  check Alcotest.bool ("verified at 12,584: " ^ body) true
+    (contains body {|"status":"verified"|} && contains body {|"configs_explored":12584|})
 
 (* ------------------------------------------------------------------ *)
 (* Socket server, end to end                                           *)
@@ -1395,6 +1434,8 @@ let () =
             test_handler_memory_stop_uncached;
           Alcotest.test_case "survives fault injection" `Quick
             test_handler_survives_faults;
+          Alcotest.test_case "source budget charged once" `Quick
+            test_handler_source_budget;
         ] );
       ( "server",
         [
