@@ -206,6 +206,53 @@ let test_explore_sleep_sets () =
   check Alcotest.(list (pair int int)) "no deadlocks" [] r.Explore.deadlocked;
   check Alcotest.bool "a branch was pruned" true (r.Explore.reduced > 0)
 
+(* Two paths of 201 configurations, 0 -> 1 -> ... -> 200, far deeper
+   than the walk's initial stack. On the chain each configuration has one
+   successor; on the comb each also has a dead end [1000 + n], listed
+   second, so every configuration of the path stays open on the stack
+   while its first successor is explored. *)
+let path_end = 200
+let chain_moves n = if n < path_end then [ n + 1 ] else []
+let comb_moves n = if n < path_end then [ n + 1; 1000 + n ] else []
+let step label touch n = (label, fun () -> ({ Explore.label; touches = [ touch ] }, n))
+
+let chain_footprint n = if n < path_end then [ step "s" "S" (n + 1) ] else []
+
+let comb_footprint n =
+  if n < path_end then [ step "s" "S" (n + 1); step "d" "D" (1000 + n) ] else []
+
+let test_explore_deep_paths () =
+  let terminated n = n = path_end in
+  let key n = Explore.Exact (string_of_int n) in
+  let expect what ~dead (r : int Explore.result) =
+    check Alcotest.(list int) (what ^ ": one completed leaf") [ path_end ] r.Explore.completed;
+    check Alcotest.int (what ^ ": dead ends") dead (List.length r.Explore.deadlocked);
+    check Alcotest.int (what ^ ": every configuration visited") (path_end + 1 + dead)
+      r.Explore.explored;
+    check Alcotest.bool (what ^ ": not cut") true (r.Explore.exhausted = None)
+  in
+  List.iter
+    (fun (shape, moves, footprint, dead, engines) ->
+      expect (shape ^ " plain") ~dead (Explore.run ~moves ~terminated 0);
+      expect (shape ^ " keyed") ~dead (Explore.run ~key ~moves ~terminated 0);
+      List.iter
+        (fun reduction ->
+          expect
+            (shape ^ " " ^ Explore.reduction_name reduction)
+            ~dead
+            (Explore.run ~key ~reduction ~footprint ~moves ~terminated 0))
+        engines)
+    [
+      ( "chain",
+        chain_moves,
+        chain_footprint,
+        0,
+        [ Explore.No_reduction; Explore.Sleep_sets; Explore.Source_sets ] );
+      (* Source would schedule no dead end: no race puts one in a
+         backtrack set. *)
+      ("comb", comb_moves, comb_footprint, path_end, [ Explore.No_reduction; Explore.Sleep_sets ]);
+    ]
+
 let test_move_independence () =
   let m touches = { Explore.label = "m"; touches } in
   check Alcotest.bool "disjoint" true (Explore.independent (m [ "A" ]) (m [ "B" ]));
@@ -276,6 +323,7 @@ let () =
           Alcotest.test_case "key-dedup" `Quick test_explore_key_dedup;
           Alcotest.test_case "initial-seen" `Quick test_explore_initial_seen;
           Alcotest.test_case "sleep-sets" `Quick test_explore_sleep_sets;
+          Alcotest.test_case "deep-paths" `Quick test_explore_deep_paths;
           Alcotest.test_case "independence" `Quick test_move_independence;
           Alcotest.test_case "fingerprint" `Quick test_fingerprint_order_independent;
           Alcotest.test_case "dedup-computations" `Quick test_dedup_computations;
