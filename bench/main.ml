@@ -590,7 +590,7 @@ let bitstate_report () =
     bitstate_row ~name:"synthetic-grid-3500" ~bits:24
       ~max_configs:(4 * bitstate_target)
       ~max_steps:(4 * w)
-      ~key:(fun c -> Explore.Fp (Fingerprint.of_string (string_of_int c)))
+      ~key:(fun _ c -> (Explore.Fp (Fingerprint.of_string (string_of_int c)), ()))
       ~moves:(fun c ->
         let i = c / w and j = c mod w in
         (if i + 1 < w then [ c + w ] else [])
@@ -602,7 +602,7 @@ let bitstate_report () =
   let _, db_row =
     bitstate_row ~name:"db-update-4-sites" ~bits:22 ~max_configs:2_000_000
       ~max_steps:10_000
-      ~key:(fun c -> Explore.Fp (db4.fp_key c))
+      ~key:(Explore.key ~exact:false db4)
       ~moves:(Explore.moves db4) ~terminated:db4.terminated db4.init
   in
   let met = grid_explored >= bitstate_target in

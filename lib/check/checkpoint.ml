@@ -1,5 +1,5 @@
 (* Crash-safe periodic snapshots. The format is deliberately dumb:
-     "GEMCKPT4" | stamp length (8 bytes, big-endian) | stamp
+     "GEMCKPT5" | stamp length (8 bytes, big-endian) | stamp
      | payload length (8 bytes, big-endian) | MD5 of the payload | payload
    where the payload is the marshalled walk state. It is written to
    FILE.tmp and atomically renamed over FILE, so a crash mid-write leaves
@@ -46,14 +46,15 @@ let ctl ?(every = 50_000) file =
 let file t = t.file
 let every t = t.every
 
-let magic = "GEMCKPT4"
+let magic = "GEMCKPT5"
 
 (* Formats this build recognizes and refuses: GEMCKPT1 had no lengths or
    digest; GEMCKPT2 payloads predate the element fingerprints kept in
    traces and the key components kept in monitor configurations;
    GEMCKPT3 payloads hold a frontier of pending tasks where the walk now
-   keeps a stack of frames. *)
-let old_magics = [ "GEMCKPT1"; "GEMCKPT2"; "GEMCKPT3" ]
+   keeps a stack of frames; GEMCKPT4 frames carry no key parts, and its
+   monitor configurations still carry key components. *)
+let old_magics = [ "GEMCKPT1"; "GEMCKPT2"; "GEMCKPT3"; "GEMCKPT4" ]
 
 let write t ~stamp payload =
   let tmp = t.file ^ ".tmp" in

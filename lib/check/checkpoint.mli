@@ -10,7 +10,7 @@
     the walk is sequential-deterministic and the canonical
     merge anchors the output.
 
-    {b Format}: ["GEMCKPT4"] magic, the [stamp] (8-byte big-endian
+    {b Format}: ["GEMCKPT5"] magic, the [stamp] (8-byte big-endian
     length, then its bytes), the payload length (8 bytes, big-endian),
     an MD5 {!Digest} of the payload, then the payload (the marshalled
     walk state). The stamp encodes the full run identity (command,
@@ -19,7 +19,7 @@
     verdict, the one thing this subsystem exists to protect. {!read}
     checks both lengths and the digest before it unmarshals anything,
     so a truncated or bit-flipped file, or one in an older format
-    (["GEMCKPT1"], or ["GEMCKPT2"] and ["GEMCKPT3"], whose payloads have
+    (["GEMCKPT1"], or ["GEMCKPT2"] to ["GEMCKPT4"], whose payloads have
     earlier layouts of the walk state), is an [Error] that says to
     rerun, and never a crash.
 

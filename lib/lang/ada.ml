@@ -1,6 +1,5 @@
 module Value = Gem_model.Value
 module F = Gem_logic.Formula
-module Fp = Gem_order.Fingerprint
 
 type stmt =
   | ALocal of string * Expr.t
@@ -69,7 +68,8 @@ type task_rt = { t_def : task; t_locals : Expr.store; t_state : tstate; t_last :
 type config = {
   trace : Trace.t;
   tasks : (string * task_rt) list;
-  queues : ((string * string) * pending list) list;  (* (callee, entry) -> FIFO *)
+  queues : ((string * string) * pending list) list;
+      (* (callee, entry) -> FIFO, the non-empty queues in key order *)
 }
 
 let task_rt cfg t = List.assoc t cfg.tasks
@@ -80,8 +80,18 @@ let set_task cfg name rt =
 let queue cfg callee entry =
   Option.value ~default:[] (List.assoc_opt (callee, entry) cfg.queues)
 
+(* The queue list stays in key order and holds no empty queue, whatever
+   order the calls came in: the state key lists it as it is. *)
 let set_queue cfg callee entry q =
-  { cfg with queues = ((callee, entry), q) :: List.remove_assoc (callee, entry) cfg.queues }
+  let key = (callee, entry) in
+  let compare_key (c, e) = match String.compare c callee with 0 -> String.compare e entry | n -> n in
+  let add rest = if q = [] then rest else (key, q) :: rest in
+  let rec put = function
+    | ((k, _) as b) :: rest when compare_key k < 0 -> b :: put rest
+    | (k, _) :: rest when compare_key k = 0 -> add rest
+    | rest -> add rest
+  in
+  { cfg with queues = put cfg.queues }
 
 let chain cfg ~task ~klass ?(params = []) () =
   let rt = task_rt cfg task in
@@ -321,97 +331,36 @@ let seal program =
   let extra_elements = all_elements program in
   fun cfg -> Trace.to_computation ~extra_elements cfg.trace
 
-(* Canonical state key for partial-order reduction (see Explore.run).
-   Local stores are sorted ([Expr.update] prepends), queues are listed in
-   key order with empty queues elided, and marshalling disables sharing —
-   so interleavings of commuting moves that converge on structurally
-   equal states yield byte-equal keys. *)
-let state_key seal cfg =
-  let span = Gem_obs.Telemetry.(span_begin Canon_key) in
-  let comp = seal cfg in
-  let buf = Buffer.create 1024 in
-  let id h =
-    Explore.add_id buf (Gem_model.Computation.event comp h).Gem_model.Event.id
-  in
-  Explore.fingerprint_into buf comp;
-  List.iter
-    (fun (n, rt) ->
-      Buffer.add_string buf n;
-      id rt.t_last;
-      (match rt.t_state with
-      | Active items ->
-          Buffer.add_char buf 'A';
-          Buffer.add_string buf (Expr.canon items)
-      | Blocked_call -> Buffer.add_char buf 'B'
-      | Blocked_accept (acc, rest) ->
-          Buffer.add_char buf 'W';
-          Buffer.add_string buf (Expr.canon (acc, rest))
-      | Blocked_select (branches, rest) ->
-          Buffer.add_char buf 'S';
-          Buffer.add_string buf (Expr.canon (branches, rest))
-      | Tdone -> Buffer.add_char buf 'D');
-      Buffer.add_string buf (Expr.canon (Expr.sorted_store rt.t_locals)))
-    cfg.tasks;
-  List.iter
-    (fun (qkey, pendings) ->
-      if pendings <> [] then begin
-        Buffer.add_string buf (Expr.canon qkey);
-        List.iter
-          (fun p ->
-            Buffer.add_string buf
-              (Expr.canon (p.q_caller, p.q_args, p.q_bind, p.q_cont));
-            id p.q_call_event;
-            id p.q_enqueue_event)
-          pendings
-      end)
-    (List.sort (fun (a, _) (b, _) -> compare a b) cfg.queues);
-  let key = Buffer.contents buf in
-  Gem_obs.Telemetry.(span_end Canon_key) span;
-  key
+(* The runtime components of the state key: each task in program
+   order, then each non-empty entry queue in (callee, entry) order. A
+   queue is listed with its key, so the pair the configuration holds is
+   its runtime; its pendings keep FIFO order, with their events listed
+   as events. Locals are sorted by name ([Expr.update] prepends). *)
+let task_pieces rt =
+  Explore.[ Event rt.t_last; Data rt.t_state; Data (Expr.sorted_store rt.t_locals) ]
 
-(* Incremental fingerprint mirroring [state_key] — see Monitor.fp_key for
-   the construction rationale. Local stores and the queue association
-   list are folded commutatively (their insertion orders vary across
-   interleavings; variable names and (callee, entry) keys are unique, and
-   empty queues contribute nothing — matching the exact key's sorted
-   rendering with empty queues elided); each queue's pendings are FIFO
-   and hashed in order. Event handles are replaced by their stable
-   identity fingerprints. *)
-let fp_key cfg =
-  let span = Gem_obs.Telemetry.(span_begin Canon_key) in
-  let idf = Trace.id_fp cfg.trace in
-  let acc = ref (Trace.fp cfg.trace) in
-  let mix x = acc := Fp.combine !acc x in
-  List.iter
-    (fun (n, rt) ->
-      mix (Fp.of_string n);
-      mix (idf rt.t_last);
-      (match rt.t_state with
-      | Active items -> mix (Fp.combine (Fp.of_int 1) (Fp.of_struct items))
-      | Blocked_call -> mix (Fp.of_int 2)
-      | Blocked_accept (a, rest) ->
-          mix (Fp.combine (Fp.of_int 3) (Fp.of_struct (a, rest)))
-      | Blocked_select (branches, rest) ->
-          mix (Fp.combine (Fp.of_int 4) (Fp.of_struct (branches, rest)))
-      | Tdone -> mix (Fp.of_int 5));
-      mix (Expr.store_fp rt.t_locals))
-    cfg.tasks;
-  mix
-    (List.fold_left
-       (fun a (qkey, pendings) ->
-         if pendings = [] then a
-         else
-           Fp.cadd a
-             (List.fold_left
-                (fun q p ->
-                  Fp.combine q
-                    (Fp.combine
-                       (Fp.of_struct (p.q_caller, p.q_args, p.q_bind, p.q_cont))
-                       (Fp.combine (idf p.q_call_event) (idf p.q_enqueue_event))))
-                (Fp.of_struct qkey) pendings))
-       (Fp.of_int 0x9e) cfg.queues);
-  Gem_obs.Telemetry.(span_end Canon_key) span;
-  !acc
+let queue_pieces (qkey, pendings) =
+  Explore.Data qkey
+  :: List.concat_map
+       (fun p ->
+         Explore.
+           [
+             Data (p.q_caller, p.q_args, p.q_bind, p.q_cont);
+             Event p.q_call_event;
+             Event p.q_enqueue_event;
+           ])
+       pendings
+
+let components cfg =
+  let rec queues = function
+    | [] -> []
+    | q :: qs -> Explore.Component (q, queue_pieces) :: queues qs
+  in
+  let rec tasks = function
+    | [] -> queues cfg.queues
+    | (_, rt) :: ts -> Explore.Component (rt, task_pieces) :: tasks ts
+  in
+  tasks cfg.tasks
 
 (* The element list is built at the first seal: a caller that only keys
    the initial configuration never builds it. *)
@@ -423,8 +372,8 @@ let lang program =
     steps;
     footprint;
     terminated;
-    fp_key;
-    exact_key = state_key seal;
+    trace = (fun cfg -> cfg.trace);
+    components;
     seal;
   }
 

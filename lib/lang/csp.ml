@@ -1,6 +1,5 @@
 module Value = Gem_model.Value
 module F = Gem_logic.Formula
-module Fp = Gem_order.Fingerprint
 
 type comm =
   | Send of { to_ : string; value : Expr.t }
@@ -294,66 +293,19 @@ let seal program =
   let extra_elements = all_elements program in
   fun cfg -> Trace.to_computation ~extra_elements cfg.trace
 
-(* Canonical state key for partial-order reduction (see Explore.run).
-   Local stores are sorted ([Expr.update] prepends) and marshalling
-   disables sharing, so interleavings of commuting moves that converge on
-   structurally equal states yield byte-equal keys. *)
-let state_key seal cfg =
-  let span = Gem_obs.Telemetry.(span_begin Canon_key) in
-  let comp = seal cfg in
-  let buf = Buffer.create 1024 in
-  let id h =
-    Explore.add_id buf (Gem_model.Computation.event comp h).Gem_model.Event.id
-  in
-  Explore.fingerprint_into buf comp;
-  List.iter
-    (fun (n, rt) ->
-      Buffer.add_string buf n;
-      id rt.p_last;
-      (match rt.p_state with
-      | Active stmts ->
-          Buffer.add_char buf 'A';
-          Buffer.add_string buf (Expr.canon stmts)
-      | At_comm { comm; cont; req } ->
-          Buffer.add_char buf 'P';
-          Buffer.add_string buf (Expr.canon (comm, cont));
-          id req
-      | At_choice { branches; cont; loop } ->
-          Buffer.add_char buf 'C';
-          Buffer.add_string buf (Expr.canon (branches, cont, loop))
-      | Cdone -> Buffer.add_char buf 'D');
-      Buffer.add_string buf (Expr.canon (Expr.sorted_store rt.p_locals)))
-    cfg.procs;
-  let key = Buffer.contents buf in
-  Gem_obs.Telemetry.(span_end Canon_key) span;
-  key
+(* The runtime components of the state key: each process, in program
+   order. A parked communication's request event is listed as an event,
+   so the key holds its stable identity; locals are sorted by name
+   ([Expr.update] prepends). *)
+let proc_pieces rt =
+  Explore.Event rt.p_last
+  :: Explore.Data (Expr.sorted_store rt.p_locals)
+  ::
+  (match rt.p_state with
+  | At_comm { comm; cont; req } -> [ Explore.Data (comm, cont); Explore.Event req ]
+  | (Active _ | At_choice _ | Cdone) as st -> [ Explore.Data st ])
 
-(* Incremental fingerprint mirroring [state_key] — see Monitor.fp_key for
-   the construction rationale. Local stores are folded commutatively
-   (insertion order varies across interleavings; names are unique);
-   everything else is order-stable and hashed structurally, with event
-   handles replaced by their stable identity fingerprints. *)
-let fp_key cfg =
-  let span = Gem_obs.Telemetry.(span_begin Canon_key) in
-  let idf = Trace.id_fp cfg.trace in
-  let acc = ref (Trace.fp cfg.trace) in
-  let mix x = acc := Fp.combine !acc x in
-  List.iter
-    (fun (n, rt) ->
-      mix (Fp.of_string n);
-      mix (idf rt.p_last);
-      (match rt.p_state with
-      | Active stmts -> mix (Fp.combine (Fp.of_int 1) (Fp.of_struct stmts))
-      | At_comm { comm; cont; req } ->
-          mix (Fp.combine (Fp.of_int 2) (Fp.of_struct (comm, cont)));
-          mix (idf req)
-      | At_choice { branches; cont; loop } ->
-          mix (Fp.combine (Fp.of_int 3) (Fp.of_struct (branches, cont, loop)))
-      | Cdone -> mix (Fp.of_int 4));
-      mix (Expr.store_fp rt.p_locals))
-    cfg.procs;
-  Gem_obs.Telemetry.(span_end Canon_key) span;
-  !acc
+let components cfg = List.map (fun (_, rt) -> Explore.Component (rt, proc_pieces)) cfg.procs
 
 (* The element list is built at the first seal: a caller that only keys
    the initial configuration never builds it. *)
@@ -365,8 +317,8 @@ let lang program =
     steps;
     footprint;
     terminated;
-    fp_key;
-    exact_key = state_key seal;
+    trace = (fun cfg -> cfg.trace);
+    components;
     seal;
   }
 

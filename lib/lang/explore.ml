@@ -373,11 +373,13 @@ type source = {
    plus the siblings fired since; [f_todo] is what the none and sleep
    rules have still to fire, in list order. [f_fired] is the move it
    fired last and, under source, [f_clock] that move's happens-before
-   clock (the depths of earlier steps ordered before it). *)
-type 'c frame = {
+   clock (the depths of earlier steps ordered before it). [f_parts] is
+   what keying the configuration left for its children's keys. *)
+type ('c, 'p) frame = {
   f_depth : int;
   f_config : 'c;
   f_key : skey option;
+  f_parts : 'p option;
   f_succs : 'c successor list;
   f_awake : 'c successor list;
   mutable f_todo : 'c successor list;
@@ -391,17 +393,17 @@ type 'c frame = {
 (* Complete resumable state. Everything in it is pure data (interpreter
    configurations are closure-free records, [skey]/[move]/[Smap] are
    plain structures, [Ktbl] marshals as an ordinary hashtable, and a
-   frame is kept with its listing emptied and the length of its
-   [f_todo]), so one [Marshal] round trip through {!Checkpoint}
-   reconstructs the walk exactly: a resumed frame lists its successors
-   again. *)
-type 'c snapshot = {
+   frame is kept with its successors and key parts emptied and the
+   length of its [f_todo]), so one [Marshal] round trip through
+   {!Checkpoint} reconstructs the walk exactly: a resumed frame lists
+   its successors again, and its children are keyed from scratch. *)
+type ('c, 'p) snapshot = {
   sn_completed : (skey option * 'c) list;
   sn_deadlocked : (skey option * 'c) list;
   sn_truncated : int;
   sn_explored : int;
   sn_reduced : int;
-  sn_frames : ('c frame * int) list;  (* root first *)
+  sn_frames : (('c, 'p) frame * int) list;  (* root first *)
   sn_seen : (string option * move Smap.t list) Ktbl.t option;
   sn_bits : Bitstate.snapshot option;
   sn_sums : summary Ktbl.t;
@@ -457,7 +459,7 @@ let walk ~rule ~list ~max_steps ~max_configs ~budget ~key ~audit ~terminated ~re
   (* Depths of frames currently open under each key, deepest first —
      a hit on one of these is a cycle, not a completed-subtree prune. *)
   let open_depths : int list Ktbl.t = Ktbl.create 64 in
-  let frames : 'c frame option array ref = ref (Array.make 64 None) in
+  let frames : ('c, 'p) frame option array ref = ref (Array.make 64 None) in
   let top = ref (-1) in
   let frame j = match (!frames).(j) with Some f -> f | None -> assert false in
   let fired_at j = (frame j).f_fired and clock j = (frame j).f_clock in
@@ -631,7 +633,7 @@ let walk ~rule ~list ~max_steps ~max_configs ~budget ~key ~audit ~terminated ~re
   (* Push the frame of a configuration with successors into [slot];
      [false] when there is nothing to fire (every successor asleep) or
      the push faulted. *)
-  let push slot depth kc config succs arrival =
+  let push slot depth kc parts config succs arrival =
     let awake =
       if Smap.is_empty arrival then succs
       else begin
@@ -663,6 +665,7 @@ let walk ~rule ~list ~max_steps ~max_configs ~budget ~key ~audit ~terminated ~re
             f_depth = depth;
             f_config = config;
             f_key = kc;
+            f_parts = parts;
             f_succs = succs;
             f_awake = awake;
             f_todo = (if source then [] else awake);
@@ -705,7 +708,8 @@ let walk ~rule ~list ~max_steps ~max_configs ~budget ~key ~audit ~terminated ~re
       sn_frames =
         List.init (!top + 1) (fun d ->
             let fr = frame d in
-            ({ fr with f_succs = []; f_awake = []; f_todo = [] }, List.length fr.f_todo));
+            ( { fr with f_succs = []; f_awake = []; f_todo = []; f_parts = None },
+              List.length fr.f_todo ));
       sn_seen = (match !seen with `Table tbl -> Some tbl | `Bits _ -> None);
       sn_bits =
         (match !seen with `Bits b -> Some (Bitstate.snapshot b) | `Table _ -> None);
@@ -734,7 +738,7 @@ let walk ~rule ~list ~max_steps ~max_configs ~budget ~key ~audit ~terminated ~re
         | Ok () | Error _ -> ())
     | Some _ | None -> ()
   in
-  let restore (s : 'c snapshot) =
+  let restore (s : ('c, 'p) snapshot) =
     w.w_completed <- s.sn_completed;
     w.w_deadlocked <- s.sn_deadlocked;
     w.w_truncated <- s.sn_truncated;
@@ -773,7 +777,7 @@ let walk ~rule ~list ~max_steps ~max_configs ~budget ~key ~audit ~terminated ~re
   (* Visit an admitted configuration at [depth]; [true] iff it pushed a
      frame into [slot]. Otherwise the child is done, and its parent
      settles at once. *)
-  let visit slot depth kc config sleep =
+  let visit slot depth kc parts config sleep =
     charge w ~max_configs ~budget
     && begin
          w.w_explored <- w.w_explored + 1;
@@ -791,7 +795,7 @@ let walk ~rule ~list ~max_steps ~max_configs ~budget ~key ~audit ~terminated ~re
            | [] ->
                leaf kc config;
                false
-           | succs -> push slot depth kc config succs sleep
+           | succs -> push slot depth kc parts config succs sleep
          end
        end
   in
@@ -816,16 +820,17 @@ let walk ~rule ~list ~max_steps ~max_configs ~budget ~key ~audit ~terminated ~re
     let child = if (not source) && fr.f_todo = [] then slot else slot + 1 in
     let depth = fr.f_depth + 1 in
     match key with
-    | None -> if not (visit child depth None c' sleep) then settle fr m (Moves [])
+    | None -> if not (visit child depth None None c' sleep) then settle fr m (Moves [])
     | Some k ->
-        let d = k c' in
+        let d, parts = k fr.f_parts c' in
         if probe d c' sleep then begin
           w.w_reduced <- w.w_reduced + 1;
           T.hit T.Configs_reduced;
           if source then source_covered fr slot m d;
           if sleeping then fr.f_sleep <- Smap.add m.label m fr.f_sleep
         end
-        else if not (visit child depth (Some d) c' sleep) then settle fr m (Moves [])
+        else if not (visit child depth (Some d) (Some parts) c' sleep) then
+          settle fr m (Moves [])
   in
   (* The next move a source frame fires: the first awake successor in
      its backtrack set not yet executed. A pick asleep by now is skipped:
@@ -858,15 +863,15 @@ let walk ~rule ~list ~max_steps ~max_configs ~budget ~key ~audit ~terminated ~re
   | None ->
       (* The root is keyed and recorded up front: a cycle back to it must
          not re-explore it. *)
-      let k0 =
-        Option.map
-          (fun k ->
-            let d = k init in
+      let k0, p0 =
+        match key with
+        | None -> (None, None)
+        | Some k ->
+            let d, parts = k None init in
             ignore (probe d init Smap.empty);
-            d)
-          key
+            (Some d, Some parts)
       in
-      ignore (visit 0 0 k0 init Smap.empty));
+      ignore (visit 0 0 k0 p0 init Smap.empty));
   (* The none and sleep rules fire a frame's awake successors in list
      order, the source rule its picks; a frame with nothing left to fire,
      or any frame once the walk has stopped, pops. *)
@@ -1045,18 +1050,116 @@ let dedup_computations seal leaves =
   sorted
 
 (* ------------------------------------------------------------------ *)
-(* The exploration driver                                              *)
+(* The exploration driver and its state key                           *)
 (* ------------------------------------------------------------------ *)
+
+type piece = Event : int -> piece | Data : 'a -> piece
+type component = Component : 'r * ('r -> piece list) -> component
 
 type 'c lang = {
   init : 'c;
   steps : 'c -> (string * (unit -> 'c)) list;
   footprint : 'c -> 'c -> string list;
   terminated : 'c -> bool;
-  fp_key : 'c -> Fp.t;
-  exact_key : 'c -> string;
+  trace : 'c -> Trace.t;
+  components : 'c -> component list;
   seal : 'c -> Gem_model.Computation.t;
 }
+
+(* A configuration's components and their fingerprints, index by index:
+   the part of a key that its children may reuse. *)
+type listing = { comps : component array; fps : Fp.t array }
+
+(* The same runtime, listed by the same function: its pieces are the
+   ones it had. A step leaves every runtime it does not change
+   physically shared with its parent's, so identity is the whole test. *)
+let same (Component (r, f)) (Component (r', f')) =
+  Obj.repr r == Obj.repr r' && Obj.repr f == Obj.repr f'
+
+(* Each piece is hashed on its own: [Fp.of_struct] stops after 4,096
+   meaningful nodes, so a value joining a long continuation and a store
+   could leave the store unhashed. An event handle is hashed as its
+   stable identity, which a trace never changes once emitted. *)
+let rec pieces_fp trace acc = function
+  | [] -> acc
+  | Event h :: ps -> pieces_fp trace (Fp.combine acc (Trace.id_fp trace h)) ps
+  | Data d :: ps -> pieces_fp trace (Fp.combine acc (Fp.of_struct d)) ps
+
+let component_fp trace (Component (r, pieces)) = pieces_fp trace (Fp.of_int 0xc0) (pieces r)
+
+(* The parent's index of a component whose runtime it had, or -1:
+   looked for at the same index first, then anywhere, since a listing
+   can shift (an ADA entry queue fills or empties). *)
+let rec scan parent c j =
+  if j >= Array.length parent.comps then -1
+  else if same c parent.comps.(j) then j
+  else scan parent c (j + 1)
+
+let reused parent i c =
+  if i < Array.length parent.comps && same c parent.comps.(i) then i else scan parent c 0
+
+(* The listing, and the fingerprint mixing [Trace.fp] with each
+   component's in order. *)
+let listing trace lang parent c =
+  let comps = Array.of_list (lang.components c) in
+  let fps = Array.make (Array.length comps) Fp.zero in
+  let acc = ref (Trace.fp trace) in
+  for i = 0 to Array.length comps - 1 do
+    let comp = comps.(i) in
+    let fp =
+      match parent with
+      | None -> component_fp trace comp
+      | Some p ->
+          let j = reused p i comp in
+          if j >= 0 then p.fps.(j) else component_fp trace comp
+    in
+    fps.(i) <- fp;
+    acc := Fp.combine !acc fp
+  done;
+  ({ comps; fps }, !acc)
+
+(* The exact key: the sealed computation's canonical rendering, then
+   every piece, an event as its [element^index] identity and data
+   marshalled without sharing, so structurally equal states give
+   byte-equal keys. *)
+let exact_string lang c =
+  let comp = lang.seal c in
+  let buf = Buffer.create 1024 in
+  fingerprint_into buf comp;
+  List.iter
+    (fun (Component (r, pieces)) ->
+      List.iter
+        (function
+          | Event h ->
+              add_id buf (Gem_model.Computation.event comp h).Gem_model.Event.id;
+              Buffer.add_char buf ';'
+          | Data d -> Buffer.add_string buf (Marshal.to_string d [ Marshal.No_sharing ]))
+        (pieces r))
+    (lang.components c);
+  Buffer.contents buf
+
+let fp_key lang c =
+  let t = T.span_begin T.Canon_key in
+  let _, fp = listing (lang.trace c) lang None c in
+  T.span_end T.Canon_key t;
+  fp
+
+let exact_key lang c =
+  let t = T.span_begin T.Canon_key in
+  let s = exact_string lang c in
+  T.span_end T.Canon_key t;
+  s
+
+let no_listing = { comps = [||]; fps = [||] }
+
+let key ~exact lang parent c =
+  if exact then (Exact (exact_key lang c), no_listing)
+  else begin
+    let t = T.span_begin T.Canon_key in
+    let l, fp = listing (lang.trace c) lang parent c in
+    T.span_end T.Canon_key t;
+    (Fp fp, l)
+  end
 
 (* Each move's footprint is sorted here and nowhere else, which is what
    {!independent}'s merge walk relies on. *)
@@ -1081,16 +1184,13 @@ let explore ?reduction ?exact_keys ?audit_keys ?max_steps ?max_configs ?budget
   let reduction = match reduction with Some r -> r | None -> reduction_default () in
   let exact = match exact_keys with Some b -> b | None -> exact_keys_default () in
   let auditing = match audit_keys with Some b -> b | None -> audit_keys_default () in
-  let key c = if exact then Exact (lang.exact_key c) else Fp (lang.fp_key c) in
-  let audit = if auditing && not exact then Some lang.exact_key else None in
   (* Without reduction the walk is keyless — except in bitstate mode,
      where the bounded seen set needs a state key to memoize on (state
      keys identify computation-prefix classes, so the pruning stays
      sound; dedup collapses the interleavings either way). *)
-  let key =
-    if reduction <> No_reduction || resilience.bitstate <> None then Some key else None
-  in
-  let audit = if key = None then None else audit in
+  let keyed = reduction <> No_reduction || resilience.bitstate <> None in
+  let key = if keyed then Some (key ~exact lang) else None in
+  let audit = if keyed && auditing && not exact then Some (exact_key lang) else None in
   let footprint =
     if reduction = No_reduction then plain_successors lang else successors lang
   in

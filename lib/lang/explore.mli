@@ -2,12 +2,12 @@
 
     Each language interpreter describes itself by one {!lang} record: its
     initial configuration, its enabled steps, the footprint of a step,
-    termination, its two state keys and how a leaf is sealed into a
-    computation. {!explore} is the one driver over it: it walks the
-    choice tree depth-first ({!run}), within bounds, classifies the
-    leaves, and seals and deduplicates them into the computation set.
-    Monitor, CSP and ADA programs are explored, keyed and sealed the same
-    way.
+    termination, its trace and runtime components, and how a leaf is
+    sealed into a computation. {!explore} is the one driver over it: it
+    walks the choice tree depth-first ({!run}), within bounds, keys each
+    configuration from its components ({!key}), classifies the leaves,
+    and seals and deduplicates them into the computation set. Monitor,
+    CSP and ADA programs are explored, keyed and sealed the same way.
 
     Exploration never raises on resource exhaustion: exceeding
     [max_configs], a budget deadline, or a memory watermark stops the walk
@@ -173,7 +173,7 @@ val run :
   ?max_steps:int ->
   ?max_configs:int ->
   ?budget:Gem_check.Budget.t ->
-  ?key:('c -> skey) ->
+  ?key:('p option -> 'c -> skey * 'p) ->
   ?audit:('c -> string) ->
   ?footprint:('c -> 'c successor list) ->
   ?reduction:reduction ->
@@ -200,9 +200,12 @@ val run :
     [key], when given, enables partial-order reduction by memoization: two
     configurations with equal keys generate the same set of future
     computations (up to emission order), so the second subtree is skipped.
-    Language interpreters build the key from the runtime state with event
-    handles replaced by stable event identities — interleavings of
-    commuting moves then converge to one key. Each admitted
+    [key parent c] returns [c]'s key and what [c]'s children may reuse
+    of it; [parent] is what the configuration [c] was stepped from left
+    ([None] at the root, and for the children of a frame resumed from a
+    checkpoint). The walk keeps it in the parent's frame, so no
+    configuration carries key state. A key that reuses nothing returns
+    [()]. {!key} builds a language's key this way. Each admitted
     configuration's key is computed exactly once: it is reused for the
     seen-table check, carried to the leaf, and reused again by the
     canonical leaf sort.
@@ -282,6 +285,26 @@ val dedup_computations :
 
 (** {1 The exploration driver} *)
 
+(** One canonical piece of a runtime component. *)
+type piece =
+  | Event : int -> piece
+      (** An event handle, keyed by its stable [element^index] identity
+          (the handle itself depends on emission order). *)
+  | Data : 'a -> piece
+      (** Immutable, closure-free data holding no event handle, already
+          canonical: a store sorted by name, say, since its insertion
+          order varies across interleavings. Fingerprinted with
+          {!Gem_order.Fingerprint.of_struct} and marshalled without
+          sharing, each piece on its own. *)
+
+type component =
+  | Component : 'r * ('r -> piece list) -> component
+      (** A runtime and the function listing its pieces. The pieces must
+          depend on the runtime alone, and the function should be a
+          top-level one: a component whose runtime and function are
+          physically those of a component of the parent configuration has
+          the parent's pieces, and {!key} reuses their fingerprint. *)
+
 type 'c lang = {
   init : 'c;  (** The initial configuration. *)
   steps : 'c -> (string * (unit -> 'c)) list;
@@ -293,19 +316,44 @@ type 'c lang = {
           reads or writes (see {!move}), in any order, duplicates
           allowed. *)
   terminated : 'c -> bool;  (** A leaf that completed, not deadlocked. *)
-  fp_key : 'c -> Gem_order.Fingerprint.t;
-      (** Incremental fingerprint of the configuration: equal whenever
-          [exact_key] is byte-equal; distinct keys collide with
-          negligible probability. The default search key. *)
-  exact_key : 'c -> string;
-      (** Canonical state key: byte-equal for configurations reached by
-          different interleavings of commuting moves. The
-          [--exact-keys] search key and the collision audit's oracle. *)
+  trace : 'c -> Trace.t;  (** The history the configuration has built. *)
+  components : 'c -> component list;
+      (** The runtime components in a fixed order: with the trace, they
+          are the configuration's state. A step must leave the runtimes
+          it does not change physically unchanged. *)
   seal : 'c -> Gem_model.Computation.t;
       (** The computation a configuration's trace records. *)
 }
 (** What differs between the languages: everything else about exploring
     a program is {!explore}'s. *)
+
+(** {2 State keys}
+
+    Both keys are built from the trace and the component listing. The
+    fingerprint mixes {!Trace.fp} with each component's fingerprint, in
+    order. The exact key is the sealed computation's
+    {!fingerprint_into}, followed by every piece. Equal exact keys give
+    equal fingerprints, and distinct ones collide with negligible
+    probability, so the two put configurations into the same classes.
+    All three functions run under the [Canon_key] telemetry span. *)
+
+type listing
+(** A configuration's components with their fingerprints. *)
+
+val key : exact:bool -> 'c lang -> listing option -> 'c -> skey * listing
+(** The walk's key ({!run}'s [key]): the fingerprint, where each
+    component that is physically one of the parent listing's takes that
+    one's fingerprint, or with [exact] the exact key, which reuses
+    nothing. With no parent every component is hashed: that is the
+    from-scratch key, and reuse never changes the value. *)
+
+val fp_key : 'c lang -> 'c -> Gem_order.Fingerprint.t
+(** The fingerprint, every component hashed. *)
+
+val exact_key : 'c lang -> 'c -> string
+(** The exact key: byte-equal for configurations reached by different
+    interleavings of commuting moves. The [--exact-keys] search key and
+    the collision audit's oracle. *)
 
 val successors : 'c lang -> 'c -> 'c successor list
 (** [lang.steps], each thunk returning its move with the footprint
@@ -331,11 +379,11 @@ val explore :
     ([Expr.Eval_error] on a runtime type error) still raises.
 
     [reduction] (default {!reduction_default}) picks the engine: the
-    reducing engines walk {!successors} keyed on the state key, and
+    reducing engines walk {!successors} keyed by {!key}, and
     [No_reduction] fires [lang.steps] with no footprint and no keys, except
     under bitstate, whose bounded seen set needs one. [exact_keys]
-    (default {!exact_keys_default}) keys the search on [lang.exact_key]
-    instead of [lang.fp_key]; [audit_keys] (default
+    (default {!exact_keys_default}) keys the search on {!exact_key}
+    instead of the fingerprint; [audit_keys] (default
     {!audit_keys_default}) keeps fingerprint keys and runs the exact key
     alongside as a collision oracle. [max_steps], [max_configs],
     [budget] and [resilience] are {!run}'s. [computations] and

@@ -39,18 +39,14 @@ let lookup store x =
 
 let update store x v = (x, v) :: List.remove_assoc x store
 
-(* The interpreters' state keys. [update] prepends, so insertion order
-   varies across interleavings: the exact key sorts a store and marshals
-   it without sharing, and the fingerprint folds its bindings
-   commutatively (names are unique within a store). *)
-let sorted_store (s : store) = List.sort (fun (a, _) (b, _) -> String.compare a b) s
-let canon x = Marshal.to_string x [ Marshal.No_sharing ]
-
-let store_fp s =
-  let module Fp = Gem_order.Fingerprint in
-  List.fold_left
-    (fun acc (x, v) -> Fp.cadd acc (Fp.combine (Fp.of_string x) (Fp.of_struct v)))
-    (Fp.of_int 0x57) s
+(* [update] prepends, so insertion order varies across interleavings:
+   the state keys list a store sorted (names are unique within one). *)
+let sorted_store (s : store) =
+  let rec sorted = function
+    | (a, _) :: ((b, _) :: _ as rest) -> String.compare a b < 0 && sorted rest
+    | [ _ ] | [] -> true
+  in
+  if sorted s then s else List.sort (fun (a, _) (b, _) -> String.compare a b) s
 
 let rec eval ?queue_test ?queue_len store e =
   let eval' e = eval ?queue_test ?queue_len store e in

@@ -1,6 +1,5 @@
 module Value = Gem_model.Value
 module F = Gem_logic.Formula
-module Fp = Gem_order.Fingerprint
 
 type mstmt =
   | MAssign of { var : string; value : Expr.t; site : string option }
@@ -78,23 +77,11 @@ type pstate = Active of pstmt list | In_monitor | Proc_done
 
 type proc_rt = { p_def : process; p_locals : Expr.store; p_state : pstate; p_last : int }
 
-(* A process runtime's share of the fingerprint key ([fp_key]): its name,
-   its last event's identity, its state and its locals. These are a pure
-   function of the runtime — an event's identity never changes once
-   emitted — so a runtime that a step left physically unchanged keeps
-   them. *)
-type proc_key = { k_name : Fp.t; k_last : Fp.t; k_state : Fp.t; k_locals : Fp.t }
-
 type config = {
   trace : Trace.t;
   procs : (string * proc_rt) list;
   mons : (string * mon_rt) list;
   shared_store : Expr.store;
-  mutable proc_keys : (proc_rt * proc_key) list;
-      (* The components [fp_key] computed for this configuration's
-         runtimes, in [procs] order ([] until then). A step copies its
-         parent's list with the record, and the walks key a parent before
-         they step it, so a child finds the parent's components here. *)
 }
 
 type ctx = { program : program; emit_getvals : bool }
@@ -546,7 +533,6 @@ let initial ctx =
     procs = List.rev procs;
     mons = List.rev mons;
     shared_store = program.shared;
-    proc_keys = [];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -589,114 +575,33 @@ let seal program =
   let extra_elements = all_elements program and groups = groups_of_program program in
   fun cfg -> Trace.to_computation ~extra_elements ~groups cfg.trace
 
-(* Canonical state key for partial-order reduction: the trace's
-   emission-order-independent fingerprint plus the runtime state with
-   event handles replaced by stable event identities. Association lists
-   whose insertion order varies across interleavings ([Expr.update]
-   prepends, [set_cond_queue] reorders) are sorted by name, and
-   marshalling disables sharing, so structurally equal states — in
-   particular those reached by different interleavings of commuting moves
-   — serialize to byte-equal keys.
+(* The runtime components of the state key, in a fixed order: each
+   process, each monitor, then the shared store. Event handles are
+   listed as events, so the key holds their stable identities; stores
+   and condition queues, whose insertion order varies across
+   interleavings ([Expr.update] prepends, [set_cond_queue] reorders), are
+   sorted by name. *)
+let proc_pieces rt =
+  Explore.[ Event rt.p_last; Data rt.p_state; Data (Expr.sorted_store rt.p_locals) ]
 
-   Exact canonical keys seal and marshal the whole configuration — the
-   [--exact-keys] fallback path and the collision-audit oracle; the hot
-   default is the incremental [fp_key] below. Both constructions share
-   the Canon_key telemetry span. *)
-let state_key seal cfg =
-  let span = Gem_obs.Telemetry.(span_begin Canon_key) in
-  let comp = seal cfg in
-  let buf = Buffer.create 1024 in
-  let id h =
-    Explore.add_id buf (Gem_model.Computation.event comp h).Gem_model.Event.id
-  in
-  Explore.fingerprint_into buf comp;
-  List.iter
-    (fun (n, rt) ->
-      Buffer.add_string buf n;
-      id rt.p_last;
-      (match rt.p_state with
-      | Active stmts ->
-          Buffer.add_char buf 'A';
-          Buffer.add_string buf (Expr.canon stmts)
-      | In_monitor -> Buffer.add_char buf 'M'
-      | Proc_done -> Buffer.add_char buf 'D');
-      Buffer.add_string buf (Expr.canon (Expr.sorted_store rt.p_locals)))
-    cfg.procs;
-  List.iter
-    (fun (n, m) ->
-      Buffer.add_string buf n;
-      let conds = List.sort (fun (a, _) (b, _) -> String.compare a b) m.m_conds in
-      Buffer.add_string buf
-        (Expr.canon (Expr.sorted_store m.m_store, conds, m.m_urgent, m.m_entryq, m.m_busy));
-      match m.m_last_rel with Some h -> id h | None -> Buffer.add_char buf '-')
-    cfg.mons;
-  Buffer.add_string buf (Expr.canon (Expr.sorted_store cfg.shared_store));
-  let key = Buffer.contents buf in
-  Gem_obs.Telemetry.(span_end Canon_key) span;
-  key
+let mon_pieces m =
+  Explore.Data (m.m_urgent, m.m_entryq, m.m_busy)
+  :: (match m.m_last_rel with Some h -> Explore.Event h | None -> Explore.Data ())
+  :: Explore.Data (Expr.sorted_store m.m_store)
+  :: List.map
+       (fun q -> Explore.Data q)
+       (List.sort (fun (a, _) (b, _) -> String.compare a b) m.m_conds)
 
-(* Incremental 126-bit state fingerprint — same equivalence classes as
-   [state_key] up to hash collisions, built without sealing or
-   marshalling: the trace contributes its running history fingerprint
-   (O(1) to read), event handles contribute their stable identity
-   fingerprints, and runtime components are hashed structurally. Stores
-   and condition-queue lists, whose insertion order varies across
-   interleavings, are folded commutatively ([Fp.cadd]); binding and
-   condition names are unique within one store/monitor, so multiset
-   equality coincides with sorted-list equality. *)
-let proc_key idf n rt =
-  {
-    k_name = Fp.of_string n;
-    k_last = idf rt.p_last;
-    k_state =
-      (match rt.p_state with
-      | Active stmts -> Fp.combine (Fp.of_int 1) (Fp.of_struct stmts)
-      | In_monitor -> Fp.of_int 2
-      | Proc_done -> Fp.of_int 3);
-    k_locals = Expr.store_fp rt.p_locals;
-  }
+let store_pieces s = [ Explore.Data (Expr.sorted_store s) ]
 
-(* [reuse] takes the components of a runtime from [cfg.proc_keys] when it
-   is the same runtime; the key is the same value either way. *)
-let fp_key ?(reuse = true) cfg =
-  let span = Gem_obs.Telemetry.(span_begin Canon_key) in
-  let idf = Trace.id_fp cfg.trace in
-  let acc = ref (Trace.fp cfg.trace) in
-  let mix x = acc := Fp.combine !acc x in
-  let rec keys procs cached =
-    match procs with
-    | [] -> []
-    | (n, rt) :: procs ->
-        let k, cached =
-          match cached with
-          | (rt', k) :: cached when reuse && rt' == rt -> (k, cached)
-          | _ :: cached -> (proc_key idf n rt, cached)
-          | [] -> (proc_key idf n rt, [])
-        in
-        mix k.k_name;
-        mix k.k_last;
-        mix k.k_state;
-        mix k.k_locals;
-        let rest = keys procs cached in
-        (rt, k) :: rest
-  in
-  cfg.proc_keys <- keys cfg.procs cfg.proc_keys;
-  List.iter
-    (fun (n, m) ->
-      mix (Fp.of_string n);
-      mix
-        (List.fold_left
-           (fun a (c, q) -> Fp.cadd a (Fp.combine (Fp.of_string c) (Fp.of_struct q)))
-           (Fp.of_int 0xc0) m.m_conds);
-      mix (Fp.of_struct (m.m_urgent, m.m_entryq, m.m_busy));
-      mix (match m.m_last_rel with Some h -> idf h | None -> Fp.of_int 0x4e);
-      mix (Expr.store_fp m.m_store))
-    cfg.mons;
-  mix (Expr.store_fp cfg.shared_store);
-  Gem_obs.Telemetry.(span_end Canon_key) span;
-  !acc
-
-let config_fp_uncached _program cfg = fp_key ~reuse:false cfg
+let components cfg =
+  List.fold_right
+    (fun (_, rt) acc -> Explore.Component (rt, proc_pieces) :: acc)
+    cfg.procs
+    (List.fold_right
+       (fun (_, m) acc -> Explore.Component (m, mon_pieces) :: acc)
+       cfg.mons
+       [ Explore.Component (cfg.shared_store, store_pieces) ])
 
 (* The element and group lists are built at the first seal: a caller
    that only keys the initial configuration never builds them. *)
@@ -709,8 +614,8 @@ let lang ?(emit_getvals = false) program =
     steps = steps ctx;
     footprint;
     terminated;
-    fp_key = (fun cfg -> fp_key cfg);
-    exact_key = state_key seal;
+    trace = (fun cfg -> cfg.trace);
+    components;
     seal;
   }
 

@@ -94,13 +94,9 @@ val lang : ?emit_getvals:bool -> program -> config Explore.lang
     configuration only; the program's element and group lists are built
     at the first seal.
 
-    Its [fp_key] reuses the key components of every process runtime it
-    shares with the configuration it was stepped from, when that one was
-    keyed first (the walks key a configuration before they step it). *)
-
-val config_fp_uncached : program -> config -> Gem_order.Fingerprint.t
-(** [(lang program).fp_key] with every component recomputed: the same
-    value, the reference the reuse is tested against. *)
+    Its state key lists each process runtime, each monitor runtime and
+    the shared store, in that order: a step that leaves one of them
+    physically unchanged lets {!Explore.key} reuse its fingerprint. *)
 
 (** {1 Mechanical GEM translation (paper §9: "simple and mechanical enough
     to lend itself to automation")} *)

@@ -49,9 +49,10 @@ val fp : t -> Gem_order.Fingerprint.t
 
 val id_fp : t -> int -> Gem_order.Fingerprint.t
 (** Fingerprint of a handle's stable event identity (element +
-    occurrence index) — what interpreters hash instead of the raw handle,
-    which is an emission-order-dependent global index. Raises [Not_found]
-    on an unknown handle. *)
+    occurrence index) — what the state key hashes for an event piece
+    ({!Explore.piece}) instead of the raw handle, which is an
+    emission-order-dependent global index. Raises [Not_found] on an
+    unknown handle. *)
 
 val touched_elements : before:t -> t -> string list
 (** Elements that gained at least one event between [before] and the

@@ -7,7 +7,6 @@ type t = {
   events : Event.t array;
   enable : Digraph.t;
   at_element : (string, int list) Hashtbl.t;  (* element -> handles in order *)
-  causal : Digraph.t;
   temporal : Poset.t option;
 }
 
@@ -56,7 +55,6 @@ let elem_lt t a b =
   let ea = (event t a).Event.id and eb = (event t b).Event.id in
   String.equal ea.element eb.element && ea.index < eb.index
 
-let causal_graph t = t.causal
 let temporal t = t.temporal
 
 let temporal_exn t =
@@ -68,19 +66,18 @@ let temp_lt t a b = Poset.lt (temporal_exn t) a b
 let concurrent t a b = a <> b && not (temp_lt t a b) && not (temp_lt t b a)
 
 (* One pass over the enable edges and the events builds the enable graph,
-   the causal graph (enable plus element-successor edges), the per-element
-   lists and the successor lists of the temporal order's walk. A scan from
-   the last handle down meets each element's events from the highest
-   occurrence index down, so consing links each event to its element
-   successor and leaves every list in element order. *)
+   the per-element lists and the successor lists of the temporal order's
+   walk (enable plus element-successor edges). A scan from the last
+   handle down meets each element's events from the highest occurrence
+   index down, so consing links each event to its element successor and
+   leaves every list in element order. *)
 let unsafe_make ~elements ~groups ~events ~enable:edges =
   let n = Array.length events in
-  let enable = Digraph.create n and causal = Digraph.create n in
+  let enable = Digraph.create n in
   let succs = Array.make n [] in
   List.iter
     (fun (a, b) ->
       Digraph.add_edge enable a b;
-      Digraph.add_edge causal a b;
       succs.(a) <- b :: succs.(a))
     edges;
   let at_element = Hashtbl.create 16 in
@@ -90,13 +87,12 @@ let unsafe_make ~elements ~groups ~events ~enable:edges =
     | Some (next :: _ as hs) ->
         if id.index >= events.(next).Event.id.index then
           invalid_arg "Computation.unsafe_make: element order differs from handle order";
-        Digraph.add_edge causal h next;
         succs.(h) <- next :: succs.(h);
         Hashtbl.replace at_element id.element (h :: hs)
     | Some [] | None -> Hashtbl.replace at_element id.element [ h ]
   done;
   let temporal = Poset.of_succs succs in
-  { elements; groups; events; enable; at_element; causal; temporal }
+  { elements; groups; events; enable; at_element; temporal }
 
 let map_events f t =
   let events =

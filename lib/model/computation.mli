@@ -71,15 +71,12 @@ val enable_graph : t -> Gem_order.Digraph.t
 val elem_lt : t -> int -> int -> bool
 (** The element order: same element, strictly smaller occurrence index. *)
 
-val causal_graph : t -> Gem_order.Digraph.t
-(** Enable edges plus element-successor edges — the generator whose
-    transitive closure is the temporal order. *)
-
 val temporal : t -> Gem_order.Poset.t option
-(** The temporal order, or [None] when the causal graph is cyclic
-    (computed once at construction). Its
-    {!Gem_order.Poset.linear_extension} is the causal graph's
-    topological order, smallest ready handle first. *)
+(** The temporal order, or [None] when the causal graph (enable edges
+    plus element-successor edges, the generator of the temporal order)
+    is cyclic; computed once at construction, and the graph itself is
+    not kept. Its {!Gem_order.Poset.linear_extension} is the causal
+    graph's topological order, smallest ready handle first. *)
 
 val temporal_exn : t -> Gem_order.Poset.t
 

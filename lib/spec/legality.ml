@@ -56,6 +56,22 @@ let find_cycle g =
   done;
   !cycle
 
+(* The causal graph, rebuilt for the one computation that needs it: a
+   cyclic one, which has no temporal order to keep instead. *)
+let causal_graph comp =
+  let g = Digraph.create (Computation.n_events comp) in
+  List.iter
+    (fun h -> List.iter (Digraph.add_edge g h) (Computation.enable_succs comp h))
+    (Computation.all_events comp);
+  let rec chain = function
+    | a :: (b :: _ as rest) ->
+        Digraph.add_edge g a b;
+        chain rest
+    | [ _ ] | [] -> ()
+  in
+  List.iter (fun el -> chain (Computation.events_at comp el)) (Computation.event_elements comp);
+  g
+
 let check spec comp =
   let violations = ref [] in
   let push v = violations := v :: !violations in
@@ -63,7 +79,7 @@ let check spec comp =
   (match Computation.temporal comp with
   | Some _ -> ()
   | None -> (
-      match find_cycle (Computation.causal_graph comp) with
+      match find_cycle (causal_graph comp) with
       | Some c -> push (Cyclic_causality c)
       | None -> assert false));
   (* 2. Irreflexive enable. *)

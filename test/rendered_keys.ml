@@ -178,7 +178,7 @@ let engine_string (e : R.engine) =
     (Explore.reduction_name (engine_reduction e))
 
 let program_fp load =
-  let fp l = l.Explore.fp_key l.Explore.init in
+  let fp l = Explore.fp_key l l.Explore.init in
   match load with
   | Runner.Rw { monitor; readers; writers; _ } ->
       let monitor = Result.get_ok (Runner.monitor_of_name monitor) in

@@ -169,7 +169,7 @@ let prop_explore_conservation =
       let arrivals = 1 + List.fold_left ( + ) 0 edges in
       let r =
         Explore.run
-          ~key:(fun n -> Explore.Exact (string_of_int n))
+          ~key:(fun _ n -> (Explore.Exact (string_of_int n), ()))
           ~moves ~terminated:(fun n -> n = cap) 0
       in
       r.Explore.exhausted = None

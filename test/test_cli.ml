@@ -117,9 +117,10 @@ let test_restriction_error () =
         | Some e -> check Alcotest.string (args ^ ": same message") e err)
     [ (1, 1); (2, 1); (2, 2); (2, 4) ]
 
-(* A checkpoint in an earlier format (GEMCKPT2, or GEMCKPT3 with its
-   task frontier) is refused before anything is unmarshalled: exit 3,
-   and the message says to rerun. *)
+(* A checkpoint in an earlier format (GEMCKPT2, GEMCKPT3 with its task
+   frontier, or GEMCKPT4 with frames that carry no key parts) is refused
+   before anything is unmarshalled: exit 3, and the message says to
+   rerun. *)
 let test_old_checkpoint_refused () =
   let file = Filename.temp_file "gem-ckpt" ".bin" in
   let file2 = Filename.temp_file "gem-ckpt" ".bin" in
@@ -131,7 +132,7 @@ let test_old_checkpoint_refused () =
            (Printf.sprintf "db --sites 3 --checkpoint %s --checkpoint-every 500 --max-configs 2000"
               (Filename.quote file)));
       let bytes = In_channel.with_open_bin file In_channel.input_all in
-      check Alcotest.string "written as GEMCKPT4" "GEMCKPT4" (String.sub bytes 0 8);
+      check Alcotest.string "written as GEMCKPT5" "GEMCKPT5" (String.sub bytes 0 8);
       List.iter
         (fun old ->
           Out_channel.with_open_bin file (fun oc ->
@@ -144,7 +145,7 @@ let test_old_checkpoint_refused () =
           check Alcotest.bool (old ^ ": exit 3") true (st = Unix.WEXITED 3);
           check Alcotest.bool (old ^ " says to rerun: " ^ err) true
             (contains err old && contains err "rerun" && not (contains err "internal")))
-        [ "GEMCKPT2"; "GEMCKPT3" ])
+        [ "GEMCKPT2"; "GEMCKPT3"; "GEMCKPT4" ])
 
 let test_no_por_parity () =
   (* Disabling the partial-order reduction must not change any verdict:
@@ -763,8 +764,9 @@ let test_serve_variants () =
             "rw --readers 1 --writers 1 --version free-for-all" );
           ("buffer lang=csp", "buffer --lang csp");
           ({|buffer lang=csp restrict="~([](true))"|}, "buffer --lang csp --restrict '~([](true))'");
-          ("rwd lang=ada", "rwd --lang ada");
-          ({|rwd lang=ada restrict="(ALL x:*) occurred(x)"|}, "rwd --lang ada --restrict '(ALL x:*) occurred(x)'");
+          ("rwd lang=ada max-configs=100000", "rwd --lang ada --max-configs 100000");
+          ( {|rwd lang=ada max-configs=100000 restrict="(ALL x:*) occurred(x)"|},
+            "rwd --lang ada --max-configs 100000 --restrict '(ALL x:*) occurred(x)'" );
         ])
 
 let test_client_no_daemon () =

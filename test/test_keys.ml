@@ -52,7 +52,7 @@ let collect (lang : _ Explore.lang) ~max_configs ~max_depth =
 let check_partition ~name (lang : _ Explore.lang) ~max_configs ~max_depth =
   let keyed =
     List.map
-      (fun c -> (lang.exact_key c, lang.fp_key c))
+      (fun c -> (Explore.exact_key lang c, Explore.fp_key lang c))
       (collect lang ~max_configs ~max_depth)
   in
   List.iteri
@@ -200,7 +200,7 @@ let test_degenerate_key_detected () =
       let moves n = if n >= 6 then [] else [ n + 1; n + 2 ] in
       let r =
         Explore.run
-          ~key:(fun _ -> Explore.Fp (Fp.of_int 0))
+          ~key:(fun _ _ -> (Explore.Fp (Fp.of_int 0), ()))
           ~audit:string_of_int ~moves
           ~terminated:(fun n -> n >= 6)
           0

@@ -168,7 +168,7 @@ let test_explore_key_dedup () =
   let no_key = Explore.run ~moves:counter_moves ~terminated:(fun n -> n = 4) 0 in
   let keyed =
     Explore.run
-      ~key:(fun n -> Explore.Exact (string_of_int n))
+      ~key:(fun _ n -> (Explore.Exact (string_of_int n), ()))
       ~moves:counter_moves ~terminated:(fun n -> n = 4) 0
   in
   check Alcotest.bool "fewer configs with key" true
@@ -182,7 +182,7 @@ let test_explore_initial_seen () =
   let moves n = if n = 0 then [ 0 ] else [] in
   let r =
     Explore.run
-      ~key:(fun n -> Explore.Exact (string_of_int n))
+      ~key:(fun _ n -> (Explore.Exact (string_of_int n), ()))
       ~moves ~terminated:(fun _ -> false) 0
   in
   check Alcotest.int "expanded exactly once" 1 r.Explore.explored;
@@ -198,7 +198,7 @@ let test_explore_sleep_sets () =
       else []
   in
   let moves c = List.map (fun (_, fire) -> snd (fire ())) (footprint c) in
-  let key (a, b) = Explore.Exact (Printf.sprintf "%d,%d" a b) in
+  let key _ (a, b) = (Explore.Exact (Printf.sprintf "%d,%d" a b), ()) in
   let r =
     Explore.run ~key ~footprint ~moves ~terminated:(fun c -> c = (1, 1)) (0, 0)
   in
@@ -223,7 +223,7 @@ let comb_footprint n =
 
 let test_explore_deep_paths () =
   let terminated n = n = path_end in
-  let key n = Explore.Exact (string_of_int n) in
+  let key _ n = (Explore.Exact (string_of_int n), ()) in
   let expect what ~dead (r : int Explore.result) =
     check Alcotest.(list int) (what ^ ": one completed leaf") [ path_end ] r.Explore.completed;
     check Alcotest.int (what ^ ": dead ends") dead (List.length r.Explore.deadlocked);

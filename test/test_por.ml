@@ -216,7 +216,7 @@ let prop_csp_random_differential =
    independence oracle the sleep sets consume. *)
 let check_swaps ~name (lang : _ Explore.lang) ~max_steps rng =
   let moves c = List.map (fun (_, fire) -> fire ()) (Explore.successors lang c) in
-  let key = lang.exact_key in
+  let key = Explore.exact_key lang in
   let find_label l c lost =
     match List.find_opt (fun (m, _) -> String.equal m.Explore.label l) (moves c) with
     | Some (_, c') -> c'

@@ -588,6 +588,31 @@ let build_any_gen =
     let* assignment = flatten_l (List.init n (fun _ -> int_range 0 2)) in
     return (n, assignment, List.filter (fun (a, b) -> a <> b) edges))
 
+(* The cycle [Legality.check] names in a cyclic computation: each event
+   of it, the last included, joined to the next by an enable edge or an
+   element-successor edge. *)
+let names_a_causal_cycle comp =
+  let joined a b =
+    C.enables comp a b
+    ||
+    let rec succ = function
+      | x :: (y :: _ as rest) -> (x = a && y = b) || succ rest
+      | [ _ ] | [] -> false
+    in
+    succ (C.events_at comp (C.event comp a).E.id.element)
+  in
+  List.exists
+    (function
+      | Gem_spec.Legality.Cyclic_causality (first :: _ as hs) ->
+          let rec around = function
+            | a :: (b :: _ as rest) -> joined a b && around rest
+            | [ last ] -> joined last first
+            | [] -> false
+          in
+          around hs
+      | _ -> false)
+    (Gem_spec.Legality.check props_spec comp)
+
 let prop_build_matches_generic =
   QCheck.Test.make ~name:"one-pass Build = generic tables" ~count:2000
     (QCheck.make build_any_gen ~print:(Option.get comp_arb.QCheck.print))
@@ -596,14 +621,13 @@ let prop_build_matches_generic =
       let events = Array.init n (C.event comp) in
       let enable, at_element, causal, closure = reference_tables n events edges in
       Digraph.equal (C.enable_graph comp) enable
-      && Digraph.equal (C.causal_graph comp) causal
       && C.event_elements comp
          = List.sort String.compare
              (Hashtbl.fold (fun el _ acc -> el :: acc) at_element [])
       && Hashtbl.fold (fun el hs ok -> ok && C.events_at comp el = hs) at_element true
       &&
       match (C.temporal comp, closure) with
-      | None, None -> true
+      | None, None -> names_a_causal_cycle comp
       | Some p, Some closure ->
           lt_matches_closure p closure
           && Some (Poset.linear_extension p) = Digraph.topological_sort causal
@@ -968,17 +992,17 @@ let observe ~state_key walk =
    configuration. [budget_cap] caps the walks with a fresh budget each
    instead. *)
 let awake_matches_eager ?(max_configs = 2000) ?budget_cap (lang : _ Explore.lang) =
-  let state_key = lang.exact_key and terminated = lang.terminated in
+  let state_key = Explore.exact_key lang and terminated = lang.terminated in
   let eager c = List.map (fun (_, fire) -> fire ()) (Explore.successors lang c) in
   List.for_all
     (fun reduction ->
-      let key c = Explore.Fp (lang.fp_key c) in
+      let key c = Explore.Fp (Explore.fp_key lang c) in
       let budget () =
         Option.map (fun n -> Gem_check.Budget.make ~max_configs:n ()) budget_cap
       in
       let lazy_ =
         observe ~state_key (fun () ->
-            Explore.run ~max_configs ?budget:(budget ()) ~key
+            Explore.run ~max_configs ?budget:(budget ()) ~key:(Explore.key ~exact:false lang)
               ~footprint:(Explore.successors lang) ~reduction
               ~moves:(fun _ -> invalid_arg "plain moves") ~terminated lang.init)
       in
@@ -1004,11 +1028,34 @@ let prop_awake_ada =
   QCheck.Test.make ~name:"awake-only walk = eager walk (Ada)" ~count:40
     Gem_fuzz.Gen.ada_arb (fun prog -> awake_matches_eager (Ada.lang prog))
 
+(* The key a configuration gets from the walk, reusing the fingerprints
+   of the components it shares with the one it was stepped from, is the
+   key a from-scratch listing gives, on every configuration the
+   sleep-set and source walks key. *)
+let reuse_matches_scratch (lang : _ Explore.lang) =
+  let keyed = ref 0 in
+  let key parent c =
+    let k, parts = Explore.key ~exact:false lang parent c in
+    incr keyed;
+    if not (Explore.skey_equal k (Explore.Fp (Explore.fp_key lang c))) then
+      QCheck.Test.fail_reportf "configuration %d: reused key differs" !keyed;
+    (k, parts)
+  in
+  List.iter
+    (fun reduction ->
+      ignore
+        (Explore.run ~max_configs:2000 ~key ~footprint:(Explore.successors lang) ~reduction
+           ~moves:(fun _ -> invalid_arg "plain moves")
+           ~terminated:lang.terminated lang.init))
+    [ Explore.Sleep_sets; Explore.Source_sets ];
+  !keyed > 0
+
 (* The generated programs are small (most CSP ones have no matching
    offers), so the walks are also compared on the problem workloads,
    each of whose walks takes hundreds to thousands of configurations —
    whole, and stopped early by a cap of 100 configurations, the walk's
-   own and a budget's. *)
+   own and a budget's — and their reused keys are held to from-scratch
+   ones. *)
 let test_awake_workloads () =
   let module P = Gem_problems in
   let check_one name lang =
@@ -1018,7 +1065,8 @@ let test_awake_workloads () =
         ("", awake_matches_eager lang);
         (" at 100", awake_matches_eager ~max_configs:100 lang);
         (" at a budget of 100", awake_matches_eager ~budget_cap:100 lang);
-      ]
+      ];
+    if not (reuse_matches_scratch lang) then Alcotest.failf "%s: nothing keyed" name
   in
   check_one "rw 1r1w"
     (Monitor.lang
@@ -1035,30 +1083,14 @@ let test_awake_workloads () =
     (Ada.lang (P.Buffer.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2));
   check_one "rwd ada 1r1w" (Ada.lang (P.Rw_distributed.ada_program ~readers:1 ~writers:1))
 
-(* The key components a monitor configuration reuses from the one it
-   was stepped from give the key a from-scratch computation gives, on
-   every configuration the sleep-set and source walks key. *)
+(* Key reuse on generated programs of the three languages. *)
 let prop_fp_key_reuse =
   QCheck.Test.make ~name:"reused fp_key = from-scratch fp_key" ~count:60
-    Gem_fuzz.Gen.monitor_arb (fun prog ->
-      let keyed = ref 0 in
-      let lang = Monitor.lang prog in
-      let key c =
-        let k = lang.fp_key c in
-        incr keyed;
-        if not (Gem_order.Fingerprint.equal k (Monitor.config_fp_uncached prog c)) then
-          QCheck.Test.fail_reportf "configuration %d: reused key differs" !keyed;
-        Explore.Fp k
-      in
-      List.iter
-        (fun reduction ->
-          ignore
-            (Explore.run ~max_configs:2000 ~key ~footprint:(Explore.successors lang)
-               ~reduction
-               ~moves:(fun _ -> invalid_arg "plain moves")
-               ~terminated:lang.terminated lang.init))
-        [ Explore.Sleep_sets; Explore.Source_sets ];
-      !keyed > 0)
+    (QCheck.triple Gem_fuzz.Gen.monitor_arb Gem_fuzz.Gen.csp_arb Gem_fuzz.Gen.ada_arb)
+    (fun (monitor, csp, ada) ->
+      reuse_matches_scratch (Monitor.lang monitor)
+      && reuse_matches_scratch (Csp.lang csp)
+      && reuse_matches_scratch (Ada.lang ada))
 
 (* [touched_elements] against the fold it replaced: the elements whose
    occurrence count grew between the two traces. *)

@@ -317,13 +317,14 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* GEMCKPT2 and GEMCKPT3 files have the current header layout, so their
+(* GEMCKPT2 to GEMCKPT4 files have the current header layout, so their
    lengths and digest check out; only the magic tells that the payload
    is an earlier layout of the walk state (GEMCKPT3's is a task
-   frontier, not a frame stack), which must not be unmarshalled. *)
+   frontier, not a frame stack; GEMCKPT4's frames carry no key parts),
+   which must not be unmarshalled. *)
 let test_checkpoint_previous_format () =
   with_engine_snapshot (fun file bytes ->
-      check Alcotest.string "written as GEMCKPT4" "GEMCKPT4" (String.sub bytes 0 8);
+      check Alcotest.string "written as GEMCKPT5" "GEMCKPT5" (String.sub bytes 0 8);
       List.iter
         (fun old ->
           rewrite file (old ^ String.sub bytes 8 (String.length bytes - 8));
@@ -343,7 +344,7 @@ let test_checkpoint_previous_format () =
           | _ -> Alcotest.failf "resumed from a %s file" old
           | exception Explore.Resume_error e ->
               check Alcotest.bool ("Resume_error names " ^ old) true (contains e old))
-        [ "GEMCKPT2"; "GEMCKPT3" ])
+        [ "GEMCKPT2"; "GEMCKPT3"; "GEMCKPT4" ])
 
 (* ------------------------------------------------------------------ *)
 (* Bitstate engine parity matrix                                       *)
